@@ -22,7 +22,7 @@
 //! * **Sharded-throughput gate** — the regional variant of the contact
 //!   shape driven through the sharded runtime at 4 shards, vs
 //!   `scale_sharded/regional_300k_shards4` in the sharded baseline JSON.
-//!   This regresses if the shard director, the epoch flush, or the
+//!   This regresses if the shard routing, the epoch flush, or the
 //!   cross-shard barrier path gains a constant factor.
 //!
 //! * **Sharded-RAPID gate** — in-band RAPID (the paper's protocol,
@@ -285,7 +285,7 @@ fn main() {
 
     // --- Sharded-throughput gate: the regional contact shape through the
     // sharded runtime (4 shards aligned to 8 regions, 95% local
-    // meetings). Fixed per-contact cost of the shard director: epoch
+    // meetings). Fixed per-contact cost of the partitioned executor: epoch
     // queues, the parallel flush, and the cross-shard barrier path.
     let sharded = {
         let baseline_ms = read_baseline(&sharded_baseline, SHARDED_ID);

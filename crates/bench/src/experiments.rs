@@ -1,10 +1,8 @@
 //! The experiment implementations behind the registry.
 //!
 //! Each function reproduces one figure/table family and writes its TSV to
-//! stdout and `results/<id>.tsv` — these are the bodies the `fig*`
-//! binaries used to carry; they now live in one place and are dispatched
-//! through [`crate::registry`]. Output is byte-identical to the historic
-//! binaries for a fixed seed.
+//! stdout and `results/<id>.tsv`; `fig_all` dispatches to them through
+//! [`crate::registry`]. Output is deterministic for a fixed seed.
 
 use crate::families::{
     synth_buffer_sweep, synth_load_sweep, synth_loads, trace_loads, trace_sweep,

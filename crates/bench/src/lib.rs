@@ -3,8 +3,8 @@
 //!
 //! Every experiment is an entry in the declarative [`registry`]
 //! (id → sweep axes → TSV schema → run function, bodies in
-//! [`experiments`]); the binaries under `src/bin/` are one-line
-//! dispatches and `fig_all` walks the registry in-process
+//! [`experiments`]); `fig_all <id>...` is the one CLI over it and runs
+//! the selected plans in-process
 //! (`--list` prints it, `--jobs N` pins the worker pool). Output is TSV
 //! on stdout, mirrored to `results/<id>.tsv`; see EXPERIMENTS.md for
 //! calibration notes and paper-vs-measured results.

@@ -2,17 +2,18 @@
 //!
 //! Every figure/table reproduction is one [`ExperimentPlan`]: an id, the
 //! sweep axes it walks, the TSV schema it emits, and the run function that
-//! produces it (the bodies live in [`crate::experiments`]). The `fig*`
-//! binaries are one-line dispatches into this table, and `fig_all` walks
-//! it — adding an experiment means adding one entry here plus its run
-//! function, not a new hand-written binary.
+//! produces it (the bodies live in [`crate::experiments`]). `fig_all <id>`
+//! is the one entry point: it resolves ids through this table and runs
+//! them in-process — adding an experiment means adding one entry here plus
+//! its run function, not a new binary.
 
 use crate::experiments;
 use crate::scale;
 
 /// One registered experiment.
 pub struct ExperimentPlan {
-    /// Stable id: the binary name, the TSV basename (`results/<id>.tsv`).
+    /// Stable id: the `fig_all` argument and the TSV basename
+    /// (`results/<id>.tsv`).
     pub id: &'static str,
     /// One-line description (shown by `fig_all --list`).
     pub title: &'static str,
@@ -268,21 +269,6 @@ pub fn find(id: &str) -> Option<&'static ExperimentPlan> {
 /// All registered ids, in canonical order.
 pub fn ids() -> Vec<&'static str> {
     PLANS.iter().map(|p| p.id).collect()
-}
-
-/// Dispatch for the thin `fig*` binaries: runs the plan or exits 2 with a
-/// usage message (an unknown id here is a programming error in the bin).
-pub fn run_or_exit(id: &str) {
-    match find(id) {
-        Some(plan) => (plan.run)(),
-        None => {
-            eprintln!(
-                "error: unknown experiment `{id}`; known: {}",
-                ids().join(" ")
-            );
-            std::process::exit(2);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -159,8 +159,8 @@ pub fn peak_rss_mb() -> Option<f64> {
 /// brackets rather than the process lifetime — `fig_all` executes plans
 /// in-process, and without the reset `scale` would report whatever peak
 /// an earlier experiment reached. Freed-but-cached allocator pages can
-/// still inflate an in-process reading; the standalone `scale` binary
-/// (what CI runs) is the clean-room measurement. Public so `bench_smoke`
+/// still inflate a reading taken after another plan; `fig_all scale` on
+/// its own (what CI runs) is the clean-room measurement. Public so `bench_smoke`
 /// can bracket each gate with its own peak reading.
 pub fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
@@ -241,9 +241,9 @@ pub fn run_scale() {
 
     if max_rss_mb > 0 {
         let peak = rss.max().unwrap_or(0.0);
-        // Panic, don't exit: the standalone binary still dies non-zero
-        // (CI's check), while fig_all's per-plan catch_unwind records one
-        // FAIL row and keeps running the remaining experiments.
+        // Panic, don't exit: fig_all's per-plan catch_unwind records one
+        // FAIL row, keeps running the remaining experiments, and still
+        // exits non-zero (CI's check).
         assert!(
             peak <= max_rss_mb as f64,
             "scale family FAILED: peak RSS {peak:.1} MB exceeds the \

@@ -817,8 +817,8 @@ impl Routing for Rapid {
             // is claimed by exactly one worker (`ContactPool::run`), so
             // shard `s`'s run of node states and scratch slot `s` are
             // borrowed by no other concurrent execution. The drained
-            // messages address only nodes the shard owns (the director's
-            // routing contract), which `RapidShardView` enforces by
+            // messages address only nodes the shard owns (the sharded
+            // runtime's routing contract), which `RapidShardView` enforces by
             // construction: its lease is exactly `partition.range(s)`.
             let range = partition.range(s);
             let base = range.start;
@@ -1096,7 +1096,7 @@ fn decode_node_state(
 }
 
 /// One shard's lease over its contiguous run of RAPID node states during
-/// a sharded epoch ([`Rapid::on_shard_epoch`]). The director delivers the
+/// a sharded epoch ([`Rapid::on_shard_epoch`]). The runtime delivers the
 /// epoch's messages through the [`Routing`] interface with *global* node
 /// ids; every hook here re-bases them onto the local subslice, so a
 /// message addressing a node outside the shard's partition range is an
@@ -1104,7 +1104,7 @@ fn decode_node_state(
 ///
 /// Cross-endpoint effects need no special handling: an intra-shard
 /// contact owns both endpoint states ([`StatePair::Pair`]), and
-/// cross-shard contacts are director barriers that run on the coordinator
+/// cross-shard contacts are barriers that run on the coordinator
 /// instance with the full slice — the in-band metadata rows those
 /// contacts exchange flow through the same serial path as before.
 struct RapidShardView<'a> {
@@ -1177,7 +1177,7 @@ impl Routing for RapidShardView<'_> {
     }
 
     fn on_packet_expired(&mut self, _packet: &Packet) {
-        unreachable!("TTL expiry is a director barrier and runs on the coordinator instance")
+        unreachable!("TTL expiry is a barrier and runs on the coordinator instance")
     }
 
     fn on_node_up(&mut self, node: NodeId, _now: Time) {

@@ -2,9 +2,9 @@
 //! on-disk checkpoint rotation.
 //!
 //! A [`Snapshot`] is the complete deterministic state of a run at a
-//! *quiescent point* of the event loop — the top of the loop with every
-//! batched drive committed (serial engine) or every shard queue drained
-//! (sharded director). Captured state:
+//! *quiescent point* of the event-merge scan ([`crate::scan`]) — the top
+//! of its loop, after `Executor::quiesce` committed every batched drive
+//! and drained every shard queue. Captured state:
 //!
 //! * the pending [`EventQueue`] in drain order,
 //! * the world: packet arena columns, per-node buffers (including each
@@ -24,8 +24,8 @@
 //!
 //! Restoring a snapshot and running to completion is byte-identical to
 //! the uninterrupted run — at any `RAPID_SHARDS` / `RAPID_INTRA_JOBS`,
-//! because the snapshot holds only the serial-order state that both
-//! runtimes agree on (see `crate::par` and `crate::shard` for why the
+//! because the snapshot holds only the serial-order state that every
+//! runtime agrees on (see `crate::par` and `crate::shard` for why the
 //! parallel schedules commute).
 //!
 //! The [`Checkpointer`] writes rotating `ckpt-<seq>.rsnp` files
@@ -40,6 +40,7 @@ use crate::event::{EventQueue, SimEvent};
 use crate::fault::{corrupt_file, FaultPlan};
 use crate::ids::IndexSet;
 use crate::par::ContactConcurrency;
+use crate::report::SimReport;
 use crate::routing::{PacketStore, Routing, SimConfig};
 use crate::time::{Time, TimeDelta};
 use crate::types::{NodeId, PacketId};
@@ -105,6 +106,34 @@ pub struct Counters {
     pub metadata_bytes: u64,
     /// Replications performed.
     pub replications: u64,
+}
+
+impl Counters {
+    /// The counters `report` has accumulated so far (capture).
+    pub(crate) fn of(report: &SimReport) -> Self {
+        Self {
+            contacts: report.contacts,
+            contacts_failed: report.contacts_failed,
+            contacts_suppressed: report.contacts_suppressed,
+            expired: report.expired,
+            offered_bytes: report.offered_bytes,
+            data_bytes: report.data_bytes,
+            metadata_bytes: report.metadata_bytes,
+            replications: report.replications,
+        }
+    }
+
+    /// Writes the counters back into a fresh `report` (resume).
+    pub(crate) fn restore_into(self, report: &mut SimReport) {
+        report.contacts = self.contacts;
+        report.contacts_failed = self.contacts_failed;
+        report.contacts_suppressed = self.contacts_suppressed;
+        report.expired = self.expired;
+        report.offered_bytes = self.offered_bytes;
+        report.data_bytes = self.data_bytes;
+        report.metadata_bytes = self.metadata_bytes;
+        report.replications = self.replications;
+    }
 }
 
 /// The routing protocol's saved state with the protocol name that wrote

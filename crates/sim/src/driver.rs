@@ -56,6 +56,17 @@ pub(crate) struct HolderOp {
     pub added: bool,
 }
 
+impl HolderOp {
+    /// Applies the mutation to the holder table (commit time).
+    pub(crate) fn apply(self, holders: &mut [IndexSet]) {
+        if self.added {
+            holders[self.id.index()].insert(self.node.index());
+        } else {
+            holders[self.id.index()].remove(self.node.index());
+        }
+    }
+}
+
 /// Mutable world state the driver operates on; borrowed from the engine.
 pub(crate) enum WorldMut<'a> {
     /// The serial engine's full world.

@@ -3,11 +3,12 @@
 //! Mirrors the paper's evaluation vehicle (§5.3) — "The simulator takes as
 //! input a schedule of node meetings, the bandwidth available at each
 //! meeting, and a routing algorithm" — generalized into a typed
-//! discrete-event core. A single deterministic [`EventQueue`] drains
+//! discrete-event core. The event-merge scan ([`crate::scan`]) drains
 //! [`SimEvent`]s (contact window open/close, packet creation, TTL expiry,
 //! node churn) in the documented tie-break order; at each driven contact the
 //! routing protocol moves packets through a [`ContactDriver`] that enforces
-//! the feasibility rules of §3.1.
+//! the feasibility rules of §3.1. This module holds the entry points and
+//! the batched executor of intra-run parallelism.
 //!
 //! Contact windows ([`crate::contact::ContactWindow`]) are durative: the
 //! protocol is driven when a window *closes* (or is interrupted by churn),
@@ -16,24 +17,21 @@
 //! immediately at its start with its lump opportunity — which reproduces the
 //! seed engine's behaviour byte-for-byte for instantaneous schedules. Runs
 //! are deterministic given the configuration seed.
+//!
+//! [`SimEvent`]: crate::event::SimEvent
 
-use crate::checkpoint::{
-    config_digest, require_checkpointable, Counters, OpenSnap, RoutingState, RunHooks, Snapshot,
-};
-use crate::contact::{ContactWindow, Schedule};
+use crate::checkpoint::{require_checkpointable, RunHooks};
+use crate::contact::Schedule;
 use crate::driver::{ContactDriver, HolderOp, WorldMut};
-use crate::event::{EventQueue, NodeEvent, SimEvent, WindowIdx};
-use crate::ids::IndexSet;
+use crate::event::NodeEvent;
 use crate::noise::NoiseModel;
 use crate::par::{Batcher, ContactPool, PendingDrive, RawSlice, SlicePartition};
 use crate::report::SimReport;
-use crate::routing::{PacketStore, Routing, SimConfig};
+use crate::routing::{Routing, SimConfig};
+use crate::scan::{scan, Executor, Immediate, Run, World};
 use crate::source::{ContactSource, WorkloadSource};
-use crate::time::{Time, TimeDelta};
-use crate::NodeBuffer;
-use dtn_stats::sample::Exponential;
-use dtn_stats::stream;
-use rand::Rng;
+use crate::time::Time;
+use crate::types::{NodeId, PacketId};
 
 /// Reusable storage for the batch flush loop: the drained ready set, the
 /// per-flush driver list, and a pool of holder-op log vectors — all
@@ -165,32 +163,11 @@ impl Simulation {
     }
 }
 
-/// A durative window that is currently open, with its setup loss. The set
-/// is kept in ascending window-index order (windows open in pull order).
-struct OpenWindow {
-    idx: WindowIdx,
-    window: ContactWindow,
-    loss: u64,
-}
-
 /// Executes one run by *pulling* contact windows and packet creations from
 /// streaming sources — the scenario is never materialized, so peak memory
 /// is bounded by the open state (buffers, in-flight packets, open windows),
-/// not the contact-plan size.
-///
-/// The drain order is identical to seeding an [`EventQueue`] with the full
-/// schedule and workload: the queue (churn, window closes, TTL expiries)
-/// and the two sources are merged on the `(time, rank)` key of the event
-/// tie-break table, and ranks are disjoint across the merged streams —
-/// contact starts and creations only ever come from the sources, the other
-/// kinds only from the queue. Within a stream, pull order preserves the
-/// FIFO tie-break the seed engine's stable sorts guaranteed. The sources
-/// must yield nondecreasing times and in-range node ids (asserted as
-/// items are pulled).
-///
-/// Events scheduled past `config.horizon` still execute (the seed engine
-/// processed every contact it was given); generators are expected to clamp
-/// at the horizon.
+/// not the contact-plan size. The drain order and the source contract are
+/// those of the event-merge scan (see `crate::scan::scan`).
 ///
 /// # Intra-run parallelism
 ///
@@ -224,9 +201,10 @@ pub fn run_streaming(
 }
 
 /// [`run_streaming`] with crash-safety hooks: periodic checkpoints,
-/// resume from a [`Snapshot`], and fault injection. A resumed run is
-/// byte-identical to the uninterrupted run from the same inputs — the
-/// snapshot holds the full serial-order state (see [`crate::checkpoint`]).
+/// resume from a [`crate::checkpoint::Snapshot`], and fault injection. A
+/// resumed run is byte-identical to the uninterrupted run from the same
+/// inputs — the snapshot holds the full serial-order state (see
+/// [`crate::checkpoint`]).
 pub fn run_streaming_hooked(
     config: &SimConfig,
     contacts: &mut dyn ContactSource,
@@ -243,650 +221,89 @@ pub fn run_streaming_hooked(
     let parallel = jobs > 1
         && !config.allow_global_knowledge
         && routing.contact_concurrency().is_node_disjoint();
-    if parallel {
-        std::thread::scope(|scope| {
-            let pool = ContactPool::start(scope, jobs);
-            run_loop(
-                config,
-                contacts,
-                workload,
-                churn,
-                noise,
-                routing,
-                Some(&pool),
-                hooks,
-            )
-        })
-    } else {
-        run_loop(
-            config, contacts, workload, churn, noise, routing, None, hooks,
-        )
-    }
-}
-
-/// The engine loop behind [`run_streaming`]; `pool` is `Some` only for
-/// intra-run parallel execution.
-#[allow(clippy::too_many_arguments)]
-fn run_loop(
-    config: &SimConfig,
-    contacts: &mut dyn ContactSource,
-    workload: &mut dyn WorkloadSource,
-    churn: &[NodeEvent],
-    noise: Option<NoiseModel>,
-    routing: &mut dyn Routing,
-    pool: Option<&ContactPool>,
-    mut hooks: RunHooks<'_>,
-) -> SimReport {
-    let n = config.nodes;
-    let mut world = EngineWorld {
-        buffers: (0..n)
-            .map(|_| NodeBuffer::new(config.buffer_capacity))
-            .collect(),
-        store: PacketStore::default(),
-        delivered_at: Vec::new(),
-        holders: Vec::new(),
-        entered: Vec::new(),
-    };
-    let mut noise_rng = stream(config.seed, "sim-noise");
-
     routing.on_init(config);
-
-    // Only churn is seeded; window closes and TTL expiries are scheduled
-    // as their windows open / packets enter. On a resume the snapshot's
-    // queue already holds the remaining churn events, so churn is *not*
-    // re-seeded.
-    let mut queue = EventQueue::new();
-    if hooks.resume.is_none() {
-        for ev in churn {
-            assert!(ev.node.index() < n, "churn references node outside 0..{n}");
-            let event = if ev.up {
-                SimEvent::NodeUp(ev.node)
-            } else {
-                SimEvent::NodeDown(ev.node)
-            };
-            queue.push(ev.time, event);
-        }
+    let mut serial = Immediate { routing };
+    if !parallel {
+        return scan(config, contacts, workload, churn, noise, hooks, &mut serial);
     }
-
-    let mut up = vec![true; n];
-    let mut open: Vec<OpenWindow> = Vec::new();
-
-    let mut report = SimReport {
-        horizon: config.horizon,
-        deadline: config.deadline,
-        ..SimReport::default()
-    };
-
-    let pull_window = |contacts: &mut dyn ContactSource, last_start: &mut Time| {
-        let w = contacts.next_window()?;
-        assert!(
-            w.a.index() < n && w.b.index() < n,
-            "contact references node outside 0..{n}"
-        );
-        assert!(
-            w.start >= *last_start,
-            "contact source must yield nondecreasing start times"
-        );
-        *last_start = w.start;
-        Some(w)
-    };
-    let pull_packet = |workload: &mut dyn WorkloadSource, last_time: &mut Time| {
-        let s = workload.next_packet()?;
-        assert!(
-            s.src.index() < n && s.dst.index() < n,
-            "packet references node outside 0..{n}"
-        );
-        assert!(
-            s.time >= *last_time,
-            "workload source must yield nondecreasing creation times"
-        );
-        *last_time = s.time;
-        Some(s)
-    };
-
-    let mut last_window_start = Time::ZERO;
-    let mut last_packet_time = Time::ZERO;
-    let mut next_window_idx: WindowIdx = 0;
-    let mut contact_seq: u64 = 0;
-    let (mut next_window, mut next_packet);
-
-    if let Some(snap) = hooks.resume.take() {
-        assert_eq!(
-            snap.config_digest,
-            config_digest(config),
-            "snapshot was taken under a different scenario configuration \
-             [diag=resume-config-mismatch]"
-        );
-        // World state, verbatim from the snapshot.
-        world.store = snap.restore_store();
-        let (buffers, holders) = snap.restore_buffers(config.buffer_capacity, &world.store);
-        world.buffers = buffers;
-        world.holders = holders;
-        world.delivered_at = snap.delivered_at.clone();
-        world.entered = snap.entered.clone();
-        queue = snap.restore_queue();
-        assert_eq!(snap.up.len(), n, "snapshot node count mismatch");
-        up = snap.up.clone();
-        open = snap
-            .open
-            .iter()
-            .map(|o| OpenWindow {
-                idx: o.idx as WindowIdx,
-                window: o.window,
-                loss: o.loss,
-            })
-            .collect();
-        noise_rng = rand::rngs::StdRng::from_state(snap.noise_rng);
-        contact_seq = snap.contact_seq;
-        let c = snap.counters;
-        report.contacts = c.contacts;
-        report.contacts_failed = c.contacts_failed;
-        report.contacts_suppressed = c.contacts_suppressed;
-        report.expired = c.expired;
-        report.offered_bytes = c.offered_bytes;
-        report.data_bytes = c.data_bytes;
-        report.metadata_bytes = c.metadata_bytes;
-        report.replications = c.replications;
-
-        // Sources are replayed by count from the beginning (they are
-        // deterministic), then the lookahead item each source had already
-        // yielded is re-pulled and checked against the snapshot — a full
-        // integrity check that the scenario inputs are the ones the
-        // snapshot was taken from.
-        for _ in 0..snap.windows_consumed {
-            pull_window(contacts, &mut last_window_start)
-                .expect("contact source ended before the snapshot's position");
-        }
-        next_window_idx = snap.windows_consumed as WindowIdx;
-        next_window = pull_window(contacts, &mut last_window_start);
-        assert_eq!(
-            next_window, snap.next_window,
-            "contact source diverged from the snapshot [diag=resume-source-mismatch]"
-        );
-        for _ in 0..snap.packets.len() {
-            pull_packet(workload, &mut last_packet_time)
-                .expect("workload source ended before the snapshot's position");
-        }
-        next_packet = pull_packet(workload, &mut last_packet_time);
-        assert_eq!(
-            next_packet, snap.next_packet,
-            "workload source diverged from the snapshot [diag=resume-source-mismatch]"
-        );
-
-        // Protocol state. Stateless protocols have nothing to restore; a
-        // fresh instance is exact by contract.
-        if let Some(rs) = &snap.routing {
-            assert_eq!(
-                rs.name,
-                routing.name(),
-                "snapshot holds {} state but the run uses {} [diag=resume-proto-mismatch]",
-                rs.name,
-                routing.name()
-            );
-            routing
-                .load_state(&rs.bytes)
-                .unwrap_or_else(|e| panic!("protocol state restore failed: {e}"));
-        }
-
-        if let Some(faults) = hooks.faults.as_deref_mut() {
-            faults.ack_crashes_before(snap.now);
-        }
-        if let Some(ckpt) = hooks.checkpoint.as_deref_mut() {
-            ckpt.align(snap.now);
-        }
-    } else {
-        next_window = pull_window(contacts, &mut last_window_start);
-        next_packet = pull_packet(workload, &mut last_packet_time);
-    }
-
-    // Intra-run parallel state: the batch scheduler and the contact
-    // sequence counter (assigned in scan = serial drive order; also what
-    // randomized protocols derive their per-contact RNG substreams from).
-    let mut batcher = pool.map(|_| Batcher::new(n, config.lookahead));
-    let mut flush_scratch = FlushScratch::default();
-
-    const START_RANK: u8 = 3; // SimEvent::ContactStart
-    const CREATED_RANK: u8 = 4; // SimEvent::PacketCreated
-
-    loop {
-        // Three candidates for the earliest event; their (time, rank) keys
-        // never collide across streams because the ranks are disjoint.
-        let queue_key = queue.peek_key();
-        let window_key = next_window.as_ref().map(|w| (w.start, START_RANK));
-        let packet_key = next_packet.as_ref().map(|s| (s.time, CREATED_RANK));
-        let best = [queue_key, window_key, packet_key]
-            .into_iter()
-            .flatten()
-            .min();
-        let Some(best) = best else { break };
-
-        if let Some(faults) = hooks.faults.as_deref_mut() {
-            faults.trip_crash(best.0);
-        }
-        if hooks.checkpoint.as_ref().is_some_and(|c| c.due(best.0)) {
-            // The snapshot must be quiescent: commit pending batched
-            // drives first (an early flush is byte-identical — see
-            // `crate::par`).
-            if let Some(batcher) = &mut batcher {
-                flush_batches(
-                    config,
-                    routing,
-                    &mut world,
-                    &mut report,
-                    pool.expect("batcher implies pool"),
-                    batcher,
-                    &mut flush_scratch,
-                );
-            }
-            let snap = Snapshot {
-                config_digest: config_digest(config),
-                now: best.0,
-                windows_consumed: next_window_idx as u64,
-                contact_seq,
-                next_window,
-                next_packet,
-                noise_rng: noise_rng.state(),
-                events: queue.snapshot_events(),
-                packets: Snapshot::capture_store(&world.store),
-                delivered_at: world.delivered_at.clone(),
-                entered: world.entered.clone(),
-                buffers: Snapshot::capture_buffers(&world.buffers),
-                up: up.clone(),
-                open: open
-                    .iter()
-                    .map(|ow| OpenSnap {
-                        idx: ow.idx as u64,
-                        window: ow.window,
-                        loss: ow.loss,
-                    })
-                    .collect(),
-                counters: Counters {
-                    contacts: report.contacts,
-                    contacts_failed: report.contacts_failed,
-                    contacts_suppressed: report.contacts_suppressed,
-                    expired: report.expired,
-                    offered_bytes: report.offered_bytes,
-                    data_bytes: report.data_bytes,
-                    metadata_bytes: report.metadata_bytes,
-                    replications: report.replications,
-                },
-                routing: routing.save_state().map(|bytes| RoutingState {
-                    name: routing.name(),
-                    bytes,
-                }),
-            };
-            let ckpt = hooks.checkpoint.as_deref_mut().expect("checked above");
-            ckpt.save(&snap, hooks.faults.as_deref())
-                .unwrap_or_else(|e| {
-                    panic!("checkpoint write failed: {e} [diag=ckpt-write-failed]")
-                });
-        }
-
-        if window_key == Some(best) {
-            let w = next_window.take().expect("window candidate exists");
-            let i = next_window_idx;
-            next_window_idx += 1;
-            next_window = pull_window(contacts, &mut last_window_start);
-            let now = w.start;
-
-            if !up[w.a.index()] || !up[w.b.index()] {
-                // A window never starts while an endpoint is down (and does
-                // not reopen if the node returns mid-span). Gated on the
-                // measured span like the sibling contact counters.
-                if now >= config.measure_from {
-                    report.contacts_suppressed += 1;
-                }
-                continue;
-            }
-            let measured = now >= config.measure_from;
-            let mut loss = 0u64;
-            if let Some(noise) = &noise {
-                if noise_rng.gen::<f64>() < noise.contact_failure_prob {
-                    if measured {
-                        report.contacts_failed += 1;
-                    }
-                    continue;
-                }
-                if noise.setup_loss_bytes_mean > 0.0 {
-                    loss = Exponential::with_mean(noise.setup_loss_bytes_mean)
-                        .sample(&mut noise_rng) as u64;
-                }
-            }
-            if w.is_instantaneous() {
-                let budget = w.lump_bytes.saturating_sub(loss);
-                let seq = contact_seq;
-                contact_seq += 1;
-                match &mut batcher {
-                    Some(batcher) => {
-                        batcher.push(PendingDrive {
-                            window: w,
-                            now,
-                            budget,
-                            seq,
-                            measured,
-                        });
-                        if batcher.full() {
-                            flush_batches(
-                                config,
-                                routing,
-                                &mut world,
-                                &mut report,
-                                pool.expect("batcher implies pool"),
-                                batcher,
-                                &mut flush_scratch,
-                            );
-                        }
-                    }
-                    None => drive_contact(
-                        config,
-                        routing,
-                        &mut world,
-                        &mut report,
-                        &w,
-                        now,
-                        budget,
-                        false,
-                        seq,
-                    ),
-                }
-            } else {
-                // An injected abort fault cuts the window short: it closes
-                // at the abort instant with only the capacity accrued by
-                // then (the same semantics as a churn interruption).
-                let end = hooks
-                    .faults
-                    .as_deref()
-                    .and_then(|f| f.abort_for(i, w.start, w.end))
-                    .unwrap_or(w.end);
-                queue.push(end, SimEvent::ContactEnd(i));
-                open.push(OpenWindow {
-                    idx: i,
-                    window: w,
-                    loss,
-                });
-            }
-            continue;
-        }
-
-        if packet_key == Some(best) {
-            // Creations read and mutate world state other contacts may
-            // share (the source buffer, holder sets): a barrier.
-            if let Some(batcher) = &mut batcher {
-                flush_batches(
-                    config,
-                    routing,
-                    &mut world,
-                    &mut report,
-                    pool.expect("batcher implies pool"),
-                    batcher,
-                    &mut flush_scratch,
-                );
-            }
-            let spec = next_packet.take().expect("packet candidate exists");
-            next_packet = pull_packet(workload, &mut last_packet_time);
-
-            let ttl_deadline = config
-                .ttl
-                .map_or(PacketStore::NO_TTL, |ttl| spec.time + ttl);
-            let id = world
-                .store
-                .push(spec.src, spec.dst, spec.size_bytes, spec.time, ttl_deadline);
-            let packet = world.store.get(id);
-            world.delivered_at.push(None);
-            world.holders.push(IndexSet::new());
-
-            if !up[spec.src.index()] {
-                // A down node cannot originate traffic.
-                world.entered.push(false);
-                routing.on_creation_dropped(&packet);
-                continue;
-            }
-
-            let buf = &mut world.buffers[spec.src.index()];
-            if buf.free_bytes() < spec.size_bytes {
-                let needed = spec.size_bytes - buf.free_bytes();
-                let victims =
-                    routing.make_room(spec.src, &packet, needed, buf, &world.store, spec.time);
-                for v in victims {
-                    if world.buffers[spec.src.index()].remove(v) {
-                        world.holders[v.index()].remove(spec.src.index());
-                    }
-                }
-            }
-            if world.buffers[spec.src.index()].insert(&packet, spec.time) {
-                world.holders[id.index()].insert(spec.src.index());
-                world.entered.push(true);
-                routing.on_packet_created(&packet);
-                if ttl_deadline != PacketStore::NO_TTL {
-                    queue.push(ttl_deadline, SimEvent::PacketExpired(id));
-                }
-            } else {
-                world.entered.push(false);
-                routing.on_creation_dropped(&packet);
-            }
-            continue;
-        }
-
-        let (now, event) = queue.pop().expect("queue candidate exists");
-        // Every queue event other than a window close reads or mutates
-        // state pending drives may share (availability, holder sets,
-        // buffers of arbitrary nodes): a barrier.
-        if !matches!(event, SimEvent::ContactEnd(_)) {
-            if let Some(batcher) = &mut batcher {
-                flush_batches(
-                    config,
-                    routing,
-                    &mut world,
-                    &mut report,
-                    pool.expect("batcher implies pool"),
-                    batcher,
-                    &mut flush_scratch,
-                );
-            }
-        }
-        match event {
-            SimEvent::NodeUp(node) => {
-                up[node.index()] = true;
-                routing.on_node_up(node, now);
-            }
-            SimEvent::NodeDown(node) => {
-                // Interrupt this node's active windows with the budget
-                // accrued so far, ascending window index for determinism
-                // (`open` is kept in that order).
-                let mut k = 0;
-                while k < open.len() {
-                    if open[k].window.involves(node) {
-                        let ow = open.remove(k);
-                        let budget = ow.window.capacity_until(now).saturating_sub(ow.loss);
-                        let seq = contact_seq;
-                        contact_seq += 1;
-                        drive_contact(
-                            config,
-                            routing,
-                            &mut world,
-                            &mut report,
-                            &ow.window,
-                            now,
-                            budget,
-                            true,
-                            seq,
-                        );
-                    } else {
-                        k += 1;
-                    }
-                }
-                up[node.index()] = false;
-                routing.on_node_down(node, now);
-            }
-            SimEvent::ContactEnd(i) => {
-                // Not in the open set means the window failed, was
-                // suppressed, or was already interrupted by churn.
-                if let Some(pos) = open.iter().position(|ow| ow.idx == i) {
-                    let ow = open.remove(pos);
-                    let budget = ow.window.capacity_until(now).saturating_sub(ow.loss);
-                    let seq = contact_seq;
-                    contact_seq += 1;
-                    match &mut batcher {
-                        Some(batcher) => {
-                            batcher.push(PendingDrive {
-                                window: ow.window,
-                                now,
-                                budget,
-                                seq,
-                                measured: ow.window.start >= config.measure_from,
-                            });
-                            if batcher.full() {
-                                flush_batches(
-                                    config,
-                                    routing,
-                                    &mut world,
-                                    &mut report,
-                                    pool.expect("batcher implies pool"),
-                                    batcher,
-                                    &mut flush_scratch,
-                                );
-                            }
-                        }
-                        None => drive_contact(
-                            config,
-                            routing,
-                            &mut world,
-                            &mut report,
-                            &ow.window,
-                            now,
-                            budget,
-                            false,
-                            seq,
-                        ),
-                    }
-                }
-            }
-            SimEvent::PacketExpired(id) => {
-                // Skip packets that were delivered first, and packets that
-                // never entered the network — the engine only schedules
-                // expiries for entered packets, but a snapshot produced by
-                // the sharded director schedules them optimistically
-                // before the creation verdict is known.
-                if !world.entered[id.index()] || world.delivered_at[id.index()].is_some() {
-                    continue;
-                }
-                let holders = std::mem::take(&mut world.holders[id.index()]);
-                for h in holders.iter() {
-                    world.buffers[h].remove(id);
-                }
-                report.expired += 1;
-                routing.on_packet_expired(&world.store.get(id));
-            }
-            SimEvent::ContactStart(_) | SimEvent::PacketCreated(_) => {
-                unreachable!("contact starts and creations come from the sources")
-            }
-        }
-    }
-
-    // Drives batched behind the final events still pend: flush them.
-    if let Some(batcher) = &mut batcher {
-        flush_batches(
-            config,
-            routing,
-            &mut world,
-            &mut report,
-            pool.expect("batcher implies pool"),
-            batcher,
-            &mut flush_scratch,
-        );
-    }
-
-    // Per-delivery processing latency (deployment emulation only): the
-    // routing decisions above are unaffected; only the recorded delivery
-    // timestamps shift, exactly like computation delay on a bus.
-    if let Some(noise) = &noise {
-        if noise.processing_delay_mean > TimeDelta::ZERO {
-            let jitter = Exponential::with_mean(noise.processing_delay_mean.as_secs_f64());
-            for slot in world.delivered_at.iter_mut().flatten() {
-                *slot += TimeDelta::from_secs_f64(jitter.sample(&mut noise_rng));
-            }
-        }
-    }
-
-    let outcomes = SimReport::from_parts(
-        world
-            .store
-            .iter()
-            .zip(world.delivered_at.iter().copied())
-            .zip(world.entered.iter().copied())
-            .map(|((p, d), e)| (p, d, e)),
-        config.horizon,
-        config.deadline,
-    );
-    report.outcomes = outcomes.outcomes;
-    report
+    std::thread::scope(|scope| {
+        let pool = ContactPool::start(scope, jobs);
+        let mut exec = Batched {
+            serial,
+            pool: &pool,
+            batcher: Batcher::new(config.nodes, config.lookahead),
+            scratch: FlushScratch::default(),
+        };
+        scan(config, contacts, workload, churn, noise, hooks, &mut exec)
+    })
 }
 
-/// Hands one driven contact to the protocol and accounts its ledger.
-#[allow(clippy::too_many_arguments)]
-fn drive_contact(
-    config: &SimConfig,
-    routing: &mut dyn Routing,
-    world: &mut EngineWorld,
-    report: &mut SimReport,
-    w: &ContactWindow,
-    now: Time,
-    budget: u64,
-    interrupted: bool,
-    seq: u64,
-) {
-    // Classified by window *start* (the seed engine's contact-time
-    // convention): a warm-up window that spans `measure_from` stays
-    // unmeasured even though it is driven inside the measured span.
-    let measured = w.start >= config.measure_from;
-    if measured {
-        report.contacts += 1;
-        report.offered_bytes += 2 * budget;
-    }
-    let mut driver = ContactDriver::new(
-        WorldMut::Full {
-            packets: &world.store,
-            buffers: &mut world.buffers,
-            delivered_at: &mut world.delivered_at,
-            holders: &mut world.holders,
-        },
-        now,
-        w.a,
-        w.b,
-        budget,
-        config.allow_global_knowledge,
-        seq,
-    );
-    routing.on_contact(&mut driver);
-    let ledger = driver.ledger();
-    if measured {
-        report.data_bytes += ledger.data_bytes;
-        report.metadata_bytes += ledger.metadata_bytes;
-        report.replications += ledger.replications;
-    }
-    routing.on_contact_end(w.a, w.b, now, interrupted);
+/// The batched executor of intra-run parallelism: contact drives are held
+/// by the batch scheduler and executed in node-disjoint groups on `pool`;
+/// everything else is a barrier executed by the serial executor.
+struct Batched<'a, 'p> {
+    serial: Immediate<'a>,
+    pool: &'p ContactPool,
+    batcher: Batcher,
+    scratch: FlushScratch,
 }
 
-/// Drains every drive held by the batch scheduler: executes the ready set
-/// on the pool, commits it in scan order, promotes deferred drives, and
-/// repeats until nothing is held. See [`crate::par`] for why this is
-/// byte-identical to driving the same contacts serially in scan order.
-fn flush_batches(
-    config: &SimConfig,
-    routing: &mut dyn Routing,
-    world: &mut EngineWorld,
-    report: &mut SimReport,
-    pool: &ContactPool,
-    batcher: &mut Batcher,
-    scratch: &mut FlushScratch,
-) {
-    loop {
-        batcher.take_ready_into(&mut scratch.ready);
-        if scratch.ready.is_empty() {
-            debug_assert!(batcher.is_empty(), "take_ready drains everything");
-            return;
+impl Executor for Batched<'_, '_> {
+    fn routing(&mut self) -> &mut dyn Routing {
+        self.serial.routing
+    }
+
+    fn drive(&mut self, run: &mut Run<'_>, drive: PendingDrive, interrupted: bool) {
+        if interrupted {
+            // A churn interruption belongs to its `NodeDown`: a barrier.
+            self.quiesce(run);
+            return self.serial.drive(run, drive, true);
         }
-        execute_ready(config, routing, world, report, pool, scratch);
+        self.batcher.push(drive);
+        if self.batcher.full() {
+            self.quiesce(run);
+        }
+    }
+
+    /// Creations read and mutate world state other contacts may share
+    /// (the source buffer, holder sets): a barrier.
+    fn create(&mut self, run: &mut Run<'_>, id: PacketId, src_up: bool) {
+        self.quiesce(run);
+        self.serial.create(run, id, src_up);
+    }
+
+    // Every queue event other than a window close reads or mutates state
+    // pending drives may share (availability, holder sets, buffers of
+    // arbitrary nodes): a barrier.
+    fn node_up(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
+        self.quiesce(run);
+        self.serial.node_up(run, node, now);
+    }
+
+    fn node_down(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
+        self.quiesce(run);
+        self.serial.node_down(run, node, now);
+    }
+
+    fn expire(&mut self, run: &mut Run<'_>, id: PacketId) {
+        self.quiesce(run);
+        self.serial.expire(run, id);
+    }
+
+    /// Drains every drive held by the batch scheduler: executes the ready
+    /// set on the pool, commits it in scan order, promotes deferred
+    /// drives, and repeats until nothing is held. See [`crate::par`] for
+    /// why this is byte-identical to driving the same contacts serially
+    /// in scan order — at any point of the scan.
+    fn quiesce(&mut self, run: &mut Run<'_>) {
+        loop {
+            self.batcher.take_ready_into(&mut self.scratch.ready);
+            if self.scratch.ready.is_empty() {
+                debug_assert!(self.batcher.is_empty(), "take_ready drains everything");
+                return;
+            }
+            execute_ready(run, self.serial.routing, self.pool, &mut self.scratch);
+        }
     }
 }
 
@@ -894,10 +311,8 @@ fn flush_batches(
 /// commits it, returning the driver and log allocations to the scratch
 /// pool for the next flush.
 fn execute_ready(
-    config: &SimConfig,
+    run: &mut Run<'_>,
     routing: &mut dyn Routing,
-    world: &mut EngineWorld,
-    report: &mut SimReport,
     pool: &ContactPool,
     scratch: &mut FlushScratch,
 ) {
@@ -907,7 +322,7 @@ fn execute_ready(
         logs,
     } = scratch;
     let ready: &[PendingDrive] = ready;
-    debug_assert!(!config.allow_global_knowledge);
+    debug_assert!(!run.config.allow_global_knowledge);
     #[cfg(debug_assertions)]
     {
         // Defense in depth: the batcher's contract — pairwise-disjoint
@@ -922,7 +337,8 @@ fn execute_ready(
         debug_assert_eq!(len, nodes.len(), "batch members must be node-disjoint");
     }
 
-    let EngineWorld {
+    let Run { world, report, .. } = run;
+    let World {
         buffers,
         store,
         delivered_at,
@@ -970,11 +386,7 @@ fn execute_ready(
             report.replications += ledger.replications;
         }
         for op in log.drain(..) {
-            if op.added {
-                holders[op.id.index()].insert(op.node.index());
-            } else {
-                holders[op.id.index()].remove(op.node.index());
-            }
+            op.apply(holders);
         }
         logs.push(log);
         routing.on_contact_end(p.window.a, p.window.b, p.now, false);
@@ -982,23 +394,13 @@ fn execute_ready(
     *parked = recycle_drivers(drivers);
 }
 
-/// The engine-owned world state, grouped so helpers can borrow it whole.
-struct EngineWorld {
-    buffers: Vec<NodeBuffer>,
-    store: PacketStore,
-    delivered_at: Vec<Option<Time>>,
-    /// Per-packet replica holder sets (ascending-order bitsets — O(1)
-    /// insert/remove keeps fleet-wide replica spread off the hot path).
-    holders: Vec<IndexSet>,
-    entered: Vec<bool>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contact::Contact;
+    use crate::contact::{Contact, ContactWindow};
     use crate::routing::TransferOutcome;
-    use crate::types::{NodeId, Packet, PacketId};
+    use crate::time::TimeDelta;
+    use crate::types::Packet;
     use crate::workload::{PacketSpec, Workload};
 
     /// Minimal flooding protocol for engine tests: each side sends

@@ -125,7 +125,7 @@ impl FaultPlan {
     }
 
     /// Panics with a distinctive message if an unspent crash fault is due
-    /// at `now`. The event loops call this once per event.
+    /// at `now`. The scan calls this once per event.
     pub fn trip_crash(&mut self, now: Time) {
         let due = self.faults.iter().find_map(|f| match f {
             Fault::Crash { at } if *at <= now && !self.spent_crashes.contains(at) => Some(*at),
@@ -146,7 +146,7 @@ impl FaultPlan {
     }
 
     /// The abort instant for window `idx`, if one is planned inside
-    /// `(start, end)`. The event loops substitute this for the window's
+    /// `(start, end)`. The scan substitutes this for the window's
     /// natural close when scheduling its `ContactEnd`.
     pub fn abort_for(&self, idx: WindowIdx, start: Time, end: Time) -> Option<Time> {
         self.faults.iter().find_map(|f| match f {

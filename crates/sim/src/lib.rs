@@ -36,7 +36,10 @@
 //!   merges a [`source::ContactSource`] and a [`source::WorkloadSource`]
 //!   against the event queue in the documented tie-break order, so a
 //!   run's memory is bounded by its open state, not its contact-plan
-//!   size. [`engine::Simulation`] is the materialized convenience wrapper
+//!   size. That merge is the one [`scan`] every runtime shares — the
+//!   serial engine, intra-run batching ([`par`]) and the sharded runtime
+//!   ([`shard`]) differ only in the executor it hands each action to.
+//!   [`engine::Simulation`] is the materialized convenience wrapper
 //!   — including node churn ([`event::NodeEvent`]) that interrupts active
 //!   windows mid-accrual and per-packet TTL
 //!   ([`routing::SimConfig::ttl`]) — and produces a
@@ -66,6 +69,7 @@ pub mod par;
 pub mod plan;
 pub mod report;
 pub mod routing;
+pub mod scan;
 pub mod shard;
 pub mod source;
 pub mod time;

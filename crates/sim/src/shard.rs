@@ -1,23 +1,23 @@
-//! The sharded simulation runtime: partitioned event loops under a
+//! The sharded simulation runtime: partitioned execution under a
 //! conservative sync horizon.
 //!
 //! Intra-run parallelism (`RAPID_INTRA_JOBS`, see [`crate::par`])
 //! parallelizes *within* one event loop: one thread scans, batches and
 //! commits, and workers only execute node-disjoint contact drives. That
-//! tops out well before the ROADMAP's million-node worlds, because the
-//! scan itself — window pulls, noise draws, churn, TTL bookkeeping — is
+//! tops out well before the ROADMAP's million-node worlds, because
+//! everything but the drive itself — commits, creations, churn hooks — is
 //! serial. This module partitions the *node space* instead:
 //!
 //! * A [`Partition`] maps contiguous `NodeId` ranges to shards —
 //!   `ScaleFleet`'s hub-gateway topology emits hub-local contacts, so
 //!   region boundaries are a natural seam with few cross-shard windows.
-//! * A *director* (the calling thread) replays the engine's exact merge
-//!   of contact windows, packet creations and queued events — same
-//!   noise-RNG draws, same suppression checks, same contact sequence
-//!   numbers — but instead of executing each action it *routes* it:
-//!   an action whose node set lies inside one shard is appended to that
-//!   shard's message queue; anything cross-shard (a gateway contact, a
-//!   TTL expiry touching arbitrary holders) is a *barrier*.
+//! * The event-merge scan ([`crate::scan`]) — the same one the serial
+//!   engine runs, so noise draws, suppression checks and contact sequence
+//!   numbers are the serial ones by construction — hands each ordered
+//!   action to this module's executor, which *routes* it: an action whose
+//!   node set lies inside one shard is appended to that shard's message
+//!   queue; anything cross-shard (a gateway contact, a TTL expiry
+//!   touching arbitrary holders) is a *barrier*.
 //! * Between barriers the shards free-run: at each epoch flush every
 //!   shard drains its queue serially — its own routing instance, its own
 //!   node-buffer range, the shared read-only packet arena — on a
@@ -26,15 +26,14 @@
 //!   engine's total `(time, rank, seq)` order) *before* the barrier
 //!   action that forced the flush, so no shard ever sees state from its
 //!   future.
-//! * Cross-shard actions execute on the director's own *coordinator*
-//!   routing instance against the full world, exactly like the serial
-//!   engine.
+//! * Cross-shard actions execute on the *coordinator* routing instance
+//!   against the full world, through the serial engine's own executor.
 //!
 //! # Determinism
 //!
 //! `RAPID_SHARDS=N` is byte-identical to the serial engine for any `N`
 //! and any partition, because every ingredient of the report is either
-//! computed by the director in serial order (noise draws, suppression,
+//! computed by the scan in serial order (noise draws, suppression,
 //! contact seq numbers, expiry accounting) or commutes across shards
 //! within an epoch:
 //!
@@ -45,9 +44,12 @@
 //!   (the coordinator only reads/writes between epochs). The engine's
 //!   serial order among the drives of one shard is preserved by the
 //!   queue, so first-delivery resolution is identical.
+//! * **`entered`** — slot `p` is written only by `src(p)`'s shard, in the
+//!   epoch that executes the creation; the coordinator reads it (TTL
+//!   expiry, snapshots) only between epochs.
 //! * **Holder sets** — shards never mutate the shared holder table;
-//!   drives and creations log [`HolderOp`]s, applied by the director in
-//!   shard order after every epoch. All ops for a fixed `(packet, node)`
+//!   drives and creations log [`HolderOp`]s, applied in shard order after
+//!   every epoch. All ops for a fixed `(packet, node)`
 //!   pair originate from `node`'s own shard (in queue order), so the
 //!   final state per pair — the only thing later barriers observe — is
 //!   exact.
@@ -73,24 +75,19 @@
 //!
 //! `Serial` protocols cannot shard at all and are rejected loudly.
 
-use crate::checkpoint::{
-    config_digest, require_checkpointable, Counters, OpenSnap, RoutingState, RunHooks, Snapshot,
-};
+use crate::checkpoint::{require_checkpointable, RunHooks};
 use crate::contact::ContactWindow;
 use crate::driver::{ContactDriver, HolderOp, WorldMut};
-use crate::event::{EventQueue, NodeEvent, SimEvent, WindowIdx};
-use crate::ids::IndexSet;
+use crate::event::NodeEvent;
 use crate::noise::NoiseModel;
 use crate::par::{ContactConcurrency, ContactPool, PendingDrive, RawSlice, SlicePartition};
 use crate::report::SimReport;
 use crate::routing::{PacketStore, Routing, SimConfig};
+use crate::scan::{create_at_source, scan, Executor, Immediate, Run};
 use crate::source::{ContactSource, WorkloadSource};
-use crate::time::{Time, TimeDelta};
+use crate::time::Time;
 use crate::types::{NodeId, PacketId};
 use crate::NodeBuffer;
-use dtn_stats::sample::Exponential;
-use dtn_stats::stream;
-use rand::Rng;
 use std::time::{Duration, Instant};
 
 /// Pending same-shard actions across all queues before a flush is forced
@@ -214,9 +211,9 @@ pub struct ShardStats {
     pub concurrency: ContactConcurrency,
 }
 
-/// One routed action in a shard's queue. Emitted by the director in the
-/// engine's total event order, so within one queue the order *is* the
-/// serial execution order.
+/// One routed action in a shard's queue. Emitted in the engine's total
+/// event order, so within one queue the order *is* the serial execution
+/// order.
 enum ShardMsg {
     /// Drive a contact whose endpoints both belong to this shard.
     Drive {
@@ -224,8 +221,8 @@ enum ShardMsg {
         interrupted: bool,
     },
     /// Execute the source-buffer side of a packet creation (the packet is
-    /// already in the shared arena). `src_up` is the director's
-    /// availability verdict at creation time.
+    /// already in the shared arena). `src_up` is the scan's availability
+    /// verdict at creation time.
     Create { id: PacketId, src_up: bool },
     /// Lifecycle hook: the node (owned by this shard) came up.
     NodeUp(NodeId, Time),
@@ -252,25 +249,6 @@ struct ShardState {
     drives: u64,
     creations: u64,
     busy: Duration,
-}
-
-/// The shared world of a sharded run. Buffers are range-owned by shards
-/// during an epoch; everything else follows the access contract in the
-/// module docs.
-struct ShardWorld {
-    buffers: Vec<NodeBuffer>,
-    store: PacketStore,
-    delivered_at: Vec<Option<Time>>,
-    holders: Vec<IndexSet>,
-    entered: Vec<bool>,
-}
-
-/// A durative window currently open (director-side mirror of the
-/// engine's open set, ascending window-index order).
-struct OpenWindow {
-    idx: WindowIdx,
-    window: ContactWindow,
-    loss: u64,
 }
 
 /// [`run_sharded_with_stats`] without the telemetry.
@@ -321,7 +299,8 @@ pub fn run_sharded_with_stats(
 }
 
 /// [`run_sharded_with_stats`] with crash-safety hooks: periodic
-/// checkpoints, resume from a [`Snapshot`], and fault injection.
+/// checkpoints, resume from a [`crate::checkpoint::Snapshot`], and fault
+/// injection.
 ///
 /// Snapshots are partition-independent — everything captured is the
 /// global serial-order state the shard modes agree on — so a run
@@ -388,30 +367,17 @@ pub fn run_sharded_hooked(
 
     let report = std::thread::scope(|scope| {
         let pool = ContactPool::start(scope, partition.shards());
-        let mut director = Director {
-            config,
+        let mut exec = Partitioned {
             partition,
             states: &mut states,
             stateless,
-            world: ShardWorld {
-                buffers: (0..config.nodes)
-                    .map(|_| NodeBuffer::new(config.buffer_capacity))
-                    .collect(),
-                store: PacketStore::default(),
-                delivered_at: Vec::new(),
-                holders: Vec::new(),
-                entered: Vec::new(),
+            coord: Immediate {
+                routing: coord.as_mut(),
             },
-            coord: coord.as_mut(),
-            report: SimReport {
-                horizon: config.horizon,
-                deadline: config.deadline,
-                ..SimReport::default()
-            },
+            pool: &pool,
             pending: 0,
         };
-        director.run(&pool, contacts, workload, churn, noise, hooks);
-        director.report
+        scan(config, contacts, workload, churn, noise, hooks, &mut exec)
     });
 
     let stats = states
@@ -429,497 +395,118 @@ pub fn run_sharded_hooked(
     (report, stats)
 }
 
-/// The serial director: replays the engine's event merge, routes actions
-/// to shard queues, and executes barriers against the full world.
-struct Director<'a> {
-    config: &'a SimConfig,
+/// The partitioned executor: routes each scan action to the shard owning
+/// its nodes, and executes barriers on the coordinator against the full
+/// world.
+struct Partitioned<'a> {
     partition: &'a Partition,
     states: &'a mut [ShardState],
     /// Whether shards own per-shard instances (`Stateless` mode) or every
     /// epoch drains the single coordinator instance (`NodeDisjoint`).
     stateless: bool,
-    world: ShardWorld,
-    coord: &'a mut (dyn Routing + Send),
-    report: SimReport,
+    /// The coordinator: the serial executor over the full world.
+    coord: Immediate<'a>,
+    pool: &'a ContactPool,
     /// Same-shard actions queued since the last epoch flush.
     pending: usize,
 }
 
-impl Director<'_> {
-    /// The engine loop, action execution replaced by routing. Every
-    /// structural decision (merge order, asserts, noise draws, seq
-    /// assignment) mirrors `engine::run_loop` — divergence here is a
-    /// determinism bug.
-    fn run(
-        &mut self,
-        pool: &ContactPool,
-        contacts: &mut dyn ContactSource,
-        workload: &mut dyn WorkloadSource,
-        churn: &[NodeEvent],
-        noise: Option<NoiseModel>,
-        mut hooks: RunHooks<'_>,
-    ) {
-        let n = self.config.nodes;
-        let mut noise_rng = stream(self.config.seed, "sim-noise");
-
-        // On a resume the snapshot's queue already holds the remaining
-        // churn events, so churn is *not* re-seeded.
-        let mut queue = EventQueue::new();
-        if hooks.resume.is_none() {
-            for ev in churn {
-                assert!(ev.node.index() < n, "churn references node outside 0..{n}");
-                let event = if ev.up {
-                    SimEvent::NodeUp(ev.node)
-                } else {
-                    SimEvent::NodeDown(ev.node)
-                };
-                queue.push(ev.time, event);
-            }
-        }
-
-        let mut up = vec![true; n];
-        let mut open: Vec<OpenWindow> = Vec::new();
-
-        let pull_window = |contacts: &mut dyn ContactSource, last_start: &mut Time| {
-            let w = contacts.next_window()?;
-            assert!(
-                w.a.index() < n && w.b.index() < n,
-                "contact references node outside 0..{n}"
-            );
-            assert!(
-                w.start >= *last_start,
-                "contact source must yield nondecreasing start times"
-            );
-            *last_start = w.start;
-            Some(w)
-        };
-        let pull_packet = |workload: &mut dyn WorkloadSource, last_time: &mut Time| {
-            let s = workload.next_packet()?;
-            assert!(
-                s.src.index() < n && s.dst.index() < n,
-                "packet references node outside 0..{n}"
-            );
-            assert!(
-                s.time >= *last_time,
-                "workload source must yield nondecreasing creation times"
-            );
-            *last_time = s.time;
-            Some(s)
-        };
-
-        let mut last_window_start = Time::ZERO;
-        let mut last_packet_time = Time::ZERO;
-        let mut next_window_idx: WindowIdx = 0;
-        let mut contact_seq: u64 = 0;
-        let (mut next_window, mut next_packet);
-
-        if let Some(snap) = hooks.resume.take() {
-            assert_eq!(
-                snap.config_digest,
-                config_digest(self.config),
-                "snapshot was taken under a different scenario configuration \
-                 [diag=resume-config-mismatch]"
-            );
-            self.world.store = snap.restore_store();
-            let (buffers, holders) =
-                snap.restore_buffers(self.config.buffer_capacity, &self.world.store);
-            self.world.buffers = buffers;
-            self.world.holders = holders;
-            self.world.delivered_at = snap.delivered_at.clone();
-            self.world.entered = snap.entered.clone();
-            queue = snap.restore_queue();
-            assert_eq!(snap.up.len(), n, "snapshot node count mismatch");
-            up = snap.up.clone();
-            open = snap
-                .open
-                .iter()
-                .map(|o| OpenWindow {
-                    idx: o.idx as WindowIdx,
-                    window: o.window,
-                    loss: o.loss,
-                })
-                .collect();
-            noise_rng = rand::rngs::StdRng::from_state(snap.noise_rng);
-            contact_seq = snap.contact_seq;
-            let c = snap.counters;
-            self.report.contacts = c.contacts;
-            self.report.contacts_failed = c.contacts_failed;
-            self.report.contacts_suppressed = c.contacts_suppressed;
-            self.report.expired = c.expired;
-            self.report.offered_bytes = c.offered_bytes;
-            self.report.data_bytes = c.data_bytes;
-            self.report.metadata_bytes = c.metadata_bytes;
-            self.report.replications = c.replications;
-
-            // Replay the deterministic sources by count, then check the
-            // lookahead items against the snapshot (see
-            // `crate::checkpoint` — an end-to-end input integrity check).
-            for _ in 0..snap.windows_consumed {
-                pull_window(contacts, &mut last_window_start)
-                    .expect("contact source ended before the snapshot's position");
-            }
-            next_window_idx = snap.windows_consumed as WindowIdx;
-            next_window = pull_window(contacts, &mut last_window_start);
-            assert_eq!(
-                next_window, snap.next_window,
-                "contact source diverged from the snapshot [diag=resume-source-mismatch]"
-            );
-            for _ in 0..snap.packets.len() {
-                pull_packet(workload, &mut last_packet_time)
-                    .expect("workload source ended before the snapshot's position");
-            }
-            next_packet = pull_packet(workload, &mut last_packet_time);
-            assert_eq!(
-                next_packet, snap.next_packet,
-                "workload source diverged from the snapshot [diag=resume-source-mismatch]"
-            );
-
-            // Coordinator protocol state (shard instances, when they
-            // exist, are Stateless: fresh ones are exact by contract).
-            if let Some(rs) = &snap.routing {
-                assert_eq!(
-                    rs.name,
-                    self.coord.name(),
-                    "snapshot holds {} state but the run uses {} [diag=resume-proto-mismatch]",
-                    rs.name,
-                    self.coord.name()
-                );
-                self.coord
-                    .load_state(&rs.bytes)
-                    .unwrap_or_else(|e| panic!("protocol state restore failed: {e}"));
-            }
-
-            if let Some(faults) = hooks.faults.as_deref_mut() {
-                faults.ack_crashes_before(snap.now);
-            }
-            if let Some(ckpt) = hooks.checkpoint.as_deref_mut() {
-                ckpt.align(snap.now);
-            }
-        } else {
-            next_window = pull_window(contacts, &mut last_window_start);
-            next_packet = pull_packet(workload, &mut last_packet_time);
-        }
-
-        const START_RANK: u8 = 3; // SimEvent::ContactStart
-        const CREATED_RANK: u8 = 4; // SimEvent::PacketCreated
-
-        loop {
-            let queue_key = queue.peek_key();
-            let window_key = next_window.as_ref().map(|w| (w.start, START_RANK));
-            let packet_key = next_packet.as_ref().map(|s| (s.time, CREATED_RANK));
-            let best = [queue_key, window_key, packet_key]
-                .into_iter()
-                .flatten()
-                .min();
-            let Some(best) = best else { break };
-
-            if let Some(faults) = hooks.faults.as_deref_mut() {
-                faults.trip_crash(best.0);
-            }
-            if hooks.checkpoint.as_ref().is_some_and(|c| c.due(best.0)) {
-                // Quiescence: drain every shard queue and apply holder
-                // logs, then fold (and zero) the shard counters so the
-                // snapshot's report is the full serial-order prefix.
-                self.flush_epoch(pool);
-                self.fold_shard_counters();
-                let snap = Snapshot {
-                    config_digest: config_digest(self.config),
-                    now: best.0,
-                    windows_consumed: next_window_idx as u64,
-                    contact_seq,
-                    next_window,
-                    next_packet,
-                    noise_rng: noise_rng.state(),
-                    events: queue.snapshot_events(),
-                    packets: Snapshot::capture_store(&self.world.store),
-                    delivered_at: self.world.delivered_at.clone(),
-                    entered: self.world.entered.clone(),
-                    buffers: Snapshot::capture_buffers(&self.world.buffers),
-                    up: up.clone(),
-                    open: open
-                        .iter()
-                        .map(|ow| OpenSnap {
-                            idx: ow.idx as u64,
-                            window: ow.window,
-                            loss: ow.loss,
-                        })
-                        .collect(),
-                    counters: Counters {
-                        contacts: self.report.contacts,
-                        contacts_failed: self.report.contacts_failed,
-                        contacts_suppressed: self.report.contacts_suppressed,
-                        expired: self.report.expired,
-                        offered_bytes: self.report.offered_bytes,
-                        data_bytes: self.report.data_bytes,
-                        metadata_bytes: self.report.metadata_bytes,
-                        replications: self.report.replications,
-                    },
-                    routing: self.coord.save_state().map(|bytes| RoutingState {
-                        name: self.coord.name(),
-                        bytes,
-                    }),
-                };
-                let ckpt = hooks.checkpoint.as_deref_mut().expect("checked above");
-                ckpt.save(&snap, hooks.faults.as_deref())
-                    .unwrap_or_else(|e| {
-                        panic!("checkpoint write failed: {e} [diag=ckpt-write-failed]")
-                    });
-            }
-
-            if window_key == Some(best) {
-                let w = next_window.take().expect("window candidate exists");
-                let i = next_window_idx;
-                next_window_idx += 1;
-                next_window = pull_window(contacts, &mut last_window_start);
-                let now = w.start;
-
-                if !up[w.a.index()] || !up[w.b.index()] {
-                    if now >= self.config.measure_from {
-                        self.report.contacts_suppressed += 1;
-                    }
-                    continue;
-                }
-                let measured = now >= self.config.measure_from;
-                let mut loss = 0u64;
-                if let Some(noise) = &noise {
-                    if noise_rng.gen::<f64>() < noise.contact_failure_prob {
-                        if measured {
-                            self.report.contacts_failed += 1;
-                        }
-                        continue;
-                    }
-                    if noise.setup_loss_bytes_mean > 0.0 {
-                        loss = Exponential::with_mean(noise.setup_loss_bytes_mean)
-                            .sample(&mut noise_rng) as u64;
-                    }
-                }
-                if w.is_instantaneous() {
-                    let budget = w.lump_bytes.saturating_sub(loss);
-                    let seq = contact_seq;
-                    contact_seq += 1;
-                    self.route_drive(
-                        pool,
-                        PendingDrive {
-                            window: w,
-                            now,
-                            budget,
-                            seq,
-                            measured,
-                        },
-                        false,
-                    );
-                } else {
-                    // An injected abort fault cuts the window short, with
-                    // churn-interruption semantics (mirrors the engine).
-                    let end = hooks
-                        .faults
-                        .as_deref()
-                        .and_then(|f| f.abort_for(i, w.start, w.end))
-                        .unwrap_or(w.end);
-                    queue.push(end, SimEvent::ContactEnd(i));
-                    open.push(OpenWindow {
-                        idx: i,
-                        window: w,
-                        loss,
-                    });
-                }
-                continue;
-            }
-
-            if packet_key == Some(best) {
-                let spec = next_packet.take().expect("packet candidate exists");
-                next_packet = pull_packet(workload, &mut last_packet_time);
-
-                let ttl_deadline = self
-                    .config
-                    .ttl
-                    .map_or(PacketStore::NO_TTL, |ttl| spec.time + ttl);
-                let id = self.world.store.push(
-                    spec.src,
-                    spec.dst,
-                    spec.size_bytes,
-                    spec.time,
-                    ttl_deadline,
-                );
-                self.world.delivered_at.push(None);
-                self.world.holders.push(IndexSet::new());
-                // The home shard flips this during its epoch if the
-                // insert succeeds; the slot is single-writer (see module
-                // docs).
-                self.world.entered.push(false);
-
-                let src_up = up[spec.src.index()];
-                self.enqueue(
-                    pool,
-                    self.partition.shard_of(spec.src),
-                    ShardMsg::Create { id, src_up },
-                );
-                // The engine schedules the expiry only on a successful
-                // insert, which the director cannot know yet; schedule it
-                // whenever it *could* succeed. The expiry handler skips
-                // packets that never entered, so the extra events are
-                // no-op barriers, not report drift.
-                if src_up && ttl_deadline != PacketStore::NO_TTL {
-                    queue.push(ttl_deadline, SimEvent::PacketExpired(id));
-                }
-                continue;
-            }
-
-            let (now, event) = queue.pop().expect("queue candidate exists");
-            match event {
-                SimEvent::NodeUp(node) => {
-                    up[node.index()] = true;
-                    let s = self.partition.shard_of(node);
-                    self.enqueue(pool, s, ShardMsg::NodeUp(node, now));
-                }
-                SimEvent::NodeDown(node) => {
-                    // Interrupt active windows in ascending window-index
-                    // order, exactly like the engine.
-                    let mut k = 0;
-                    while k < open.len() {
-                        if open[k].window.involves(node) {
-                            let ow = open.remove(k);
-                            let budget = ow.window.capacity_until(now).saturating_sub(ow.loss);
-                            let seq = contact_seq;
-                            contact_seq += 1;
-                            self.route_drive(
-                                pool,
-                                PendingDrive {
-                                    window: ow.window,
-                                    now,
-                                    budget,
-                                    seq,
-                                    measured: ow.window.start >= self.config.measure_from,
-                                },
-                                true,
-                            );
-                        } else {
-                            k += 1;
-                        }
-                    }
-                    up[node.index()] = false;
-                    let s = self.partition.shard_of(node);
-                    self.enqueue(pool, s, ShardMsg::NodeDown(node, now));
-                }
-                SimEvent::ContactEnd(i) => {
-                    if let Some(pos) = open.iter().position(|ow| ow.idx == i) {
-                        let ow = open.remove(pos);
-                        let budget = ow.window.capacity_until(now).saturating_sub(ow.loss);
-                        let seq = contact_seq;
-                        contact_seq += 1;
-                        self.route_drive(
-                            pool,
-                            PendingDrive {
-                                window: ow.window,
-                                now,
-                                budget,
-                                seq,
-                                measured: ow.window.start >= self.config.measure_from,
-                            },
-                            false,
-                        );
-                    }
-                }
-                SimEvent::PacketExpired(id) => {
-                    // Expiry reads/writes arbitrary holders and buffers:
-                    // a barrier.
-                    self.flush_epoch(pool);
-                    self.coord_expire(id);
-                }
-                SimEvent::ContactStart(_) | SimEvent::PacketCreated(_) => {
-                    unreachable!("contact starts and creations come from the sources")
-                }
-            }
-        }
-
-        self.flush_epoch(pool);
-
-        // Delivery jitter: the draw order over delivered slots is packet
-        // order, identical to the serial engine (the decisions above were
-        // unaffected either way).
-        if let Some(noise) = &noise {
-            if noise.processing_delay_mean > TimeDelta::ZERO {
-                let jitter = Exponential::with_mean(noise.processing_delay_mean.as_secs_f64());
-                for slot in self.world.delivered_at.iter_mut().flatten() {
-                    *slot += TimeDelta::from_secs_f64(jitter.sample(&mut noise_rng));
-                }
-            }
-        }
-
-        self.fold_shard_counters();
-
-        let outcomes = SimReport::from_parts(
-            self.world
-                .store
-                .iter()
-                .zip(self.world.delivered_at.iter().copied())
-                .zip(self.world.entered.iter().copied())
-                .map(|((p, d), e)| (p, d, e)),
-            self.config.horizon,
-            self.config.deadline,
-        );
-        self.report.outcomes = outcomes.outcomes;
+impl Executor for Partitioned<'_> {
+    /// The coordinator's state is the run's protocol state: shard
+    /// instances, when they exist, are `Stateless`.
+    fn routing(&mut self) -> &mut dyn Routing {
+        self.coord.routing
     }
 
-    /// Folds per-shard report counters into the director's report in
-    /// shard order (commutative sums, but a fixed fold order keeps the
-    /// merge obviously deterministic) and zeroes them. Running it early —
-    /// at a checkpoint — is behavior-preserving: the end-of-run fold adds
-    /// whatever accumulated afterwards. Telemetry counters (`drives`,
-    /// `creations`, `busy`) are left untouched.
-    fn fold_shard_counters(&mut self) {
-        for s in self.states.iter_mut() {
-            self.report.contacts += std::mem::take(&mut s.contacts);
-            self.report.offered_bytes += std::mem::take(&mut s.offered_bytes);
-            self.report.data_bytes += std::mem::take(&mut s.data_bytes);
-            self.report.metadata_bytes += std::mem::take(&mut s.metadata_bytes);
-            self.report.replications += std::mem::take(&mut s.replications);
-        }
-    }
-
-    /// Routes one contact drive: same-shard endpoints queue to the owning
-    /// shard; a cross-shard (gateway) drive is a barrier executed by the
-    /// coordinator against the full world.
-    fn route_drive(&mut self, pool: &ContactPool, drive: PendingDrive, interrupted: bool) {
+    /// Same-shard endpoints queue to the owning shard; a cross-shard
+    /// (gateway) drive is a barrier executed by the coordinator.
+    fn drive(&mut self, run: &mut Run<'_>, drive: PendingDrive, interrupted: bool) {
         let (sa, sb) = (
             self.partition.shard_of(drive.window.a),
             self.partition.shard_of(drive.window.b),
         );
         if sa == sb {
-            self.enqueue(pool, sa, ShardMsg::Drive { drive, interrupted });
+            self.enqueue(run, sa, ShardMsg::Drive { drive, interrupted });
         } else {
-            self.flush_epoch(pool);
-            self.coord_drive(&drive, interrupted);
+            self.flush_epoch(run);
+            self.coord.drive(run, drive, interrupted);
+        }
+    }
+
+    fn create(&mut self, run: &mut Run<'_>, id: PacketId, src_up: bool) {
+        let s = self.partition.shard_of(run.world.store.src(id));
+        self.enqueue(run, s, ShardMsg::Create { id, src_up });
+    }
+
+    fn node_up(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
+        let s = self.partition.shard_of(node);
+        self.enqueue(run, s, ShardMsg::NodeUp(node, now));
+    }
+
+    fn node_down(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
+        let s = self.partition.shard_of(node);
+        self.enqueue(run, s, ShardMsg::NodeDown(node, now));
+    }
+
+    fn expire(&mut self, run: &mut Run<'_>, id: PacketId) {
+        self.flush_epoch(run);
+        self.coord.expire(run, id);
+    }
+
+    /// Drains every shard queue and applies the holder logs, then folds
+    /// (and zeroes) the shard counters so `run.report` is the full
+    /// serial-order prefix.
+    fn quiesce(&mut self, run: &mut Run<'_>) {
+        self.flush_epoch(run);
+        self.fold_shard_counters(&mut run.report);
+    }
+}
+
+impl Partitioned<'_> {
+    /// Folds per-shard report counters into the report in shard order
+    /// (commutative sums, but a fixed fold order keeps the merge
+    /// obviously deterministic) and zeroes them. Running it early —
+    /// at a checkpoint — is behavior-preserving: the end-of-run fold adds
+    /// whatever accumulated afterwards. Telemetry counters (`drives`,
+    /// `creations`, `busy`) are left untouched.
+    fn fold_shard_counters(&mut self, report: &mut SimReport) {
+        for s in self.states.iter_mut() {
+            report.contacts += std::mem::take(&mut s.contacts);
+            report.offered_bytes += std::mem::take(&mut s.offered_bytes);
+            report.data_bytes += std::mem::take(&mut s.data_bytes);
+            report.metadata_bytes += std::mem::take(&mut s.metadata_bytes);
+            report.replications += std::mem::take(&mut s.replications);
         }
     }
 
     /// Appends a routed action to shard `s`'s queue, flushing first if
     /// the pending-action cap is reached (bounds queue memory).
-    fn enqueue(&mut self, pool: &ContactPool, s: usize, msg: ShardMsg) {
+    fn enqueue(&mut self, run: &mut Run<'_>, s: usize, msg: ShardMsg) {
         if self.pending >= EPOCH_ACTION_CAP {
-            self.flush_epoch(pool);
+            self.flush_epoch(run);
         }
         self.states[s].msgs.push(msg);
         self.pending += 1;
     }
 
     /// One epoch: every shard drains its queue on the pool (serially
-    /// within the shard, shards concurrently), then the director applies
-    /// the holder-op logs in shard order. On return all queues are empty
+    /// within the shard, shards concurrently), then the holder-op logs
+    /// are applied in shard order. On return all queues are empty
     /// and the full world is consistent — the barrier may proceed.
-    fn flush_epoch(&mut self, pool: &ContactPool) {
+    fn flush_epoch(&mut self, run: &mut Run<'_>) {
         if self.pending == 0 {
             return;
         }
         self.pending = 0;
+        let world = &mut run.world;
         {
-            let store = &self.world.store;
-            let buffers = SlicePartition::new(self.world.buffers.as_mut_slice());
-            let delivered = RawSlice::new(self.world.delivered_at.as_mut_slice());
-            let entered = RawSlice::new(self.world.entered.as_mut_slice());
+            let store = &world.store;
+            let buffers = SlicePartition::new(world.buffers.as_mut_slice());
+            let delivered = RawSlice::new(world.delivered_at.as_mut_slice());
+            let entered = RawSlice::new(world.entered.as_mut_slice());
             let shards = SlicePartition::new(&mut *self.states);
             if self.stateless {
-                pool.run(shards.len(), &|_, s| {
+                self.pool.run(shards.len(), &|_, s| {
                     // SAFETY: the pool claims each index exactly once per
                     // run, so this is the sole reference to shard `s`.
                     let state = unsafe { shards.get_mut(s) };
@@ -962,9 +549,10 @@ impl Director<'_> {
                     drain_shard(routing, state, &buffers, &delivered, &entered, store);
                     state.busy += t0.elapsed();
                 };
-                if !self.coord.on_shard_epoch(self.partition, pool, &drain) {
+                let coord = &mut *self.coord.routing;
+                if !coord.on_shard_epoch(self.partition, self.pool, &drain) {
                     for s in 0..shards.len() {
-                        drain(s, &mut *self.coord);
+                        drain(s, coord);
                     }
                 }
             }
@@ -974,62 +562,9 @@ impl Director<'_> {
         // state is exact regardless of the cross-shard fold order.
         for state in self.states.iter_mut() {
             for op in state.holder_log.drain(..) {
-                if op.added {
-                    self.world.holders[op.id.index()].insert(op.node.index());
-                } else {
-                    self.world.holders[op.id.index()].remove(op.node.index());
-                }
+                op.apply(&mut world.holders);
             }
         }
-    }
-
-    /// Executes a cross-shard drive on the coordinator instance with the
-    /// full world — identical to the serial engine's `drive_contact`.
-    fn coord_drive(&mut self, drive: &PendingDrive, interrupted: bool) {
-        let w = &drive.window;
-        if drive.measured {
-            self.report.contacts += 1;
-            self.report.offered_bytes += 2 * drive.budget;
-        }
-        let mut driver = ContactDriver::new(
-            WorldMut::Full {
-                packets: &self.world.store,
-                buffers: &mut self.world.buffers,
-                delivered_at: &mut self.world.delivered_at,
-                holders: &mut self.world.holders,
-            },
-            drive.now,
-            w.a,
-            w.b,
-            drive.budget,
-            false,
-            drive.seq,
-        );
-        self.coord.on_contact(&mut driver);
-        let (ledger, log) = driver.into_commit();
-        debug_assert!(log.is_empty(), "full-world drivers mutate holders in place");
-        if drive.measured {
-            self.report.data_bytes += ledger.data_bytes;
-            self.report.metadata_bytes += ledger.metadata_bytes;
-            self.report.replications += ledger.replications;
-        }
-        self.coord.on_contact_end(w.a, w.b, drive.now, interrupted);
-    }
-
-    /// TTL expiry against the full world. Packets that never entered the
-    /// network carry no replicas and were never scheduled by the serial
-    /// engine — skipping them keeps `expired` exact despite the
-    /// director's optimistic scheduling.
-    fn coord_expire(&mut self, id: PacketId) {
-        if !self.world.entered[id.index()] || self.world.delivered_at[id.index()].is_some() {
-            return;
-        }
-        let holders = std::mem::take(&mut self.world.holders[id.index()]);
-        for h in holders.iter() {
-            self.world.buffers[h].remove(id);
-        }
-        self.report.expired += 1;
-        self.coord.on_packet_expired(&self.world.store.get(id));
     }
 }
 
@@ -1071,7 +606,7 @@ fn drain_shard(
                 let (a, b) = (drive.window.a, drive.window.b);
                 // SAFETY: both endpoints belong to this shard's node
                 // range; ranges are disjoint across shards and the
-                // director does not touch buffers during an epoch.
+                // coordinator does not touch buffers during an epoch.
                 let (buf_a, buf_b) = unsafe { buffers.pair_mut(a.index(), b.index()) };
                 let mut driver = ContactDriver::new(
                     WorldMut::Pair {
@@ -1103,41 +638,16 @@ fn drain_shard(
             ShardMsg::Create { id, src_up } => {
                 *creations += 1;
                 let packet = store.get(id);
-                if !src_up {
-                    routing.on_creation_dropped(&packet);
-                    continue;
-                }
-                let src = packet.src;
                 // SAFETY: creations route to the source's shard, and the
                 // source node is in this shard's exclusive range.
-                let buf = unsafe { buffers.get_mut(src.index()) };
-                if buf.free_bytes() < packet.size_bytes {
-                    let needed = packet.size_bytes - buf.free_bytes();
-                    let victims =
-                        routing.make_room(src, &packet, needed, buf, store, packet.created_at);
-                    for v in victims {
-                        if buf.remove(v) {
-                            holder_log.push(HolderOp {
-                                id: v,
-                                node: src,
-                                added: false,
-                            });
-                        }
-                    }
-                }
-                if buf.insert(&packet, packet.created_at) {
-                    holder_log.push(HolderOp {
-                        id,
-                        node: src,
-                        added: true,
-                    });
+                let buf = unsafe { buffers.get_mut(packet.src.index()) };
+                if create_at_source(routing, &packet, src_up, buf, store, |op| {
+                    holder_log.push(op)
+                }) {
                     // SAFETY: `entered[id]` is written only here (the
                     // packet's home shard) during an epoch, read only by
-                    // the director between epochs.
+                    // the coordinator between epochs.
                     unsafe { entered.set(id.index(), true) };
-                    routing.on_packet_created(&packet);
-                } else {
-                    routing.on_creation_dropped(&packet);
                 }
             }
             ShardMsg::NodeUp(node, t) => routing.on_node_up(node, t),
@@ -1151,6 +661,7 @@ mod tests {
     use super::*;
     use crate::engine::Simulation;
     use crate::routing::TransferOutcome;
+    use crate::time::TimeDelta;
     use crate::types::Packet;
     use crate::workload::{PacketSpec, Workload};
     use crate::Schedule;

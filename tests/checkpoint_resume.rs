@@ -12,8 +12,8 @@ use rapid_dtn::sim::contact::Schedule;
 use rapid_dtn::sim::workload::{PacketSpec, Workload};
 use rapid_dtn::sim::{
     load_latest, run_sharded_hooked, run_streaming_hooked, Checkpointer, CompiledPlan,
-    ContactWindow, NodeEvent, NodeId, Partition, Routing, RunHooks, SimConfig, SimReport, Snapshot,
-    Time, TimeDelta,
+    ContactWindow, NodeEvent, NodeId, Partition, Routing, RunHooks, SimConfig, SimEvent, SimReport,
+    Snapshot, Time, TimeDelta,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +84,9 @@ impl Scenario {
 }
 
 /// The shard tests' 9-node scenario: churn interrupting a durative window,
-/// TTL expiry, cross-shard traffic — every event kind a snapshot carries.
+/// TTL expiry, cross-shard traffic, a creation dropped at its source (too
+/// big for the buffer even after `make_room`) — every event kind a
+/// snapshot carries.
 fn scenario() -> Scenario {
     let spec = |t, src, dst, size| PacketSpec {
         time: Time::from_secs(t),
@@ -123,6 +125,7 @@ fn scenario() -> Scenario {
             spec(3, 4, 5, 1024),
             spec(35, 6, 3, 512),
             spec(50, 5, 6, 512),
+            spec(60, 7, 2, 4608),
             spec(100, 0, 3, 512),
         ],
         churn: vec![
@@ -232,12 +235,23 @@ fn serial_epidemic_resume_is_identical() {
 
 /// Snapshots are runtime- and partition-independent: one written by the
 /// serial engine restores under the sharded runtime at any shard count,
-/// and one written by a 3-shard director restores serially and at other
-/// shard counts — all byte-identical to the uninterrupted run.
+/// and one written by a 3-shard run restores serially and at other
+/// shard counts — all byte-identical to the uninterrupted run. Stronger:
+/// every runtime executes the one event-merge scan, so at a fixed cadence
+/// the serial engine, the batched engine (`intra_jobs = 4`) and the
+/// sharded runtime write *equal* snapshots at every cadence index —
+/// pending events (incl. the expiry of the creation dropped at its
+/// source), availability, open windows, counters, source cursors, noise
+/// RNG, contact sequence, world and protocol state.
 #[test]
 fn snapshots_cross_runtimes_and_shard_counts() {
     let sc = scenario();
     let reference = sc.run_serial(rapid().as_mut(), RunHooks::default());
+    assert!(
+        reference.outcomes.iter().any(|o| !o.entered_network),
+        "scenario must drop a creation at its source"
+    );
+    let mut by_runtime: Vec<(&str, Vec<Snapshot>)> = Vec::new();
 
     // Serial-written snapshot → sharded resume.
     let dir = temp_dir("cross-serial");
@@ -251,6 +265,7 @@ fn snapshots_cross_runtimes_and_shard_counts() {
     );
     let latest = load_latest(&dir).unwrap().expect("snapshots written");
     assert!(latest.skipped.is_empty());
+    by_runtime.push(("serial", snapshots_in(&dir)));
     for shards in [1, 2, 4] {
         let resumed = sc.run_sharded(shards, &mut rapid, resume_hooks(latest.snapshot.clone()));
         assert_eq!(
@@ -273,6 +288,7 @@ fn snapshots_cross_runtimes_and_shard_counts() {
     );
     assert_eq!(sharded, reference, "sharded checkpointed run diverged");
     let latest = load_latest(&dir).unwrap().expect("snapshots written");
+    by_runtime.push(("3 shards", snapshots_in(&dir)));
     let resumed = sc.run_serial(rapid().as_mut(), resume_hooks(latest.snapshot.clone()));
     assert_eq!(
         resumed, reference,
@@ -286,6 +302,45 @@ fn snapshots_cross_runtimes_and_shard_counts() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // The same cadence under the batched engine and a second shard count.
+    let mut batched = sc.clone();
+    batched.config.intra_jobs = 4;
+    let mut checkpointed = |runtime, run: &mut dyn FnMut(RunHooks<'_>) -> SimReport| {
+        let dir = temp_dir("cross-cadence");
+        let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(70), 64).unwrap();
+        let report = run(RunHooks {
+            checkpoint: Some(&mut ckpt),
+            ..RunHooks::default()
+        });
+        assert_eq!(report, reference, "{runtime}: checkpointed run diverged");
+        by_runtime.push((runtime, snapshots_in(&dir)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    };
+    checkpointed("intra_jobs=4", &mut |hooks| {
+        batched.run_serial(rapid().as_mut(), hooks)
+    });
+    checkpointed("2 shards", &mut |hooks| {
+        sc.run_sharded(2, &mut rapid, hooks)
+    });
+
+    let (_, serial) = &by_runtime[0];
+    assert!(serial.len() >= 2, "expected several cadence points");
+    for (runtime, snaps) in &by_runtime[1..] {
+        assert_eq!(snaps.len(), serial.len(), "{runtime}: cadence count");
+        for (i, (snap, want)) in snaps.iter().zip(serial).enumerate() {
+            assert_eq!(snap, want, "{runtime}: snapshot {i} differs from serial");
+        }
+    }
+    // The comparison covered the one expiry-scheduling rule: some snapshot
+    // holds the pending expiry of the creation that never entered.
+    assert!(
+        serial.iter().any(|s| s
+            .events
+            .iter()
+            .any(|(_, e)| matches!(e, SimEvent::PacketExpired(id) if !s.entered[id.index()]))),
+        "some snapshot must hold the dropped creation's pending expiry"
+    );
 }
 
 /// The compressed-plan streaming source supports resume too (the snapshot
