@@ -10,18 +10,86 @@
 //! meetings) and learns other rows through gossip; rows carry a
 //! last-updated stamp and merge by last-writer-wins, so delayed gossip can
 //! only ever be stale, never corrupting.
+//!
+//! # Storage
+//!
+//! The matrix is stored exactly but sparsely: a row holds only its finite
+//! cells, as column-sorted parallel `cols` / `vals` vectors, and a row
+//! nobody has reported yet is two empty vectors. "Never observed" is the
+//! absence of a cell, read back as `INFINITY`. The h-hop relaxation walks
+//! only stored cells; an absent cell contributes `dy + INFINITY`, which is
+//! never below any distance, so skipping it leaves every surviving update
+//! with the same operands in the same order as the dense relaxation
+//! ([`expected_meeting_times_from`], kept as the oracle) — the estimates
+//! are bit-identical, at O(known meetings) instead of O(n²) per call.
 
 use dtn_sim::{NodeId, Time};
 use dtn_stats::RunningMean;
+use dtn_trace::{write_varint, ByteCursor};
+use std::ops::Index;
+
+/// What an absent cell reads as (a `static` so [`RowView`]'s `Index` can
+/// hand out a reference to it).
+static NEVER_OBSERVED: f64 = f64::INFINITY;
+
+/// One believed row: its finite cells in ascending column order.
+#[derive(Debug, Clone, Default)]
+struct SparseRow {
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl SparseRow {
+    fn set(&mut self, col: u32, val: f64) {
+        debug_assert!(val.is_finite(), "only finite cells are stored");
+        match self.cols.binary_search(&col) {
+            Ok(i) => self.vals[i] = val,
+            Err(i) => {
+                self.cols.insert(i, col);
+                self.vals.insert(i, val);
+            }
+        }
+    }
+}
+
+/// A read-only view of one believed row of an `n`-node matrix. Indexing
+/// by column yields the believed mean (seconds), `INFINITY` where nothing
+/// was observed — the same reads a dense `&[f64]` row would give.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowView<'a> {
+    n: usize,
+    cols: &'a [u32],
+    vals: &'a [f64],
+}
+
+impl<'a> RowView<'a> {
+    /// The row's finite cells as `(column, mean)`, ascending by column.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let (cols, vals) = (self.cols, self.vals);
+        cols.iter().map(|&c| c as usize).zip(vals.iter().copied())
+    }
+}
+
+impl Index<usize> for RowView<'_> {
+    type Output = f64;
+
+    fn index(&self, col: usize) -> &f64 {
+        assert!(col < self.n, "column {col} out of range (n={})", self.n);
+        match self.cols.binary_search(&(col as u32)) {
+            Ok(i) => &self.vals[i],
+            Err(_) => &NEVER_OBSERVED,
+        }
+    }
+}
 
 /// One node's view of the fleet-wide meeting-time matrix.
 #[derive(Debug, Clone)]
 pub struct MeetingView {
     me: NodeId,
     n: usize,
-    /// `rows[u][v]`: believed mean time (seconds) for `u` to meet `v`
-    /// directly; `INFINITY` = never observed.
-    rows: Vec<Vec<f64>>,
+    /// `rows[u]`: believed mean times (seconds) for `u` to meet each peer
+    /// directly; a peer without a cell was never observed.
+    rows: Vec<SparseRow>,
     /// Stamp of the information in `rows[u]` (when `u` last updated it).
     row_stamp: Vec<Time>,
     /// My own direct-meeting averages (the ground truth for `rows[me]`).
@@ -36,7 +104,7 @@ impl MeetingView {
         Self {
             me,
             n,
-            rows: vec![vec![f64::INFINITY; n]; n],
+            rows: vec![SparseRow::default(); n],
             row_stamp: vec![Time::ZERO; n],
             my_avg: vec![RunningMean::new(); n],
             last_met: vec![None; n],
@@ -59,24 +127,24 @@ impl MeetingView {
         }
         self.last_met[p] = Some(now);
         if let Some(mean) = self.my_avg[p].mean() {
-            self.rows[self.me.index()][p] = mean;
+            self.rows[self.me.index()].set(peer.0, mean);
         }
         self.row_stamp[self.me.index()] = now;
     }
 
     /// My believed mean direct inter-meeting time with `peer`, seconds.
     pub fn direct_mean(&self, peer: NodeId) -> f64 {
-        self.rows[self.me.index()][peer.index()]
-    }
-
-    /// My own ground-truth row: mean direct inter-meeting times I observed.
-    pub fn my_row(&self) -> &[f64] {
-        &self.rows[self.me.index()]
+        self.row(self.me.index())[peer.index()]
     }
 
     /// Any believed row (mine is ground truth; others are gossip).
-    pub fn row(&self, u: usize) -> &[f64] {
-        &self.rows[u]
+    pub fn row(&self, u: usize) -> RowView<'_> {
+        let SparseRow { cols, vals } = &self.rows[u];
+        RowView {
+            n: self.n,
+            cols,
+            vals,
+        }
     }
 
     /// Rows updated after `since`, for the delta metadata exchange
@@ -94,9 +162,7 @@ impl MeetingView {
         out.clear();
         out.extend(
             (0..self.n)
-                .filter(|&u| {
-                    self.row_stamp[u] > since && self.rows[u].iter().any(|v| v.is_finite())
-                })
+                .filter(|&u| self.row_stamp[u] > since && !self.rows[u].cols.is_empty())
                 .map(|u| NodeId(u as u32)),
         );
     }
@@ -111,7 +177,8 @@ impl MeetingView {
                 continue;
             }
             if other.row_stamp[ui] > self.row_stamp[ui] {
-                self.rows[ui].clone_from(&other.rows[ui]);
+                self.rows[ui].cols.clone_from(&other.rows[ui].cols);
+                self.rows[ui].vals.clone_from(&other.rows[ui].vals);
                 self.row_stamp[ui] = other.row_stamp[ui];
             }
         }
@@ -122,37 +189,10 @@ impl MeetingView {
     /// (Bellman–Ford limited to `h` edges). Unreachable ⇒ `INFINITY`
     /// (§4.1.2: "we set the expected inter-meeting time to infinity").
     pub fn expected_meeting_times(&self, hop_limit: usize) -> Vec<f64> {
-        expected_meeting_times_from(&self.rows, self.me, hop_limit)
-    }
-
-    /// Checkpoint capture: the view's raw parts, owned. Meeting rows are
-    /// mostly `INFINITY` in practice, so the caller is expected to encode
-    /// them sparsely; this hands over the dense truth.
-    pub fn checkpoint(&self) -> MeetingCheckpoint {
-        MeetingCheckpoint {
-            rows: self.rows.clone(),
-            row_stamp: self.row_stamp.clone(),
-            my_avg: self.my_avg.iter().map(|m| m.state()).collect(),
-            last_met: self.last_met.clone(),
-        }
-    }
-
-    /// Restores a checkpointed view onto this (freshly constructed) one.
-    /// The parts must be shaped for the same `n` this view was built with.
-    pub fn restore(&mut self, ck: MeetingCheckpoint) {
-        assert_eq!(ck.rows.len(), self.n, "meeting checkpoint shape mismatch");
-        assert!(ck.rows.iter().all(|r| r.len() == self.n));
-        assert_eq!(ck.row_stamp.len(), self.n);
-        assert_eq!(ck.my_avg.len(), self.n);
-        assert_eq!(ck.last_met.len(), self.n);
-        self.rows = ck.rows;
-        self.row_stamp = ck.row_stamp;
-        self.my_avg = ck
-            .my_avg
-            .into_iter()
-            .map(|(mean, count)| RunningMean::from_state(mean, count))
-            .collect();
-        self.last_met = ck.last_met;
+        let mut dist = Vec::new();
+        let mut scratch = Vec::new();
+        self.expected_from_into(self.me, hop_limit, &mut dist, &mut scratch);
+        dist
     }
 
     /// [`MeetingView::expected_meeting_times`] evaluated from an arbitrary
@@ -168,45 +208,173 @@ impl MeetingView {
         dist: &mut Vec<f64>,
         scratch: &mut Vec<f64>,
     ) {
-        expected_meeting_times_from_into(&self.rows, from, hop_limit, dist, scratch);
+        relax_rows_into(self.n, from, hop_limit, |u| self.row(u), dist, scratch);
+    }
+
+    /// Appends this view's checkpoint section: the rows that carry
+    /// information (a stamp or any cell) with their cells in ascending
+    /// column order, then the own-row running averages and last-met
+    /// instants of the peers that have one.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        let live = |u: &usize| self.row_stamp[*u] != Time::ZERO || !self.rows[*u].cols.is_empty();
+        write_varint(out, (0..self.n).filter(live).count() as u64);
+        for u in (0..self.n).filter(live) {
+            write_varint(out, u as u64);
+            write_varint(out, self.row_stamp[u].0);
+            write_varint(out, self.rows[u].cols.len() as u64);
+            for (c, v) in self.row(u).cells() {
+                write_varint(out, c as u64);
+                put_f64(out, v);
+            }
+        }
+        let averaged = |p: &usize| self.my_avg[*p].count() > 0;
+        write_varint(out, (0..self.n).filter(averaged).count() as u64);
+        for p in (0..self.n).filter(averaged) {
+            let (mean, count) = self.my_avg[p].state();
+            write_varint(out, p as u64);
+            put_f64(out, mean);
+            write_varint(out, count);
+        }
+        write_varint(out, self.last_met.iter().flatten().count() as u64);
+        for (p, met) in self.last_met.iter().enumerate() {
+            if let Some(t) = met {
+                write_varint(out, p as u64);
+                write_varint(out, t.0);
+            }
+        }
+    }
+
+    /// Restores a section written by [`MeetingView::encode`] onto this
+    /// (freshly constructed) view. Every index is validated against `n`;
+    /// a row whose columns are not strictly ascending or that holds a
+    /// non-finite cell is rejected — the sparse form cannot represent it,
+    /// and a binary search over it would silently misread.
+    pub(crate) fn decode(&mut self, cur: &mut ByteCursor<'_>) -> Result<(), String> {
+        let n = self.n;
+        let mut prev_row = None;
+        for _ in 0..take_varint(cur)? {
+            let u = take_index(cur, n)?;
+            if prev_row.is_some_and(|prev| prev >= u) {
+                return Err(format!("meeting row {u} not strictly ascending"));
+            }
+            prev_row = Some(u);
+            self.row_stamp[u] = Time(take_varint(cur)?);
+            let cells = take_varint(cur)?;
+            let mut row = SparseRow::default();
+            for _ in 0..cells {
+                let c = take_index(cur, n)? as u32;
+                let v = take_f64(cur)?;
+                if row.cols.last().is_some_and(|&prev| prev >= c) {
+                    return Err(format!(
+                        "meeting row {u}: column {c} not strictly ascending"
+                    ));
+                }
+                if !v.is_finite() {
+                    return Err(format!("meeting row {u}: cell {c} is not finite ({v})"));
+                }
+                row.cols.push(c);
+                row.vals.push(v);
+            }
+            self.rows[u] = row;
+        }
+        for _ in 0..take_varint(cur)? {
+            let p = take_index(cur, n)?;
+            let mean = take_f64(cur)?;
+            self.my_avg[p] = RunningMean::from_state(mean, take_varint(cur)?);
+        }
+        for _ in 0..take_varint(cur)? {
+            let p = take_index(cur, n)?;
+            self.last_met[p] = Some(Time(take_varint(cur)?));
+        }
+        Ok(())
     }
 }
 
-/// The raw parts of a [`MeetingView`] for checkpoint capture/restore:
-/// believed rows, their stamps, the own-row running averages as
-/// `(mean, count)` pairs, and the last-met instants.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeetingCheckpoint {
-    /// Believed mean direct inter-meeting times, dense.
-    pub rows: Vec<Vec<f64>>,
-    /// Last-updated stamp per row.
-    pub row_stamp: Vec<Time>,
-    /// Own-row [`RunningMean`] states.
-    pub my_avg: Vec<(f64, u64)>,
-    /// Last direct meeting per peer.
-    pub last_met: Vec<Option<Time>>,
+/// Appends `v` as its 8 little-endian IEEE-754 bytes.
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// [`expected_meeting_times_from`] into reusable buffers: `dist` receives
-/// the result, `scratch` holds the per-round snapshot. No allocation once
-/// the buffers have capacity `n`. The relaxation arithmetic (and thus the
-/// result, bitwise) is identical to the allocating form.
-pub fn expected_meeting_times_from_into(
-    rows: &[Vec<f64>],
+/// Reads a varint through the string-error path the state decoders use.
+pub(crate) fn take_varint(cur: &mut ByteCursor<'_>) -> Result<u64, String> {
+    cur.varint().map_err(|e| e.to_string())
+}
+
+/// Reads what [`put_f64`] wrote.
+pub(crate) fn take_f64(cur: &mut ByteCursor<'_>) -> Result<f64, String> {
+    let b = cur.take(8).map_err(|e| e.to_string())?;
+    Ok(f64::from_bits(u64::from_le_bytes(
+        b.try_into().expect("take(8) yields 8 bytes"),
+    )))
+}
+
+/// Reads a node index and validates it against the fleet size `n`.
+pub(crate) fn take_index(cur: &mut ByteCursor<'_>, n: usize) -> Result<usize, String> {
+    let p = take_varint(cur)? as usize;
+    if p >= n {
+        return Err(format!("peer index {p} out of range (n={n})"));
+    }
+    Ok(p)
+}
+
+/// The one h-hop relaxation, over any provider of believed rows (a view's
+/// own beliefs in-band; every node's ground-truth row on the instant
+/// global channel): `dist` receives the expected meeting times from `src`,
+/// `scratch` holds the per-round snapshot. No allocation once the buffers
+/// have capacity `n`. Intermediaries are visited in ascending order and
+/// each row's cells in ascending column order — the dense oracle's update
+/// order with the `INFINITY` cells, which can never win, left out.
+pub(crate) fn relax_rows_into<'a>(
+    n: usize,
     src: NodeId,
     hop_limit: usize,
+    row_of: impl Fn(usize) -> RowView<'a>,
     dist: &mut Vec<f64>,
     scratch: &mut Vec<f64>,
 ) {
-    let n = rows.len();
     assert!(hop_limit >= 1, "need at least one hop");
+    let src = src.index();
     dist.clear();
-    dist.extend_from_slice(&rows[src.index()]);
-    dist[src.index()] = 0.0;
+    dist.resize(n, f64::INFINITY);
+    for (z, m) in row_of(src).cells() {
+        dist[z] = m;
+    }
+    dist[src] = 0.0;
     for _ in 1..hop_limit {
         scratch.clear();
         scratch.extend_from_slice(dist);
         for (y, &dy) in scratch.iter().enumerate() {
+            if !dy.is_finite() || y == src {
+                continue;
+            }
+            for (z, m) in row_of(y).cells() {
+                if z == src {
+                    continue;
+                }
+                let via = dy + m;
+                if via < dist[z] {
+                    dist[z] = via;
+                }
+            }
+        }
+    }
+    dist[src] = 0.0;
+}
+
+/// h-hop expected meeting times from `src` over a dense matrix of believed
+/// direct means (`INFINITY` = never observed): the obviously-correct
+/// reference the sparse relaxation is tested against bit for bit, and the
+/// entry point of the ablation bench on `h`.
+pub fn expected_meeting_times_from(rows: &[Vec<f64>], src: NodeId, hop_limit: usize) -> Vec<f64> {
+    let n = rows.len();
+    assert!(hop_limit >= 1, "need at least one hop");
+    let mut dist = rows[src.index()].clone();
+    dist[src.index()] = 0.0;
+    let mut snapshot = Vec::with_capacity(n);
+    for _ in 1..hop_limit {
+        snapshot.clear();
+        snapshot.extend_from_slice(&dist);
+        for (y, &dy) in snapshot.iter().enumerate() {
             if !dy.is_finite() || y == src.index() {
                 continue;
             }
@@ -222,16 +390,6 @@ pub fn expected_meeting_times_from_into(
         }
     }
     dist[src.index()] = 0.0;
-}
-
-/// h-hop expected meeting times from `src` over an arbitrary matrix of
-/// believed direct means. Exposed for the ablation bench on `h`; the
-/// buffer-reusing [`expected_meeting_times_from_into`] is the hot-path
-/// form and this delegates to it.
-pub fn expected_meeting_times_from(rows: &[Vec<f64>], src: NodeId, hop_limit: usize) -> Vec<f64> {
-    let mut dist = Vec::new();
-    let mut scratch = Vec::new();
-    expected_meeting_times_from_into(rows, src, hop_limit, &mut dist, &mut scratch);
     dist
 }
 
@@ -318,19 +476,94 @@ mod tests {
         b.record_meeting(NodeId(2), t(500)); // mean now (30 + 470)/2 = 250
 
         a.merge_rows_from(&b, &[NodeId(1)]);
-        assert!((a.rows[1][2] - 250.0).abs() < 1e-9);
+        assert!((a.row(1)[2] - 250.0).abs() < 1e-9);
         a.merge_rows_from(&stale, &[NodeId(1)]);
-        assert!(
-            (a.rows[1][2] - 250.0).abs() < 1e-9,
-            "stale must not regress"
-        );
+        assert!((a.row(1)[2] - 250.0).abs() < 1e-9, "stale must not regress");
 
-        // Merging someone's claim about MY row is ignored.
+        // Merging someone's claim about MY row is ignored, however fresh:
+        // node 2 relays a version of row 0 stamped far in my future.
+        let mut future_self = a.clone();
+        future_self.record_meeting(NodeId(1), t(9999));
         let mut foreign = MeetingView::new(NodeId(2), 3);
-        foreign.rows[0][1] = 1.0;
-        foreign.row_stamp[0] = t(9999);
+        foreign.merge_rows_from(&future_self, &[NodeId(0)]);
+        assert!((foreign.row(0)[1] - 100.0).abs() > 1.0);
         a.merge_rows_from(&foreign, &[NodeId(0)]);
         assert!((a.direct_mean(NodeId(1)) - 100.0).abs() < 1e-9);
+    }
+
+    /// A checkpoint section holding the given `(row, [(col, val)])` rows
+    /// (every stamp 5) and no averages or last-met instants.
+    fn section(rows: &[(u64, &[(u64, f64)])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, rows.len() as u64);
+        for &(u, cells) in rows {
+            write_varint(&mut out, u);
+            write_varint(&mut out, 5);
+            write_varint(&mut out, cells.len() as u64);
+            for &(c, v) in cells {
+                write_varint(&mut out, c);
+                put_f64(&mut out, v);
+            }
+        }
+        write_varint(&mut out, 0);
+        write_varint(&mut out, 0);
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<MeetingView, String> {
+        let mut v = MeetingView::new(NodeId(0), 4);
+        v.decode(&mut ByteCursor::new(bytes)).map(|()| v)
+    }
+
+    #[test]
+    fn encode_decode_round_trips() {
+        let mut v = MeetingView::new(NodeId(0), 4);
+        for (peer, at) in [(3, 10), (1, 20), (3, 70), (1, 50)] {
+            v.record_meeting(NodeId(peer), t(at));
+        }
+        let mut v2 = MeetingView::new(NodeId(2), 4);
+        v2.record_meeting(NodeId(1), t(5)); // stamped, no cell yet
+        v.merge_rows_from(&v2, &[NodeId(2)]);
+        let mut bytes = Vec::new();
+        v.encode(&mut bytes);
+        let back = decode(&bytes).unwrap();
+        for u in 0..4 {
+            assert_eq!(back.row(u), v.row(u));
+        }
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, bytes);
+        assert_eq!(
+            back.row(0).cells().collect::<Vec<_>>(),
+            [(1, 30.0), (3, 60.0)]
+        );
+    }
+
+    #[test]
+    fn decode_rejects_unordered_columns() {
+        assert!(decode(&section(&[(1, &[(0, 7.0), (2, 9.0)])])).is_ok());
+        let err = decode(&section(&[(1, &[(2, 9.0), (0, 7.0)])])).unwrap_err();
+        assert!(err.contains("not strictly ascending"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_duplicate_columns() {
+        let err = decode(&section(&[(1, &[(2, 9.0), (2, 7.0)])])).unwrap_err();
+        assert!(err.contains("not strictly ascending"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_cells() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let err = decode(&section(&[(1, &[(2, bad)])])).unwrap_err();
+            assert!(err.contains("not finite"), "{err}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_repeated_rows() {
+        let err = decode(&section(&[(1, &[(2, 9.0)]), (1, &[(3, 4.0)])])).unwrap_err();
+        assert!(err.contains("row 1 not strictly ascending"), "{err}");
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::estimate::{
     combined_rate, delay_from_rate, meetings_needed, prob_within_from_rate, rate_contribution,
     replica_delay, InsertCursor, Kernel, QueueSnapshot, RateBatch,
 };
-use crate::meetings::{expected_meeting_times_from, MeetingView};
+use crate::meetings::{put_f64, relax_rows_into, take_f64, take_index, take_varint, MeetingView};
 use dtn_sim::{
     ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
     PacketSet, PacketStore, Partition, QueueEntry, Routing, SimConfig, SlicePartition, Time,
@@ -49,6 +49,7 @@ use dtn_sim::{
 use dtn_trace::{write_varint, ByteCursor};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 /// Relative change below which a refreshed delay estimate is not
 /// republished (keeps the delta channel quiet when nothing moved).
@@ -66,16 +67,24 @@ const THIRD_PARTY_FRACTION: f64 = 0.02;
 const UNREACHABLE_GAIN: f64 = 1e18;
 
 /// Per-node protocol state (beliefs only — the world lives in the engine).
+///
+/// Meeting rows are sparse, but `last_sent`, `believed_opp`, the delay
+/// cache's per-destination epochs, `est_cache` and the view's own per-peer
+/// vectors are still one dense entry per peer: ≈130 B × n per node, the
+/// fleet's remaining n² term (21 MB at 400 nodes, 2 GB at 4000).
 #[derive(Debug, Clone)]
 struct NodeState {
+    /// Believed meeting-time matrix, finite cells only.
     meetings: MeetingView,
     meta: MetaTable,
     acks: PacketSet,
-    /// Watermark of the last *complete* metadata send to each peer.
+    /// Watermark of the last *complete* metadata send to each peer
+    /// (dense, `n` entries).
     last_sent: Vec<Time>,
     /// Average opportunity size observed by this node (bytes).
     avg_opp: dtn_stats::RunningMean,
-    /// Believed average opportunity size of every node, with stamp.
+    /// Believed average opportunity size of every node, with stamp
+    /// (dense, `n` entries).
     believed_opp: Vec<(f64, Time)>,
     /// h-hop expected meeting times, valid while `est_valid` (refreshed in
     /// place — never reallocated in steady state).
@@ -135,6 +144,9 @@ pub struct Rapid {
     /// vector grows to the pool's worker count for batch execution (one
     /// scratch per worker — workers never share).
     scratch: Vec<ContactScratch>,
+    /// Set once the "meeting row exceeds the opportunity" notice has been
+    /// raised, so the per-contact check stays a relaxed load.
+    row_warned: AtomicBool,
 }
 
 /// Reusable per-contact scratch storage (queue snapshots, estimate
@@ -291,6 +303,8 @@ struct ContactExec<'a> {
     cfg: &'a RapidConfig,
     n: usize,
     states: StatePair<'a>,
+    /// [`Rapid::row_warned`].
+    row_warned: &'a AtomicBool,
 }
 
 impl Rapid {
@@ -310,6 +324,7 @@ impl Rapid {
             states: Vec::new(),
             kernel,
             scratch: vec![ContactScratch::with_kernel(kernel)],
+            row_warned: AtomicBool::new(false),
         }
     }
 
@@ -364,11 +379,24 @@ impl ContactExec<'_> {
     /// h-hop expected meeting times over the instant global channel:
     /// ground-truth rows of every node, evaluated from `from`.
     fn estimate_times_global(&self, from: NodeId) -> Vec<f64> {
+        let mut dist = Vec::new();
+        self.estimate_times_global_into(from, &mut dist, &mut Vec::new());
+        dist
+    }
+
+    /// [`ContactExec::estimate_times_global`] into reusable buffers: the
+    /// relaxation the in-band views run, with row `y` read from node `y`'s
+    /// own state instead of one believer's gossip.
+    fn estimate_times_global_into(&self, from: NodeId, out: &mut Vec<f64>, relax: &mut Vec<f64>) {
         let all = self.states.all();
-        let rows: Vec<Vec<f64>> = (0..self.n)
-            .map(|u| all[u].meetings.my_row().to_vec())
-            .collect();
-        expected_meeting_times_from(&rows, from, self.cfg.hop_limit)
+        relax_rows_into(
+            self.n,
+            from,
+            self.cfg.hop_limit,
+            |y| all[y].meetings.row(y),
+            out,
+            relax,
+        );
     }
 
     /// Fills `out` with the h-hop expected meeting times as believed by
@@ -376,9 +404,7 @@ impl ContactExec<'_> {
     /// itself; evaluating the peer's position uses the learned rows).
     fn fill_est(&self, believer: NodeId, from: NodeId, out: &mut Vec<f64>, relax: &mut Vec<f64>) {
         if self.is_global() {
-            let est = self.estimate_times_global(from);
-            out.clear();
-            out.extend_from_slice(&est);
+            self.estimate_times_global_into(from, out, relax);
         } else {
             self.states.state(believer).meetings.expected_from_into(
                 from,
@@ -396,10 +422,10 @@ impl ContactExec<'_> {
             return;
         }
         if self.is_global() {
-            let est = self.estimate_times_global(node);
+            let mut est = std::mem::take(&mut self.states.state_mut(node).est_cache);
+            self.estimate_times_global_into(node, &mut est, relax);
             let st = self.states.state_mut(node);
-            st.est_cache.clear();
-            st.est_cache.extend_from_slice(&est);
+            st.est_cache = est;
             st.est_valid = true;
         } else {
             let hop_limit = self.cfg.hop_limit;
@@ -738,6 +764,7 @@ impl Routing for Rapid {
             cfg,
             n,
             states: StatePair::Full(states),
+            row_warned: &self.row_warned,
         };
         exec.make_room(node, incoming, needed, buffer, packets, now, scratch)
     }
@@ -748,6 +775,7 @@ impl Routing for Rapid {
             cfg,
             n,
             states: StatePair::Full(states),
+            row_warned: &self.row_warned,
         };
         exec.contact(driver, scratch);
     }
@@ -772,7 +800,7 @@ impl Routing for Rapid {
                 .resize_with(workers, || ContactScratch::with_kernel(kernel));
         }
         let n = self.states.len();
-        let cfg = &self.cfg;
+        let (cfg, row_warned) = (&self.cfg, &self.row_warned);
         let states = SlicePartition::new(&mut self.states);
         let scratches = SlicePartition::new(&mut self.scratch);
         let drivers = SlicePartition::new(batch);
@@ -790,6 +818,7 @@ impl Routing for Rapid {
                 cfg,
                 n,
                 states: StatePair::Pair { a, sa, b, sb },
+                row_warned,
             };
             exec.contact(driver, scratch);
         });
@@ -809,7 +838,7 @@ impl Routing for Rapid {
                 .resize_with(shards, || ContactScratch::with_kernel(kernel));
         }
         let n = self.states.len();
-        let cfg = &self.cfg;
+        let (cfg, row_warned) = (&self.cfg, &self.row_warned);
         let states = SlicePartition::new(&mut self.states);
         let scratches = SlicePartition::new(&mut self.scratch);
         pool.run(shards, &|_worker, s| {
@@ -828,6 +857,7 @@ impl Routing for Rapid {
                 base,
                 states: unsafe { states.range_mut(range) },
                 scratch: unsafe { scratches.get_mut(s) },
+                row_warned,
             };
             drain(s, &mut view);
         });
@@ -901,45 +931,7 @@ impl Routing for Rapid {
 /// iterate in ascending peer/slot order, so a save of a restored instance
 /// is byte-identical.
 fn encode_node_state(out: &mut Vec<u8>, st: &NodeState) {
-    let f64_bytes = |out: &mut Vec<u8>, v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
-
-    // Meeting view: rows are mostly INFINITY, so emit only rows that carry
-    // information (a stamp or any finite mean), and within a row only the
-    // finite cells — restore starts from the INFINITY matrix.
-    let mv = st.meetings.checkpoint();
-    let live_rows: Vec<usize> = (0..mv.rows.len())
-        .filter(|&u| mv.row_stamp[u] != Time::ZERO || mv.rows[u].iter().any(|v| v.is_finite()))
-        .collect();
-    write_varint(out, live_rows.len() as u64);
-    for u in live_rows {
-        write_varint(out, u as u64);
-        write_varint(out, mv.row_stamp[u].0);
-        let finite: Vec<usize> = (0..mv.rows[u].len())
-            .filter(|&c| mv.rows[u][c].is_finite())
-            .collect();
-        write_varint(out, finite.len() as u64);
-        for c in finite {
-            write_varint(out, c as u64);
-            f64_bytes(out, mv.rows[u][c]);
-        }
-    }
-    let avgs: Vec<usize> = (0..mv.my_avg.len())
-        .filter(|&p| mv.my_avg[p].1 > 0)
-        .collect();
-    write_varint(out, avgs.len() as u64);
-    for p in avgs {
-        write_varint(out, p as u64);
-        f64_bytes(out, mv.my_avg[p].0);
-        write_varint(out, mv.my_avg[p].1);
-    }
-    let met: Vec<usize> = (0..mv.last_met.len())
-        .filter(|&p| mv.last_met[p].is_some())
-        .collect();
-    write_varint(out, met.len() as u64);
-    for p in met {
-        write_varint(out, p as u64);
-        write_varint(out, mv.last_met[p].unwrap().0);
-    }
+    st.meetings.encode(out);
 
     // Replica beliefs, in slot (first-heard) order so restore reproduces
     // the interner's slot assignment exactly.
@@ -951,7 +943,7 @@ fn encode_node_state(out: &mut Vec<u8>, st: &NodeState) {
         write_varint(out, belief.entries.len() as u64);
         for e in &belief.entries {
             write_varint(out, e.holder.0 as u64);
-            f64_bytes(out, e.delay_secs);
+            put_f64(out, e.delay_secs);
             write_varint(out, e.stamp.0);
         }
     }
@@ -971,7 +963,7 @@ fn encode_node_state(out: &mut Vec<u8>, st: &NodeState) {
     }
 
     let (mean, count) = st.avg_opp.state();
-    f64_bytes(out, mean);
+    put_f64(out, mean);
     write_varint(out, count);
 
     let opp: Vec<usize> = (0..st.believed_opp.len())
@@ -980,7 +972,7 @@ fn encode_node_state(out: &mut Vec<u8>, st: &NodeState) {
     write_varint(out, opp.len() as u64);
     for p in opp {
         write_varint(out, p as u64);
-        f64_bytes(out, st.believed_opp[p].0);
+        put_f64(out, st.believed_opp[p].0);
         write_varint(out, st.believed_opp[p].1 .0);
     }
 }
@@ -992,60 +984,18 @@ fn decode_node_state(
     st: &mut NodeState,
     n: usize,
 ) -> Result<(), String> {
-    let wire = |e: dtn_trace::WireError| e.to_string();
-    let f64_at = |cur: &mut dtn_trace::ByteCursor<'_>| -> Result<f64, String> {
-        let b = cur.take(8).map_err(wire)?;
-        Ok(f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-    };
-    let peer = |v: u64| -> Result<usize, String> {
-        let p = v as usize;
-        if p >= n {
-            return Err(format!("peer index {p} out of range (n={n})"));
-        }
-        Ok(p)
-    };
+    st.meetings.decode(cur)?;
 
-    let mut mv = crate::meetings::MeetingCheckpoint {
-        rows: vec![vec![f64::INFINITY; n]; n],
-        row_stamp: vec![Time::ZERO; n],
-        my_avg: vec![(0.0, 0); n],
-        last_met: vec![None; n],
-    };
-    let rows = cur.varint().map_err(wire)?;
-    for _ in 0..rows {
-        let u = peer(cur.varint().map_err(wire)?)?;
-        mv.row_stamp[u] = Time(cur.varint().map_err(wire)?);
-        let cells = cur.varint().map_err(wire)?;
-        for _ in 0..cells {
-            let c = peer(cur.varint().map_err(wire)?)?;
-            mv.rows[u][c] = f64_at(cur)?;
-        }
-    }
-    let avgs = cur.varint().map_err(wire)?;
-    for _ in 0..avgs {
-        let p = peer(cur.varint().map_err(wire)?)?;
-        let mean = f64_at(cur)?;
-        let count = cur.varint().map_err(wire)?;
-        mv.my_avg[p] = (mean, count);
-    }
-    let met = cur.varint().map_err(wire)?;
-    for _ in 0..met {
-        let p = peer(cur.varint().map_err(wire)?)?;
-        mv.last_met[p] = Some(Time(cur.varint().map_err(wire)?));
-    }
-    st.meetings.restore(mv);
-
-    let beliefs = cur.varint().map_err(wire)?;
+    let beliefs = take_varint(cur)?;
     for _ in 0..beliefs {
-        let id =
-            PacketId(u32::try_from(cur.varint().map_err(wire)?).map_err(|_| "packet id overflow")?);
-        let changed_at = Time(cur.varint().map_err(wire)?);
-        let entries_len = cur.varint().map_err(wire)?;
+        let id = PacketId(u32::try_from(take_varint(cur)?).map_err(|_| "packet id overflow")?);
+        let changed_at = Time(take_varint(cur)?);
+        let entries_len = take_varint(cur)?;
         let mut entries = Vec::with_capacity(entries_len.min(1 << 16) as usize);
         for _ in 0..entries_len {
-            let holder = NodeId(peer(cur.varint().map_err(wire)?)? as u32);
-            let delay_secs = f64_at(cur)?;
-            let stamp = Time(cur.varint().map_err(wire)?);
+            let holder = NodeId(take_index(cur, n)? as u32);
+            let delay_secs = take_f64(cur)?;
+            let stamp = Time(take_varint(cur)?);
             entries.push(HolderEntry {
                 holder,
                 delay_secs,
@@ -1064,10 +1014,10 @@ fn decode_node_state(
         );
     }
 
-    let acks = cur.varint().map_err(wire)?;
+    let acks = take_varint(cur)?;
     let mut prev: Option<u32> = None;
     for _ in 0..acks {
-        let id = u32::try_from(cur.varint().map_err(wire)?).map_err(|_| "ack id overflow")?;
+        let id = u32::try_from(take_varint(cur)?).map_err(|_| "ack id overflow")?;
         if prev.is_some_and(|p| p >= id) {
             return Err("ack ids not strictly ascending".into());
         }
@@ -1075,21 +1025,21 @@ fn decode_node_state(
         st.acks.insert(PacketId(id));
     }
 
-    let sent = cur.varint().map_err(wire)?;
+    let sent = take_varint(cur)?;
     for _ in 0..sent {
-        let p = peer(cur.varint().map_err(wire)?)?;
-        st.last_sent[p] = Time(cur.varint().map_err(wire)?);
+        let p = take_index(cur, n)?;
+        st.last_sent[p] = Time(take_varint(cur)?);
     }
 
-    let mean = f64_at(cur)?;
-    let count = cur.varint().map_err(wire)?;
+    let mean = take_f64(cur)?;
+    let count = take_varint(cur)?;
     st.avg_opp = dtn_stats::RunningMean::from_state(mean, count);
 
-    let opp = cur.varint().map_err(wire)?;
+    let opp = take_varint(cur)?;
     for _ in 0..opp {
-        let p = peer(cur.varint().map_err(wire)?)?;
-        let size = f64_at(cur)?;
-        let stamp = Time(cur.varint().map_err(wire)?);
+        let p = take_index(cur, n)?;
+        let size = take_f64(cur)?;
+        let stamp = Time(take_varint(cur)?);
         st.believed_opp[p] = (size, stamp);
     }
     Ok(())
@@ -1116,6 +1066,7 @@ struct RapidShardView<'a> {
     base: usize,
     states: &'a mut [NodeState],
     scratch: &'a mut ContactScratch,
+    row_warned: &'a AtomicBool,
 }
 
 impl RapidShardView<'_> {
@@ -1147,6 +1098,7 @@ impl Routing for RapidShardView<'_> {
             cfg: self.cfg,
             n: self.n,
             states: StatePair::Pair { a, sa, b, sb },
+            row_warned: self.row_warned,
         };
         exec.contact(driver, self.scratch);
     }
@@ -1165,6 +1117,7 @@ impl Routing for RapidShardView<'_> {
             cfg: self.cfg,
             n: self.n,
             states: StatePair::Solo { x: node, sx },
+            row_warned: self.row_warned,
         };
         exec.make_room(node, incoming, needed, buffer, packets, now, self.scratch)
     }
@@ -1926,6 +1879,9 @@ impl ContactExec<'_> {
         {
             let n = self.n as u64;
             let row_cost = n * wire::MEETING_ENTRY_BYTES;
+            if full_opp < row_cost && !self.row_warned.load(AtomicOrdering::Relaxed) {
+                self.warn_row_exceeds_opportunity(row_cost, full_opp);
+            }
             self.states
                 .state(from)
                 .meetings
@@ -1941,8 +1897,8 @@ impl ContactExec<'_> {
                 used += row_cost;
             }
             // Opportunity averages changed since the watermark.
-            for u in 0..self.n {
-                let (v, stamp) = self.states.state(from).believed_opp[u];
+            let (from_st, to_st) = self.states.two(from, to);
+            for (&(v, stamp), theirs) in from_st.believed_opp.iter().zip(&mut to_st.believed_opp) {
                 if stamp <= since {
                     continue;
                 }
@@ -1950,9 +1906,8 @@ impl ContactExec<'_> {
                     truncated = true;
                     break;
                 }
-                let to_st = self.states.state_mut(to);
-                if stamp > to_st.believed_opp[u].1 {
-                    to_st.believed_opp[u] = (v, stamp);
+                if stamp > theirs.1 {
+                    *theirs = (v, stamp);
                 }
                 allowed -= wire::AVG_OPP_BYTES;
                 used += wire::AVG_OPP_BYTES;
@@ -2037,6 +1992,27 @@ impl ContactExec<'_> {
         } else {
             now
         };
+    }
+
+    /// One-shot notice that meeting rows cannot ship on this shape: a row
+    /// is charged `n × MEETING_ENTRY_BYTES` and must fit the opportunity
+    /// whole, so when a whole opportunity is smaller no row ever merges
+    /// and every h-hop estimate degrades to the one-hop own row.
+    #[cold]
+    fn warn_row_exceeds_opportunity(&self, row_cost: u64, opportunity: u64) {
+        // Relaxed: the flag publishes nothing, it only keeps later
+        // contacts off the diag mutex (`warn_once` itself dedups racers).
+        self.row_warned.store(true, AtomicOrdering::Relaxed);
+        dtn_sim::diag::warn_once(
+            "meeting-row-exceeds-opportunity",
+            "a transfer opportunity is smaller than one meeting row: such contacts carry no \
+             rows, and where every opportunity is this small h-hop estimates rest on direct \
+             meetings only",
+            &[
+                ("row_cost", row_cost.to_string()),
+                ("opportunity", opportunity.to_string()),
+            ],
+        );
     }
 
     /// Copies `from`'s belief entries about `id` newer than `since` into
@@ -2191,6 +2167,39 @@ mod tests {
         assert_eq!(r.data_bytes, 2 * 1024);
     }
 
+    #[test]
+    fn opportunity_smaller_than_a_meeting_row_is_reported_once() {
+        // Three nodes: a row is charged 3 × MEETING_ENTRY_BYTES = 36 B.
+        let run = |opportunity: u64| {
+            let sim = Simulation::new(
+                config(3),
+                Schedule::new(vec![
+                    contact(10, 0, 1, opportunity),
+                    contact(20, 0, 1, opportunity),
+                    contact(30, 0, 1, opportunity),
+                ]),
+                Workload::new(vec![]),
+            );
+            let mut rapid = Rapid::new(RapidConfig::avg_delay());
+            sim.run(&mut rapid);
+            rapid
+        };
+        let roomy = run(36);
+        assert!(!roomy.row_warned.load(AtomicOrdering::Relaxed));
+        assert!(
+            roomy.states[1].meetings.row(0)[1].is_finite(),
+            "row shipped"
+        );
+
+        let starved = run(35);
+        assert!(starved.row_warned.load(AtomicOrdering::Relaxed));
+        assert!(dtn_sim::diag::warned("meeting-row-exceeds-opportunity"));
+        assert!(
+            starved.states[1].meetings.row(0)[1].is_infinite(),
+            "a row that never fits never merges"
+        );
+    }
+
     /// Populates a Rapid instance with non-trivial state: meetings learned,
     /// replicas believed, acks recorded, metadata watermarks advanced.
     fn populated_rapid() -> (Rapid, SimConfig) {
@@ -2227,6 +2236,17 @@ mod tests {
             saved, resaved,
             "restored state must re-save byte-identically"
         );
+    }
+
+    #[test]
+    fn saved_state_bytes_match_the_dense_era_encoder() {
+        // CRC32 of `populated_rapid`'s state as the dense-matrix encoder
+        // (commit 9832faf) wrote it: same live-row rule, same ascending
+        // cell order, so snapshots stay readable across the storage change.
+        let (rapid, _) = populated_rapid();
+        let saved = rapid.save_state().unwrap();
+        assert_eq!(saved.len(), 434);
+        assert_eq!(dtn_trace::crc32(&saved), 0x1b92_82f9);
     }
 
     #[test]

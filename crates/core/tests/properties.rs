@@ -9,7 +9,8 @@ use dtn_sim::{
 use proptest::prelude::*;
 use rapid_core::{
     combined_rate, expected_meeting_times_from, expected_remaining_delay, meetings_needed,
-    prob_delivered_within, replica_delay, Kernel, QueueSnapshot, Rapid, RapidConfig, RateBatch,
+    prob_delivered_within, replica_delay, Kernel, MeetingView, QueueSnapshot, Rapid, RapidConfig,
+    RateBatch,
 };
 
 proptest! {
@@ -258,6 +259,155 @@ proptest! {
                     .map(|&b| replica_delay(meeting, meetings_needed(b, opp)).min(cap)),
             );
             prop_assert_eq!(batched_rate.to_bits(), scalar_rate.to_bits());
+        }
+    }
+}
+
+// --- Sparse meeting rows vs the dense oracle --------------------------------
+
+/// The dense matrix `MeetingView` used to be, kept as the shadow model:
+/// `INFINITY`-filled rows, last-writer-wins merges, a full-row scan for
+/// "has any finite cell".
+#[derive(Clone)]
+struct DenseShadow {
+    me: usize,
+    rows: Vec<Vec<f64>>,
+    stamp: Vec<Time>,
+    avg: Vec<dtn_stats::RunningMean>,
+    last_met: Vec<Option<Time>>,
+}
+
+impl DenseShadow {
+    fn new(me: usize, n: usize) -> Self {
+        Self {
+            me,
+            rows: vec![vec![f64::INFINITY; n]; n],
+            stamp: vec![Time::ZERO; n],
+            avg: vec![dtn_stats::RunningMean::new(); n],
+            last_met: vec![None; n],
+        }
+    }
+
+    fn record_meeting(&mut self, peer: usize, now: Time) {
+        if let Some(last) = self.last_met[peer] {
+            self.avg[peer].observe(now.since(last).as_secs_f64());
+        }
+        self.last_met[peer] = Some(now);
+        if let Some(mean) = self.avg[peer].mean() {
+            self.rows[self.me][peer] = mean;
+        }
+        self.stamp[self.me] = now;
+    }
+
+    fn merge_rows_from(&mut self, other: &DenseShadow, rows: &[NodeId]) {
+        for u in rows.iter().map(|u| u.index()) {
+            if u != self.me && other.stamp[u] > self.stamp[u] {
+                self.rows[u] = other.rows[u].clone();
+                self.stamp[u] = other.stamp[u];
+            }
+        }
+    }
+
+    fn rows_changed_since(&self, since: Time) -> Vec<NodeId> {
+        (0..self.rows.len())
+            .filter(|&u| self.stamp[u] > since && self.rows[u].iter().any(|v| v.is_finite()))
+            .map(|u| NodeId(u as u32))
+            .collect()
+    }
+}
+
+/// Everything a `MeetingView` answers, checked against its shadow: cell
+/// reads, the delta listing, and — bit for bit — the h-hop estimates from
+/// every start node at `hop_limit` 1..=4 against the dense oracle.
+fn assert_view_matches_shadow(view: &MeetingView, shadow: &DenseShadow, now: Time) {
+    let n = shadow.rows.len();
+    for u in 0..n {
+        let cells: Vec<(usize, f64)> = view.row(u).cells().collect();
+        assert!(cells.windows(2).all(|w| w[0].0 < w[1].0));
+        for c in 0..n {
+            assert_eq!(view.row(u)[c].to_bits(), shadow.rows[u][c].to_bits());
+            assert_eq!(
+                cells.iter().any(|&(col, _)| col == c),
+                shadow.rows[u][c].is_finite()
+            );
+        }
+    }
+    for peer in 0..n {
+        assert_eq!(
+            view.direct_mean(NodeId(peer as u32)).to_bits(),
+            shadow.rows[shadow.me][peer].to_bits()
+        );
+    }
+    for since in [Time::ZERO, Time(now.0 / 2), now] {
+        assert_eq!(
+            view.rows_changed_since(since),
+            shadow.rows_changed_since(since)
+        );
+    }
+    let (mut dist, mut scratch) = (Vec::new(), Vec::new());
+    for from in (0..n as u32).map(NodeId) {
+        for hop_limit in 1..=4 {
+            view.expected_from_into(from, hop_limit, &mut dist, &mut scratch);
+            let want = expected_meeting_times_from(&shadow.rows, from, hop_limit);
+            assert_eq!(
+                dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                "from {from} at h={hop_limit}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random fleets driven by random meetings and row merges — fresh,
+    /// stale (from an earlier clone of the sender) and aimed at the
+    /// receiver's own row — stay indistinguishable from the dense model.
+    #[test]
+    fn sparse_meeting_rows_match_dense_oracle(
+        seed in 0u64..1_000_000,
+        n in 2usize..=24,
+        steps in 1usize..60,
+    ) {
+        use rand::Rng;
+        let mut rng = dtn_stats::stream(seed, "prop-sparse-rows");
+        let mut fleet: Vec<(MeetingView, DenseShadow)> = (0..n)
+            .map(|i| (MeetingView::new(NodeId(i as u32), n), DenseShadow::new(i, n)))
+            .collect();
+        // Earlier states of random nodes: the senders of stale merges.
+        let mut stale: Vec<(MeetingView, DenseShadow)> = Vec::new();
+        let mut now = Time::ZERO;
+        for _ in 0..steps {
+            now += TimeDelta::from_secs(rng.gen_range(1u64..500));
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n)) % n;
+            if rng.gen::<f64>() < 0.5 {
+                for (x, y) in [(a, b), (b, a)] {
+                    fleet[x].0.record_meeting(NodeId(y as u32), now);
+                    fleet[x].1.record_meeting(y, now);
+                }
+                assert_view_matches_shadow(&fleet[b].0, &fleet[b].1, now);
+            } else {
+                // Any subset of rows, the receiver's own included.
+                let rows: Vec<NodeId> = (0..n as u32)
+                    .map(NodeId)
+                    .filter(|_| rng.gen::<f64>() < 0.4)
+                    .chain([NodeId(a as u32)])
+                    .collect();
+                let from_stale = !stale.is_empty() && rng.gen::<f64>() < 0.4;
+                let (sender_view, sender_shadow) = if from_stale {
+                    stale[rng.gen_range(0..stale.len())].clone()
+                } else {
+                    fleet[b].clone()
+                };
+                fleet[a].0.merge_rows_from(&sender_view, &rows);
+                fleet[a].1.merge_rows_from(&sender_shadow, &rows);
+            }
+            assert_view_matches_shadow(&fleet[a].0, &fleet[a].1, now);
+            if rng.gen::<f64>() < 0.3 {
+                stale.push(fleet[rng.gen_range(0..n)].clone());
+            }
         }
     }
 }

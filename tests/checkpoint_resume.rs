@@ -15,6 +15,8 @@ use rapid_dtn::sim::{
     ContactWindow, NodeEvent, NodeId, Partition, Routing, RunHooks, SimConfig, SimEvent, SimReport,
     Snapshot, Time, TimeDelta,
 };
+use rapid_dtn::trace::ByteCursor;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -341,6 +343,68 @@ fn snapshots_cross_runtimes_and_shard_counts() {
             .any(|(_, e)| matches!(e, SimEvent::PacketExpired(id) if !s.entered[id.index()]))),
         "some snapshot must hold the dropped creation's pending expiry"
     );
+}
+
+/// Offset of the first meeting cell's `f64` in RAPID's saved state:
+/// past the node count, node 0's live-row count, the first row's index
+/// and stamp, its cell count and the cell's column.
+fn first_meeting_cell_value(state: &[u8]) -> usize {
+    let mut cur = ByteCursor::new(state);
+    for _ in 0..4 {
+        cur.varint().unwrap();
+    }
+    assert!(cur.varint().unwrap() >= 1, "node 0's first row has a cell");
+    cur.varint().unwrap();
+    cur.offset()
+}
+
+/// A snapshot that decodes (every section CRC valid) but whose RAPID
+/// meeting rows hold a non-finite cell — a cell the sparse rows define as
+/// absent — must fail the restore loudly instead of resuming on misread
+/// state; with the bad file set aside, the previous snapshot resumes to
+/// the reference result.
+#[test]
+fn unrepresentable_meeting_row_fails_loudly_and_previous_snapshot_resumes() {
+    let sc = scenario();
+    let reference = sc.run_serial(rapid().as_mut(), RunHooks::default());
+
+    let dir = temp_dir("bad-row");
+    let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(40), 64).unwrap();
+    let _ = sc.run_serial(
+        rapid().as_mut(),
+        RunHooks {
+            checkpoint: Some(&mut ckpt),
+            ..RunHooks::default()
+        },
+    );
+    let newest = load_latest(&dir).unwrap().expect("snapshots written");
+
+    // All-ones exponent: the first cell's mean becomes NaN or infinite.
+    let mut bad = newest.snapshot.clone();
+    let state = &mut bad.routing.as_mut().expect("RAPID saves state").bytes;
+    let at = first_meeting_cell_value(state);
+    state[at + 6] |= 0xF0;
+    state[at + 7] = 0x7F;
+    std::fs::write(&newest.path, bad.encode()).unwrap();
+
+    let loaded = load_latest(&dir).unwrap().unwrap();
+    assert_eq!(loaded.path, newest.path, "the mutated file still decodes");
+    let crash = catch_unwind(AssertUnwindSafe(|| {
+        sc.run_serial(rapid().as_mut(), resume_hooks(loaded.snapshot))
+    }))
+    .expect_err("restore must reject the row");
+    let msg = crash.downcast_ref::<String>().expect("formatted panic");
+    assert!(
+        msg.contains("protocol state restore failed") && msg.contains("not finite"),
+        "{msg}"
+    );
+
+    std::fs::remove_file(&newest.path).unwrap();
+    let previous = load_latest(&dir).unwrap().expect("an older snapshot");
+    assert!(previous.snapshot.now < newest.snapshot.now);
+    let resumed = sc.run_serial(rapid().as_mut(), resume_hooks(previous.snapshot));
+    assert_eq!(resumed, reference, "fallback resume diverged");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The compressed-plan streaming source supports resume too (the snapshot
