@@ -58,7 +58,7 @@ pub fn table3() {
         .sum::<f64>()
         / n;
 
-    tsv.row(&["statistic", "value", "paper_value"]);
+    tsv.header();
     tsv.row(&["avg_buses_scheduled_per_day", &f(avg_buses), "19"]);
     tsv.row(&[
         "avg_total_MB_transferred_per_day",
@@ -84,12 +84,7 @@ pub fn fig03() {
         "days = {days}, sim runs per day = {runs}, seed = {}",
         root_seed()
     ));
-    tsv.row(&[
-        "day",
-        "real_avg_delay_min",
-        "sim_avg_delay_min",
-        "sim_ci95_min",
-    ]);
+    tsv.header();
 
     let lab = TraceLab::deployment(root_seed());
     // Jobs: per day, one noisy "deployment" run + `runs` clean draws.
@@ -178,13 +173,7 @@ pub fn fig08() {
         days_per_point(),
         root_seed()
     ));
-    tsv.row(&[
-        "metadata_cap_fraction",
-        "load_per_dest_per_hour",
-        "avg_delay_min",
-        "delivery_rate",
-        "metadata_over_bw",
-    ]);
+    tsv.header();
     let lab = TraceLab::load_sweep(root_seed());
     for cap in [0.0, 0.01, 0.02, 0.05, 0.10, 0.20, 0.35] {
         for load in [6.0, 12.0, 20.0] {
@@ -210,13 +199,7 @@ pub fn fig09() {
         days_per_point(),
         root_seed()
     ));
-    tsv.row(&[
-        "load_per_dest_per_hour",
-        "channel_utilization",
-        "delivery_rate",
-        "metadata_over_data",
-        "metadata_over_bw",
-    ]);
+    tsv.header();
     let lab = TraceLab::load_sweep(root_seed());
     for load in [5.0, 10.0, 20.0, 40.0, 60.0, 75.0] {
         let a = lab.run_days_agg(days_per_point(), load, Proto::RapidAvg, None);
@@ -259,7 +242,7 @@ pub fn fig13() {
         days_per_point(),
         root_seed()
     ));
-    tsv.row(&["load_per_dest_per_hour", "series", "avg_delay_min"]);
+    tsv.header();
     let lab = TraceLab::load_sweep(root_seed());
     let days = days_per_point();
     for load in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0] {
@@ -339,7 +322,7 @@ pub fn fig15() {
         days_per_point(),
         root_seed()
     ));
-    tsv.row(&["parallel_packets", "fairness_index", "cdf"]);
+    tsv.header();
 
     let lab = TraceLab::load_sweep(root_seed());
     let seeds = dtn_stats::SeedStream::new(root_seed()).derive("fig15");
@@ -422,16 +405,7 @@ pub fn fig_churn() {
         runs_per_point(),
         root_seed()
     ));
-    tsv.row(&[
-        "window_s",
-        "down_fraction",
-        "series",
-        "avg_delay_s",
-        "delivery_rate",
-        "within_deadline",
-        "expired_rate",
-        "suppressed_contacts",
-    ]);
+    tsv.header();
     let lab = crate::churn::ChurnLab::new(root_seed());
     let load = 20.0;
     for window_s in [0u64, 30, 120, 300] {
@@ -469,13 +443,7 @@ pub fn ttest() {
         days_per_point(),
         root_seed()
     ));
-    tsv.row(&[
-        "load_per_dest_per_hour",
-        "pairs",
-        "t",
-        "p_two_sided",
-        "mean_diff_min",
-    ]);
+    tsv.header();
 
     let lab = TraceLab::load_sweep(root_seed());
     for load in [5.0, 20.0] {

@@ -16,16 +16,7 @@ pub fn trace_sweep(id: &str, title: &str, loads: &[f64], protos: &[Proto]) {
         days_per_point(),
         root_seed()
     ));
-    tsv.row(&[
-        "load_per_dest_per_hour",
-        "series",
-        "avg_delay_min",
-        "delivery_rate",
-        "max_delay_min",
-        "within_deadline",
-        "metadata_over_bw",
-        "utilization",
-    ]);
+    tsv.header();
     let lab = TraceLab::load_sweep(root_seed());
     for &load in loads {
         for &proto in protos {
@@ -53,14 +44,7 @@ pub fn synth_load_sweep(id: &str, title: &str, mobility: Mobility, loads: &[f64]
         runs_per_point(),
         root_seed()
     ));
-    tsv.row(&[
-        "load_per_dest_per_50s",
-        "series",
-        "avg_delay_s",
-        "max_delay_s",
-        "delivery_rate",
-        "within_deadline",
-    ]);
+    tsv.header();
     let lab = SynthLab::new(root_seed());
     let protos = [
         Proto::RapidAvg,
@@ -101,14 +85,7 @@ pub fn synth_buffer_sweep(
         runs_per_point(),
         root_seed()
     ));
-    tsv.row(&[
-        "buffer_kb",
-        "series",
-        "avg_delay_s",
-        "max_delay_s",
-        "delivery_rate",
-        "within_deadline",
-    ]);
+    tsv.header();
     let lab = SynthLab::new(root_seed());
     let protos = [
         Proto::RapidAvg,

@@ -239,6 +239,18 @@ pub const PLANS: &[ExperimentPlan] = &[
     },
 ];
 
+/// Schema of `results/scale_sharded_shards.tsv`, the per-shard timing file
+/// `scale_sharded` writes next to its own (a second file, not a plan).
+pub const SCALE_SHARDED_SHARDS_COLUMNS: &[&str] = &[
+    "run",
+    "shard",
+    "nodes",
+    "drives",
+    "creations",
+    "busy_s",
+    "concurrency",
+];
+
 /// Long-format trace sweep schema (Figs. 4–7, 10–12, 14).
 const TRACE_SWEEP_COLUMNS: &[&str] = &[
     "load_per_dest_per_hour",

@@ -13,7 +13,7 @@ use dtn_sim::workload::Workload;
 use dtn_sim::{
     config_digest, diag, load_latest, run_sharded_hooked, run_streaming_hooked, Checkpointer,
     CompiledPlan, Fault, FaultPlan, NodeEvent, NoiseModel, Partition, RunHooks, Schedule,
-    SimConfig, SimReport, Time, TimeDelta,
+    ShardStats, SimConfig, SimReport, Time, TimeDelta,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -38,7 +38,7 @@ pub enum ContactsSpec {
     /// never exists in memory.
     Streaming(ContactFactory),
     /// A compiled (compressed) plan shared behind an `Arc`, expanded
-    /// through a per-run [`PlanStream`] cursor. Like `Shared` the scenario
+    /// through a per-run [`dtn_sim::PlanStream`] cursor. Like `Shared` the scenario
     /// is built once and never cloned per run — but the shared state is
     /// the atom plan, not the expansion, so a sweep holds the plan's
     /// memory, not `windows × runs × protocols`.
@@ -203,13 +203,8 @@ pub struct RunSpec {
 /// the serial engine — same report, one event loop — with a one-shot
 /// warning naming the protocol and the reason (no silent fallback).
 pub fn run_spec(spec: &RunSpec, proto: Proto) -> SimReport {
-    let config = spec_config(spec, proto);
-    let measured_len = TimeDelta(spec.horizon.0.saturating_sub(spec.measure_from.0));
-    let probe = proto.build(spec.deadline, measured_len);
-    let checkpointable = routing_checkpointable(probe.as_ref());
-    run_with_recovery(&config, &probe.name(), checkpointable, &mut |hooks| {
-        run_spec_hooked(spec, proto, hooks)
-    })
+    let shards = dtn_sim::clamp_shards(dtn_sim::shards_from_env(), spec.nodes);
+    run_spec_on(spec, proto, &Partition::even(spec.nodes, shards)).0
 }
 
 /// The engine [`SimConfig`] for one job (shared by the direct and the
@@ -236,67 +231,80 @@ fn spec_config(spec: &RunSpec, proto: Proto) -> SimConfig {
     }
 }
 
-/// One attempt at a job, with whatever checkpoint/resume/fault hooks the
-/// caller supplies. Scenario sources are opened fresh per call, so retries
-/// replay the identical input streams.
-fn run_spec_hooked(spec: &RunSpec, proto: Proto, hooks: RunHooks<'_>) -> SimReport {
+/// [`run_spec`] over an explicit node partition (one shard = the serial
+/// engine), returning the per-shard telemetry as well — empty whenever the
+/// serial engine ran. Every attempt [`run_with_recovery`] makes opens the
+/// scenario sources afresh, so retries replay the identical input streams.
+pub(crate) fn run_spec_on(
+    spec: &RunSpec,
+    proto: Proto,
+    partition: &Partition,
+) -> (SimReport, Vec<ShardStats>) {
     let config = spec_config(spec, proto);
-    let mut contacts = spec.contacts.source();
-    let mut packets = spec.packets.source();
     let measured_len = TimeDelta(spec.horizon.0.saturating_sub(spec.measure_from.0));
-    let mut routing = proto.build(spec.deadline, measured_len);
-    let shards = dtn_sim::clamp_shards(dtn_sim::shards_from_env(), spec.nodes);
-    if shards > 1 {
-        if !config.allow_global_knowledge && routing.contact_concurrency().is_node_disjoint() {
-            let partition = Partition::even(spec.nodes, shards);
-            return run_sharded_hooked(
+    let probe = proto.build(spec.deadline, measured_len);
+    let checkpointable = routing_checkpointable(probe.as_ref());
+    let shards = partition.shards();
+    let sharded = shards > 1
+        && !config.allow_global_knowledge
+        && probe.contact_concurrency().is_node_disjoint();
+    if shards > 1 && !sharded {
+        // Loud serial fallback: say once per process why RAPID_SHARDS had
+        // no effect, instead of quietly timing the serial engine.
+        let (reason, tag) = if config.allow_global_knowledge {
+            (
+                "it needs global knowledge (an oracle, not a protocol state partition)",
+                "global-knowledge",
+            )
+        } else {
+            (
+                "its contact handling declares ContactConcurrency::Serial",
+                "serial-concurrency",
+            )
+        };
+        diag::warn_once(
+            "serial-fallback",
+            &format!(
+                "RAPID_SHARDS={shards} ignored for {}: {reason}; running serial",
+                probe.name()
+            ),
+            &[
+                ("proto", probe.name()),
+                ("shards", shards.to_string()),
+                ("reason", tag.into()),
+            ],
+        );
+    }
+    let mut stats = Vec::new();
+    let report = run_with_recovery(&config, &probe.name(), checkpointable, &mut |hooks| {
+        let mut contacts = spec.contacts.source();
+        let mut packets = spec.packets.source();
+        if sharded {
+            let (report, shard_stats) = run_sharded_hooked(
                 &config,
-                &partition,
+                partition,
                 contacts.as_mut(),
                 packets.as_mut(),
                 &spec.churn,
                 spec.noise,
                 &mut || proto.build(spec.deadline, measured_len),
                 hooks,
-            )
-            .0;
-        }
-        // Loud serial fallback: say once per process why RAPID_SHARDS had
-        // no effect, instead of quietly timing the serial engine.
-        let reason = if config.allow_global_knowledge {
-            "it needs global knowledge (an oracle, not a protocol state partition)"
+            );
+            stats = shard_stats;
+            report
         } else {
-            "its contact handling declares ContactConcurrency::Serial"
-        };
-        diag::warn_once(
-            "serial-fallback",
-            &format!(
-                "RAPID_SHARDS={shards} ignored for {}: {reason}; running serial",
-                routing.name()
-            ),
-            &[
-                ("proto", routing.name()),
-                ("shards", shards.to_string()),
-                (
-                    "reason",
-                    if config.allow_global_knowledge {
-                        "global-knowledge".into()
-                    } else {
-                        "serial-concurrency".into()
-                    },
-                ),
-            ],
-        );
-    }
-    run_streaming_hooked(
-        &config,
-        contacts.as_mut(),
-        packets.as_mut(),
-        &spec.churn,
-        spec.noise,
-        routing.as_mut(),
-        hooks,
-    )
+            run_streaming_hooked(
+                &config,
+                contacts.as_mut(),
+                packets.as_mut(),
+                &spec.churn,
+                spec.noise,
+                proto.build(spec.deadline, measured_len).as_mut(),
+                hooks,
+            )
+        }
+    });
+    (report, stats)
 }
 
 /// Checkpoint policy from the environment:

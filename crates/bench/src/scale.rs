@@ -16,15 +16,11 @@
 //! the CI memory check).
 
 use crate::proto::Proto;
-use crate::runner::{run_spec, run_with_recovery, ContactsSpec, PacketsSpec, RunSpec};
+use crate::runner::{run_spec, run_spec_on, ContactsSpec, PacketsSpec, RunSpec};
 use crate::tsv::{f, Tsv};
-use crate::{env_u64, root_seed};
+use crate::{env_u64, registry, root_seed};
 use dtn_mobility::{RegionalFleet, ScaleFleet};
-use dtn_sim::checkpoint::routing_checkpointable;
-use dtn_sim::{
-    run_sharded_hooked, run_streaming_hooked, CompiledPlan, Partition, ShardStats, SimConfig, Time,
-    TimeDelta,
-};
+use dtn_sim::{CompiledPlan, Time, TimeDelta};
 use dtn_stats::{Extrema, ShardSlots, StreamingMean};
 use std::sync::Arc;
 
@@ -143,6 +139,19 @@ impl ScaleLab {
             ..self.spec(run)
         }
     }
+
+    /// One run of the regional scenario: `rf`'s compiled plan expanded
+    /// lazily, packets streamed from its region-local workload.
+    pub fn spec_regional(&self, rf: &RegionalFleet, plan: &Arc<CompiledPlan>, run: u32) -> RunSpec {
+        let (rf, seed, packets) = (*rf, self.seed, self.packets);
+        RunSpec {
+            contacts: ContactsSpec::compiled(Arc::clone(plan)),
+            packets: PacketsSpec::streaming(move || {
+                Box::new(rf.packet_stream(packets, PACKET_BYTES, seed, u64::from(run)))
+            }),
+            ..self.spec(run)
+        }
+    }
 }
 
 /// Peak resident set size of this process in MB (`VmHWM`), if the
@@ -189,17 +198,7 @@ pub fn run_scale() {
         lab.packets,
         lab.fleet.horizon.as_secs_f64(),
     ));
-    tsv.row(&[
-        "mode",
-        "run",
-        "nodes",
-        "contacts_driven",
-        "packets_created",
-        "delivery_rate",
-        "expired",
-        "wall_s",
-        "peak_rss_mb",
-    ]);
+    tsv.header();
 
     let mut delivery = StreamingMean::new();
     let mut wall = StreamingMean::new();
@@ -285,22 +284,7 @@ pub fn run_scale_compressed() {
         lab.packets,
         lab.fleet.horizon.as_secs_f64(),
     ));
-    tsv.row(&[
-        "mode",
-        "run",
-        "nodes",
-        "contacts_driven",
-        "packets_created",
-        "delivery_rate",
-        "expired",
-        "wall_s",
-        "peak_rss_mb",
-        "plan_atoms",
-        "plan_windows",
-        "plan_kb",
-        "expanded_kb",
-        "compression_ratio",
-    ]);
+    tsv.header();
 
     let mut delivery = StreamingMean::new();
     let mut wall = StreamingMean::new();
@@ -380,23 +364,6 @@ pub fn regional_fleet(lab: &ScaleLab) -> RegionalFleet {
     }
 }
 
-/// The engine configuration the sharded family runs under (the same
-/// shape [`run_spec`] builds, minus the spec indirection).
-fn sharded_config(lab: &ScaleLab, run: u32) -> SimConfig {
-    SimConfig {
-        nodes: lab.fleet.nodes,
-        buffer_capacity: lab.buffer,
-        deadline: Some(lab.deadline),
-        ttl: Some(lab.ttl),
-        horizon: lab.fleet.horizon,
-        allow_global_knowledge: false,
-        seed: lab.seed ^ u64::from(run),
-        measure_from: Time::ZERO,
-        intra_jobs: dtn_sim::intra_jobs_from_env(),
-        lookahead: dtn_sim::par::Lookahead::from_env(),
-    }
-}
-
 /// The protocol the scale_sharded family drives: `RAPID_SCALE_PROTO` is
 /// `random` (default, the PR 8 baseline) or `rapid` (in-band RAPID, the
 /// paper's protocol on the sharded runtime). Anything else aborts — a
@@ -410,64 +377,6 @@ pub fn scale_proto() -> Proto {
     }
 }
 
-/// One run of the regional scenario: the compiled regional plan expanded
-/// lazily into either the serial engine (one shard) or the sharded
-/// runtime (per-shard event loops under conservative barriers). The
-/// report is byte-identical at any shard count; the `Vec<ShardStats>` is
-/// empty on the serial path.
-///
-/// Routed through [`run_with_recovery`], so the `RAPID_CKPT_*` knobs
-/// apply to the scale family too: a killed `scale_sharded` process
-/// restarted with the same environment resumes from its last good
-/// snapshot instead of starting over (the CI kill-resume smoke drives
-/// exactly this path).
-pub fn run_regional(
-    lab: &ScaleLab,
-    rf: &RegionalFleet,
-    partition: &Partition,
-    plan: &Arc<CompiledPlan>,
-    run: u32,
-    proto: Proto,
-) -> (dtn_sim::SimReport, Vec<ShardStats>) {
-    let config = sharded_config(lab, run);
-    let measured_len = TimeDelta(lab.fleet.horizon.0);
-    let probe = proto.build(lab.deadline, measured_len);
-    let checkpointable = routing_checkpointable(probe.as_ref());
-    let mut stats = Vec::new();
-    let report = run_with_recovery(&config, &probe.name(), checkpointable, &mut |hooks| {
-        let mut contacts = ContactsSpec::compiled(Arc::clone(plan)).source();
-        let mut packets =
-            Box::new(rf.packet_stream(lab.packets, PACKET_BYTES, lab.seed, u64::from(run)));
-        if partition.shards() == 1 {
-            let mut routing = proto.build(lab.deadline, measured_len);
-            stats = Vec::new();
-            run_streaming_hooked(
-                &config,
-                contacts.as_mut(),
-                packets.as_mut(),
-                &[],
-                None,
-                routing.as_mut(),
-                hooks,
-            )
-        } else {
-            let (report, shard_stats) = run_sharded_hooked(
-                &config,
-                partition,
-                contacts.as_mut(),
-                packets.as_mut(),
-                &[],
-                None,
-                &mut || proto.build(lab.deadline, measured_len),
-                hooks,
-            );
-            stats = shard_stats;
-            report
-        }
-    });
-    (report, stats)
-}
-
 /// The `scale_sharded` experiment: the scale family on the regional
 /// fleet, partitioned into `RAPID_SHARDS` per-shard event loops (default
 /// 1 = the serial engine). Aggregate columns (1–7) are byte-identical at
@@ -475,6 +384,14 @@ pub fn run_regional(
 /// while the shard-dependent telemetry (shard count, static free-run
 /// horizon, wall, RSS) sits after them. Per-shard timing lands in
 /// `results/scale_sharded_shards.tsv`.
+///
+/// Each run goes through the runner's `run_spec_on` over the region-aligned
+/// partition — serial engine at one shard, sharded runtime above, the
+/// report byte-identical either way — and so through `run_with_recovery`:
+/// the `RAPID_CKPT_*` knobs apply, and a killed `scale_sharded` process
+/// restarted with the same environment resumes from its last good
+/// snapshot instead of starting over (the CI kill-resume smoke drives
+/// exactly this path).
 pub fn run_scale_sharded() {
     let seed = root_seed();
     let lab = ScaleLab::from_env(seed);
@@ -502,31 +419,11 @@ pub fn run_scale_sharded() {
         lab.packets,
         lab.fleet.horizon.as_secs_f64(),
     ));
-    tsv.row(&[
-        "run",
-        "nodes",
-        "windows_planned",
-        "contacts_driven",
-        "packets_created",
-        "delivery_rate",
-        "expired",
-        "shards",
-        "free_run_horizon_s",
-        "wall_s",
-        "peak_rss_mb",
-    ]);
+    tsv.header();
 
     let mut shard_tsv = Tsv::new("scale_sharded_shards");
     shard_tsv.comment("Per-shard timing for the scale_sharded family");
-    shard_tsv.row(&[
-        "run",
-        "shard",
-        "nodes",
-        "drives",
-        "creations",
-        "busy_s",
-        "concurrency",
-    ]);
+    shard_tsv.row(registry::SCALE_SHARDED_SHARDS_COLUMNS);
 
     let mut delivery = StreamingMean::new();
     let mut wall = StreamingMean::new();
@@ -542,7 +439,8 @@ pub fn run_scale_sharded() {
         // cross-shard window's start before any barrier can occur.
         let free_run = plan.first_cross_shard_start(&partition);
         let t0 = std::time::Instant::now();
-        let (report, stats) = run_regional(&lab, &rf, &partition, &plan, run, proto);
+        let spec = lab.spec_regional(&rf, &plan, run);
+        let (report, stats) = run_spec_on(&spec, proto, &partition);
         let wall_s = t0.elapsed().as_secs_f64();
         let peak = peak_rss_mb().unwrap_or(0.0);
         delivery.push(report.delivery_rate());
@@ -703,7 +601,8 @@ mod tests {
             locality: 0.9,
         };
         let plan = Arc::new(rf.periodic_plan(50, lab.seed, 0));
-        let (serial, no_stats) = run_regional(&lab, &rf, &rf.partition(1), &plan, 0, Proto::Random);
+        let spec = lab.spec_regional(&rf, &plan, 0);
+        let (serial, no_stats) = run_spec_on(&spec, Proto::Random, &rf.partition(1));
         assert!(no_stats.is_empty(), "serial path has no shard telemetry");
         assert!(serial.contacts > 4_000, "plan drove {}", serial.contacts);
         assert!(
@@ -713,7 +612,7 @@ mod tests {
         );
         for shards in [2, 4, 8] {
             let part = rf.partition(shards);
-            let (sharded, stats) = run_regional(&lab, &rf, &part, &plan, 0, Proto::Random);
+            let (sharded, stats) = run_spec_on(&spec, Proto::Random, &part);
             assert_eq!(serial, sharded, "{shards}-shard run must match the engine");
             assert_eq!(stats.len(), shards);
             assert_eq!(
@@ -756,11 +655,12 @@ mod tests {
             locality: 0.9,
         };
         let plan = Arc::new(rf.periodic_plan(30, lab.seed, 0));
-        let (serial, _) = run_regional(&lab, &rf, &rf.partition(1), &plan, 0, Proto::RapidAvg);
+        let spec = lab.spec_regional(&rf, &plan, 0);
+        let (serial, _) = run_spec_on(&spec, Proto::RapidAvg, &rf.partition(1));
         assert!(serial.contacts > 2_000, "plan drove {}", serial.contacts);
         for shards in [2, 4] {
             let part = rf.partition(shards);
-            let (sharded, stats) = run_regional(&lab, &rf, &part, &plan, 0, Proto::RapidAvg);
+            let (sharded, stats) = run_spec_on(&spec, Proto::RapidAvg, &part);
             assert_eq!(serial, sharded, "{shards}-shard RAPID diverged");
             assert!(
                 stats

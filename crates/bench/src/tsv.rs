@@ -32,6 +32,17 @@ impl Tsv {
         self.emit(&format!("# {text}"));
     }
 
+    /// Emits the header row: the columns the registry declares for this
+    /// experiment (what `fig_all --list` prints), so the schema exists once.
+    ///
+    /// # Panics
+    /// If this sink's id is not a registered plan.
+    pub fn header(&mut self) {
+        let plan = crate::registry::find(&self.id)
+            .unwrap_or_else(|| panic!("no registered plan `{}` to take a header from", self.id));
+        self.row(plan.columns);
+    }
+
     /// Emits a row of tab-separated cells.
     pub fn row<S: AsRef<str>>(&mut self, cells: &[S]) {
         let mut line = String::new();

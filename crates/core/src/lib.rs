@@ -16,21 +16,18 @@
 //! | [`config`] | §3.5, §6 | metrics, channel modes, tuning |
 //! | [`protocol`] | §3.4 | the selection algorithm (Protocol RAPID) |
 //! | [`estimate`] | §4.1 | Estimate Delay: Eqs. 4–9 |
-//! | [`cache`] | — | incremental Eq. 4–9 rate cache with epoch dirty tracking |
 //! | [`meetings`] | §4.1.2 | meeting-time learning, h-hop estimates |
 //! | [`control`] | §4.2 | the in-band control channel's replica tables |
 //! | [`mod@dag_delay`] | Appendix C | the idealized dependency-graph estimator |
 //!
 //! State is dense-indexed end to end (PR 3): packet/node identities are
-//! interned onto dense handles (`dtn_sim::ids`), [`control::MetaTable`]
-//! and [`estimate::QueueSnapshot`] are `Vec`-keyed rather than hashed, and
-//! the selection hot path reuses cached Estimate-Delay rates — only
-//! packets dirtied by contact, queue, belief, expiry or churn events are
-//! re-estimated, with the sorted eviction order itself reused while
-//! nothing invalidated it. Decisions are provably unchanged: every cache
-//! hit re-verifies bitwise against a from-scratch recomputation under
-//! `debug_assertions`, and the figure TSVs are byte-identical across the
-//! refactor for a fixed seed.
+//! interned onto dense handles (`dtn_sim::ids`), and [`control::MetaTable`]
+//! and [`estimate::QueueSnapshot`] are `Vec`-keyed rather than hashed.
+//! Storage decisions (§3.4) keep no state between calls: each scores the
+//! node's delivery queues from scratch — one batched Eq. 4–5 row per queue,
+//! one sort — through the single scorer `make_room` and in-contact eviction
+//! share, and every debug-build `make_room` is asserted against a scalar
+//! per-packet reference.
 //!
 //! ```
 //! use rapid_core::{Rapid, RapidConfig};
@@ -47,7 +44,6 @@
 //! assert_eq!(report.delivered(), 1);
 //! ```
 
-pub mod cache;
 pub mod config;
 pub mod control;
 pub mod dag_delay;
@@ -55,7 +51,6 @@ pub mod estimate;
 pub mod meetings;
 pub mod protocol;
 
-pub use cache::DelayCache;
 pub use config::{ChannelMode, RapidConfig, RoutingMetric};
 pub use control::{HolderEntry, MetaTable, PacketBelief};
 pub use dag_delay::{dag_delay, delay_of, estimate_delay_reference, QueueState};

@@ -19,21 +19,20 @@
 //!
 //! # Execution model
 //!
-//! All contact-time work runs through [`ContactExec`], which views the
+//! All contact-time work runs through `ContactExec`, which views the
 //! per-node protocol states either as the full slice (serial execution,
 //! required by the global-channel modes) or as exactly the contact's two
-//! endpoint states ([`StatePair::Pair`], the intra-run parallel batch
+//! endpoint states (`StatePair::Pair`, the intra-run parallel batch
 //! path). That a contact compiles against the pair view is the proof that
 //! RAPID's contact handling touches only per-endpoint state — the
 //! property behind its [`ContactConcurrency::NodeDisjoint`] declaration.
 //!
 //! The steady-state contact is allocation-free: queue snapshots, h-hop
 //! estimate vectors, candidate lists and exchange listings all live in a
-//! reusable [`ContactScratch`] (one per worker under batch execution),
+//! reusable `ContactScratch` (one per worker under batch execution),
 //! and contacts where both endpoints' buffers are empty skip the
 //! snapshot/estimate setup entirely.
 
-use crate::cache::DelayCache;
 use crate::config::{wire, ChannelMode, RapidConfig, RoutingMetric};
 use crate::control::{HolderEntry, MetaTable};
 use crate::estimate::{
@@ -68,10 +67,10 @@ const UNREACHABLE_GAIN: f64 = 1e18;
 
 /// Per-node protocol state (beliefs only — the world lives in the engine).
 ///
-/// Meeting rows are sparse, but `last_sent`, `believed_opp`, the delay
-/// cache's per-destination epochs, `est_cache` and the view's own per-peer
-/// vectors are still one dense entry per peer: ≈130 B × n per node, the
-/// fleet's remaining n² term (21 MB at 400 nodes, 2 GB at 4000).
+/// Meeting rows are sparse, but `last_sent`, `believed_opp`, `est_cache`
+/// and the view's own per-peer vectors are still one dense entry per peer:
+/// ≈120 B × n per node, the fleet's remaining n² term (19 MB at 400 nodes,
+/// 1.9 GB at 4000).
 #[derive(Debug, Clone)]
 struct NodeState {
     /// Believed meeting-time matrix, finite cells only.
@@ -90,29 +89,6 @@ struct NodeState {
     /// place — never reallocated in steady state).
     est_cache: Vec<f64>,
     est_valid: bool,
-    /// Incremental Eq. 4–9 rate cache (see `cache.rs`); invalidated by the
-    /// lifecycle hooks and the contact/meta events below.
-    cache: DelayCache,
-    /// Lazily re-sorted eviction order derived from cached rates.
-    evict_order: Option<EvictOrder>,
-}
-
-/// A sorted storage-eviction order, reusable while nothing invalidated the
-/// rates it was derived from (the "lazy re-sorting" half of the cache).
-#[derive(Debug, Clone)]
-struct EvictOrder {
-    /// [`DelayCache::version`] at build time; any invalidation outdates it.
-    version: u64,
-    /// Build instant: the order is only reusable at the same `now`. (For
-    /// the delay metrics the order is clock-shift-invariant in *real*
-    /// arithmetic — utilities are `-(age + A(i))` — but not in floating
-    /// point, where a shift can round two distinct utilities into a tie
-    /// and flip the id tie-break; the deadline metric is age-dependent
-    /// outright. Same-instant reuse still covers the hot case: a burst of
-    /// creations at one timestamp hammering a full buffer.)
-    now: Time,
-    /// `(id, size)` in ascending `(utility, id)` order: evict front first.
-    order: Vec<(PacketId, u64)>,
 }
 
 impl NodeState {
@@ -126,8 +102,6 @@ impl NodeState {
             believed_opp: vec![(0.0, Time::ZERO); n],
             est_cache: Vec::new(),
             est_valid: false,
-            cache: DelayCache::new(n),
-            evict_order: None,
         }
     }
 }
@@ -150,8 +124,9 @@ pub struct Rapid {
 }
 
 /// Reusable per-contact scratch storage (queue snapshots, estimate
-/// vectors, rate rows, id/candidate/exchange lists): refilled at every
-/// contact so steady-state contacts allocate nothing.
+/// vectors, rate rows, id/candidate/exchange lists, storage-decision
+/// scores): refilled at every contact so steady-state contacts allocate
+/// nothing.
 #[derive(Default)]
 struct ContactScratch {
     snap_a: QueueSnapshot,
@@ -171,10 +146,7 @@ struct ContactScratch {
     /// delivery queue, evaluated whole-queue per kernel.
     row_self: RateBatch,
     row_peer: RateBatch,
-    /// Cache-validity row for the batched `make_room` sweep.
-    rate_row: Vec<Option<f64>>,
-    /// Freshly recomputed `(id, rate)` pairs awaiting a `put_row`.
-    fresh_rates: Vec<(PacketId, f64)>,
+    storage: StorageScratch,
     /// Exchange listings (§4.2 delta channel).
     acks_new: Vec<PacketId>,
     changed_rows: Vec<NodeId>,
@@ -188,8 +160,22 @@ impl ContactScratch {
         let mut s = Self::default();
         s.row_self.set_kernel(kernel);
         s.row_peer.set_kernel(kernel);
+        s.storage.row.set_kernel(kernel);
         s
     }
+}
+
+/// Reusable vectors of the §3.4 storage decisions
+/// ([`ContactExec::score_storage`] and its two callers).
+#[derive(Default)]
+struct StorageScratch {
+    /// Own-replica delays of one delivery queue.
+    row: RateBatch,
+    /// `(utility, id, size)` per scored packet, ascending `(utility, id)`.
+    scored: Vec<(f64, PacketId, u64)>,
+    /// In-contact eviction queue `(id, size)`, popped from the back:
+    /// lowest utility first, the receiver's own unacked packets last.
+    evict_queue: Vec<(PacketId, u64)>,
 }
 
 /// The per-node states an execution may address: the full slice (serial;
@@ -444,12 +430,12 @@ impl ContactExec<'_> {
     /// The combined replica rate (Eqs. 4–9) of a buffered packet at `node`,
     /// computed from scratch with the given queue position: the own-replica
     /// delay from the h-hop estimates plus the believed remote-replica
-    /// delays, folded into `Σ_j 1/a_j`.
+    /// delays, folded into `Σ_j 1/a_j`. The scalar form of what
+    /// [`ContactExec::score_storage`] evaluates a queue at a time — kept
+    /// as the reference the storage oracle scores with.
+    #[cfg(any(debug_assertions, test))]
     fn rate_with(&self, node: NodeId, packet: &Packet, bytes_ahead: u64) -> f64 {
         let state = self.states.state(node);
-        // Hard assert in every build: a stale estimate cache would not
-        // crash but silently misrank packets (the pre-refactor
-        // `Option::expect` had the same release-mode teeth).
         assert!(
             state.est_valid,
             "estimate cache must be built before utility queries"
@@ -482,8 +468,8 @@ impl ContactExec<'_> {
 
     /// Utility of a buffered packet from its combined rate (for eviction
     /// ordering). Higher = more valuable to keep.
-    fn utility_from_rate(&self, rate: f64, packet: &Packet, now: Time) -> f64 {
-        let t = now.since(packet.created_at).as_secs_f64();
+    fn utility_from_rate(&self, rate: f64, created_at: Time, now: Time) -> f64 {
+        let t = now.since(created_at).as_secs_f64();
         match self.cfg.metric {
             RoutingMetric::MinAvgDelay | RoutingMetric::MinMaxDelay => -(t + delay_from_rate(rate)),
             RoutingMetric::MinMissedDeadlines { lifetime } => {
@@ -495,6 +481,53 @@ impl ContactExec<'_> {
                 }
             }
         }
+    }
+
+    /// The §3.4 scorer, shared by [`ContactExec::make_room`] and in-contact
+    /// eviction: fills `scored` with `(utility, id, size)` of every entry
+    /// of `queues` that `keep` admits, in ascending `(utility, id)` order —
+    /// lowest utility, the first to drop, at the front. Per delivery queue
+    /// that is one Eq. 4–5 row over the entries' queue positions (the
+    /// destination estimate, opportunity size and cap broadcast across
+    /// it), then the remote-belief fold per packet. `node`'s estimate
+    /// cache must be valid.
+    fn score_storage<'q>(
+        &self,
+        node: NodeId,
+        queues: impl Iterator<Item = (NodeId, &'q [QueueEntry])>,
+        keep: impl Fn(PacketId) -> bool,
+        now: Time,
+        row: &mut RateBatch,
+        scored: &mut Vec<(f64, PacketId, u64)>,
+    ) {
+        let state = self.states.state(node);
+        // Hard assert in every build: a stale estimate cache would not
+        // crash but silently misrank packets.
+        assert!(
+            state.est_valid,
+            "estimate cache must be built before utility queries"
+        );
+        let b_self = self.opp_bytes(node, node);
+        scored.clear();
+        for (dst, queue) in queues {
+            row.load_queue(queue);
+            row.compute(
+                state.est_cache[dst.index()],
+                b_self,
+                self.cfg.delay_cap_secs,
+            );
+            for (entry, &a_self) in queue.iter().zip(row.delays()) {
+                if keep(entry.id) {
+                    let rate = self.rate_from_a_self(node, entry.id, a_self);
+                    scored.push((
+                        self.utility_from_rate(rate, entry.created_at, now),
+                        entry.id,
+                        entry.size_bytes,
+                    ));
+                }
+            }
+        }
+        scored.sort_unstable_by(|a, b| cmp_utility_then_id((a.0, a.1), (b.0, b.1)));
     }
 
     /// §3.4 storage decision: the lowest-utility victims freeing `needed`
@@ -513,92 +546,8 @@ impl ContactExec<'_> {
         scratch: &mut ContactScratch,
     ) -> Vec<PacketId> {
         self.ensure_est_cache(node, &mut scratch.relax);
-        // Lazy re-sorting: reuse the node's sorted eviction order while no
-        // invalidation touched the cache (a dropped creation leaves the
-        // order valid for the next storage decision); rebuild it from
-        // cached rates — only dirty packets re-run Estimate Delay —
-        // otherwise.
-        let version = self.states.state(node).cache.version();
-        let reusable = self
-            .states
-            .state(node)
-            .evict_order
-            .as_ref()
-            .is_some_and(|o| o.version == version && o.now == now);
-        if !reusable {
-            let mut scored: Vec<(f64, PacketId, u64)> = Vec::with_capacity(buffer.len());
-            let b_self = self.opp_bytes(node, node);
-            let cap = self.cfg.delay_cap_secs;
-            // Batched refresh, one delivery queue at a time: a single
-            // cache-validity sweep per queue, then one kernel row over
-            // just the dirty packets' queue positions (the per-queue
-            // constants — destination estimate, opportunity size, cap —
-            // broadcast across the row), then the remote-belief folds.
-            // Valid entries are reused as-is (recomputation would be
-            // bit-identical; re-verified under `debug_assertions`).
-            for (dst, queue) in buffer.queues() {
-                {
-                    let state = self.states.state(node);
-                    let misses = state.cache.sweep_queue(
-                        dst,
-                        queue.iter().map(|q| q.id),
-                        &mut scratch.rate_row,
-                    );
-                    scratch.row_self.clear();
-                    if misses > 0 {
-                        let e_dst = state.est_cache[dst.index()];
-                        for (entry, hit) in queue.iter().zip(&scratch.rate_row) {
-                            if hit.is_none() {
-                                scratch.row_self.push(entry.bytes_ahead);
-                            }
-                        }
-                        scratch.row_self.compute(e_dst, b_self, cap);
-                    }
-                }
-                let mut fresh = scratch.row_self.delays().iter();
-                scratch.fresh_rates.clear();
-                for (entry, hit) in queue.iter().zip(&scratch.rate_row) {
-                    let p = packets.get(entry.id);
-                    let rate = match *hit {
-                        Some(rate) => {
-                            #[cfg(debug_assertions)]
-                            {
-                                let from_scratch = self.rate_with(node, &p, entry.bytes_ahead);
-                                debug_assert!(
-                                    rate.to_bits() == from_scratch.to_bits(),
-                                    "stale delay-cache entry for {} at {node}: \
-                                     cached {rate}, fresh {from_scratch}",
-                                    entry.id,
-                                );
-                            }
-                            rate
-                        }
-                        None => {
-                            let a_self = *fresh.next().expect("one row value per miss");
-                            let rate = self.rate_from_a_self(node, entry.id, a_self);
-                            scratch.fresh_rates.push((entry.id, rate));
-                            rate
-                        }
-                    };
-                    scored.push((
-                        self.utility_from_rate(rate, &p, now),
-                        entry.id,
-                        entry.size_bytes,
-                    ));
-                }
-                self.states
-                    .state_mut(node)
-                    .cache
-                    .put_row(dst, scratch.fresh_rates.drain(..));
-            }
-            // Lowest utility evicted first; id tiebreak for determinism.
-            scored.sort_unstable_by(|a, b| cmp_utility_then_id((a.0, a.1), (b.0, b.1)));
-            self.states.state_mut(node).evict_order = Some(EvictOrder {
-                version,
-                now,
-                order: scored.into_iter().map(|(_, id, size)| (id, size)).collect(),
-            });
-        }
+        let StorageScratch { row, scored, .. } = &mut scratch.storage;
+        self.score_storage(node, buffer.queues(), |_| true, now, row, scored);
 
         // §3.4 protects a source's own unacked packets from being displaced
         // by *incoming replicas*; when the incoming packet is the node's own
@@ -607,43 +556,29 @@ impl ContactExec<'_> {
         // every new packet at birth).
         let own_creation = incoming.src == node;
         let state = self.states.state(node);
-        let order = &state.evict_order.as_ref().expect("just ensured").order;
         let mut victims = Vec::new();
         let mut freed = 0u64;
-        for &(id, size) in order {
+        for &(_, id, size) in scored.iter() {
             if freed >= needed {
                 break;
             }
-            let p = packets.get(id);
-            if own_creation || p.src != node || state.acks.contains(id) {
+            if own_creation || packets.get(id).src != node || state.acks.contains(id) {
                 victims.push(id);
                 freed += size;
             }
         }
+        if freed < needed {
+            victims.clear();
+        }
 
         #[cfg(debug_assertions)]
-        self.assert_victims_match_reference(node, own_creation, needed, buffer, packets, now, {
-            if freed >= needed {
-                &victims
-            } else {
-                &[]
-            }
-        });
+        self.assert_victims_match_reference(node, incoming, needed, buffer, packets, now, &victims);
 
-        if freed >= needed {
-            for &v in &victims {
-                let dst = packets.get(v).dst;
-                let st = self.states.state_mut(node);
-                st.meta.remove_holder(v, node);
-                // The eviction changes this queue's positions and v's own
-                // remote-belief set: dirty both.
-                st.cache.touch_dst(dst);
-                st.cache.touch_packet(v);
-            }
-            victims
-        } else {
-            Vec::new()
+        let st = self.states.state_mut(node);
+        for &v in &victims {
+            st.meta.remove_holder(v, node);
         }
+        victims
     }
 }
 
@@ -696,25 +631,6 @@ impl QueueView<'_> {
         match *self {
             QueueView::Live(node) => InsertCursor::over(driver.buffer(node).queue(dst)),
             QueueView::Snap(snap) => snap.insert_cursor(dst),
-        }
-    }
-
-    /// Contact-start `b(i)` of a stored packet (overflow-eviction scoring).
-    fn bytes_ahead(
-        &self,
-        _driver: &ContactDriver<'_>,
-        dst: NodeId,
-        id: PacketId,
-        created_at: Time,
-    ) -> u64 {
-        match *self {
-            // Live views exist only for contacts where `NeedsSpace` is
-            // impossible (see `QueueView`), and this read only happens on
-            // the `NeedsSpace` eviction path.
-            QueueView::Live(_) => {
-                unreachable!("live queue view consulted for overflow eviction")
-            }
-            QueueView::Snap(snap) => snap.bytes_ahead(dst, id, created_at),
         }
     }
 }
@@ -864,31 +780,6 @@ impl Routing for Rapid {
         true
     }
 
-    fn on_packet_created(&mut self, packet: &Packet) {
-        // The source's delivery queue for this destination gained an entry.
-        let st = &mut self.states[packet.src.index()];
-        st.cache.touch_dst(packet.dst);
-        st.cache.touch_packet(packet.id);
-    }
-
-    fn on_packet_expired(&mut self, packet: &Packet) {
-        // The engine evicted every replica: any holder's queue for this
-        // destination may have changed. Holders are not tracked here, so
-        // dirty the destination at every node (cheap: one counter each).
-        for st in &mut self.states {
-            st.cache.touch_dst(packet.dst);
-            st.cache.touch_packet(packet.id);
-        }
-    }
-
-    fn on_node_up(&mut self, node: NodeId, _now: Time) {
-        self.states[node.index()].cache.invalidate_all();
-    }
-
-    fn on_node_down(&mut self, node: NodeId, _now: Time) {
-        self.states[node.index()].cache.invalidate_all();
-    }
-
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
         write_varint(&mut out, self.states.len() as u64);
@@ -925,11 +816,10 @@ impl Routing for Rapid {
     }
 }
 
-/// Appends one node's checkpointable belief state. Derived/caching fields
-/// (`est_cache`, `cache`, `evict_order`) are rebuilt empty on restore —
-/// they are lazily recomputed and never observed directly. All sparse maps
-/// iterate in ascending peer/slot order, so a save of a restored instance
-/// is byte-identical.
+/// Appends one node's checkpointable belief state. The derived `est_cache`
+/// is rebuilt empty on restore — it is lazily recomputed and never observed
+/// directly. All sparse maps iterate in ascending peer/slot order, so a save
+/// of a restored instance is byte-identical.
 fn encode_node_state(out: &mut Vec<u8>, st: &NodeState) {
     st.meetings.encode(out);
 
@@ -1069,12 +959,6 @@ struct RapidShardView<'a> {
     row_warned: &'a AtomicBool,
 }
 
-impl RapidShardView<'_> {
-    fn local_mut(&mut self, node: NodeId) -> &mut NodeState {
-        &mut self.states[node.index() - self.base]
-    }
-}
-
 impl Routing for RapidShardView<'_> {
     fn name(&self) -> String {
         "RAPID(shard-view)".into()
@@ -1121,25 +1005,6 @@ impl Routing for RapidShardView<'_> {
         };
         exec.make_room(node, incoming, needed, buffer, packets, now, self.scratch)
     }
-
-    fn on_packet_created(&mut self, packet: &Packet) {
-        let (dst, id) = (packet.dst, packet.id);
-        let st = self.local_mut(packet.src);
-        st.cache.touch_dst(dst);
-        st.cache.touch_packet(id);
-    }
-
-    fn on_packet_expired(&mut self, _packet: &Packet) {
-        unreachable!("TTL expiry is a barrier and runs on the coordinator instance")
-    }
-
-    fn on_node_up(&mut self, node: NodeId, _now: Time) {
-        self.local_mut(node).cache.invalidate_all();
-    }
-
-    fn on_node_down(&mut self, node: NodeId, _now: Time) {
-        self.local_mut(node).cache.invalidate_all();
-    }
 }
 
 impl ContactExec<'_> {
@@ -1159,10 +1024,6 @@ impl ContactExec<'_> {
             let avg = st.avg_opp.mean_or(0.0);
             st.believed_opp[x.index()] = (avg, now);
             st.est_valid = false;
-            // Node-level inputs (estimates, opportunity averages, and the
-            // rows/acks/beliefs about to be exchanged) change at a contact:
-            // one epoch bump invalidates every cached rate at this node.
-            st.cache.invalidate_all();
         }
 
         // --- Step 1: metadata exchange (in-band modes only).
@@ -1230,6 +1091,7 @@ impl ContactExec<'_> {
             relax,
             row_self,
             row_peer,
+            storage,
             ..
         } = scratch;
         self.fill_est(a, a, est_a, relax);
@@ -1284,6 +1146,7 @@ impl ContactExec<'_> {
             candidates,
             row_self,
             row_peer,
+            storage,
         );
         self.replicate_side(
             driver,
@@ -1298,6 +1161,7 @@ impl ContactExec<'_> {
             candidates,
             row_self,
             row_peer,
+            storage,
         );
 
         self.bound_meta(driver, a, b);
@@ -1375,6 +1239,7 @@ impl ContactExec<'_> {
         candidates: &mut Vec<Candidate>,
         row_self: &mut RateBatch,
         row_peer: &mut RateBatch,
+        storage: &mut StorageScratch,
     ) {
         let b_x = self.opp_bytes(x, x);
         let b_y = if self.is_global() {
@@ -1438,9 +1303,9 @@ impl ContactExec<'_> {
 
         sort_candidates(candidates, driver.remaining_bytes(x));
 
-        // Lazy eviction queue at the receiver: (utility, id, size),
-        // ascending utility; built on first NeedsSpace.
-        let mut evict_queue: Option<Vec<(f64, PacketId, u64)>> = None;
+        // The receiver's eviction queue (`storage.evict_queue`) is built
+        // on the first NeedsSpace.
+        let mut evict_queue_built = false;
 
         for cand in candidates.drain(..) {
             if driver.remaining_bytes(x) < cand.size {
@@ -1477,6 +1342,11 @@ impl ContactExec<'_> {
                         break;
                     }
                     TransferOutcome::NeedsSpace(needed) => {
+                        // Live views exist only for contacts where
+                        // `NeedsSpace` is impossible (see `QueueView`).
+                        let QueueView::Snap(snap_y) = snap_y else {
+                            unreachable!("live queue view consulted for overflow eviction")
+                        };
                         if !self.evict_for(
                             driver,
                             y,
@@ -1484,7 +1354,8 @@ impl ContactExec<'_> {
                             stored_this_contact,
                             snap_y,
                             now,
-                            &mut evict_queue,
+                            storage,
+                            &mut evict_queue_built,
                         ) {
                             break; // could not make room: skip candidate
                         }
@@ -1692,7 +1563,8 @@ impl ContactExec<'_> {
     /// Buffer-overflow policy at the receiving node: evict lowest-utility
     /// packets (never its own unacked source packets, never replicas stored
     /// during this contact) until `needed` bytes are free. Returns whether
-    /// enough space was freed.
+    /// enough space was freed. The eviction queue is built on the first
+    /// call of a replication side (`*built`) and consumed across the rest.
     #[allow(clippy::too_many_arguments)]
     fn evict_for(
         &mut self,
@@ -1700,50 +1572,51 @@ impl ContactExec<'_> {
         y: NodeId,
         needed: u64,
         stored_this_contact: &HashSet<PacketId>,
-        snap_y: QueueView<'_>,
+        snap_y: &QueueSnapshot,
         now: Time,
-        queue: &mut Option<Vec<(f64, PacketId, u64)>>,
+        storage: &mut StorageScratch,
+        built: &mut bool,
     ) -> bool {
-        if queue.is_none() {
-            let mut scored: Vec<(bool, f64, PacketId, u64)> = Vec::new();
-            for (id, _) in driver.buffer(y).iter() {
-                if stored_this_contact.contains(&id) {
-                    continue;
-                }
-                let p = driver.packets().get(id);
-                // §3.4's own-packet protection, applied as a strict
-                // preference: a node's own unacked packets are evicted
-                // only after every other packet is gone.
-                let own_unacked = p.src == y && !self.states.state(y).acks.contains(id);
-                // Scored against the contact-start snapshot, like every
-                // other in-contact decision (not the live, mid-contact
-                // queue) — which is why this path bypasses the rate cache.
-                let rate =
-                    self.rate_with(y, &p, snap_y.bytes_ahead(driver, p.dst, id, p.created_at));
-                scored.push((
-                    own_unacked,
-                    self.utility_from_rate(rate, &p, now),
-                    id,
-                    p.size_bytes,
-                ));
-            }
-            // Pop order (from the back): non-own lowest-utility first,
-            // own-unacked packets last of all.
-            scored.sort_unstable_by(|a, b| {
-                b.0.cmp(&a.0)
-                    .then(cmp_utility_then_id((b.1, b.2), (a.1, a.2)))
-            });
-            *queue = Some(
-                scored
-                    .into_iter()
-                    .map(|(_, u, id, size)| (u, id, size))
-                    .collect(),
+        let StorageScratch {
+            row,
+            scored,
+            evict_queue,
+        } = storage;
+        if !*built {
+            *built = true;
+            // Scored against the contact-start snapshot, like every other
+            // in-contact decision (not the live, mid-contact queue): every
+            // packet still buffered that was not stored during this contact
+            // is in it.
+            let buffer = driver.buffer(y);
+            self.score_storage(
+                y,
+                snap_y.queues(),
+                |id| buffer.contains(id) && !stored_this_contact.contains(&id),
+                now,
+                row,
+                scored,
             );
+            // §3.4's own-packet protection, applied as a strict
+            // preference: a node's own unacked packets are evicted only
+            // after every other packet is gone.
+            let acks = &self.states.state(y).acks;
+            let own_unacked =
+                |id: PacketId| driver.packets().get(id).src == y && !acks.contains(id);
+            evict_queue.clear();
+            for own in [true, false] {
+                evict_queue.extend(
+                    scored
+                        .iter()
+                        .rev()
+                        .filter(|&&(_, id, _)| own_unacked(id) == own)
+                        .map(|&(_, id, size)| (id, size)),
+                );
+            }
         }
-        let q = queue.as_mut().expect("just built");
         let mut freed = 0u64;
         while freed < needed {
-            let Some((_, victim, size)) = q.pop() else {
+            let Some((victim, size)) = evict_queue.pop() else {
                 return false; // nothing evictable left
             };
             if driver.evict(y, victim) {
@@ -1754,23 +1627,41 @@ impl ContactExec<'_> {
         true
     }
 
-    /// Debug-build oracle for `make_room`: recomputes the victim choice
-    /// from scratch — fresh Estimate Delay per packet, filter, full sort —
-    /// and asserts the cached/lazily-sorted path chose identically. This is
-    /// what gives the cache-consistency property tests their teeth: any
-    /// missed invalidation shows up as a divergence here.
+    /// Debug-build oracle for `make_room`: asserts the batched scorer
+    /// chose the victims of [`ContactExec::reference_victims`].
     #[cfg(debug_assertions)]
     #[allow(clippy::too_many_arguments)]
     fn assert_victims_match_reference(
         &self,
         node: NodeId,
-        own_creation: bool,
+        incoming: &Packet,
         needed: u64,
         buffer: &NodeBuffer,
         packets: &PacketStore,
         now: Time,
         got: &[PacketId],
     ) {
+        debug_assert_eq!(
+            got,
+            self.reference_victims(node, incoming, needed, buffer, packets, now),
+            "make_room diverged from the from-scratch scalar reference at {node}"
+        );
+    }
+
+    /// The obviously-correct `make_room`: one scalar Estimate Delay
+    /// ([`ContactExec::rate_with`]) per buffered packet, the §3.4 filter,
+    /// a full sort.
+    #[cfg(any(debug_assertions, test))]
+    fn reference_victims(
+        &self,
+        node: NodeId,
+        incoming: &Packet,
+        needed: u64,
+        buffer: &NodeBuffer,
+        packets: &PacketStore,
+        now: Time,
+    ) -> Vec<PacketId> {
+        let own_creation = incoming.src == node;
         let state = self.states.state(node);
         let mut scored: Vec<(f64, PacketId, u64)> = buffer
             .iter()
@@ -1783,26 +1674,27 @@ impl ContactExec<'_> {
             .map(|(id, meta)| {
                 let p = packets.get(id);
                 let rate = self.rate_with(node, &p, buffer.bytes_ahead(p.dst, id, p.created_at));
-                (self.utility_from_rate(rate, &p, now), id, meta.size_bytes)
+                (
+                    self.utility_from_rate(rate, p.created_at, now),
+                    id,
+                    meta.size_bytes,
+                )
             })
             .collect();
         scored.sort_unstable_by(|a, b| cmp_utility_then_id((a.0, a.1), (b.0, b.1)));
-        let mut expect = Vec::new();
+        let mut victims = Vec::new();
         let mut freed = 0u64;
         for (_, id, size) in scored {
             if freed >= needed {
                 break;
             }
-            expect.push(id);
+            victims.push(id);
             freed += size;
         }
         if freed < needed {
-            expect.clear();
+            victims.clear();
         }
-        debug_assert_eq!(
-            got, expect,
-            "incremental make_room diverged from the from-scratch reference at {node}"
-        );
+        victims
     }
 
     /// Refreshes this node's own delay estimate for a packet in the gossip
@@ -2435,6 +2327,113 @@ mod tests {
             .collect();
         assert!(delivered[0], "own packet survived eviction and delivered");
         assert!(delivered[2], "incoming replica stored and delivered");
+    }
+
+    /// RAPID behind a probe that answers every `make_room` twice: by an
+    /// explicit call of the scalar reference first, then by the protocol.
+    struct Checked {
+        rapid: Rapid,
+        /// `(needed, victims)` per storage decision, in call order.
+        decisions: Vec<(u64, Vec<PacketId>)>,
+        dropped: Vec<PacketId>,
+    }
+
+    impl Routing for Checked {
+        fn name(&self) -> String {
+            self.rapid.name()
+        }
+        fn on_init(&mut self, config: &SimConfig) {
+            self.rapid.on_init(config);
+        }
+        fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
+            self.rapid.on_contact(driver);
+        }
+        fn on_creation_dropped(&mut self, packet: &Packet) {
+            self.dropped.push(packet.id);
+        }
+        fn make_room(
+            &mut self,
+            node: NodeId,
+            incoming: &Packet,
+            needed: u64,
+            buffer: &NodeBuffer,
+            packets: &PacketStore,
+            now: Time,
+        ) -> Vec<PacketId> {
+            let rapid = &mut self.rapid;
+            let mut exec = ContactExec {
+                cfg: &rapid.cfg,
+                n: rapid.states.len(),
+                states: StatePair::Full(&mut rapid.states),
+                row_warned: &rapid.row_warned,
+            };
+            exec.ensure_est_cache(node, &mut Vec::new());
+            let expect = exec.reference_victims(node, incoming, needed, buffer, packets, now);
+            let got = rapid.make_room(node, incoming, needed, buffer, packets, now);
+            assert_eq!(
+                got, expect,
+                "storage decision for {} at {node}",
+                incoming.id
+            );
+            self.decisions.push((needed, got.clone()));
+            got
+        }
+    }
+
+    #[test]
+    fn same_instant_creation_burst_matches_the_reference_scorer() {
+        // Node 0 (room for three 1 KB packets) has met 1 twice and 2 once,
+        // and heard 1's row, so its estimates differ per destination: 1 is
+        // a direct average, 2 a two-hop one, 3 unreachable. Three packets
+        // fill the buffer; at t=100 a burst of four more arrives in one
+        // instant — the third too large for the whole buffer, so it drops
+        // and leaves the node's state as the second left it.
+        let cfg = SimConfig {
+            nodes: 4,
+            buffer_capacity: 3 * 1024,
+            horizon: Time::from_secs(1_000),
+            ..SimConfig::default()
+        };
+        let sized = |t, dst, size_bytes| PacketSpec {
+            size_bytes,
+            ..spec(t, 0, dst)
+        };
+        let sim = Simulation::new(
+            cfg,
+            Schedule::new(vec![
+                contact(5, 1, 2, 1 << 20),
+                contact(25, 1, 2, 1 << 20),
+                contact(30, 0, 1, 0),
+                contact(60, 0, 1, 0),
+                contact(70, 0, 2, 0),
+            ]),
+            Workload::new(vec![
+                spec(80, 0, 1),
+                spec(85, 0, 3),
+                spec(90, 0, 2),
+                spec(100, 0, 2),
+                spec(100, 0, 1),
+                sized(100, 3, 4 * 1024),
+                spec(100, 0, 3),
+            ]),
+        );
+        let mut probe = Checked {
+            rapid: Rapid::new(RapidConfig::avg_delay()),
+            decisions: Vec::new(),
+            dropped: Vec::new(),
+        };
+        sim.run(&mut probe);
+        assert_eq!(probe.dropped, [PacketId(5)], "the oversized creation");
+        let needed: Vec<u64> = probe.decisions.iter().map(|d| d.0).collect();
+        assert_eq!(needed, [1024, 1024, 4096, 1024]);
+        let victims: Vec<usize> = probe.decisions.iter().map(|d| d.1.len()).collect();
+        assert_eq!(
+            victims,
+            [1, 1, 0, 1],
+            "one eviction each, none for the drop"
+        );
+        // The unreachable destination's packet is the least useful replica.
+        assert_eq!(probe.decisions[0].1, [PacketId(1)]);
     }
 
     #[test]

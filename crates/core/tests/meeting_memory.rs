@@ -3,6 +3,8 @@
 //! bounds sit an order of magnitude below what dense `n × n` meeting rows
 //! cost (134 MB for one 4096-node view, 8 GB for a 1000-node fleet), so
 //! reintroducing a per-node matrix fails here long before a benchmark run.
+//! The fleet bound is the measured peak + 25 %: four more dense 8-byte
+//! per-peer vectors (8 MB each at 1000 nodes) would trip it too.
 //!
 //! One test only: the counters are process-global, and a sibling test's
 //! allocations would pollute the measurement.
@@ -104,9 +106,11 @@ fn meeting_state_stays_far_below_dense_rows() {
         report.metadata_bytes > 5000 * 12 * NODES as u64,
         "meeting rows must actually have shipped"
     );
+    // Measured 123.3 MB (117.6 MiB, debug and release alike); the bound is
+    // that + 25 %.
     assert!(
-        peak < 256 << 20,
-        "1000-node RAPID peaked at {} MB of live heap; dense rows would be 8 GB",
+        peak < 147 << 20,
+        "1000-node RAPID peaked at {} MiB of live heap; dense rows would be 8 GB",
         peak >> 20
     );
 }

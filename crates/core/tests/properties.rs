@@ -1,6 +1,6 @@
 //! Property tests for RAPID's inference machinery: the monotonicity and
 //! consistency facts the selection algorithm silently relies on, and the
-//! incremental delay cache's agreement with from-scratch recomputation.
+//! storage decisions' agreement with their from-scratch scalar reference.
 
 use dtn_sim::workload::{PacketSpec, Workload};
 use dtn_sim::{
@@ -100,19 +100,18 @@ proptest! {
         }
     }
 
-    // --- Incremental delay cache vs from-scratch recomputation ------------
+    // --- Storage decisions vs the from-scratch scalar reference -----------
     //
-    // `protocol.rs` carries two debug-build oracles: every rate-cache hit
-    // is re-verified bitwise against a fresh Eq. 4–9 computation, and every
-    // `make_room` decision (including the lazily re-sorted eviction order)
-    // is compared against a full filter→score→sort reference. Driving RAPID
-    // through proptest-chosen scenarios — tight buffers forcing storage
+    // In debug builds `protocol.rs` compares every `make_room` decision —
+    // batched Eq. 4–5 rows, one sort, the §3.4 own-packet filter — against
+    // a per-packet scalar filter→score→sort reference. Driving RAPID
+    // through proptest-chosen scenarios (tight buffers forcing storage
     // evictions, transfers and deliveries at contacts, TTL expiry, node
-    // churn — therefore *is* the cache-consistency property: any missed
-    // invalidation panics the run. Determinism across two runs is asserted
-    // on top.
+    // churn) therefore checks the batched scorer on each of them: any
+    // divergence panics the run. Two runs of one scenario must also
+    // produce equal reports.
     #[test]
-    fn delay_cache_matches_from_scratch_recomputation(
+    fn storage_decisions_match_reference_and_runs_repeat(
         contacts in prop::collection::vec((0u16..400, 0u8..5, 0u8..5, 256u16..4096), 1..30),
         specs in prop::collection::vec((0u16..400, 0u8..5, 0u8..5), 1..40),
         capacity in 1024u64..6_000,
@@ -177,7 +176,7 @@ proptest! {
         };
         let r1 = build().run(&mut Rapid::new(rapid_config));
         let r2 = build().run(&mut Rapid::new(rapid_config));
-        prop_assert_eq!(r1, r2, "cached and re-run reports must agree");
+        prop_assert_eq!(r1, r2, "a re-run must reproduce the report");
     }
 
     #[test]

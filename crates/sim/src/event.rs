@@ -104,29 +104,14 @@ impl PartialOrd for Queued {
     }
 }
 
-/// Deterministic event queue keyed by `(time, rank, insertion order)`.
-///
-/// Engine runs are seed-heavy: the whole schedule and workload are pushed
-/// up front, then drained, with only a few events (TTL expiries) scheduled
-/// dynamically. The queue exploits that shape: everything pushed before
-/// the first pop becomes a *backbone* — stable-sorted once by
-/// `(time, rank)` (stability preserves FIFO insertion order, so the sort
-/// realizes exactly the `(time, rank, seq)` total order) and then drained
-/// by cursor in O(1) per event. Events pushed after draining starts go to
-/// a small overlay heap; `pop` takes the smaller of the two fronts. The
-/// drain order is identical to a single priority queue over
-/// `(time, rank, seq)` — the backbone holds strictly smaller `seq`s than
-/// any overlay event, so equal `(time, rank)` keys drain backbone-first,
-/// which is FIFO.
+/// Deterministic event queue keyed by `(time, rank, insertion order)`: a
+/// binary heap over the `(time, rank, seq)` total order, `seq` being the
+/// push count. The scan seeds it with churn only and pulls contacts and
+/// creations from its sources, so the queue holds what is scheduled while
+/// draining — window ends and TTL expiries — a few thousand events at most.
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue {
-    /// Seed events; sorted at first pop, then immutable. `cursor` marks
-    /// the drain position.
-    backbone: Vec<Queued>,
-    cursor: usize,
-    sorted: bool,
-    /// Events scheduled after draining began (e.g. TTL expiries).
-    overlay: BinaryHeap<Queued>,
+    heap: BinaryHeap<Queued>,
     seq: u64,
 }
 
@@ -138,61 +123,27 @@ impl EventQueue {
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: Time, event: SimEvent) {
-        let queued = Queued {
+        self.heap.push(Queued {
             time,
             rank: event.rank(),
             seq: self.seq,
             event,
-        };
+        });
         self.seq += 1;
-        if self.sorted {
-            self.overlay.push(queued);
-        } else {
-            self.backbone.push(queued);
-        }
     }
 
     /// The `(time, rank)` key of the earliest pending event, without
     /// removing it. The streaming engine merges the queue against its
     /// pull-based sources on exactly this key (ranks are disjoint across
     /// the merged streams, so `(time, rank)` is decisive).
-    pub fn peek_key(&mut self) -> Option<(Time, u8)> {
-        self.sort_backbone();
-        let backbone = self.backbone.get(self.cursor).map(|q| (q.time, q.rank));
-        let overlay = self.overlay.peek().map(|q| (q.time, q.rank));
-        match (backbone, overlay) {
-            (Some(b), Some(o)) => Some(b.min(o)),
-            (b, o) => b.or(o),
-        }
+    pub fn peek_key(&self) -> Option<(Time, u8)> {
+        self.heap.peek().map(|q| (q.time, q.rank))
     }
 
     /// Removes and returns the earliest event (ties broken by rank, then
     /// insertion order).
     pub fn pop(&mut self) -> Option<(Time, SimEvent)> {
-        self.sort_backbone();
-        let backbone_next = self.backbone.get(self.cursor);
-        let take_overlay = match (backbone_next, self.overlay.peek()) {
-            (Some(b), Some(o)) => (o.time, o.rank, o.seq) < (b.time, b.rank, b.seq),
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        if take_overlay {
-            self.overlay.pop().map(|q| (q.time, q.event))
-        } else {
-            backbone_next.map(|q| {
-                self.cursor += 1;
-                (q.time, q.event)
-            })
-        }
-    }
-
-    /// Sorts the seed backbone on first access (see the type docs).
-    fn sort_backbone(&mut self) {
-        if !self.sorted {
-            // Stable by construction: equal (time, rank) keep push order.
-            self.backbone.sort_by_key(|q| (q.time, q.rank));
-            self.sorted = true;
-        }
+        self.heap.pop().map(|q| (q.time, q.event))
     }
 
     /// Every pending event in drain order, without consuming the queue —
@@ -201,8 +152,9 @@ impl EventQueue {
     /// drain order (`seq` values are renumbered but their relative order,
     /// which is all the total order consumes, is preserved).
     pub fn snapshot_events(&self) -> Vec<(Time, SimEvent)> {
-        let mut scratch = self.clone();
-        std::iter::from_fn(|| scratch.pop()).collect()
+        // Ascending `Ord` is latest-first (see `Queued`): reverse to drain order.
+        let sorted = self.heap.clone().into_sorted_vec();
+        sorted.iter().rev().map(|q| (q.time, q.event)).collect()
     }
 
     /// Rebuilds a queue from [`EventQueue::snapshot_events`] output. The
@@ -219,12 +171,12 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.backbone.len() - self.cursor + self.overlay.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 

@@ -48,7 +48,7 @@
 //!   epoch that executes the creation; the coordinator reads it (TTL
 //!   expiry, snapshots) only between epochs.
 //! * **Holder sets** — shards never mutate the shared holder table;
-//!   drives and creations log [`HolderOp`]s, applied in shard order after
+//!   drives and creations log `HolderOp`s, applied in shard order after
 //!   every epoch. All ops for a fixed `(packet, node)`
 //!   pair originate from `node`'s own shard (in queue order), so the
 //!   final state per pair — the only thing later barriers observe — is
