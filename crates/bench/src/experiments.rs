@@ -11,10 +11,13 @@ use crate::proto::Proto;
 use crate::runner::run_spec;
 use crate::trace_exp::{TraceLab, WARMUP_DAYS};
 use crate::tsv::{f, Tsv};
-use crate::{days_per_point, env_u64, parallel_map, root_seed, runs_per_point, Mobility};
+use crate::{days_per_point, fig3_days, parallel_map, root_seed, runs_per_point, Mobility};
 use dtn_sim::workload::{merge, parallel_burst};
 use dtn_sim::{NoiseModel, TimeDelta};
 use std::collections::BTreeMap;
+
+/// Days of the paper's deployment (§5.2, Table 3).
+const DEPLOY_DAYS: u32 = 58;
 
 /// Table 3: daily statistics of the deployed system (§5.2) — the
 /// deployment-emulation run: default load (4 packets/hour from each bus to
@@ -22,12 +25,11 @@ use std::collections::BTreeMap;
 pub fn table3() {
     let mut tsv = Tsv::new("table3");
     tsv.comment("Table 3: deployment daily averages (synthetic DieselNet, noise model on)");
-    let days = env_u64("RAPID_DEPLOY_DAYS", 58) as u32;
-    tsv.comment(&format!("days = {days}, seed = {}", root_seed()));
+    tsv.comment(&format!("days = {DEPLOY_DAYS}, seed = {}", root_seed()));
 
     let lab = TraceLab::deployment(root_seed());
     let noise = Some(NoiseModel::deployment_default());
-    let rows = parallel_map(days as usize, |d| {
+    let rows = parallel_map(DEPLOY_DAYS as usize, |d| {
         let spec = lab.day_spec(WARMUP_DAYS + d as u32, 4.0, 0, noise);
         let buses = lab
             .fleet()
@@ -77,7 +79,7 @@ pub fn table3() {
 /// (mean of `RAPID_RUNS` workload draws with a 95% CI).
 pub fn fig03() {
     let mut tsv = Tsv::new("fig03");
-    let days = env_u64("RAPID_FIG3_DAYS", 20) as u32;
+    let days = fig3_days();
     let runs = runs_per_point();
     tsv.comment("Fig. 3: real (deployment emulation) vs simulation avg delay per day");
     tsv.comment(&format!(
@@ -275,7 +277,7 @@ pub fn fig13() {
             .sum::<f64>()
             / n
             / 60.0;
-        tsv.row::<&str>(&[]);
+        tsv.blank();
         tsv.row(&[f(load), "Optimal-LB".into(), f(lb)]);
         tsv.row(&[f(load), "Optimal-Feasible".into(), f(fs)]);
 

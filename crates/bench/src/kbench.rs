@@ -3,10 +3,9 @@
 //! Times [`RateBatch::compute`] + [`RateBatch::combined_rate`] over a
 //! fixed pseudo-random queue, per kernel — the isolated cost of one
 //! per-destination row sweep, the inner loop of both `make_room` rate
-//! refreshes and `replicate_side` candidate scoring. The `kernel_bench`
-//! binary reports scalar vs. detected-SIMD side by side; `bench_smoke`
-//! gates the detected kernel's wall time against the committed
-//! `BENCH_pr7.json` baseline.
+//! refreshes and `replicate_side` candidate scoring. The benchmark of
+//! record (`benchmark/`) calls [`measure_rows_stats`] once per kernel for
+//! its `core.kernel.ns_per_row` / `scalar_ns_per_row` probes.
 
 use rapid_core::{Kernel, RateBatch};
 use std::time::Instant;
@@ -28,18 +27,12 @@ pub fn queue_bytes(len: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Best-of-`repeats` wall milliseconds for `iters` full row sweeps
-/// (compute + deterministic rate reduction) of a `len`-entry queue on
-/// `kernel`. Returns `(min_ms, checksum)` — the checksum defeats
-/// dead-code elimination and doubles as a cross-kernel agreement check
-/// (bitwise-identical kernels produce bitwise-identical sums).
-pub fn measure_rows(kernel: Kernel, len: usize, iters: u64, repeats: u64) -> (f64, f64) {
-    let (min_ms, _, checksum) = measure_rows_stats(kernel, len, iters, repeats);
-    (min_ms, checksum)
-}
-
-/// [`measure_rows`] with the per-repeat mean alongside the min — the
-/// smoke gate reports both. Returns `(min_ms, mean_ms, checksum)`.
+/// Wall milliseconds for `iters` full row sweeps (compute +
+/// deterministic rate reduction) of a `len`-entry queue on `kernel`,
+/// over `repeats` timed repeats. Returns `(min_ms, mean_ms, checksum)` —
+/// the checksum defeats dead-code elimination and doubles as a
+/// cross-kernel agreement check (bitwise-identical kernels produce
+/// bitwise-identical sums).
 pub fn measure_rows_stats(kernel: Kernel, len: usize, iters: u64, repeats: u64) -> (f64, f64, f64) {
     let bytes = queue_bytes(len, 7);
     let mut batch = RateBatch::new(kernel);
@@ -78,9 +71,9 @@ mod tests {
 
     #[test]
     fn kernels_agree_on_the_bench_checksum() {
-        let (_, scalar_sum) = measure_rows(Kernel::Scalar, 256, 3, 1);
+        let (_, _, scalar_sum) = measure_rows_stats(Kernel::Scalar, 256, 3, 1);
         let detected = Kernel::detect();
-        let (_, detected_sum) = measure_rows(detected, 256, 3, 1);
+        let (_, _, detected_sum) = measure_rows_stats(detected, 256, 3, 1);
         assert_eq!(
             scalar_sum.to_bits(),
             detected_sum.to_bits(),

@@ -18,7 +18,8 @@
 //! Environment knobs (all optional):
 //!
 //! * `RAPID_DAYS` — trace days averaged per data point (default 8;
-//!   the deployment experiments always use 58).
+//!   Table 3 always uses the paper's 58, Fig. 3 has `RAPID_FIG3_DAYS`,
+//!   default 20).
 //! * `RAPID_RUNS` — synthetic-mobility runs per data point (default 5).
 //! * `RAPID_SEED` — root experiment seed (default 7).
 //! * `RAPID_JOBS` — worker threads (default: available parallelism;
@@ -56,14 +57,39 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     dtn_sim::env::u64_from_env(name, default)
 }
 
-/// Trace days per data point (deployment experiments override this).
-pub fn days_per_point() -> u32 {
-    env_u64("RAPID_DAYS", 8) as u32
+/// Parses a count knob that sizes an average — days or runs per data
+/// point: a positive integer, nothing else. `0` is an error, not "no
+/// data": a zero-sample point would print NaN rows or index an empty
+/// sample.
+fn parse_count(name: &str, value: &str) -> Result<u32, String> {
+    match value.trim().parse::<u32>() {
+        Ok(v) if v >= 1 => Ok(v),
+        _ => Err(format!(
+            "invalid {name} value {value:?}: expected a positive integer"
+        )),
+    }
 }
 
-/// Synthetic runs per data point.
+/// Reads a count knob through [`parse_count`]; unset yields `default`,
+/// anything else aborts naming the knob.
+fn count_from_env(name: &str, default: u32) -> u32 {
+    dtn_sim::from_env_or(name, default, |v| parse_count(name, v))
+}
+
+/// Trace days per data point (`RAPID_DAYS`; the deployment experiments
+/// use their own day counts).
+pub fn days_per_point() -> u32 {
+    count_from_env("RAPID_DAYS", 8)
+}
+
+/// Synthetic runs per data point (`RAPID_RUNS`).
 pub fn runs_per_point() -> u32 {
-    env_u64("RAPID_RUNS", 5) as u32
+    count_from_env("RAPID_RUNS", 5)
+}
+
+/// Days of the Fig. 3 validation series (`RAPID_FIG3_DAYS`).
+pub fn fig3_days() -> u32 {
+    count_from_env("RAPID_FIG3_DAYS", 20)
 }
 
 /// Root experiment seed.
@@ -73,8 +99,39 @@ pub fn root_seed() -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::parse_count;
+
     #[test]
     fn env_defaults() {
         assert_eq!(super::env_u64("RAPID_THIS_IS_UNSET_XYZ", 42), 42);
+    }
+
+    /// Process-env mutation races the parallel test runner, so each knob
+    /// is checked through the pure parser its reader delegates to.
+    fn rejects_zero_and_garbage(knob: &str) {
+        assert_eq!(parse_count(knob, "1"), Ok(1));
+        assert_eq!(parse_count(knob, " 58 "), Ok(58));
+        for bad in ["0", "", "-1", "1.5", "two", "4294967296"] {
+            let err = parse_count(knob, bad).expect_err(bad);
+            assert!(
+                err.contains(knob) && err.contains("positive integer"),
+                "{bad:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn rapid_days_must_be_positive() {
+        rejects_zero_and_garbage("RAPID_DAYS");
+    }
+
+    #[test]
+    fn rapid_runs_must_be_positive() {
+        rejects_zero_and_garbage("RAPID_RUNS");
+    }
+
+    #[test]
+    fn rapid_fig3_days_must_be_positive() {
+        rejects_zero_and_garbage("RAPID_FIG3_DAYS");
     }
 }

@@ -168,7 +168,7 @@ pub const PLANS: &[ExperimentPlan] = &[
     ExperimentPlan {
         id: "scale",
         title: "Scale family: 100k-node streamed fleet, bounded-memory proof",
-        axes: "RAPID_SCALE_RUNS streamed (or materialized) runs",
+        axes: "one streamed run",
         columns: &[
             "mode",
             "run",
@@ -185,7 +185,7 @@ pub const PLANS: &[ExperimentPlan] = &[
     ExperimentPlan {
         id: "scale_compressed",
         title: "Compressed scale family: periodic-atom plan, lazy expansion, flat memory",
-        axes: "RAPID_SCALE_RUNS compressed (or materialized) runs",
+        axes: "one run x RAPID_SCALE_MODE {compressed, materialized}",
         columns: &[
             "mode",
             "run",
@@ -208,7 +208,7 @@ pub const PLANS: &[ExperimentPlan] = &[
         id: "scale_sharded",
         title:
             "Sharded scale family: regional fleet, per-shard event loops, conservative sync horizon",
-        axes: "RAPID_SCALE_RUNS runs x RAPID_SHARDS partitioned event loops x RAPID_SCALE_PROTO {random, rapid}",
+        axes: "one run x RAPID_SHARDS partitioned event loops x RAPID_SCALE_PROTO {random, rapid}",
         columns: &[
             "run",
             "nodes",

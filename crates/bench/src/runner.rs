@@ -203,8 +203,14 @@ pub struct RunSpec {
 /// the serial engine — same report, one event loop — with a one-shot
 /// warning naming the protocol and the reason (no silent fallback).
 pub fn run_spec(spec: &RunSpec, proto: Proto) -> SimReport {
-    let shards = dtn_sim::clamp_shards(dtn_sim::shards_from_env(), spec.nodes);
-    run_spec_on(spec, proto, &Partition::even(spec.nodes, shards)).0
+    run_spec_on(spec, proto, &env_partition(spec.nodes)).0
+}
+
+/// The even partition of `nodes` into `RAPID_SHARDS` shards (clamped to
+/// the node count).
+pub(crate) fn env_partition(nodes: usize) -> Partition {
+    let shards = dtn_sim::clamp_shards(dtn_sim::shards_from_env(), nodes);
+    Partition::even(nodes, shards)
 }
 
 /// The engine [`SimConfig`] for one job (shared by the direct and the

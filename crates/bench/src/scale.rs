@@ -4,28 +4,49 @@
 //! Defaults: 100 000 nodes and ≈1.2 million contact windows drawn from the
 //! sparse [`ScaleFleet`] generator — the windows are pulled straight into
 //! the engine and dropped after being driven, so the full contact plan
-//! never exists in memory. `RAPID_SCALE_MODE=materialized` runs the same
-//! scenario the old way (collect into a `Schedule`/`Workload` first) for
-//! an apples-to-apples wall-clock / peak-RSS comparison (recorded in
-//! `BENCH_pr4.json`).
+//! never exists in memory. Three registered plans share one measure loop
+//! (reset peak RSS → build the run → time it → read the peak → row):
+//! `scale` (per-window stream), `scale_compressed` (periodic-atom plan,
+//! lazy or — `RAPID_SCALE_MODE=materialized` — expanded up front) and
+//! `scale_sharded` (regional fleet under `RAPID_SHARDS`).
 //!
 //! Knobs (all env): `RAPID_SCALE_NODES`, `RAPID_SCALE_WINDOWS`,
-//! `RAPID_SCALE_PACKETS`, `RAPID_SCALE_HORIZON_S`, `RAPID_SCALE_RUNS`,
-//! `RAPID_SCALE_MODE` (`streamed` | `materialized`), and
-//! `RAPID_SCALE_MAX_RSS_MB` (> 0 ⇒ exit 1 if peak RSS exceeds the bound —
-//! the CI memory check).
+//! `RAPID_SCALE_PACKETS`, `RAPID_SCALE_HORIZON_S`, `RAPID_SCALE_MODE`
+//! (`scale_compressed` only: `compressed` | `materialized`),
+//! `RAPID_SCALE_PROTO` (`scale_sharded` only: `random` | `rapid`) and
+//! `RAPID_SCALE_MAX_RSS_MB` (> 0 ⇒ the plan fails if peak RSS exceeds the
+//! bound — the CI memory check).
 
 use crate::proto::Proto;
-use crate::runner::{run_spec, run_spec_on, ContactsSpec, PacketsSpec, RunSpec};
+use crate::runner::{env_partition, run_spec_on, ContactsSpec, PacketsSpec, RunSpec};
 use crate::tsv::{f, Tsv};
 use crate::{env_u64, registry, root_seed};
 use dtn_mobility::{RegionalFleet, ScaleFleet};
-use dtn_sim::{CompiledPlan, Time, TimeDelta};
+use dtn_sim::{CompiledPlan, Partition, ShardStats, Time, TimeDelta};
 use dtn_stats::{Extrema, ShardSlots, StreamingMean};
 use std::sync::Arc;
 
 /// Packet size (matches the rest of the harness: 1 KB).
 pub const PACKET_BYTES: u64 = 1024;
+
+/// Hub gateways user traffic is addressed to.
+const HUBS: usize = 64;
+
+/// Expected windows per periodic route of the compressed plans: one atom
+/// per ~200 windows keeps the plan a few thousandths the size of its
+/// expansion.
+const WINDOWS_PER_ROUTE: u64 = 200;
+
+/// Contiguous regions of the `scale_sharded` fleet; shard boundaries fall
+/// on region boundaries.
+const REGIONS: usize = 64;
+
+/// Share of `scale_sharded` meetings that stay inside one region; the
+/// rest ride the gateway backbone.
+const LOCALITY: f64 = 0.95;
+
+/// Measured runs per plan invocation (the `run` column).
+const RUNS: u32 = 1;
 
 /// The scale laboratory: a sparse fleet plus workload/buffer calibration.
 #[derive(Debug, Clone, Copy)]
@@ -47,14 +68,12 @@ pub struct ScaleLab {
 impl ScaleLab {
     /// Defaults (overridable via the `RAPID_SCALE_*` env knobs): 100k
     /// nodes, 1.2M expected windows, 50k packets over a 2-hour horizon,
-    /// user-to-gateway traffic toward 64 hubs (`RAPID_SCALE_HUBS=0` for
-    /// uniform pairs).
+    /// user-to-gateway traffic toward 64 hubs.
     pub fn from_env(seed: u64) -> Self {
         let nodes = env_u64("RAPID_SCALE_NODES", 100_000) as usize;
         let windows = env_u64("RAPID_SCALE_WINDOWS", 1_200_000);
         let packets = env_u64("RAPID_SCALE_PACKETS", 50_000);
         let horizon = Time::from_secs(env_u64("RAPID_SCALE_HORIZON_S", 7200));
-        let hubs = env_u64("RAPID_SCALE_HUBS", 64) as usize;
         // Calibration note: once the schedule itself streams, peak memory
         // and wall time are made of *world state* — replica metadata,
         // holder lists, full buffers. The small per-contact opportunity
@@ -70,7 +89,7 @@ impl ScaleLab {
                 opportunity_bytes: 2 * 1024,
                 contact_duration: TimeDelta::ZERO,
                 horizon,
-                hubs: hubs.min(nodes),
+                hubs: HUBS.min(nodes),
                 hub_bias: 0.3,
             },
             packets,
@@ -104,22 +123,9 @@ impl ScaleLab {
         }
     }
 
-    /// The same run with the scenario materialized up front — the
-    /// pre-streaming pipeline, kept for the baseline comparison.
-    pub fn spec_materialized(&self, run: u32) -> RunSpec {
-        let streamed = self.spec(run);
-        RunSpec {
-            contacts: ContactsSpec::shared(streamed.contacts.materialize()),
-            packets: PacketsSpec::shared(streamed.packets.materialize()),
-            ..streamed
-        }
-    }
-
-    /// Route count for the compressed family: `RAPID_SCALE_ROUTES`, default
-    /// one periodic route per ~200 windows (so the plan is a few thousandths
-    /// the size of its expansion at the default repeat count).
-    pub fn routes_from_env(&self) -> usize {
-        env_u64("RAPID_SCALE_ROUTES", (self.fleet.contacts / 200).max(1)) as usize
+    /// Route count for the compressed plans: one per 200 expected windows.
+    pub fn routes(&self) -> usize {
+        (self.fleet.contacts / WINDOWS_PER_ROUTE).max(1) as usize
     }
 
     /// The compressed contact plan for one run: `routes` periodic generator
@@ -169,67 +175,66 @@ pub fn peak_rss_mb() -> Option<f64> {
 /// in-process, and without the reset `scale` would report whatever peak
 /// an earlier experiment reached. Freed-but-cached allocator pages can
 /// still inflate a reading taken after another plan; `fig_all scale` on
-/// its own (what CI runs) is the clean-room measurement. Public so `bench_smoke`
-/// can bracket each gate with its own peak reading.
-pub fn reset_peak_rss() {
+/// its own (what CI runs) is the clean-room measurement.
+fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// The `scale` experiment: runs the family, reports throughput and peak
-/// memory, and enforces `RAPID_SCALE_MAX_RSS_MB` when set.
-pub fn run_scale() {
-    let seed = root_seed();
-    let lab = ScaleLab::from_env(seed);
-    let mode = std::env::var("RAPID_SCALE_MODE").unwrap_or_else(|_| "streamed".into());
-    assert!(
-        mode == "streamed" || mode == "materialized",
-        "RAPID_SCALE_MODE must be `streamed` or `materialized`"
-    );
-    let runs = env_u64("RAPID_SCALE_RUNS", 1).max(1) as u32;
-    let max_rss_mb = env_u64("RAPID_SCALE_MAX_RSS_MB", 0);
+/// The peak-RSS bound from `RAPID_SCALE_MAX_RSS_MB` (0 = unbounded).
+fn max_rss_mb_from_env() -> u64 {
+    env_u64("RAPID_SCALE_MAX_RSS_MB", 0)
+}
 
-    let mut tsv = Tsv::new("scale");
-    tsv.comment("Scale family: sparse fleet streamed through the engine (Random replication)");
-    tsv.comment(&format!(
-        "mode = {mode}, nodes = {}, expected windows = {}, expected packets = {}, \
-         horizon = {} s, seed = {seed}",
-        lab.fleet.nodes,
-        lab.fleet.contacts,
-        lab.packets,
-        lab.fleet.horizon.as_secs_f64(),
-    ));
-    tsv.header();
+/// The cells a plan puts around the measure loop's own; a row reads
+/// `lead… contacts_driven packets_created delivery_rate expired mid…
+/// wall_s peak_rss_mb tail…`.
+struct PlanCells {
+    lead: Vec<String>,
+    mid: Vec<String>,
+    tail: Vec<String>,
+}
 
+/// The one measure loop of the scale plans. Per run: reset the RSS
+/// high-water mark, let `per_run` build the run (so a plan or a
+/// materialized scenario is part of its own footprint), time the engine
+/// over `partition`, read the peak, emit the row and hand the shard
+/// telemetry to `after_run`. Closes with the summary comment and enforces
+/// `max_rss_mb` when it is non-zero.
+fn measure_runs(
+    tsv: &mut Tsv,
+    max_rss_mb: u64,
+    proto: Proto,
+    partition: &Partition,
+    mut per_run: impl FnMut(u32) -> (RunSpec, PlanCells),
+    mut after_run: impl FnMut(u32, &[ShardStats]),
+) {
     let mut delivery = StreamingMean::new();
     let mut wall = StreamingMean::new();
     let mut rss = Extrema::new();
-    for run in 0..runs {
-        // Reset before building the spec so a materialized scenario's
-        // allocation is part of its own footprint.
+    for run in 0..RUNS {
         reset_peak_rss();
-        let spec = if mode == "materialized" {
-            lab.spec_materialized(run)
-        } else {
-            lab.spec(run)
-        };
+        let (spec, cells) = per_run(run);
         let t0 = std::time::Instant::now();
-        let report = run_spec(&spec, Proto::Random);
+        let (report, stats) = run_spec_on(&spec, proto, partition);
         let wall_s = t0.elapsed().as_secs_f64();
-        let peak = peak_rss_mb().unwrap_or(0.0);
+        let peak = peak_rss_mb();
         delivery.push(report.delivery_rate());
         wall.push(wall_s);
-        rss.push(peak);
-        tsv.row(&[
-            mode.clone(),
-            format!("{run}"),
-            format!("{}", lab.fleet.nodes),
+        if let Some(mb) = peak {
+            rss.push(mb);
+        }
+        let mut row = cells.lead;
+        row.extend([
             format!("{}", report.contacts),
             format!("{}", report.created()),
             f(report.delivery_rate()),
             format!("{}", report.expired),
-            f(wall_s),
-            f(peak),
         ]);
+        row.extend(cells.mid);
+        row.extend([f(wall_s), f(peak.unwrap_or(0.0))]);
+        row.extend(cells.tail);
+        tsv.row(&row);
+        after_run(run, &stats);
     }
     tsv.comment(&format!(
         "mean delivery = {}, mean wall = {} s, peak rss = {} MB",
@@ -239,136 +244,156 @@ pub fn run_scale() {
     ));
 
     if max_rss_mb > 0 {
-        let peak = rss.max().unwrap_or(0.0);
+        let id = tsv.id();
         // Panic, don't exit: fig_all's per-plan catch_unwind records one
         // FAIL row, keeps running the remaining experiments, and still
-        // exits non-zero (CI's check).
+        // exits non-zero (CI's check). No reading is a failure too — a
+        // bound that cannot be checked must not pass.
+        let peak = rss.max().unwrap_or_else(|| {
+            panic!(
+                "{id} FAILED: RAPID_SCALE_MAX_RSS_MB={max_rss_mb} is set but \
+                 /proc/self/status gave no VmHWM reading [diag=rss-unreadable]"
+            )
+        });
         assert!(
             peak <= max_rss_mb as f64,
-            "scale family FAILED: peak RSS {peak:.1} MB exceeds the \
+            "{id} FAILED: peak RSS {peak:.1} MB exceeds the \
              RAPID_SCALE_MAX_RSS_MB bound ({max_rss_mb} MB)"
         );
-        eprintln!("scale family: peak RSS {peak:.1} MB within the {max_rss_mb} MB bound");
+        eprintln!("{id}: peak RSS {peak:.1} MB within the {max_rss_mb} MB bound");
     }
 }
 
-/// The `scale_compressed` experiment: the scale family driven from a
-/// compressed contact plan — `RAPID_SCALE_ROUTES` periodic generator atoms
-/// expanding lazily to `RAPID_SCALE_WINDOWS` windows — instead of a
-/// per-window stream. `RAPID_SCALE_MODE=materialized` expands the *same*
-/// plan into a full `Schedule` first, so the two modes simulate a
-/// byte-identical scenario and differ only in plan representation; CI
-/// diffs the aggregate columns (2–7) between modes and bounds the
-/// compressed mode's peak RSS. Plan-size columns record the compression:
-/// `plan_kb` is the resident atom storage, `expanded_kb` what the same
-/// windows cost as 48-byte structs.
-pub fn run_scale_compressed() {
-    let seed = root_seed();
-    let lab = ScaleLab::from_env(seed);
-    let mode = std::env::var("RAPID_SCALE_MODE").unwrap_or_else(|_| "compressed".into());
-    assert!(
-        mode == "compressed" || mode == "materialized",
-        "RAPID_SCALE_MODE must be `compressed` or `materialized`"
+/// The `scale` experiment: the sparse fleet streamed window by window
+/// through the engine; reports throughput and peak memory, and enforces
+/// `RAPID_SCALE_MAX_RSS_MB` when set.
+pub fn run_scale() {
+    scale(&ScaleLab::from_env(root_seed()), max_rss_mb_from_env());
+}
+
+fn scale(lab: &ScaleLab, max_rss_mb: u64) {
+    let mut tsv = Tsv::new("scale");
+    tsv.comment("Scale family: sparse fleet streamed through the engine (Random replication)");
+    tsv.comment(&format!(
+        "mode = streamed, nodes = {}, expected windows = {}, expected packets = {}, \
+         horizon = {} s, seed = {}",
+        lab.fleet.nodes,
+        lab.fleet.contacts,
+        lab.packets,
+        lab.fleet.horizon.as_secs_f64(),
+        lab.seed,
+    ));
+    tsv.header();
+
+    measure_runs(
+        &mut tsv,
+        max_rss_mb,
+        Proto::Random,
+        &env_partition(lab.fleet.nodes),
+        |run| {
+            let cells = PlanCells {
+                lead: vec![
+                    "streamed".into(),
+                    format!("{run}"),
+                    format!("{}", lab.fleet.nodes),
+                ],
+                mid: Vec::new(),
+                tail: Vec::new(),
+            };
+            (lab.spec(run), cells)
+        },
+        |_, _| {},
     );
-    let routes = lab.routes_from_env();
-    let runs = env_u64("RAPID_SCALE_RUNS", 1).max(1) as u32;
-    let max_rss_mb = env_u64("RAPID_SCALE_MAX_RSS_MB", 0);
+}
+
+/// The `scale_compressed` experiment: the scale family driven from a
+/// compressed contact plan — one periodic generator atom per 200 windows,
+/// expanding lazily to `RAPID_SCALE_WINDOWS` — instead of a per-window
+/// stream. `RAPID_SCALE_MODE=materialized` expands the *same* plan into a
+/// full `Schedule` first, so the two modes simulate a byte-identical
+/// scenario and differ only in plan representation; CI diffs the
+/// aggregate columns (2–7) between modes and bounds the compressed mode's
+/// peak RSS. Plan-size columns record the compression: `plan_kb` is the
+/// resident atom storage, `expanded_kb` what the same windows cost as
+/// 48-byte structs.
+pub fn run_scale_compressed() {
+    let materialized = match std::env::var("RAPID_SCALE_MODE") {
+        Err(_) => false,
+        Ok(v) if v == "compressed" => false,
+        Ok(v) if v == "materialized" => true,
+        Ok(v) => panic!("RAPID_SCALE_MODE must be `compressed` or `materialized`, got `{v}`"),
+    };
+    scale_compressed(
+        &ScaleLab::from_env(root_seed()),
+        materialized,
+        max_rss_mb_from_env(),
+    );
+}
+
+fn scale_compressed(lab: &ScaleLab, materialized: bool, max_rss_mb: u64) {
+    let mode = if materialized {
+        "materialized"
+    } else {
+        "compressed"
+    };
+    let routes = lab.routes();
 
     let mut tsv = Tsv::new("scale_compressed");
     tsv.comment("Compressed scale family: periodic-atom plan expanded lazily through the engine");
     tsv.comment(&format!(
         "mode = {mode}, nodes = {}, routes = {routes}, expected windows = {}, \
-         expected packets = {}, horizon = {} s, seed = {seed}",
+         expected packets = {}, horizon = {} s, seed = {}",
         lab.fleet.nodes,
         lab.fleet.contacts,
         lab.packets,
         lab.fleet.horizon.as_secs_f64(),
+        lab.seed,
     ));
     tsv.header();
 
-    let mut delivery = StreamingMean::new();
-    let mut wall = StreamingMean::new();
-    let mut rss = Extrema::new();
-    for run in 0..runs {
-        // Reset before compiling so the plan (and, in materialized mode,
-        // its full expansion) is part of the run's own footprint.
-        reset_peak_rss();
-        let plan = lab.compiled_plan(routes, run);
-        let plan_kb = plan.in_memory_bytes() as f64 / 1024.0;
-        let expanded_kb = plan.materialized_bytes() as f64 / 1024.0;
-        let (atoms, windows) = (plan.atom_count(), plan.window_count());
-        let spec = if mode == "materialized" {
-            RunSpec {
-                contacts: ContactsSpec::shared(plan.materialize()),
-                ..lab.spec(run)
-            }
-        } else {
-            lab.spec_compressed(&plan, run)
-        };
-        drop(plan);
-        let t0 = std::time::Instant::now();
-        let report = run_spec(&spec, Proto::Random);
-        let wall_s = t0.elapsed().as_secs_f64();
-        let peak = peak_rss_mb().unwrap_or(0.0);
-        delivery.push(report.delivery_rate());
-        wall.push(wall_s);
-        rss.push(peak);
-        tsv.row(&[
-            mode.clone(),
-            format!("{run}"),
-            format!("{}", lab.fleet.nodes),
-            format!("{}", report.contacts),
-            format!("{}", report.created()),
-            f(report.delivery_rate()),
-            format!("{}", report.expired),
-            f(wall_s),
-            f(peak),
-            format!("{atoms}"),
-            format!("{windows}"),
-            f(plan_kb),
-            f(expanded_kb),
-            f(expanded_kb / plan_kb.max(f64::MIN_POSITIVE)),
-        ]);
-    }
-    tsv.comment(&format!(
-        "mean delivery = {}, mean wall = {} s, peak rss = {} MB",
-        f(delivery.mean().unwrap_or(0.0)),
-        f(wall.mean().unwrap_or(0.0)),
-        f(rss.max().unwrap_or(0.0)),
-    ));
-
-    if max_rss_mb > 0 {
-        let peak = rss.max().unwrap_or(0.0);
-        assert!(
-            peak <= max_rss_mb as f64,
-            "scale_compressed FAILED: peak RSS {peak:.1} MB exceeds the \
-             RAPID_SCALE_MAX_RSS_MB bound ({max_rss_mb} MB)"
-        );
-        eprintln!("scale_compressed: peak RSS {peak:.1} MB within the {max_rss_mb} MB bound");
-    }
-}
-
-/// The regional wrapper for the sharded family: `RAPID_SCALE_REGIONS`
-/// contiguous regions (default 64) with `RAPID_SCALE_LOCALITY` of the
-/// meetings staying inside one region (default 0.95) — ScaleFleet's
-/// hub-gateway structure arranged so shard boundaries fall on region
-/// boundaries and only the gateway backbone crosses them.
-pub fn regional_fleet(lab: &ScaleLab) -> RegionalFleet {
-    let regions = env_u64("RAPID_SCALE_REGIONS", 64) as usize;
-    let locality = dtn_sim::env::f64_from_env("RAPID_SCALE_LOCALITY", 0.95);
-    assert!(locality <= 1.0, "RAPID_SCALE_LOCALITY is a probability");
-    RegionalFleet {
-        fleet: lab.fleet,
-        regions,
-        locality,
-    }
+    measure_runs(
+        &mut tsv,
+        max_rss_mb,
+        Proto::Random,
+        &env_partition(lab.fleet.nodes),
+        |run| {
+            let plan = lab.compiled_plan(routes, run);
+            let plan_kb = plan.in_memory_bytes() as f64 / 1024.0;
+            let expanded_kb = plan.materialized_bytes() as f64 / 1024.0;
+            let cells = PlanCells {
+                lead: vec![
+                    mode.into(),
+                    format!("{run}"),
+                    format!("{}", lab.fleet.nodes),
+                ],
+                mid: Vec::new(),
+                tail: vec![
+                    format!("{}", plan.atom_count()),
+                    format!("{}", plan.window_count()),
+                    f(plan_kb),
+                    f(expanded_kb),
+                    f(expanded_kb / plan_kb.max(f64::MIN_POSITIVE)),
+                ],
+            };
+            let spec = if materialized {
+                RunSpec {
+                    contacts: ContactsSpec::shared(plan.materialize()),
+                    ..lab.spec(run)
+                }
+            } else {
+                lab.spec_compressed(&plan, run)
+            };
+            (spec, cells)
+        },
+        |_, _| {},
+    );
 }
 
 /// The protocol the scale_sharded family drives: `RAPID_SCALE_PROTO` is
 /// `random` (default, the PR 8 baseline) or `rapid` (in-band RAPID, the
 /// paper's protocol on the sharded runtime). Anything else aborts — a
 /// typo must not silently time the wrong protocol.
-pub fn scale_proto() -> Proto {
+fn scale_proto() -> Proto {
     match std::env::var("RAPID_SCALE_PROTO") {
         Err(_) => Proto::Random,
         Ok(v) if v == "random" => Proto::Random,
@@ -378,11 +403,13 @@ pub fn scale_proto() -> Proto {
 }
 
 /// The `scale_sharded` experiment: the scale family on the regional
-/// fleet, partitioned into `RAPID_SHARDS` per-shard event loops (default
-/// 1 = the serial engine). Aggregate columns (1–7) are byte-identical at
-/// any shard count — CI diffs them between `RAPID_SHARDS=1` and `=4` —
-/// while the shard-dependent telemetry (shard count, static free-run
-/// horizon, wall, RSS) sits after them. Per-shard timing lands in
+/// fleet (64 contiguous regions, 0.95 of the meetings inside one region,
+/// only the gateway backbone crossing), partitioned into `RAPID_SHARDS`
+/// per-shard event loops (default 1 = the serial engine). Aggregate
+/// columns (1–7) are byte-identical at any shard count — CI diffs them
+/// between `RAPID_SHARDS=1` and `=4` — while the shard-dependent
+/// telemetry (shard count, static free-run horizon, wall, RSS) sits after
+/// them. Per-shard timing lands in
 /// `results/scale_sharded_shards.tsv`.
 ///
 /// Each run goes through the runner's `run_spec_on` over the region-aligned
@@ -393,15 +420,23 @@ pub fn scale_proto() -> Proto {
 /// snapshot instead of starting over (the CI kill-resume smoke drives
 /// exactly this path).
 pub fn run_scale_sharded() {
-    let seed = root_seed();
-    let lab = ScaleLab::from_env(seed);
-    let rf = regional_fleet(&lab);
-    let shards = dtn_sim::clamp_shards(dtn_sim::shards_from_env(), lab.fleet.nodes);
+    scale_sharded(
+        &ScaleLab::from_env(root_seed()),
+        scale_proto(),
+        dtn_sim::shards_from_env(),
+        max_rss_mb_from_env(),
+    );
+}
+
+fn scale_sharded(lab: &ScaleLab, proto: Proto, shards: usize, max_rss_mb: u64) {
+    let rf = RegionalFleet {
+        fleet: lab.fleet,
+        regions: REGIONS,
+        locality: LOCALITY,
+    };
+    let shards = dtn_sim::clamp_shards(shards, lab.fleet.nodes);
     let partition = rf.partition(shards);
-    let proto = scale_proto();
-    let routes = lab.routes_from_env();
-    let runs = env_u64("RAPID_SCALE_RUNS", 1).max(1) as u32;
-    let max_rss_mb = env_u64("RAPID_SCALE_MAX_RSS_MB", 0);
+    let routes = lab.routes();
 
     let mut tsv = Tsv::new("scale_sharded");
     tsv.comment(
@@ -410,7 +445,7 @@ pub fn run_scale_sharded() {
     tsv.comment(&format!(
         "shards = {shards}, proto = {}, regions = {}, locality = {}, nodes = {}, \
          routes = {routes}, expected windows = {}, expected packets = {}, \
-         horizon = {} s, seed = {seed}",
+         horizon = {} s, seed = {}",
         proto.label(),
         rf.regions,
         rf.locality,
@@ -418,6 +453,7 @@ pub fn run_scale_sharded() {
         lab.fleet.contacts,
         lab.packets,
         lab.fleet.horizon.as_secs_f64(),
+        lab.seed,
     ));
     tsv.header();
 
@@ -425,54 +461,47 @@ pub fn run_scale_sharded() {
     shard_tsv.comment("Per-shard timing for the scale_sharded family");
     shard_tsv.row(registry::SCALE_SHARDED_SHARDS_COLUMNS);
 
-    let mut delivery = StreamingMean::new();
-    let mut wall = StreamingMean::new();
-    let mut rss = Extrema::new();
     let mut busy: ShardSlots<StreamingMean> = ShardSlots::new(partition.shards());
-    for run in 0..runs {
-        // Reset before compiling so the plan is part of the run's own
-        // footprint.
-        reset_peak_rss();
-        let plan = Arc::new(rf.periodic_plan(routes, seed, u64::from(run)));
-        let windows = plan.window_count();
-        // The static conservative horizon: shards free-run to the first
-        // cross-shard window's start before any barrier can occur.
-        let free_run = plan.first_cross_shard_start(&partition);
-        let t0 = std::time::Instant::now();
-        let spec = lab.spec_regional(&rf, &plan, run);
-        let (report, stats) = run_spec_on(&spec, proto, &partition);
-        let wall_s = t0.elapsed().as_secs_f64();
-        let peak = peak_rss_mb().unwrap_or(0.0);
-        delivery.push(report.delivery_rate());
-        wall.push(wall_s);
-        rss.push(peak);
-        tsv.row(&[
-            format!("{run}"),
-            format!("{}", lab.fleet.nodes),
-            format!("{windows}"),
-            format!("{}", report.contacts),
-            format!("{}", report.created()),
-            f(report.delivery_rate()),
-            format!("{}", report.expired),
-            format!("{shards}"),
-            free_run.map_or_else(|| "-".into(), |t| f(t.as_secs_f64())),
-            f(wall_s),
-            f(peak),
-        ]);
-        for s in &stats {
-            busy.slot_mut(s.shard).push(s.busy.as_secs_f64());
-            shard_tsv.row(&[
-                format!("{run}"),
-                format!("{}", s.shard),
-                format!("{}", s.nodes),
-                format!("{}", s.drives),
-                format!("{}", s.creations),
-                f(s.busy.as_secs_f64()),
-                s.concurrency.label().into(),
-            ]);
-        }
-    }
-    let total_busy = busy.clone().fold();
+    measure_runs(
+        &mut tsv,
+        max_rss_mb,
+        proto,
+        &partition,
+        |run| {
+            let plan = Arc::new(rf.periodic_plan(routes, lab.seed, u64::from(run)));
+            // The static conservative horizon: shards free-run to the first
+            // cross-shard window's start before any barrier can occur.
+            let free_run = plan.first_cross_shard_start(&partition);
+            let cells = PlanCells {
+                lead: vec![
+                    format!("{run}"),
+                    format!("{}", lab.fleet.nodes),
+                    format!("{}", plan.window_count()),
+                ],
+                mid: vec![
+                    format!("{shards}"),
+                    free_run.map_or_else(|| "-".into(), |t| f(t.as_secs_f64())),
+                ],
+                tail: Vec::new(),
+            };
+            (lab.spec_regional(&rf, &plan, run), cells)
+        },
+        |run, stats| {
+            for s in stats {
+                busy.slot_mut(s.shard).push(s.busy.as_secs_f64());
+                shard_tsv.row(&[
+                    format!("{run}"),
+                    format!("{}", s.shard),
+                    format!("{}", s.nodes),
+                    format!("{}", s.drives),
+                    format!("{}", s.creations),
+                    f(s.busy.as_secs_f64()),
+                    s.concurrency.label().into(),
+                ]);
+            }
+        },
+    );
+    let total_busy = busy.fold();
     if total_busy.count() > 0 {
         shard_tsv.comment(&format!(
             "mean busy per shard = {} s ({} shard-run samples, shard-order fold)",
@@ -480,31 +509,17 @@ pub fn run_scale_sharded() {
             total_busy.count(),
         ));
     }
-    tsv.comment(&format!(
-        "mean delivery = {}, mean wall = {} s, peak rss = {} MB",
-        f(delivery.mean().unwrap_or(0.0)),
-        f(wall.mean().unwrap_or(0.0)),
-        f(rss.max().unwrap_or(0.0)),
-    ));
-
-    if max_rss_mb > 0 {
-        let peak = rss.max().unwrap_or(0.0);
-        assert!(
-            peak <= max_rss_mb as f64,
-            "scale_sharded FAILED: peak RSS {peak:.1} MB exceeds the \
-             RAPID_SCALE_MAX_RSS_MB bound ({max_rss_mb} MB)"
-        );
-        eprintln!("scale_sharded: peak RSS {peak:.1} MB within the {max_rss_mb} MB bound");
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_spec;
 
-    #[test]
-    fn small_scale_run_is_deterministic_and_bounded() {
-        let lab = ScaleLab {
+    /// 2000 nodes, 5000 windows, 500 packets: every plan in well under a
+    /// second.
+    fn toy_lab() -> ScaleLab {
+        ScaleLab {
             fleet: ScaleFleet {
                 nodes: 2_000,
                 contacts: 5_000,
@@ -519,7 +534,12 @@ mod tests {
             deadline: TimeDelta::from_secs(60),
             ttl: TimeDelta::from_secs(600),
             seed: 11,
-        };
+        }
+    }
+
+    #[test]
+    fn small_scale_run_is_deterministic_and_bounded() {
+        let lab = toy_lab();
         let a = run_spec(&lab.spec(0), Proto::Random);
         let b = run_spec(&lab.spec(0), Proto::Random);
         assert_eq!(a, b, "streamed scale runs replay bit-identically");
@@ -527,30 +547,20 @@ mod tests {
         assert!(a.contacts > 4000, "contacts driven: {}", a.contacts);
 
         // The streamed and materialized paths simulate the same scenario.
-        let m = run_spec(&lab.spec_materialized(0), Proto::Random);
+        let streamed = lab.spec(0);
+        let materialized = RunSpec {
+            contacts: ContactsSpec::shared(streamed.contacts.materialize()),
+            packets: PacketsSpec::shared(streamed.packets.materialize()),
+            ..streamed
+        };
+        let m = run_spec(&materialized, Proto::Random);
         assert_eq!(a, m, "materialized baseline must match the stream");
     }
 
     #[test]
     fn compressed_mode_matches_its_materialized_expansion() {
-        let lab = ScaleLab {
-            fleet: ScaleFleet {
-                nodes: 2_000,
-                contacts: 5_000,
-                opportunity_bytes: 16 * 1024,
-                contact_duration: TimeDelta::ZERO,
-                horizon: Time::from_secs(1800),
-                hubs: 16,
-                hub_bias: 0.5,
-            },
-            packets: 500,
-            buffer: 64 * 1024,
-            deadline: TimeDelta::from_secs(60),
-            ttl: TimeDelta::from_secs(600),
-            seed: 11,
-        };
-        let routes = (lab.fleet.contacts / 200).max(1) as usize;
-        let plan = lab.compiled_plan(routes, 0);
+        let lab = toy_lab();
+        let plan = lab.compiled_plan(lab.routes(), 0);
         assert!(
             plan.materialized_bytes() >= 10 * plan.in_memory_bytes() as u64,
             "periodic plan must compress >=10x: {} vs {}",
@@ -579,22 +589,7 @@ mod tests {
 
     #[test]
     fn regional_sharded_run_matches_serial_engine() {
-        let lab = ScaleLab {
-            fleet: ScaleFleet {
-                nodes: 2_000,
-                contacts: 5_000,
-                opportunity_bytes: 16 * 1024,
-                contact_duration: TimeDelta::ZERO,
-                horizon: Time::from_secs(1800),
-                hubs: 16,
-                hub_bias: 0.5,
-            },
-            packets: 500,
-            buffer: 64 * 1024,
-            deadline: TimeDelta::from_secs(60),
-            ttl: TimeDelta::from_secs(600),
-            seed: 11,
-        };
+        let lab = toy_lab();
         let rf = RegionalFleet {
             fleet: lab.fleet,
             regions: 8,
@@ -669,5 +664,25 @@ mod tests {
                 "in-band RAPID rides the single-instance tier"
             );
         }
+    }
+
+    #[test]
+    fn measure_loop_drives_all_three_plans_and_enforces_the_rss_bound() {
+        let lab = toy_lab();
+        // Unbounded: every plan completes, and every row it emits passes
+        // `Tsv::row`'s column-count assertion against the registry.
+        scale(&lab, 0);
+        scale_compressed(&lab, false, 0);
+        scale_compressed(&lab, true, 0);
+        scale_sharded(&lab, Proto::Random, 2, 0);
+
+        // No test process fits in 1 MB, so the bound must fire.
+        let panic = std::panic::catch_unwind(|| scale(&lab, 1)).expect_err("1 MB bound holds?");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.starts_with("scale FAILED: peak RSS")
+                && msg.ends_with("exceeds the RAPID_SCALE_MAX_RSS_MB bound (1 MB)"),
+            "{msg}"
+        );
     }
 }

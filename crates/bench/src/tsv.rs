@@ -9,6 +9,9 @@ use std::path::PathBuf;
 pub struct Tsv {
     file: Option<std::fs::File>,
     id: String,
+    /// Column count of the registry header once [`Tsv::header`] wrote it;
+    /// every later row must match.
+    columns: Option<usize>,
 }
 
 impl Tsv {
@@ -24,6 +27,7 @@ impl Tsv {
         Self {
             file,
             id: id.to_string(),
+            columns: None,
         }
     }
 
@@ -34,6 +38,7 @@ impl Tsv {
 
     /// Emits the header row: the columns the registry declares for this
     /// experiment (what `fig_all --list` prints), so the schema exists once.
+    /// Every row after it is held to that column count.
     ///
     /// # Panics
     /// If this sink's id is not a registered plan.
@@ -41,10 +46,24 @@ impl Tsv {
         let plan = crate::registry::find(&self.id)
             .unwrap_or_else(|| panic!("no registered plan `{}` to take a header from", self.id));
         self.row(plan.columns);
+        self.columns = Some(plan.columns.len());
     }
 
     /// Emits a row of tab-separated cells.
+    ///
+    /// # Panics
+    /// If [`Tsv::header`] ran and the row's cell count differs from the
+    /// registered schema's.
     pub fn row<S: AsRef<str>>(&mut self, cells: &[S]) {
+        if let Some(columns) = self.columns {
+            assert_eq!(
+                cells.len(),
+                columns,
+                "plan `{}` emitted a {}-cell row under its {columns}-column registry header",
+                self.id,
+                cells.len()
+            );
+        }
         let mut line = String::new();
         for (i, c) in cells.iter().enumerate() {
             if i > 0 {
@@ -53,6 +72,11 @@ impl Tsv {
             let _ = write!(line, "{}", c.as_ref());
         }
         self.emit(&line);
+    }
+
+    /// Emits an empty line — the block separator between sweep groups.
+    pub fn blank(&mut self) {
+        self.emit("");
     }
 
     /// The experiment id.
@@ -75,6 +99,14 @@ pub fn f(v: f64) -> String {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    #[should_panic(expected = "plan `ttest` emitted a 2-cell row under its 5-column")]
+    fn short_row_after_the_header_panics_naming_the_plan() {
+        let mut tsv = super::Tsv::new("ttest");
+        tsv.header();
+        tsv.row(&["1", "2"]);
+    }
+
     #[test]
     fn float_formatting() {
         assert_eq!(super::f(1.23456), "1.235");

@@ -5,7 +5,7 @@
 //! per-contact scratch reuse in `protocol.rs`), the [`RateBatch`] kernel
 //! rows (Eq. 4–9 over whole queues), the batch scheduler's
 //! `take_ready_into` drain (capacity ping-pong + in-place compaction),
-//! and the contact pool's work-stealing dispatch.
+//! and the contact pool's dispatch.
 //!
 //! One test only: the counter is process-global, and a sibling test's
 //! allocations would pollute the measurement.
@@ -170,7 +170,7 @@ fn batcher_phase() {
     );
 }
 
-/// Work-stealing dispatch reuses the pool's packed deques: after the
+/// Dispatch reuses the pool's cursor and hand-shake state: after the
 /// first batch, further batches allocate nothing.
 fn pool_phase() {
     std::thread::scope(|scope| {

@@ -18,9 +18,8 @@
 //!    drive executes before it.
 //! 2. [`ContactPool`] executes one batch across `RAPID_INTRA_JOBS` workers
 //!    (scoped threads; the caller participates, so `jobs = 1` never
-//!    spawns). Indices are pre-partitioned into per-worker deques and
-//!    rebalanced by steal-half work stealing, so one slow contact cannot
-//!    idle the other workers behind a shared cursor.
+//!    spawns). Workers claim indices one at a time from a shared cursor,
+//!    so a slow contact holds up only the worker running it.
 //! 3. The engine commits results — report accounting, holder-table ops,
 //!    `on_contact_end` hooks — serially, in the scan order.
 //!
@@ -35,7 +34,7 @@
 //! argument.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// How a routing protocol's contact handler may be scheduled within one
@@ -177,38 +176,11 @@ struct PoolState {
     task: Option<TaskRef>,
     n: usize,
     /// Workers currently inside the drain loop of the current generation.
-    /// `run` does not return (and no later generation can reuse the
-    /// deques) until this reaches zero — which is what makes the raw task
+    /// `run` does not return (and no later generation can reset the
+    /// cursor) until this reaches zero — which is what makes the raw task
     /// pointer and the shared atomics sound across generations.
     active: usize,
     shutdown: bool,
-}
-
-/// One worker's deque of unclaimed batch indices, packed
-/// `(next << 32) | end` into a single atomic word so the owner's
-/// pop-front and a thief's steal-half are both one CAS — no separate
-/// next/end words that could tear.
-///
-/// Invariant: slot value `(next, end)` means exactly the indices
-/// `next..end` are unclaimed and owned by this slot. Every successful
-/// CAS transition transfers a suffix (steal) or the front index (pop)
-/// out of the slot, so a compare on the packed value is also a claim on
-/// the range it describes — the value *is* the resource, which is what
-/// makes the single-word CAS ABA-safe.
-///
-/// Padded to a cache line so workers hammering their own slots don't
-/// false-share.
-#[repr(align(64))]
-struct Deque(AtomicU64);
-
-#[inline]
-fn pack(next: u32, end: u32) -> u64 {
-    ((next as u64) << 32) | end as u64
-}
-
-#[inline]
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
 }
 
 struct PoolShared {
@@ -217,78 +189,28 @@ struct PoolShared {
     work: Condvar,
     /// The caller waits here for batch completion.
     done_cv: Condvar,
-    /// Per-worker index deques for the current batch (work stealing).
-    deques: Vec<Deque>,
+    /// Next unclaimed index of the current batch; a `fetch_add` that
+    /// returns `i < n` is the claim on index `i`.
+    next: AtomicUsize,
     /// Indices completed within the current batch.
     done: AtomicUsize,
 }
 
-/// Drains batch work as `worker`: pop-front from the own deque, then
-/// steal the upper half of the first non-empty victim (scanned in a
-/// deterministic ring order) into the own deque, until no work is
-/// visible anywhere.
-///
-/// A worker never leaves while its own deque is non-empty, and stolen
-/// ranges are installed into the thief's own deque before execution —
-/// so an exit scan that races a steal-in-flight can at worst miss a
-/// *stealing opportunity* (mild imbalance), never an index: every
-/// unclaimed index is always owned by some worker's deque, and its
-/// owner drains it before leaving. Completion is still counted exactly
-/// by `done`.
-fn drain_batch(shared: &PoolShared, worker: usize, task: &(dyn Fn(usize, usize) + Sync)) {
-    let jobs = shared.deques.len();
-    'work: loop {
-        // Own deque, front to back.
-        let own = &shared.deques[worker].0;
-        loop {
-            let cur = own.load(Ordering::Acquire);
-            let (next, end) = unpack(cur);
-            if next >= end {
-                break;
-            }
-            if own
-                .compare_exchange_weak(
-                    cur,
-                    pack(next + 1, end),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                task(worker, next as usize);
-                shared.done.fetch_add(1, Ordering::AcqRel);
-            }
+/// Drains batch work as `worker`: claims indices off the shared cursor
+/// until it runs past `n`. Every index below `n` is returned by exactly
+/// one `fetch_add`, so each runs exactly once; completion is counted by
+/// `done`.
+fn drain_batch(shared: &PoolShared, worker: usize, n: usize, task: &(dyn Fn(usize, usize) + Sync)) {
+    loop {
+        // Relaxed: the claim publishes nothing. The cursor's reset and the
+        // task reach a worker through the state mutex, and the task's
+        // effects reach the caller through `done` and that same mutex.
+        let i = shared.next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
         }
-        // Own deque empty: steal half from the ring.
-        for off in 1..jobs {
-            let victim = &shared.deques[(worker + off) % jobs].0;
-            loop {
-                let cur = victim.load(Ordering::Acquire);
-                let (next, end) = unpack(cur);
-                if next >= end {
-                    break;
-                }
-                // Upper half, rounded up (a single leftover index is
-                // stolen whole).
-                let mid = next + (end - next) / 2;
-                if victim
-                    .compare_exchange_weak(
-                        cur,
-                        pack(next, mid),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                {
-                    // Only the owner installs into its own deque, and
-                    // only while it is empty — a plain store cannot race
-                    // a steal (thieves CAS from a non-empty snapshot).
-                    own.store(pack(mid, end), Ordering::Release);
-                    continue 'work;
-                }
-            }
-        }
-        return; // every deque observed empty
+        task(worker, i);
+        shared.done.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -323,7 +245,7 @@ impl ContactPool {
             }),
             work: Condvar::new(),
             done_cv: Condvar::new(),
-            deques: (0..jobs).map(|_| Deque(AtomicU64::new(0))).collect(),
+            next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
         });
         for worker in 1..jobs {
@@ -353,22 +275,13 @@ impl ContactPool {
             }
             return;
         }
-        assert!(n <= u32::MAX as usize, "batch too large for packed deques");
         {
             let mut state = self.shared.state.lock().expect("pool lock");
             // No drainer of an earlier generation can be live here: `run`
             // only returned once `active == 0`, and workers re-enter the
             // drain only for a fresh, uncompleted generation.
             self.shared.done.store(0, Ordering::Relaxed);
-            // Seed the deques with an even contiguous partition of 0..n;
-            // work stealing rebalances from there.
-            let (base, rem) = (n / self.jobs, n % self.jobs);
-            let mut start = 0u32;
-            for (w, deque) in self.shared.deques.iter().enumerate() {
-                let end = start + base as u32 + u32::from(w < rem);
-                deque.0.store(pack(start, end), Ordering::Relaxed);
-                start = end;
-            }
+            self.shared.next.store(0, Ordering::Relaxed);
             // SAFETY: lifetime erasure only — the pointer is dereferenced
             // solely for indices of this generation, all of which complete
             // before `run` returns (the completion wait below).
@@ -383,7 +296,7 @@ impl ContactPool {
         // The caller participates as worker 0 (through the safe
         // reference; worker threads go through the claimed-index raw
         // pointer path, see `worker_loop`).
-        drain_batch(&self.shared, 0, task);
+        drain_batch(&self.shared, 0, n, task);
 
         // Wait until every index completed AND every worker has left the
         // drain loop; only then may the task reference die or the atomics
@@ -409,7 +322,7 @@ impl Drop for ContactPool {
 fn worker_loop(shared: &PoolShared, worker: usize) {
     let mut last_seen = 0u64;
     loop {
-        let task = {
+        let (task, n) = {
             let mut state = shared.state.lock().expect("pool lock");
             loop {
                 if state.shutdown {
@@ -427,13 +340,14 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             }
             last_seen = state.generation;
             state.active += 1;
-            state.task.as_ref().expect("live generation has a task").0
+            let task = state.task.as_ref().expect("live generation has a task").0;
+            (task, state.n)
         };
         // SAFETY: while this worker counts as `active`, `run` is still
         // blocked on this generation (it waits for done == n and
         // active == 0), so the referent is alive.
         let task: &(dyn Fn(usize, usize) + Sync) = unsafe { &*task };
-        drain_batch(shared, worker, task);
+        drain_batch(shared, worker, n, task);
         let mut state = shared.state.lock().expect("pool lock");
         state.active -= 1;
         drop(state);
@@ -855,10 +769,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_steals_across_uneven_work() {
-        // Front-loaded work: the initial even partition gives worker 0 all
-        // the slow indices; completion requires stealing to have spread
-        // them without losing or duplicating any index.
+    fn pool_runs_every_index_once_under_front_loaded_work() {
+        // Front-loaded work: the first quarter of the indices is slow, so
+        // workers sit in long tasks while others race the cursor to its
+        // end; no index may be lost or run twice.
         std::thread::scope(|scope| {
             let pool = ContactPool::start(scope, 4);
             let hits: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();

@@ -26,8 +26,9 @@
 //!
 //! [`CompiledPlan::compress`] is the inverse: it folds an already-ordered
 //! window stream into atoms such that the round trip is exact — same
-//! order, same capacities, same durations — using the same tie-safe
-//! run-length rules as [`dtn_trace::compress_contacts`].
+//! order, same capacities, same durations — by tie-safe run-length
+//! rules (a run is never extended across an equal-start window that
+//! would then expand ahead of it).
 
 use crate::contact::{ContactWindow, Schedule};
 use crate::time::{Time, TimeDelta};
@@ -162,9 +163,8 @@ impl CompiledPlan {
     /// into one run: regular gaps become [`PlanAtom::Periodic`], irregular
     /// ones [`PlanAtom::DeltaRun`]. Within a group of equal-start windows,
     /// a run is only extended when doing so preserves the input order on
-    /// expansion; otherwise the run is closed and a fresh atom opened —
-    /// the same tie rule as [`dtn_trace::compress_contacts`]. Encoding
-    /// memory is O(distinct open runs) plus the output plan.
+    /// expansion; otherwise the run is closed and a fresh atom opened.
+    /// Encoding memory is O(distinct open runs) plus the output plan.
     ///
     /// # Panics
     /// If starts decrease.
@@ -501,6 +501,87 @@ mod tests {
         let streamed: Vec<_> = plan.stream().collect();
         assert_eq!(streamed, sorted);
         assert_eq!(plan.materialize().windows(), &sorted[..]);
+    }
+
+    /// Compresses `windows` (already start-ordered) and checks the exact
+    /// round trip before handing the plan back for shape assertions.
+    fn compress_checked(windows: &[ContactWindow]) -> Arc<CompiledPlan> {
+        let plan = Arc::new(CompiledPlan::compress(windows.iter().copied()));
+        assert_eq!(plan.stream().collect::<Vec<_>>(), windows);
+        plan
+    }
+
+    #[test]
+    fn periodic_run_compresses_to_one_atom() {
+        let windows: Vec<_> = (0..100).map(|k| inst(10 + 50 * k, 1, 2, 512)).collect();
+        let plan = compress_checked(&windows);
+        assert!(matches!(
+            plan.atoms(),
+            [PlanAtom::Periodic {
+                period: TimeDelta(50),
+                repeats: 100,
+                ..
+            }]
+        ));
+        // 100 windows encode to a handful of bytes.
+        assert!(plan.encoded_len() < 32, "{} bytes", plan.encoded_len());
+    }
+
+    #[test]
+    fn irregular_run_becomes_delta_atom() {
+        let windows: Vec<_> = [5u64, 9, 20, 21, 100]
+            .iter()
+            .map(|&t| ContactWindow::new(Time(t), Time(t + 1000), NodeId(3), NodeId(4), 64))
+            .collect();
+        let plan = compress_checked(&windows);
+        match plan.atoms() {
+            [PlanAtom::DeltaRun { template, deltas }] => {
+                assert_eq!(template.start, Time(5));
+                assert_eq!(deltas, &[4, 11, 1, 79].map(TimeDelta));
+            }
+            other => panic!("expected one delta run, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn interleaved_pairs_round_trip() {
+        let plan = compress_checked(&[
+            inst(0, 1, 2, 10),
+            inst(3, 3, 4, 20),
+            inst(5, 1, 2, 10),
+            inst(8, 3, 4, 20),
+            inst(10, 1, 2, 10),
+        ]);
+        // Each pair folds into its own periodic atom.
+        assert_eq!(plan.atom_count(), 2);
+    }
+
+    #[test]
+    fn ties_never_reorder() {
+        // Run A opens at t=0; at t=5 the order is B then A — extending A
+        // after B would emit A's repeat before B's window on expansion, so
+        // the encoder must break A's run.
+        let plan = compress_checked(&[
+            inst(0, 1, 2, 10),
+            inst(5, 3, 4, 20),
+            inst(5, 1, 2, 10),
+            inst(5, 1, 2, 10),
+            inst(9, 3, 4, 20),
+        ]);
+        assert_eq!(plan.atom_count(), 3, "A, B, and A's broken-off tail");
+    }
+
+    #[test]
+    fn same_instant_same_key_repeats_stay_one_run() {
+        let plan = compress_checked(&[inst(7, 1, 2, 10); 3]);
+        assert!(matches!(
+            plan.atoms(),
+            [PlanAtom::Periodic {
+                period: TimeDelta(0),
+                repeats: 3,
+                ..
+            }]
+        ));
     }
 
     #[test]

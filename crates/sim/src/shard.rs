@@ -21,7 +21,7 @@
 //! * Between barriers the shards free-run: at each epoch flush every
 //!   shard drains its queue serially — its own routing instance, its own
 //!   node-buffer range, the shared read-only packet arena — on a
-//!   work-stealing [`ContactPool`]. The epoch boundary is the
+//!   [`ContactPool`] worker. The epoch boundary is the
 //!   conservative sync horizon: every queued action is ordered (in the
 //!   engine's total `(time, rank, seq)` order) *before* the barrier
 //!   action that forced the flush, so no shard ever sees state from its

@@ -541,7 +541,7 @@ proptest! {
                 .with_churn(churn_events.clone())
                 .run(&mut ParFlood)
         };
-        // The serial baseline uses the default policy; work-stealing
+        // The serial baseline uses the default policy; pooled
         // replay must be byte-identical at any job count AND any
         // lookahead policy, under churn and TTL expiry.
         let serial = run(1, dtn_sim::par::Lookahead::default());

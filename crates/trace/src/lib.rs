@@ -36,7 +36,7 @@ pub mod record;
 pub mod snapshot;
 pub mod wire;
 
-pub use plan::{compress_contacts, PlanDecodeError, RecordAtom, RecordPlan};
+pub use plan::{PlanDecodeError, RecordAtom, RecordPlan};
 pub use record::{ContactRecord, PacketRecord, Record};
 pub use snapshot::{SnapshotDecodeError, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC};
 pub use wire::{crc32, write_varint, ByteCursor, WireError};

@@ -1,10 +1,9 @@
-//! Compressed contact plans: run-length/delta encoding over contact
-//! records, plus a compact binary format.
+//! The `RPLN1` codec: a compact binary form for compressed contact plans.
 //!
 //! A materialized contact plan spends one full [`ContactRecord`] per
 //! meeting even when the plan is mostly *regular* — the same pair meeting
-//! again and again with the same opportunity. This module factors that
-//! regularity out. A plan is a sequence of [`RecordAtom`]s:
+//! again and again with the same opportunity. A [`RecordPlan`] stores that
+//! regularity factored out, as a sequence of [`RecordAtom`]s:
 //!
 //! * [`RecordAtom::Literal`] — one window, stored verbatim;
 //! * [`RecordAtom::Periodic`] — a template window repeated `repeats` times
@@ -14,22 +13,14 @@
 //!   delta per further repeat: the irregular-gap run, still one small
 //!   integer per meeting instead of a whole record.
 //!
-//! [`compress_contacts`] builds a plan from a `(day, time)`-ordered record
-//! stream (the order [`crate::stream_records`] yields) and guarantees the
-//! **round trip is exact**: [`RecordPlan::expand`] replays the original
-//! records byte-for-byte, in the original order, including ties — the
-//! encoder refuses to extend a run when doing so would reorder records
-//! that share a timestamp, falling back to a fresh atom instead.
-//!
-//! Expansion order is defined as the stable sort of the concatenated atom
-//! expansions by `(day, time_us)`: atoms are kept in first-record order,
-//! each atom's own windows are nondecreasing in time, and the lazy cursor
-//! in `dtn-sim` heap-merges on `(day, time_us, atom index)` — so lazy and
-//! materialized expansion are identical by construction.
+//! This module is only the record-level data model and its serialization
+//! ([`RecordPlan::to_bytes`] / [`RecordPlan::from_bytes`]). Building atoms
+//! from a window stream and expanding them back — including the tie rule
+//! that keeps the round trip exact — is `dtn-sim`'s `CompiledPlan`, which
+//! converts to and from this form.
 
 use crate::record::ContactRecord;
 use crate::wire::{crc32, write_varint, ByteCursor, WireError};
-use std::collections::HashMap;
 
 /// One atom of a compressed contact plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,43 +77,6 @@ impl RecordAtom {
             RecordAtom::DeltaRun { deltas_us, .. } => deltas_us.len() as u64 + 1,
         }
     }
-
-    /// The start time of repeat `k`, microseconds into the day.
-    ///
-    /// # Panics
-    /// If `k` is out of range.
-    pub fn start_of(&self, k: u64) -> u64 {
-        match self {
-            RecordAtom::Literal(t) => {
-                assert_eq!(k, 0, "literal atoms have one window");
-                t.time_us
-            }
-            RecordAtom::Periodic {
-                template,
-                period_us,
-                repeats,
-            } => {
-                assert!(k < u64::from(*repeats), "repeat out of range");
-                template.time_us + period_us * k
-            }
-            RecordAtom::DeltaRun {
-                template,
-                deltas_us,
-            } => {
-                assert!(k <= deltas_us.len() as u64, "repeat out of range");
-                template.time_us + deltas_us[..k as usize].iter().sum::<u64>()
-            }
-        }
-    }
-
-    /// Expands this atom into its windows, in time order.
-    pub fn expand(&self) -> impl Iterator<Item = ContactRecord> + '_ {
-        let template = *self.template();
-        (0..self.window_count()).map(move |k| ContactRecord {
-            time_us: self.start_of(k),
-            ..template
-        })
-    }
 }
 
 /// A compressed contact plan: atoms in `(day, first time)` order.
@@ -152,20 +106,6 @@ impl RecordPlan {
     /// Total windows across all atoms.
     pub fn window_count(&self) -> u64 {
         self.atoms.iter().map(RecordAtom::window_count).sum()
-    }
-
-    /// Expands the whole plan back to records in `(day, time)` order with
-    /// ties broken by atom order — for a plan built by
-    /// [`compress_contacts`], exactly the input sequence.
-    pub fn expand(&self) -> Vec<ContactRecord> {
-        let mut out: Vec<(u32, u64, usize, ContactRecord)> = Vec::new();
-        for (i, atom) in self.atoms.iter().enumerate() {
-            for r in atom.expand() {
-                out.push((r.day, r.time_us, i, r));
-            }
-        }
-        out.sort_by_key(|&(day, t, i, _)| (day, t, i));
-        out.into_iter().map(|(_, _, _, r)| r).collect()
     }
 
     /// Serializes the plan to the compact binary format: the `RPLN1` magic,
@@ -407,94 +347,6 @@ impl std::fmt::Display for PlanDecodeError {
 
 impl std::error::Error for PlanDecodeError {}
 
-/// One open run during compression.
-struct Run {
-    template: ContactRecord,
-    last_time_us: u64,
-    deltas_us: Vec<u64>,
-}
-
-impl Run {
-    fn into_atom(self) -> RecordAtom {
-        if self.deltas_us.is_empty() {
-            return RecordAtom::Literal(self.template);
-        }
-        let first = self.deltas_us[0];
-        if self.deltas_us.iter().all(|&d| d == first) {
-            return RecordAtom::Periodic {
-                template: self.template,
-                period_us: first,
-                repeats: self.deltas_us.len() as u32 + 1,
-            };
-        }
-        RecordAtom::DeltaRun {
-            template: self.template,
-            deltas_us: self.deltas_us,
-        }
-    }
-}
-
-/// Run-length/delta-compresses a `(day, time)`-ordered contact-record
-/// sequence (e.g. the contacts of [`crate::stream_records`]) into a
-/// [`RecordPlan`] whose expansion replays the input exactly.
-///
-/// Consecutive windows of the same `(day, a, b, bytes, duration)` key fold
-/// into one run; regular gaps become [`RecordAtom::Periodic`], irregular
-/// ones [`RecordAtom::DeltaRun`]. Memory while encoding is O(distinct
-/// keys) for run bookkeeping plus the output plan itself.
-///
-/// Ties are handled conservatively: within a group of records sharing one
-/// `(day, time)`, runs may only be extended in nondecreasing run-creation
-/// order — an extension that would interleave (and therefore reorder the
-/// expansion) closes the run and opens a fresh atom instead.
-///
-/// # Panics
-/// If the input is not `(day, time)`-ordered.
-pub fn compress_contacts<I: IntoIterator<Item = ContactRecord>>(records: I) -> RecordPlan {
-    type Key = (u32, u32, u32, u64, u64);
-    let mut runs: Vec<Run> = Vec::new();
-    let mut open: HashMap<Key, usize> = HashMap::new();
-    let mut last: Option<(u32, u64)> = None;
-    // Largest run index extended within the current tie group.
-    let mut tie_max: Option<usize> = None;
-
-    for r in records {
-        let at = (r.day, r.time_us);
-        if let Some(prev) = last {
-            assert!(prev <= at, "records must be (day, time) ordered");
-            if prev != at {
-                tie_max = None;
-            }
-        }
-        last = Some(at);
-
-        let key: Key = (r.day, r.a, r.b, r.bytes, r.duration_us);
-        let extendable = open
-            .get(&key)
-            .copied()
-            .filter(|&ri| tie_max.is_none_or(|m| m <= ri));
-        match extendable {
-            Some(ri) => {
-                let run = &mut runs[ri];
-                run.deltas_us.push(r.time_us - run.last_time_us);
-                run.last_time_us = r.time_us;
-                tie_max = Some(ri);
-            }
-            None => {
-                let ri = runs.len();
-                runs.push(Run {
-                    template: r,
-                    last_time_us: r.time_us,
-                    deltas_us: Vec::new(),
-                });
-                open.insert(key, ri);
-                tie_max = Some(ri);
-            }
-        }
-    }
-    RecordPlan::new(runs.into_iter().map(Run::into_atom).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,121 +362,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn periodic_run_compresses_to_one_atom() {
-        let input: Vec<_> = (0..100)
-            .map(|k| rec(0, 10 + 50 * k, 1, 2, 512, 0))
-            .collect();
-        let plan = compress_contacts(input.clone());
-        assert_eq!(plan.atom_count(), 1);
-        assert!(matches!(
-            plan.atoms()[0],
+    /// One atom of each kind, with extreme field values in the mix.
+    fn sample_plan() -> RecordPlan {
+        RecordPlan::new(vec![
             RecordAtom::Periodic {
-                period_us: 50,
-                repeats: 100,
-                ..
-            }
-        ));
-        assert_eq!(plan.window_count(), 100);
-        assert_eq!(plan.expand(), input);
-        // 100 records compress to a handful of bytes.
-        assert!(plan.encoded_len() < 32, "{} bytes", plan.encoded_len());
-    }
-
-    #[test]
-    fn irregular_run_becomes_delta_atom() {
-        let times = [5u64, 9, 20, 21, 100];
-        let input: Vec<_> = times.iter().map(|&t| rec(2, t, 3, 4, 64, 1000)).collect();
-        let plan = compress_contacts(input.clone());
-        assert_eq!(plan.atom_count(), 1);
-        match &plan.atoms()[0] {
-            RecordAtom::DeltaRun {
-                template,
-                deltas_us,
-            } => {
-                assert_eq!(template.time_us, 5);
-                assert_eq!(deltas_us, &vec![4, 11, 1, 79]);
-            }
-            other => panic!("expected delta run, got {other:?}"),
-        }
-        assert_eq!(plan.expand(), input);
-    }
-
-    #[test]
-    fn interleaved_pairs_round_trip() {
-        let input = vec![
-            rec(0, 0, 1, 2, 10, 0),
-            rec(0, 3, 3, 4, 20, 0),
-            rec(0, 5, 1, 2, 10, 0),
-            rec(0, 8, 3, 4, 20, 0),
-            rec(0, 10, 1, 2, 10, 0),
-            rec(1, 1, 1, 2, 10, 0),
-        ];
-        let plan = compress_contacts(input.clone());
-        // Pair (1,2) day 0 is periodic; (3,4) periodic; day 1 separate.
-        assert_eq!(plan.atom_count(), 3);
-        assert_eq!(plan.expand(), input);
-    }
-
-    #[test]
-    fn ties_never_reorder() {
-        // Run A opens at t=0; at t=5 the order is B then A — extending A
-        // after B would emit A's repeat before B's window on expansion, so
-        // the encoder must break A's run.
-        let input = vec![
-            rec(0, 0, 1, 2, 10, 0),
-            rec(0, 5, 3, 4, 20, 0),
-            rec(0, 5, 1, 2, 10, 0),
-            rec(0, 5, 1, 2, 10, 0),
-            rec(0, 9, 3, 4, 20, 0),
-        ];
-        let plan = compress_contacts(input.clone());
-        assert_eq!(plan.expand(), input);
-    }
-
-    #[test]
-    fn same_instant_same_key_repeats_stay_one_run() {
-        let input = vec![
-            rec(0, 7, 1, 2, 10, 0),
-            rec(0, 7, 1, 2, 10, 0),
-            rec(0, 7, 1, 2, 10, 0),
-        ];
-        let plan = compress_contacts(input.clone());
-        assert_eq!(plan.atom_count(), 1);
-        assert!(matches!(
-            plan.atoms()[0],
-            RecordAtom::Periodic {
-                period_us: 0,
+                template: rec(0, 0, 1, 2, 10, 0),
+                period_us: 5,
                 repeats: 3,
-                ..
-            }
-        ));
-        assert_eq!(plan.expand(), input);
-    }
-
-    #[test]
-    #[should_panic(expected = "ordered")]
-    fn out_of_order_input_panics() {
-        compress_contacts(vec![rec(0, 9, 1, 2, 1, 0), rec(0, 3, 1, 2, 1, 0)]);
+            },
+            RecordAtom::DeltaRun {
+                template: rec(0, 3, 3, 4, u64::MAX, 5_000_000),
+                deltas_us: vec![8, 0, 300],
+            },
+            RecordAtom::Literal(rec(0, 7, 5, 6, 1, 0)),
+            RecordAtom::Literal(rec(1, 30, 1, 2, 10, 0)),
+        ])
     }
 
     #[test]
     fn binary_round_trip() {
-        let input = vec![
-            rec(0, 0, 1, 2, 10, 0),
-            rec(0, 3, 3, 4, u64::MAX, 5_000_000),
-            rec(0, 5, 1, 2, 10, 0),
-            rec(0, 7, 5, 6, 1, 0),
-            rec(0, 10, 1, 2, 10, 0),
-            rec(0, 11, 3, 4, u64::MAX, 5_000_000),
-            rec(0, 30, 1, 2, 10, 0),
-        ];
-        let plan = compress_contacts(input.clone());
+        let plan = sample_plan();
+        assert_eq!(plan.atom_count(), 4);
+        assert_eq!(plan.window_count(), 3 + 4 + 1 + 1);
         let bytes = plan.to_bytes();
         assert_eq!(bytes.len(), plan.encoded_len());
         let back = RecordPlan::from_bytes(&bytes).expect("round trip");
         assert_eq!(back, plan);
-        assert_eq!(back.expand(), input);
+    }
+
+    #[test]
+    fn new_sorts_atoms_by_day_then_first_time() {
+        let late = RecordAtom::Literal(rec(1, 2, 1, 2, 1, 0));
+        let early = RecordAtom::Literal(rec(0, 9, 3, 4, 1, 0));
+        let tied = RecordAtom::Literal(rec(0, 9, 5, 6, 1, 0));
+        let plan = RecordPlan::new(vec![late.clone(), early.clone(), tied.clone()]);
+        // Stable: `early` was given before `tied` and stays before it.
+        assert_eq!(plan.atoms(), &[early, tied, late]);
     }
 
     #[test]
@@ -633,7 +406,7 @@ mod tests {
             RecordPlan::from_bytes(b"nope"),
             Err(PlanDecodeError::BadMagic)
         );
-        let bytes = compress_contacts(vec![rec(0, 1, 1, 2, 3, 0)]).to_bytes();
+        let bytes = RecordPlan::new(vec![RecordAtom::Literal(rec(0, 1, 1, 2, 3, 0))]).to_bytes();
 
         // Appended bytes: the framing pins the body length, so the extras
         // are trailing and named by offset.
@@ -662,13 +435,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_rejected_with_an_offset() {
-        let bytes = compress_contacts(vec![
-            rec(0, 1, 1, 2, 3, 0),
-            rec(0, 5, 1, 2, 3, 0),
-            rec(0, 20, 1, 2, 3, 0),
-            rec(0, 21, 3, 4, 9, 7),
-        ])
-        .to_bytes();
+        let bytes = sample_plan().to_bytes();
         for len in 0..bytes.len() {
             let err = RecordPlan::from_bytes(&bytes[..len]).expect_err("truncated");
             match err {
@@ -682,11 +449,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_rejected() {
-        let plan = compress_contacts(vec![
-            rec(0, 1, 1, 2, 3, 0),
-            rec(0, 5, 1, 2, 3, 0),
-            rec(0, 20, 1, 2, 3, 0),
-        ]);
+        let plan = sample_plan();
         let bytes = plan.to_bytes();
         for i in 0..bytes.len() {
             for bit in 0..8 {
@@ -723,10 +486,9 @@ mod tests {
 
     #[test]
     fn empty_plan_is_fine() {
-        let plan = compress_contacts(Vec::new());
+        let plan = RecordPlan::new(Vec::new());
         assert_eq!(plan.atom_count(), 0);
         assert_eq!(plan.window_count(), 0);
-        assert!(plan.expand().is_empty());
         let back = RecordPlan::from_bytes(&plan.to_bytes()).unwrap();
         assert_eq!(back, plan);
     }
