@@ -8,7 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dtn_sim::{NodeId, Time};
 use rand::Rng;
-use rapid_core::{expected_meeting_times_from, MeetingView};
+use rapid_core::{expected_meeting_times_from, HopEstimates, MeetingView};
 
 /// Node 0's view of an `n`-node fleet in which every node has met its
 /// next `degree` neighbours (twice, so a mean exists) and node 0 has
@@ -55,11 +55,11 @@ fn bench(c: &mut Criterion) {
     }
     for (n, degree) in [(40usize, 16usize), (400, 8), (400, 399)] {
         let view = learned_view(n, degree);
-        let (mut dist, mut scratch) = (Vec::new(), Vec::new());
+        let mut est = HopEstimates::default();
         g.bench_function(format!("view_n{n}_d{degree}_h3"), |b| {
             b.iter(|| {
-                black_box(&view).expected_from_into(NodeId(0), 3, &mut dist, &mut scratch);
-                black_box(dist[n - 1])
+                black_box(&view).expected_from_into(NodeId(0), 3, &mut est);
+                black_box(est[n - 1])
             })
         });
     }

@@ -58,5 +58,5 @@ pub use estimate::{
     combined_rate, delay_from_rate, expected_remaining_delay, meetings_needed,
     prob_delivered_within, prob_within_from_rate, replica_delay, Kernel, QueueSnapshot, RateBatch,
 };
-pub use meetings::{expected_meeting_times_from, MeetingView};
+pub use meetings::{expected_meeting_times_from, HopEstimates, MeetingView};
 pub use protocol::Rapid;

@@ -13,11 +13,15 @@
 //!
 //! # Storage
 //!
-//! The matrix is stored exactly but sparsely: a row holds only its finite
-//! cells, as column-sorted parallel `cols` / `vals` vectors, and a row
-//! nobody has reported yet is two empty vectors. "Never observed" is the
-//! absence of a cell, read back as `INFINITY`. The h-hop relaxation walks
-//! only stored cells; an absent cell contributes `dy + INFINITY`, which is
+//! The matrix is stored exactly but sparsely, by what is known. A row
+//! holds only its finite cells, as column-sorted parallel `cols` / `vals`
+//! vectors; the view keeps its own row, the peers it has met (ascending,
+//! with their last-met instants and running averages) and an
+//! owner-ascending list of the rows gossip has reported — nothing is
+//! allocated per fleet member. "Never observed" is the absence of a cell,
+//! read back as `INFINITY`; a row nobody reported reads as empty with
+//! stamp `Time::ZERO`. The h-hop relaxation walks only stored cells of
+//! reached nodes; an absent cell contributes `dy + INFINITY`, which is
 //! never below any distance, so skipping it leaves every surviving update
 //! with the same operands in the same order as the dense relaxation
 //! ([`expected_meeting_times_from`], kept as the oracle) — the estimates
@@ -26,20 +30,32 @@
 use dtn_sim::{NodeId, Time};
 use dtn_stats::RunningMean;
 use dtn_trace::{write_varint, ByteCursor};
-use std::ops::Index;
+use std::ops::{Deref, Index};
 
 /// What an absent cell reads as (a `static` so [`RowView`]'s `Index` can
 /// hand out a reference to it).
 static NEVER_OBSERVED: f64 = f64::INFINITY;
 
-/// One believed row: its finite cells in ascending column order.
-#[derive(Debug, Clone, Default)]
-struct SparseRow {
+/// One believed row: its owner, when the owner last updated it, and its
+/// finite cells in ascending column order.
+#[derive(Debug, Clone)]
+struct Row {
+    owner: u32,
+    stamp: Time,
     cols: Vec<u32>,
     vals: Vec<f64>,
 }
 
-impl SparseRow {
+impl Row {
+    fn new(owner: u32, stamp: Time) -> Self {
+        Self {
+            owner,
+            stamp,
+            cols: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
     fn set(&mut self, col: u32, val: f64) {
         debug_assert!(val.is_finite(), "only finite cells are stored");
         match self.cols.binary_search(&col) {
@@ -49,6 +65,18 @@ impl SparseRow {
                 self.vals.insert(i, val);
             }
         }
+    }
+
+    /// `clone_from` that reuses this row's capacity.
+    fn copy_from(&mut self, other: &Row) {
+        (self.owner, self.stamp) = (other.owner, other.stamp);
+        self.cols.clone_from(&other.cols);
+        self.vals.clone_from(&other.vals);
+    }
+
+    /// Whether the row carries information: a stamp or a cell.
+    fn is_live(&self) -> bool {
+        self.stamp != Time::ZERO || !self.cols.is_empty()
     }
 }
 
@@ -82,64 +110,121 @@ impl Index<usize> for RowView<'_> {
     }
 }
 
+/// Reusable h-hop estimates: dense distances (`est[dst]` is one load;
+/// derefs to `&[f64]`) plus the ascending list of the finite ones, through
+/// which a refill resets and iterates the buffer — O(reached), not O(n).
+#[derive(Debug, Clone, Default)]
+pub struct HopEstimates {
+    dist: Vec<f64>,
+    /// Indices of the finite entries of `dist`, ascending.
+    reached: Vec<u32>,
+    /// One relaxation round's intermediaries `(node, distance)`, as of the
+    /// round's start.
+    round: Vec<(u32, f64)>,
+}
+
+impl Deref for HopEstimates {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.dist
+    }
+}
+
 /// One node's view of the fleet-wide meeting-time matrix.
 #[derive(Debug, Clone)]
 pub struct MeetingView {
-    me: NodeId,
     n: usize,
-    /// `rows[u]`: believed mean times (seconds) for `u` to meet each peer
-    /// directly; a peer without a cell was never observed.
-    rows: Vec<SparseRow>,
-    /// Stamp of the information in `rows[u]` (when `u` last updated it).
-    row_stamp: Vec<Time>,
-    /// My own direct-meeting averages (the ground truth for `rows[me]`).
-    my_avg: Vec<RunningMean>,
-    /// Last time I met each peer (to form inter-meeting gaps).
-    last_met: Vec<Option<Time>>,
+    /// The peers I have met, ascending; `last_met` (to form inter-meeting
+    /// gaps) and `avg` (my direct-meeting averages, the ground truth for
+    /// `own`) run parallel to it.
+    met: Vec<u32>,
+    last_met: Vec<Time>,
+    avg: Vec<RunningMean>,
+    /// My own row: the believed mean time (seconds) to meet each averaged
+    /// peer directly.
+    own: Row,
+    /// Other nodes' rows as gossip reported them, ascending by owner; only
+    /// rows that carry information.
+    learned: Vec<Row>,
 }
 
 impl MeetingView {
     /// Creates an empty view for node `me` in an `n`-node fleet.
     pub fn new(me: NodeId, n: usize) -> Self {
         Self {
-            me,
             n,
-            rows: vec![SparseRow::default(); n],
-            row_stamp: vec![Time::ZERO; n],
-            my_avg: vec![RunningMean::new(); n],
-            last_met: vec![None; n],
+            met: Vec::new(),
+            last_met: Vec::new(),
+            avg: Vec::new(),
+            own: Row::new(me.0, Time::ZERO),
+            learned: Vec::new(),
         }
     }
 
     /// The owner of this view.
     pub fn me(&self) -> NodeId {
-        self.me
+        NodeId(self.own.owner)
     }
 
     /// Records a direct meeting with `peer` at `now`, updating the
     /// inter-meeting average (the first meeting only sets the baseline).
+    /// Allocates only on the first two meetings with a peer (the sorted
+    /// inserts of the peer and of its first average).
     pub fn record_meeting(&mut self, peer: NodeId, now: Time) {
-        assert_ne!(peer, self.me, "cannot meet self");
-        let p = peer.index();
-        if let Some(last) = self.last_met[p] {
-            let gap = now.since(last).as_secs_f64();
-            self.my_avg[p].observe(gap);
+        assert_ne!(peer, self.me(), "cannot meet self");
+        let i = match self.met.binary_search(&peer.0) {
+            Ok(i) => {
+                let gap = now.since(self.last_met[i]).as_secs_f64();
+                self.avg[i].observe(gap);
+                self.last_met[i] = now;
+                i
+            }
+            Err(i) => {
+                self.met.insert(i, peer.0);
+                self.last_met.insert(i, now);
+                self.avg.insert(i, RunningMean::new());
+                i
+            }
+        };
+        if let Some(mean) = self.avg[i].mean() {
+            self.own.set(peer.0, mean);
         }
-        self.last_met[p] = Some(now);
-        if let Some(mean) = self.my_avg[p].mean() {
-            self.rows[self.me.index()].set(peer.0, mean);
-        }
-        self.row_stamp[self.me.index()] = now;
+        self.own.stamp = now;
     }
 
     /// My believed mean direct inter-meeting time with `peer`, seconds.
     pub fn direct_mean(&self, peer: NodeId) -> f64 {
-        self.row(self.me.index())[peer.index()]
+        self.row(self.me().index())[peer.index()]
+    }
+
+    fn learned_at(&self, owner: u32) -> Result<usize, usize> {
+        self.learned.binary_search_by_key(&owner, |r| r.owner)
+    }
+
+    /// Row `u`, if this view holds it.
+    fn held_row(&self, u: u32) -> Option<&Row> {
+        if u == self.own.owner {
+            return Some(&self.own);
+        }
+        Some(&self.learned[self.learned_at(u).ok()?])
+    }
+
+    /// Every held row, ascending by owner: the learned list with my own
+    /// row merged in at its place.
+    fn rows_ascending(&self) -> impl Iterator<Item = &Row> {
+        let split = self.learned.partition_point(|r| r.owner < self.own.owner);
+        let (below, above) = self.learned.split_at(split);
+        below.iter().chain([&self.own]).chain(above)
     }
 
     /// Any believed row (mine is ground truth; others are gossip).
     pub fn row(&self, u: usize) -> RowView<'_> {
-        let SparseRow { cols, vals } = &self.rows[u];
+        assert!(u < self.n, "row {u} out of range (n={})", self.n);
+        let (cols, vals): (&[u32], &[f64]) = match self.held_row(u as u32) {
+            Some(row) => (&row.cols, &row.vals),
+            None => (&[], &[]),
+        };
         RowView {
             n: self.n,
             cols,
@@ -161,9 +246,9 @@ impl MeetingView {
     pub fn rows_changed_since_into(&self, since: Time, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend(
-            (0..self.n)
-                .filter(|&u| self.row_stamp[u] > since && !self.rows[u].cols.is_empty())
-                .map(|u| NodeId(u as u32)),
+            self.rows_ascending()
+                .filter(|r| r.stamp > since && !r.cols.is_empty())
+                .map(|r| NodeId(r.owner)),
         );
     }
 
@@ -171,15 +256,20 @@ impl MeetingView {
     /// to `rows` (what the channel actually carried).
     pub fn merge_rows_from(&mut self, other: &MeetingView, rows: &[NodeId]) {
         for &u in rows {
-            let ui = u.index();
             // Never overwrite my own ground-truth row.
-            if u == self.me {
+            if u == self.me() {
                 continue;
             }
-            if other.row_stamp[ui] > self.row_stamp[ui] {
-                self.rows[ui].cols.clone_from(&other.rows[ui].cols);
-                self.rows[ui].vals.clone_from(&other.rows[ui].vals);
-                self.row_stamp[ui] = other.row_stamp[ui];
+            let Some(theirs) = other.held_row(u.0) else {
+                continue;
+            };
+            match self.learned_at(u.0) {
+                Ok(i) if theirs.stamp > self.learned[i].stamp => {
+                    self.learned[i].copy_from(theirs);
+                }
+                // An unreported row reads as stamped `Time::ZERO`.
+                Err(i) if theirs.stamp > Time::ZERO => self.learned.insert(i, theirs.clone()),
+                _ => {}
             }
         }
     }
@@ -189,26 +279,19 @@ impl MeetingView {
     /// (Bellman–Ford limited to `h` edges). Unreachable ⇒ `INFINITY`
     /// (§4.1.2: "we set the expected inter-meeting time to infinity").
     pub fn expected_meeting_times(&self, hop_limit: usize) -> Vec<f64> {
-        let mut dist = Vec::new();
-        let mut scratch = Vec::new();
-        self.expected_from_into(self.me, hop_limit, &mut dist, &mut scratch);
-        dist
+        let mut est = HopEstimates::default();
+        self.expected_from_into(self.me(), hop_limit, &mut est);
+        est.dist
     }
 
     /// [`MeetingView::expected_meeting_times`] evaluated from an arbitrary
     /// start node `from` *through this view's believed rows*, written into
-    /// reusable buffers — the allocation-free form the per-contact hot
+    /// a reusable buffer — the allocation-free form the per-contact hot
     /// path uses (`from == me` for own estimates, `from == peer` for
     /// valuing the peer's position through learned rows). Bit-identical
     /// to [`expected_meeting_times_from`] over the same rows.
-    pub fn expected_from_into(
-        &self,
-        from: NodeId,
-        hop_limit: usize,
-        dist: &mut Vec<f64>,
-        scratch: &mut Vec<f64>,
-    ) {
-        relax_rows_into(self.n, from, hop_limit, |u| self.row(u), dist, scratch);
+    pub fn expected_from_into(&self, from: NodeId, hop_limit: usize, est: &mut HopEstimates) {
+        relax_rows_into(self.n, from, hop_limit, |u| self.row(u), est);
     }
 
     /// Appends this view's checkpoint section: the rows that carry
@@ -216,75 +299,86 @@ impl MeetingView {
     /// column order, then the own-row running averages and last-met
     /// instants of the peers that have one.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        let live = |u: &usize| self.row_stamp[*u] != Time::ZERO || !self.rows[*u].cols.is_empty();
-        write_varint(out, (0..self.n).filter(live).count() as u64);
-        for u in (0..self.n).filter(live) {
-            write_varint(out, u as u64);
-            write_varint(out, self.row_stamp[u].0);
-            write_varint(out, self.rows[u].cols.len() as u64);
-            for (c, v) in self.row(u).cells() {
+        let live = || self.rows_ascending().filter(|r| r.is_live());
+        write_varint(out, live().count() as u64);
+        for row in live() {
+            write_varint(out, row.owner as u64);
+            write_varint(out, row.stamp.0);
+            write_varint(out, row.cols.len() as u64);
+            for (&c, &v) in row.cols.iter().zip(&row.vals) {
                 write_varint(out, c as u64);
                 put_f64(out, v);
             }
         }
-        let averaged = |p: &usize| self.my_avg[*p].count() > 0;
-        write_varint(out, (0..self.n).filter(averaged).count() as u64);
-        for p in (0..self.n).filter(averaged) {
-            let (mean, count) = self.my_avg[p].state();
+        let averaged = || {
+            self.met
+                .iter()
+                .zip(&self.avg)
+                .filter(|(_, a)| a.count() > 0)
+        };
+        write_varint(out, averaged().count() as u64);
+        for (&p, avg) in averaged() {
+            let (mean, count) = avg.state();
             write_varint(out, p as u64);
             put_f64(out, mean);
             write_varint(out, count);
         }
-        write_varint(out, self.last_met.iter().flatten().count() as u64);
-        for (p, met) in self.last_met.iter().enumerate() {
-            if let Some(t) = met {
-                write_varint(out, p as u64);
-                write_varint(out, t.0);
-            }
+        write_varint(out, self.met.len() as u64);
+        for (&p, t) in self.met.iter().zip(&self.last_met) {
+            write_varint(out, p as u64);
+            write_varint(out, t.0);
         }
     }
 
     /// Restores a section written by [`MeetingView::encode`] onto this
     /// (freshly constructed) view. Every index is validated against `n`;
-    /// a row whose columns are not strictly ascending or that holds a
-    /// non-finite cell is rejected — the sparse form cannot represent it,
-    /// and a binary search over it would silently misread.
+    /// a list whose indices are not strictly ascending, a row that holds
+    /// a non-finite cell or an average without a last-met instant is
+    /// rejected — the sparse form cannot represent it, and a binary search
+    /// over it would silently misread.
     pub(crate) fn decode(&mut self, cur: &mut ByteCursor<'_>) -> Result<(), String> {
         let n = self.n;
         let mut prev_row = None;
         for _ in 0..take_varint(cur)? {
-            let u = take_index(cur, n)?;
-            if prev_row.is_some_and(|prev| prev >= u) {
-                return Err(format!("meeting row {u} not strictly ascending"));
-            }
-            prev_row = Some(u);
-            self.row_stamp[u] = Time(take_varint(cur)?);
-            let cells = take_varint(cur)?;
-            let mut row = SparseRow::default();
-            for _ in 0..cells {
-                let c = take_index(cur, n)? as u32;
+            let u = take_ascending(cur, n, &mut prev_row, "meeting row")?;
+            let mut row = Row::new(u as u32, Time(take_varint(cur)?));
+            let mut prev_col = None;
+            for _ in 0..take_varint(cur)? {
+                let c = take_ascending(cur, n, &mut prev_col, "column")
+                    .map_err(|e| format!("meeting row {u}: {e}"))?;
                 let v = take_f64(cur)?;
-                if row.cols.last().is_some_and(|&prev| prev >= c) {
-                    return Err(format!(
-                        "meeting row {u}: column {c} not strictly ascending"
-                    ));
-                }
                 if !v.is_finite() {
                     return Err(format!("meeting row {u}: cell {c} is not finite ({v})"));
                 }
-                row.cols.push(c);
+                row.cols.push(c as u32);
                 row.vals.push(v);
             }
-            self.rows[u] = row;
+            if row.owner == self.own.owner {
+                self.own = row;
+            } else if row.is_live() {
+                self.learned.push(row);
+            }
         }
+        let mut averaged = Vec::new();
+        let mut prev = None;
         for _ in 0..take_varint(cur)? {
-            let p = take_index(cur, n)?;
+            let p = take_ascending(cur, n, &mut prev, "running-mean peer")?;
             let mean = take_f64(cur)?;
-            self.my_avg[p] = RunningMean::from_state(mean, take_varint(cur)?);
+            averaged.push((p as u32, RunningMean::from_state(mean, take_varint(cur)?)));
         }
+        let mut prev = None;
         for _ in 0..take_varint(cur)? {
-            let p = take_index(cur, n)?;
-            self.last_met[p] = Some(Time(take_varint(cur)?));
+            let p = take_ascending(cur, n, &mut prev, "last-met peer")?;
+            self.met.push(p as u32);
+            self.last_met.push(Time(take_varint(cur)?));
+        }
+        self.avg.resize(self.met.len(), RunningMean::new());
+        for (p, avg) in averaged {
+            let i = self
+                .met
+                .binary_search(&p)
+                .map_err(|_| format!("running mean for peer {p} without a last-met instant"))?;
+            self.avg[i] = avg;
         }
         Ok(())
     }
@@ -317,48 +411,83 @@ pub(crate) fn take_index(cur: &mut ByteCursor<'_>, n: usize) -> Result<usize, St
     Ok(p)
 }
 
+/// Reads a node index that must exceed the previous one of its list
+/// (`prev`, updated): the sorted sparse forms cannot hold an unordered or
+/// repeated index, and a binary search over one would misread.
+pub(crate) fn take_ascending(
+    cur: &mut ByteCursor<'_>,
+    n: usize,
+    prev: &mut Option<usize>,
+    what: &str,
+) -> Result<usize, String> {
+    let p = take_index(cur, n)?;
+    if prev.is_some_and(|prev| prev >= p) {
+        return Err(format!("{what} {p} not strictly ascending"));
+    }
+    *prev = Some(p);
+    Ok(p)
+}
+
 /// The one h-hop relaxation, over any provider of believed rows (a view's
 /// own beliefs in-band; every node's ground-truth row on the instant
-/// global channel): `dist` receives the expected meeting times from `src`,
-/// `scratch` holds the per-round snapshot. No allocation once the buffers
-/// have capacity `n`. Intermediaries are visited in ascending order and
-/// each row's cells in ascending column order — the dense oracle's update
-/// order with the `INFINITY` cells, which can never win, left out.
+/// global channel): `est` receives the expected meeting times from `src`.
+/// Only `est`'s previously finite entries are reset and only reached
+/// nodes are visited, so a call costs O(cells of reached rows) and, once
+/// the buffer has held an `n`-node estimate, allocates nothing.
+/// Intermediaries are visited in ascending order and each row's cells in
+/// ascending column order — the dense oracle's update order with the
+/// `INFINITY` cells, which can never win, left out.
 pub(crate) fn relax_rows_into<'a>(
     n: usize,
     src: NodeId,
     hop_limit: usize,
     row_of: impl Fn(usize) -> RowView<'a>,
-    dist: &mut Vec<f64>,
-    scratch: &mut Vec<f64>,
+    est: &mut HopEstimates,
 ) {
     assert!(hop_limit >= 1, "need at least one hop");
-    let src = src.index();
-    dist.clear();
+    let HopEstimates {
+        dist,
+        reached,
+        round,
+    } = est;
+    for z in reached.drain(..) {
+        dist[z as usize] = f64::INFINITY;
+    }
     dist.resize(n, f64::INFINITY);
-    for (z, m) in row_of(src).cells() {
+    let src = src.index();
+    for (z, m) in row_of(src).cells().filter(|&(z, _)| z != src) {
         dist[z] = m;
+        reached.push(z as u32);
     }
     dist[src] = 0.0;
+    reached.insert(reached.partition_point(|&z| (z as usize) < src), src as u32);
     for _ in 1..hop_limit {
-        scratch.clear();
-        scratch.extend_from_slice(dist);
-        for (y, &dy) in scratch.iter().enumerate() {
-            if !dy.is_finite() || y == src {
-                continue;
-            }
-            for (z, m) in row_of(y).cells() {
+        round.clear();
+        round.extend(
+            reached
+                .iter()
+                .filter(|&&y| y as usize != src)
+                .map(|&y| (y, dist[y as usize])),
+        );
+        let known = reached.len();
+        for &(y, dy) in round.iter() {
+            for (z, m) in row_of(y as usize).cells() {
                 if z == src {
                     continue;
                 }
                 let via = dy + m;
                 if via < dist[z] {
+                    if dist[z] == f64::INFINITY {
+                        reached.push(z as u32);
+                    }
                     dist[z] = via;
                 }
             }
         }
+        if reached.len() > known {
+            reached.sort_unstable();
+        }
     }
-    dist[src] = 0.0;
 }
 
 /// h-hop expected meeting times from `src` over a dense matrix of believed

@@ -39,7 +39,10 @@ use crate::estimate::{
     combined_rate, delay_from_rate, meetings_needed, prob_within_from_rate, rate_contribution,
     replica_delay, InsertCursor, Kernel, QueueSnapshot, RateBatch,
 };
-use crate::meetings::{put_f64, relax_rows_into, take_f64, take_index, take_varint, MeetingView};
+use crate::meetings::{
+    put_f64, relax_rows_into, take_ascending, take_f64, take_index, take_varint, HopEstimates,
+    MeetingView,
+};
 use dtn_sim::{
     ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
     PacketSet, PacketStore, Partition, QueueEntry, Routing, SimConfig, SlicePartition, Time,
@@ -67,28 +70,26 @@ const UNREACHABLE_GAIN: f64 = 1e18;
 
 /// Per-node protocol state (beliefs only — the world lives in the engine).
 ///
-/// Meeting rows are sparse, but `last_sent`, `believed_opp`, `est_cache`
-/// and the view's own per-peer vectors are still one dense entry per peer:
-/// ≈120 B × n per node, the fleet's remaining n² term (19 MB at 400 nodes,
-/// 1.9 GB at 4000).
+/// Everything is stored by what the node knows — met peers, reported rows,
+/// peers sent to — except `believed_opp`, the fleet's one remaining n²
+/// term (16 B × n²: 2.6 MB at 400 nodes, 256 MB at 4000).
 #[derive(Debug, Clone)]
 struct NodeState {
     /// Believed meeting-time matrix, finite cells only.
     meetings: MeetingView,
     meta: MetaTable,
     acks: PacketSet,
-    /// Watermark of the last *complete* metadata send to each peer
-    /// (dense, `n` entries).
-    last_sent: Vec<Time>,
+    /// Watermark of the last *complete* metadata send to each peer sent
+    /// to, ascending by peer; an absent peer reads as `Time::ZERO`.
+    last_sent: Vec<(u32, Time)>,
     /// Average opportunity size observed by this node (bytes).
     avg_opp: dtn_stats::RunningMean,
-    /// Believed average opportunity size of every node, with stamp
-    /// (dense, `n` entries).
+    /// Believed average opportunity size of every node, with stamp.
+    /// Dense (`n` entries) on purpose: opportunity averages gossip
+    /// fleet-wide, and by the end of a regional pass a node was measured
+    /// to know 383 of 400 entries (868 of 1200), so a sorted sparse form
+    /// at 20 B per entry would save nothing there.
     believed_opp: Vec<(f64, Time)>,
-    /// h-hop expected meeting times, valid while `est_valid` (refreshed in
-    /// place — never reallocated in steady state).
-    est_cache: Vec<f64>,
-    est_valid: bool,
 }
 
 impl NodeState {
@@ -97,11 +98,24 @@ impl NodeState {
             meetings: MeetingView::new(me, n),
             meta: MetaTable::new(),
             acks: PacketSet::new(),
-            last_sent: vec![Time::ZERO; n],
+            last_sent: Vec::new(),
             avg_opp: dtn_stats::RunningMean::new(),
             believed_opp: vec![(0.0, Time::ZERO); n],
-            est_cache: Vec::new(),
-            est_valid: false,
+        }
+    }
+
+    fn last_sent_to(&self, peer: NodeId) -> Time {
+        match self.last_sent.binary_search_by_key(&peer.0, |e| e.0) {
+            Ok(i) => self.last_sent[i].1,
+            Err(_) => Time::ZERO,
+        }
+    }
+
+    fn set_last_sent(&mut self, peer: NodeId, at: Time) {
+        match self.last_sent.binary_search_by_key(&peer.0, |e| e.0) {
+            Ok(i) => self.last_sent[i].1 = at,
+            Err(i) if at != Time::ZERO => self.last_sent.insert(i, (peer.0, at)),
+            Err(_) => {}
         }
     }
 }
@@ -135,13 +149,12 @@ struct ContactScratch {
     candidates: Vec<Candidate>,
     stored: HashSet<PacketId>,
     purge: Vec<PacketId>,
-    /// h-hop estimates: own views and each side's view of the peer.
-    est_x: Vec<f64>,
-    est_y: Vec<f64>,
-    est_y_from_x: Vec<f64>,
-    est_x_from_y: Vec<f64>,
-    /// Relaxation scratch for the estimate computations.
-    relax: Vec<f64>,
+    /// h-hop estimates: own views and each side's view of the peer
+    /// (`est_x` also serves creation-time `make_room`).
+    est_x: HopEstimates,
+    est_y: HopEstimates,
+    est_y_from_x: HopEstimates,
+    est_x_from_y: HopEstimates,
     /// Batched Eq. 4–5 rows: own-side and peer-side replica delays of one
     /// delivery queue, evaluated whole-queue per kernel.
     row_self: RateBatch,
@@ -362,68 +375,19 @@ impl ContactExec<'_> {
         }
     }
 
-    /// h-hop expected meeting times over the instant global channel:
-    /// ground-truth rows of every node, evaluated from `from`.
-    fn estimate_times_global(&self, from: NodeId) -> Vec<f64> {
-        let mut dist = Vec::new();
-        self.estimate_times_global_into(from, &mut dist, &mut Vec::new());
-        dist
-    }
-
-    /// [`ContactExec::estimate_times_global`] into reusable buffers: the
-    /// relaxation the in-band views run, with row `y` read from node `y`'s
-    /// own state instead of one believer's gossip.
-    fn estimate_times_global_into(&self, from: NodeId, out: &mut Vec<f64>, relax: &mut Vec<f64>) {
-        let all = self.states.all();
-        relax_rows_into(
-            self.n,
-            from,
-            self.cfg.hop_limit,
-            |y| all[y].meetings.row(y),
-            out,
-            relax,
-        );
-    }
-
     /// Fills `out` with the h-hop expected meeting times as believed by
     /// `believer`, evaluated from `from`'s position (usually `believer`
-    /// itself; evaluating the peer's position uses the learned rows).
-    fn fill_est(&self, believer: NodeId, from: NodeId, out: &mut Vec<f64>, relax: &mut Vec<f64>) {
+    /// itself; evaluating the peer's position uses the learned rows). The
+    /// instant global channel runs the same relaxation with row `y` read
+    /// from node `y`'s own state instead of one believer's gossip.
+    fn fill_est(&self, believer: NodeId, from: NodeId, out: &mut HopEstimates) {
+        let h = self.cfg.hop_limit;
         if self.is_global() {
-            self.estimate_times_global_into(from, out, relax);
+            let all = self.states.all();
+            relax_rows_into(self.n, from, h, |y| all[y].meetings.row(y), out);
         } else {
-            self.states.state(believer).meetings.expected_from_into(
-                from,
-                self.cfg.hop_limit,
-                out,
-                relax,
-            );
-        }
-    }
-
-    /// Makes `node`'s estimate cache valid (recomputing it in place if a
-    /// contact or churn invalidated it since the last refresh).
-    fn ensure_est_cache(&mut self, node: NodeId, relax: &mut Vec<f64>) {
-        if self.states.state(node).est_valid {
-            return;
-        }
-        if self.is_global() {
-            let mut est = std::mem::take(&mut self.states.state_mut(node).est_cache);
-            self.estimate_times_global_into(node, &mut est, relax);
-            let st = self.states.state_mut(node);
-            st.est_cache = est;
-            st.est_valid = true;
-        } else {
-            let hop_limit = self.cfg.hop_limit;
-            let st = self.states.state_mut(node);
-            let NodeState {
-                meetings,
-                est_cache,
-                est_valid,
-                ..
-            } = st;
-            meetings.expected_from_into(node, hop_limit, est_cache, relax);
-            *est_valid = true;
+            let view = &self.states.state(believer).meetings;
+            view.expected_from_into(from, h, out);
         }
     }
 
@@ -434,13 +398,7 @@ impl ContactExec<'_> {
     /// [`ContactExec::score_storage`] evaluates a queue at a time — kept
     /// as the reference the storage oracle scores with.
     #[cfg(any(debug_assertions, test))]
-    fn rate_with(&self, node: NodeId, packet: &Packet, bytes_ahead: u64) -> f64 {
-        let state = self.states.state(node);
-        assert!(
-            state.est_valid,
-            "estimate cache must be built before utility queries"
-        );
-        let est = &state.est_cache;
+    fn rate_with(&self, node: NodeId, est: &[f64], packet: &Packet, bytes_ahead: u64) -> f64 {
         let b_self = self.opp_bytes(node, node);
         let a_self = self.cap(replica_delay(
             est[packet.dst.index()],
@@ -489,33 +447,25 @@ impl ContactExec<'_> {
     /// lowest utility, the first to drop, at the front. Per delivery queue
     /// that is one Eq. 4–5 row over the entries' queue positions (the
     /// destination estimate, opportunity size and cap broadcast across
-    /// it), then the remote-belief fold per packet. `node`'s estimate
-    /// cache must be valid.
+    /// it), then the remote-belief fold per packet. `est` is `node`'s
+    /// current h-hop estimates — the contact's own, or computed for the
+    /// call at creation time; no node keeps a copy.
+    #[allow(clippy::too_many_arguments)]
     fn score_storage<'q>(
         &self,
         node: NodeId,
+        est: &[f64],
         queues: impl Iterator<Item = (NodeId, &'q [QueueEntry])>,
         keep: impl Fn(PacketId) -> bool,
         now: Time,
         row: &mut RateBatch,
         scored: &mut Vec<(f64, PacketId, u64)>,
     ) {
-        let state = self.states.state(node);
-        // Hard assert in every build: a stale estimate cache would not
-        // crash but silently misrank packets.
-        assert!(
-            state.est_valid,
-            "estimate cache must be built before utility queries"
-        );
         let b_self = self.opp_bytes(node, node);
         scored.clear();
         for (dst, queue) in queues {
             row.load_queue(queue);
-            row.compute(
-                state.est_cache[dst.index()],
-                b_self,
-                self.cfg.delay_cap_secs,
-            );
+            row.compute(est[dst.index()], b_self, self.cfg.delay_cap_secs);
             for (entry, &a_self) in queue.iter().zip(row.delays()) {
                 if keep(entry.id) {
                     let rate = self.rate_from_a_self(node, entry.id, a_self);
@@ -545,9 +495,13 @@ impl ContactExec<'_> {
         now: Time,
         scratch: &mut ContactScratch,
     ) -> Vec<PacketId> {
-        self.ensure_est_cache(node, &mut scratch.relax);
-        let StorageScratch { row, scored, .. } = &mut scratch.storage;
-        self.score_storage(node, buffer.queues(), |_| true, now, row, scored);
+        let ContactScratch {
+            est_x: est,
+            storage: StorageScratch { row, scored, .. },
+            ..
+        } = scratch;
+        self.fill_est(node, node, est);
+        self.score_storage(node, est, buffer.queues(), |_| true, now, row, scored);
 
         // §3.4 protects a source's own unacked packets from being displaced
         // by *incoming replicas*; when the incoming packet is the node's own
@@ -816,10 +770,9 @@ impl Routing for Rapid {
     }
 }
 
-/// Appends one node's checkpointable belief state. The derived `est_cache`
-/// is rebuilt empty on restore — it is lazily recomputed and never observed
-/// directly. All sparse maps iterate in ascending peer/slot order, so a save
-/// of a restored instance is byte-identical.
+/// Appends one node's checkpointable belief state. All sparse maps iterate
+/// in ascending peer/slot order, so a save of a restored instance is
+/// byte-identical.
 fn encode_node_state(out: &mut Vec<u8>, st: &NodeState) {
     st.meetings.encode(out);
 
@@ -843,13 +796,11 @@ fn encode_node_state(out: &mut Vec<u8>, st: &NodeState) {
         write_varint(out, id.0 as u64);
     }
 
-    let sent: Vec<usize> = (0..st.last_sent.len())
-        .filter(|&p| st.last_sent[p] != Time::ZERO)
-        .collect();
-    write_varint(out, sent.len() as u64);
-    for p in sent {
+    let sent = || st.last_sent.iter().filter(|e| e.1 != Time::ZERO);
+    write_varint(out, sent().count() as u64);
+    for &(p, at) in sent() {
         write_varint(out, p as u64);
-        write_varint(out, st.last_sent[p].0);
+        write_varint(out, at.0);
     }
 
     let (mean, count) = st.avg_opp.state();
@@ -915,19 +866,19 @@ fn decode_node_state(
         st.acks.insert(PacketId(id));
     }
 
-    let sent = take_varint(cur)?;
-    for _ in 0..sent {
-        let p = take_index(cur, n)?;
-        st.last_sent[p] = Time(take_varint(cur)?);
+    let mut prev = None;
+    for _ in 0..take_varint(cur)? {
+        let p = take_ascending(cur, n, &mut prev, "last-sent peer")?;
+        st.set_last_sent(NodeId(p as u32), Time(take_varint(cur)?));
     }
 
     let mean = take_f64(cur)?;
     let count = take_varint(cur)?;
     st.avg_opp = dtn_stats::RunningMean::from_state(mean, count);
 
-    let opp = take_varint(cur)?;
-    for _ in 0..opp {
-        let p = take_index(cur, n)?;
+    let mut prev = None;
+    for _ in 0..take_varint(cur)? {
+        let p = take_ascending(cur, n, &mut prev, "believed-opportunity node")?;
         let size = take_f64(cur)?;
         let stamp = Time(take_varint(cur)?);
         st.believed_opp[p] = (size, stamp);
@@ -1023,7 +974,6 @@ impl ContactExec<'_> {
             st.avg_opp.observe(full_opp as f64);
             let avg = st.avg_opp.mean_or(0.0);
             st.believed_opp[x.index()] = (avg, now);
-            st.est_valid = false;
         }
 
         // --- Step 1: metadata exchange (in-band modes only).
@@ -1069,9 +1019,7 @@ impl ContactExec<'_> {
 
         // --- Fast path: with both buffers empty there is nothing to
         // deliver, replicate, score or snapshot — skip the estimate and
-        // snapshot setup entirely. (`est_valid` stays false; a later
-        // `make_room` recomputes from the same post-meeting inputs,
-        // bit-identically.)
+        // snapshot setup entirely.
         if driver.buffer(a).is_empty() && driver.buffer(b).is_empty() {
             self.bound_meta(driver, a, b);
             return;
@@ -1088,18 +1036,17 @@ impl ContactExec<'_> {
             est_y: est_b,
             est_y_from_x: est_b_from_a,
             est_x_from_y: est_a_from_b,
-            relax,
             row_self,
             row_peer,
             storage,
             ..
         } = scratch;
-        self.fill_est(a, a, est_a, relax);
-        self.fill_est(b, b, est_b, relax);
+        self.fill_est(a, a, est_a);
+        self.fill_est(b, b, est_b);
         // How each side values the *peer's* position (for a_peer): seen
         // through its own learned rows.
-        self.fill_est(a, b, est_b_from_a, relax);
-        self.fill_est(b, a, est_a_from_b, relax);
+        self.fill_est(a, b, est_b_from_a);
+        self.fill_est(b, a, est_a_from_b);
         // Contact-start queue state for scoring, even as transfers mutate
         // the buffers mid-contact. The second replicating side always needs
         // a materialized copy of its own queues (the first side mutates
@@ -1119,12 +1066,6 @@ impl ContactExec<'_> {
         } else {
             QueueView::Live(a)
         };
-        for (x, est) in [(a, &*est_a), (b, &*est_b)] {
-            let st = self.states.state_mut(x);
-            st.est_cache.clear();
-            st.est_cache.extend_from_slice(est);
-            st.est_valid = true;
-        }
 
         // --- Step 2: direct delivery, both sides.
         for (x, y) in [(a, b), (b, a)] {
@@ -1139,6 +1080,7 @@ impl ContactExec<'_> {
             b,
             est_a,
             est_b_from_a,
+            est_b,
             view_a,
             view_b,
             now,
@@ -1154,6 +1096,7 @@ impl ContactExec<'_> {
             a,
             est_b,
             est_a_from_b,
+            est_a,
             view_b,
             view_a,
             now,
@@ -1232,6 +1175,7 @@ impl ContactExec<'_> {
         y: NodeId,
         est_x: &[f64],
         est_y: &[f64],
+        est_y_own: &[f64],
         snap_x: QueueView<'_>,
         snap_y: QueueView<'_>,
         now: Time,
@@ -1249,7 +1193,7 @@ impl ContactExec<'_> {
         };
 
         // Global-mode caches: per-holder estimates and queue snapshots.
-        let mut global_est: HashMap<u32, Vec<f64>> = HashMap::new();
+        let mut global_est: HashMap<u32, HopEstimates> = HashMap::new();
         let mut global_snap: HashMap<u32, QueueSnapshot> = HashMap::new();
 
         // Candidates are enumerated per destination queue of the
@@ -1350,6 +1294,7 @@ impl ContactExec<'_> {
                         if !self.evict_for(
                             driver,
                             y,
+                            est_y_own,
                             needed,
                             stored_this_contact,
                             snap_y,
@@ -1386,7 +1331,7 @@ impl ContactExec<'_> {
         now: Time,
         candidates: &mut Vec<Candidate>,
         mut rows: RateRows<'_>,
-        global_est: &mut HashMap<u32, Vec<f64>>,
+        global_est: &mut HashMap<u32, HopEstimates>,
         global_snap: &mut HashMap<u32, QueueSnapshot>,
     ) {
         for (dst_node, queue) in queues {
@@ -1426,7 +1371,7 @@ impl ContactExec<'_> {
         now: Time,
         candidates: &mut Vec<Candidate>,
         rows: &mut RateRows<'_>,
-        global_est: &mut HashMap<u32, Vec<f64>>,
+        global_est: &mut HashMap<u32, HopEstimates>,
         global_snap: &mut HashMap<u32, QueueSnapshot>,
     ) {
         if dst_node == y {
@@ -1479,9 +1424,11 @@ impl ContactExec<'_> {
                     g.holders(id)
                         .filter(|&h| h != x && h != y)
                         .map(|h| {
-                            let est_h = global_est
-                                .entry(h.0)
-                                .or_insert_with(|| self.estimate_times_global(h));
+                            let est_h = global_est.entry(h.0).or_insert_with(|| {
+                                let mut est = HopEstimates::default();
+                                self.fill_est(h, h, &mut est);
+                                est
+                            });
                             let snap_h = global_snap
                                 .entry(h.0)
                                 .or_insert_with(|| QueueSnapshot::from_buffer(g.buffer(h)));
@@ -1570,6 +1517,7 @@ impl ContactExec<'_> {
         &mut self,
         driver: &mut ContactDriver<'_>,
         y: NodeId,
+        est_y: &[f64],
         needed: u64,
         stored_this_contact: &HashSet<PacketId>,
         snap_y: &QueueSnapshot,
@@ -1591,6 +1539,7 @@ impl ContactExec<'_> {
             let buffer = driver.buffer(y);
             self.score_storage(
                 y,
+                est_y,
                 snap_y.queues(),
                 |id| buffer.contains(id) && !stored_this_contact.contains(&id),
                 now,
@@ -1663,6 +1612,8 @@ impl ContactExec<'_> {
     ) -> Vec<PacketId> {
         let own_creation = incoming.src == node;
         let state = self.states.state(node);
+        let mut est = HopEstimates::default();
+        self.fill_est(node, node, &mut est);
         let mut scored: Vec<(f64, PacketId, u64)> = buffer
             .iter()
             .filter(|&(id, _)| {
@@ -1673,7 +1624,8 @@ impl ContactExec<'_> {
             })
             .map(|(id, meta)| {
                 let p = packets.get(id);
-                let rate = self.rate_with(node, &p, buffer.bytes_ahead(p.dst, id, p.created_at));
+                let ahead = buffer.bytes_ahead(p.dst, id, p.created_at);
+                let rate = self.rate_with(node, &est, &p, ahead);
                 (
                     self.utility_from_rate(rate, p.created_at, now),
                     id,
@@ -1748,7 +1700,7 @@ impl ContactExec<'_> {
         let mut allowed = budget.min(driver.remaining_bytes(from));
         let mut used = 0u64;
         let mut truncated = false;
-        let since = self.states.state(from).last_sent[to.index()];
+        let since = self.states.state(from).last_sent_to(to);
 
         // 1. Acknowledgments.
         {
@@ -1879,11 +1831,12 @@ impl ContactExec<'_> {
         driver.charge_metadata(from, used);
         // Advance the watermark to cover everything actually shipped; a
         // truncated exchange resumes from where it stopped next time.
-        self.states.state_mut(from).last_sent[to.index()] = if truncated {
+        let sent_through = if truncated {
             entry_watermark.min(now)
         } else {
             now
         };
+        self.states.state_mut(from).set_last_sent(to, sent_through);
     }
 
     /// One-shot notice that meeting rows cannot ship on this shape: a row
@@ -2194,6 +2147,102 @@ mod tests {
         trailing.push(0);
         let err = fresh.load_state(&trailing).unwrap_err();
         assert!(err.contains("trailing"), "trailing bytes named: {err}");
+
+        // The four per-peer index lists of a node must be strictly
+        // ascending: the sorted sparse forms are searched, not indexed.
+        let load = |avg: &[u64], met: &[u64], sent: &[u64], opp: &[u64]| {
+            let mut fresh = Rapid::new(RapidConfig::avg_delay());
+            fresh.on_init(&cfg);
+            fresh.load_state(&state_with_lists(avg, met, sent, opp))
+        };
+        load(&[1, 2], &[1, 2], &[1, 2], &[0, 1, 2]).expect("ascending lists load");
+        for bad in [[2, 1], [1, 1]] {
+            for (list, what) in [
+                "running-mean peer",
+                "last-met peer",
+                "last-sent peer",
+                "believed-opportunity node",
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let mut lists = [&[][..], &[1, 2], &[1, 2], &[1, 2]];
+                lists[list] = &bad;
+                let err = load(lists[0], lists[1], lists[2], lists[3]).unwrap_err();
+                assert!(
+                    err.contains("node 0 (offset")
+                        && err.contains(&format!("{what} {} not strictly ascending", bad[1])),
+                    "{what} {bad:?}: {err}"
+                );
+            }
+        }
+        let err = load(&[1], &[2], &[], &[]).unwrap_err();
+        assert!(
+            err.contains("running mean for peer 1 without a last-met instant"),
+            "{err}"
+        );
+    }
+
+    /// A 3-node RAPID state in which node 0 holds entries for exactly the
+    /// given peers in its running-mean, last-met, last-sent and
+    /// believed-opportunity lists (in the given order) and nothing else.
+    fn state_with_lists(avg: &[u64], met: &[u64], sent: &[u64], opp: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, 3);
+        let empty = [&[][..]; 4];
+        for [avg, met, sent, opp] in [[avg, met, sent, opp], empty, empty] {
+            write_varint(&mut out, 0); // meeting rows
+            write_varint(&mut out, avg.len() as u64);
+            for &p in avg {
+                write_varint(&mut out, p);
+                put_f64(&mut out, 30.0);
+                write_varint(&mut out, 1);
+            }
+            write_varint(&mut out, met.len() as u64);
+            for &p in met {
+                write_varint(&mut out, p);
+                write_varint(&mut out, 40);
+            }
+            write_varint(&mut out, 0); // beliefs
+            write_varint(&mut out, 0); // acks
+            write_varint(&mut out, sent.len() as u64);
+            for &p in sent {
+                write_varint(&mut out, p);
+                write_varint(&mut out, 50);
+            }
+            put_f64(&mut out, 0.0); // avg_opp
+            write_varint(&mut out, 0);
+            write_varint(&mut out, opp.len() as u64);
+            for &p in opp {
+                write_varint(&mut out, p);
+                put_f64(&mut out, 2048.0);
+                write_varint(&mut out, 60);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn last_sent_list_reads_like_the_dense_vector() {
+        use rand::Rng;
+        const N: usize = 16;
+        let mut st = NodeState::new(NodeId(0), N);
+        let mut dense = [Time::ZERO; N];
+        let mut rng = dtn_stats::stream(5, "last-sent");
+        for _ in 0..300 {
+            // Watermarks only move forward; a truncated first exchange
+            // re-writes `Time::ZERO`, which must not create an entry.
+            let p = rng.gen_range(1..N);
+            let at = Time(dense[p].0 + rng.gen_range(0u64..3) * 25);
+            st.set_last_sent(NodeId(p as u32), at);
+            dense[p] = at;
+            for (q, &want) in dense.iter().enumerate() {
+                assert_eq!(st.last_sent_to(NodeId(q as u32)), want);
+            }
+            assert!(st.last_sent.windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(st.last_sent.iter().all(|e| e.1 != Time::ZERO));
+        }
+        assert!(st.last_sent.len() > N / 2);
     }
 
     #[test]
@@ -2361,13 +2410,12 @@ mod tests {
             now: Time,
         ) -> Vec<PacketId> {
             let rapid = &mut self.rapid;
-            let mut exec = ContactExec {
+            let exec = ContactExec {
                 cfg: &rapid.cfg,
                 n: rapid.states.len(),
                 states: StatePair::Full(&mut rapid.states),
                 row_warned: &rapid.row_warned,
             };
-            exec.ensure_est_cache(node, &mut Vec::new());
             let expect = exec.reference_victims(node, incoming, needed, buffer, packets, now);
             let got = rapid.make_room(node, incoming, needed, buffer, packets, now);
             assert_eq!(

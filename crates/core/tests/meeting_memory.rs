@@ -3,14 +3,15 @@
 //! bounds sit an order of magnitude below what dense `n × n` meeting rows
 //! cost (134 MB for one 4096-node view, 8 GB for a 1000-node fleet), so
 //! reintroducing a per-node matrix fails here long before a benchmark run.
-//! The fleet bound is the measured peak + 25 %: four more dense 8-byte
-//! per-peer vectors (8 MB each at 1000 nodes) would trip it too.
+//! The fleet bounds are the measured peak + 25 %: one more dense 8-byte
+//! per-peer vector (8 MB at 1000 nodes, 128 MB at 4000) would trip them
+//! too.
 //!
 //! One test only: the counters are process-global, and a sibling test's
 //! allocations would pollute the measurement.
 
 use dtn_sim::workload::{PacketSpec, Workload};
-use dtn_sim::{Contact, NodeId, Schedule, SimConfig, Simulation, Time};
+use dtn_sim::{Contact, NodeId, Schedule, SimConfig, SimReport, Simulation, Time};
 use rand::Rng;
 use rapid_core::{MeetingView, Rapid, RapidConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -53,45 +54,35 @@ unsafe impl GlobalAlloc for Tracking {
 #[global_allocator]
 static TRACKER: Tracking = Tracking;
 
-#[test]
-fn meeting_state_stays_far_below_dense_rows() {
-    // An empty view is row headers and per-peer vectors, nothing n².
-    let before = LIVE.load(Ordering::Relaxed);
-    let view = MeetingView::new(NodeId(0), 4096);
-    let view_bytes = LIVE.load(Ordering::Relaxed) - before;
-    assert!(
-        view_bytes < 512 << 10,
-        "MeetingView::new(_, 4096) holds {view_bytes} B; a dense matrix would be 134 MB"
-    );
-    drop(view);
-
-    // A 1000-node in-band fleet through 5000 contacts. Each node meets a
-    // handful of neighbours repeatedly (so averages form) with opportunities
-    // large enough for whole rows to ship and merge.
-    const NODES: u32 = 1000;
+/// Peak live heap of an in-band RAPID run over a ring-like fleet: each
+/// contact joins a random node to one of its next four neighbours (so
+/// averages form) with opportunities large enough for whole meeting rows
+/// to ship and merge; a packet every 20 s to a nearby destination.
+fn fleet_peak(nodes: u32, contacts: u64, packets: u64) -> (usize, SimReport) {
     let mut rng = dtn_stats::stream(7, "meeting-memory");
-    let contacts: Vec<Contact> = (0..5000u64)
+    let contacts: Vec<Contact> = (0..contacts)
         .map(|k| {
-            let a = rng.gen_range(0..NODES);
-            let b = (a + rng.gen_range(1u32..5)) % NODES;
+            let a = rng.gen_range(0..nodes);
+            let b = (a + rng.gen_range(1u32..5)) % nodes;
             Contact::new(Time::from_secs(10 + k), NodeId(a), NodeId(b), 1 << 20)
         })
         .collect();
-    let specs: Vec<PacketSpec> = (0..200u64)
+    let specs: Vec<PacketSpec> = (0..packets)
         .map(|k| {
-            let src = rng.gen_range(0..NODES);
+            let src = rng.gen_range(0..nodes);
             PacketSpec {
                 time: Time::from_secs(1 + k * 20),
                 src: NodeId(src),
-                dst: NodeId((src + rng.gen_range(2u32..10)) % NODES),
+                dst: NodeId((src + rng.gen_range(2u32..10)) % nodes),
                 size_bytes: 1024,
             }
         })
         .collect();
+    let horizon = Time::from_secs(1000 + contacts.len() as u64);
     let sim = Simulation::new(
         SimConfig {
-            nodes: NODES as usize,
-            horizon: Time::from_secs(6000),
+            nodes: nodes as usize,
+            horizon,
             ..SimConfig::default()
         },
         Schedule::new(contacts),
@@ -100,17 +91,44 @@ fn meeting_state_stays_far_below_dense_rows() {
     let mut rapid = Rapid::new(RapidConfig::avg_delay());
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     let report = sim.run(&mut rapid);
-    let peak = PEAK.load(Ordering::Relaxed);
+    (PEAK.load(Ordering::Relaxed), report)
+}
+
+#[test]
+fn meeting_state_stays_far_below_dense_rows() {
+    // An empty view allocates nothing per fleet member.
+    let before = LIVE.load(Ordering::Relaxed);
+    let view = MeetingView::new(NodeId(0), 4096);
+    let view_bytes = LIVE.load(Ordering::Relaxed) - before;
+    assert!(
+        view_bytes < 1 << 10,
+        "MeetingView::new(_, 4096) holds {view_bytes} B; a dense matrix would be 134 MB"
+    );
+    drop(view);
+
+    // 1000 nodes through 5000 contacts. Measured 21.3 MB (debug and
+    // release alike), 16.0 MB of it the dense `believed_opp`; the bound
+    // is that + 25 %.
+    let (peak, report) = fleet_peak(1000, 5000, 200);
     assert!(report.delivered() > 0, "the run must route something");
     assert!(
-        report.metadata_bytes > 5000 * 12 * NODES as u64,
+        report.metadata_bytes > 5000 * 12 * 1000,
         "meeting rows must actually have shipped"
     );
-    // Measured 123.3 MB (117.6 MiB, debug and release alike); the bound is
-    // that + 25 %.
     assert!(
-        peak < 147 << 20,
-        "1000-node RAPID peaked at {} MiB of live heap; dense rows would be 8 GB",
+        peak < 26_600_000,
+        "1000-node RAPID peaked at {} KiB of live heap; dense rows would be 8 GB",
+        peak >> 10
+    );
+
+    // 4000 nodes through 1000 contacts: construction dominates. Measured
+    // 258.6 MB, 256 MB of it `believed_opp`; with the dense per-peer
+    // vectors this state used to keep it was 1.9 GB.
+    let (peak, report) = fleet_peak(4000, 1000, 40);
+    assert_eq!(report.contacts, 1000);
+    assert!(
+        peak < 323_000_000,
+        "4000-node RAPID peaked at {} MiB of live heap",
         peak >> 20
     );
 }

@@ -9,8 +9,8 @@ use dtn_sim::{
 use proptest::prelude::*;
 use rapid_core::{
     combined_rate, expected_meeting_times_from, expected_remaining_delay, meetings_needed,
-    prob_delivered_within, replica_delay, Kernel, MeetingView, QueueSnapshot, Rapid, RapidConfig,
-    RateBatch,
+    prob_delivered_within, replica_delay, HopEstimates, Kernel, MeetingView, QueueSnapshot, Rapid,
+    RapidConfig, RateBatch,
 };
 
 proptest! {
@@ -264,8 +264,9 @@ proptest! {
 
 // --- Sparse meeting rows vs the dense oracle --------------------------------
 
-/// The dense matrix `MeetingView` used to be, kept as the shadow model:
-/// `INFINITY`-filled rows, last-writer-wins merges, a full-row scan for
+/// The dense state `MeetingView` used to be, kept as the shadow model:
+/// `INFINITY`-filled rows, one stamp, running average and last-met
+/// instant per fleet member, last-writer-wins merges, a full-row scan for
 /// "has any finite cell".
 #[derive(Clone)]
 struct DenseShadow {
@@ -317,8 +318,16 @@ impl DenseShadow {
 
 /// Everything a `MeetingView` answers, checked against its shadow: cell
 /// reads, the delta listing, and — bit for bit — the h-hop estimates from
-/// every start node at `hop_limit` 1..=4 against the dense oracle.
-fn assert_view_matches_shadow(view: &MeetingView, shadow: &DenseShadow, now: Time) {
+/// every start node at `hop_limit` 1..=4 against the dense oracle. `est`
+/// is refilled by every call and outlives them all (other views, other
+/// fleet states), so an entry a refill failed to reset shows up as a
+/// mismatch with the oracle and with a fresh buffer.
+fn assert_view_matches_shadow(
+    view: &MeetingView,
+    shadow: &DenseShadow,
+    now: Time,
+    est: &mut HopEstimates,
+) {
     let n = shadow.rows.len();
     for u in 0..n {
         let cells: Vec<(usize, f64)> = view.row(u).cells().collect();
@@ -343,16 +352,15 @@ fn assert_view_matches_shadow(view: &MeetingView, shadow: &DenseShadow, now: Tim
             shadow.rows_changed_since(since)
         );
     }
-    let (mut dist, mut scratch) = (Vec::new(), Vec::new());
+    let bits = |d: &[f64]| d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
     for from in (0..n as u32).map(NodeId) {
         for hop_limit in 1..=4 {
-            view.expected_from_into(from, hop_limit, &mut dist, &mut scratch);
+            view.expected_from_into(from, hop_limit, est);
             let want = expected_meeting_times_from(&shadow.rows, from, hop_limit);
-            assert_eq!(
-                dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                "from {from} at h={hop_limit}"
-            );
+            assert_eq!(bits(est), bits(&want), "from {from} at h={hop_limit}");
+            let mut fresh = HopEstimates::default();
+            view.expected_from_into(from, hop_limit, &mut fresh);
+            assert_eq!(bits(est), bits(&fresh), "reused vs fresh buffer");
         }
     }
 }
@@ -360,9 +368,11 @@ fn assert_view_matches_shadow(view: &MeetingView, shadow: &DenseShadow, now: Tim
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random fleets driven by random meetings and row merges — fresh,
-    /// stale (from an earlier clone of the sender) and aimed at the
-    /// receiver's own row — stay indistinguishable from the dense model.
+    /// Random fleets driven by random meetings, row merges — fresh, stale
+    /// (from an earlier clone of the sender) and aimed at the receiver's
+    /// own row — and watermarked delta exchanges (the rows changed since a
+    /// dense per-pair `last_sent`, cut short by a random budget as the
+    /// metadata channel does) stay indistinguishable from the dense model.
     #[test]
     fn sparse_meeting_rows_match_dense_oracle(
         seed in 0u64..1_000_000,
@@ -376,17 +386,34 @@ proptest! {
             .collect();
         // Earlier states of random nodes: the senders of stale merges.
         let mut stale: Vec<(MeetingView, DenseShadow)> = Vec::new();
+        let mut last_sent = vec![vec![Time::ZERO; n]; n];
+        let mut est = HopEstimates::default();
         let mut now = Time::ZERO;
         for _ in 0..steps {
             now += TimeDelta::from_secs(rng.gen_range(1u64..500));
             let a = rng.gen_range(0..n);
             let b = (a + rng.gen_range(1..n)) % n;
-            if rng.gen::<f64>() < 0.5 {
+            let step = rng.gen::<f64>();
+            if step < 0.4 {
                 for (x, y) in [(a, b), (b, a)] {
                     fleet[x].0.record_meeting(NodeId(y as u32), now);
                     fleet[x].1.record_meeting(y, now);
                 }
-                assert_view_matches_shadow(&fleet[b].0, &fleet[b].1, now);
+                assert_view_matches_shadow(&fleet[b].0, &fleet[b].1, now, &mut est);
+            } else if step < 0.6 {
+                // b → a, as `exchange_metadata` ships rows.
+                let since = last_sent[b][a];
+                let rows = fleet[b].0.rows_changed_since(since);
+                prop_assert_eq!(&rows, &fleet[b].1.rows_changed_since(since));
+                let fits = rng.gen_range(0..=rows.len() + 1).min(rows.len());
+                let (sender_view, sender_shadow) = fleet[b].clone();
+                for row in &rows[..fits] {
+                    fleet[a].0.merge_rows_from(&sender_view, &[*row]);
+                    fleet[a].1.merge_rows_from(&sender_shadow, &[*row]);
+                }
+                if fits == rows.len() {
+                    last_sent[b][a] = now;
+                }
             } else {
                 // Any subset of rows, the receiver's own included.
                 let rows: Vec<NodeId> = (0..n as u32)
@@ -403,7 +430,7 @@ proptest! {
                 fleet[a].0.merge_rows_from(&sender_view, &rows);
                 fleet[a].1.merge_rows_from(&sender_shadow, &rows);
             }
-            assert_view_matches_shadow(&fleet[a].0, &fleet[a].1, now);
+            assert_view_matches_shadow(&fleet[a].0, &fleet[a].1, now, &mut est);
             if rng.gen::<f64>() < 0.3 {
                 stale.push(fleet[rng.gen_range(0..n)].clone());
             }

@@ -5,14 +5,20 @@
 //! per-contact scratch reuse in `protocol.rs`), the [`RateBatch`] kernel
 //! rows (Eq. 4–9 over whole queues), the batch scheduler's
 //! `take_ready_into` drain (capacity ping-pong + in-place compaction),
-//! and the contact pool's dispatch.
+//! the contact pool's dispatch, and whole RAPID contacts between nodes
+//! that have met before (the sparse per-peer state's sorted inserts are
+//! first-meeting-only).
 //!
 //! One test only: the counter is process-global, and a sibling test's
 //! allocations would pollute the measurement.
 
 use dtn_sim::par::{Batcher, ContactPool, Lookahead, PendingDrive};
-use dtn_sim::{ContactWindow, NodeBuffer, NodeId, Packet, PacketId, Time};
-use rapid_core::{QueueSnapshot, RateBatch};
+use dtn_sim::workload::{PacketSpec, Workload};
+use dtn_sim::{
+    Contact, ContactDriver, ContactWindow, NodeBuffer, NodeId, Packet, PacketId, PacketStore,
+    Routing, Schedule, SimConfig, Simulation, Time,
+};
+use rapid_core::{QueueSnapshot, Rapid, RapidConfig, RateBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -95,6 +101,77 @@ fn steady_state_snapshot_refill_allocates_nothing() {
     rate_batch_phase();
     batcher_phase();
     pool_phase();
+    repeat_contact_phase();
+}
+
+/// RAPID behind a probe that counts the allocations of each `on_contact`.
+struct PerContact {
+    rapid: Rapid,
+    allocs: Vec<usize>,
+}
+
+impl Routing for PerContact {
+    fn name(&self) -> String {
+        self.rapid.name()
+    }
+    fn on_init(&mut self, config: &SimConfig) {
+        self.rapid.on_init(config);
+    }
+    fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        self.rapid.on_contact(driver);
+        self.allocs.push(ALLOCS.load(Ordering::Relaxed) - before);
+    }
+    fn make_room(
+        &mut self,
+        node: NodeId,
+        incoming: &Packet,
+        needed: u64,
+        buffer: &NodeBuffer,
+        packets: &PacketStore,
+        now: Time,
+    ) -> Vec<PacketId> {
+        self.rapid
+            .make_room(node, incoming, needed, buffer, packets, now)
+    }
+}
+
+/// Nodes 0 and 1 meet six times while 0 holds a packet for a node neither
+/// ever meets (so every contact runs the exchange, the estimates and the
+/// replication scoring). The first meeting inserts the peer into each
+/// side's sorted per-peer state, the second its first average and learned
+/// row; from the third on a contact must not touch the heap.
+fn repeat_contact_phase() {
+    let contacts = (1..=6)
+        .map(|k| Contact::new(Time::from_secs(10 * k), NodeId(0), NodeId(1), 1 << 20))
+        .collect();
+    let sim = Simulation::new(
+        SimConfig {
+            nodes: 3,
+            horizon: Time::from_secs(100),
+            ..SimConfig::default()
+        },
+        Schedule::new(contacts),
+        Workload::new(vec![PacketSpec {
+            time: Time::from_secs(1),
+            src: NodeId(0),
+            dst: NodeId(2),
+            size_bytes: 1024,
+        }]),
+    );
+    let mut probe = PerContact {
+        rapid: Rapid::new(RapidConfig::avg_delay()),
+        allocs: Vec::new(),
+    };
+    sim.run(&mut probe);
+    assert_eq!(probe.allocs.len(), 6);
+    assert!(probe.allocs[0] > 0, "the first meeting sizes the state");
+    assert_eq!(
+        probe.allocs[2..],
+        [0; 4],
+        "a repeat contact must not touch the heap: {:?}",
+        probe.allocs
+    );
 }
 
 /// Same-length Eq. 4–9 kernel rows must reuse the batch's lane storage.

@@ -18,7 +18,7 @@
 //!   ([`crate::par::Lookahead::from_env`]).
 //! * `RAPID_KERNEL` — the estimate-kernel selector (parsed by
 //!   `rapid-core`, read through [`from_env_or`]).
-//! * Generic counters and factors — [`u64_from_env`] / [`f64_from_env`].
+//! * Generic counters — [`u64_from_env`].
 
 /// Reads a knob and runs `parse` over it: an unset knob yields
 /// `default`, a present one must parse or the process aborts with the
@@ -77,17 +77,6 @@ pub fn u64_from_env(name: &str, default: u64) -> u64 {
     })
 }
 
-/// Reads a finite positive float knob (factors, rates); unset yields
-/// `default`, anything unparseable or non-positive aborts.
-pub fn f64_from_env(name: &str, default: f64) -> f64 {
-    from_env_or(name, default, |v| match v.trim().parse::<f64>() {
-        Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
-        _ => Err(format!(
-            "invalid {name} value {v:?}: expected a finite positive number"
-        )),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,7 +107,6 @@ mod tests {
         // These knobs are never set in the test environment.
         assert_eq!(jobs_from_env("RAPID_ENV_TEST_UNSET", 3), 3);
         assert_eq!(u64_from_env("RAPID_ENV_TEST_UNSET", 42), 42);
-        assert_eq!(f64_from_env("RAPID_ENV_TEST_UNSET", 2.5), 2.5);
         assert!(shards_from_env() >= 1);
         assert!(intra_jobs_from_env() >= 1);
     }
@@ -138,17 +126,6 @@ mod tests {
                 bad.trim().parse::<u64>().is_err(),
                 "{bad:?} must fail the u64 path"
             );
-        }
-    }
-
-    #[test]
-    fn f64_rejects_non_positive_and_non_finite() {
-        for bad in ["0", "-1.5", "nan", "inf", "fast"] {
-            let r = match bad.trim().parse::<f64>() {
-                Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
-                _ => Err(()),
-            };
-            assert!(r.is_err(), "{bad:?} must be rejected by the f64 rule");
         }
     }
 }

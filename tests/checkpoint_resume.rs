@@ -358,17 +358,41 @@ fn first_meeting_cell_value(state: &[u8]) -> usize {
     cur.offset()
 }
 
-/// A snapshot that decodes (every section CRC valid) but whose RAPID
-/// meeting rows hold a non-finite cell — a cell the sparse rows define as
-/// absent — must fail the restore loudly instead of resuming on misread
-/// state; with the bad file set aside, the previous snapshot resumes to
-/// the reference result.
-#[test]
-fn unrepresentable_meeting_row_fails_loudly_and_previous_snapshot_resumes() {
+/// Offset of the peer index of node 0's second last-met entry in RAPID's
+/// saved state: past the node count, node 0's meeting rows and
+/// running-mean list, and the first last-met entry.
+fn second_last_met_peer(state: &[u8]) -> usize {
+    let mut cur = ByteCursor::new(state);
+    cur.varint().unwrap();
+    for _ in 0..cur.varint().unwrap() {
+        cur.varint().unwrap();
+        cur.varint().unwrap();
+        for _ in 0..cur.varint().unwrap() {
+            cur.varint().unwrap();
+            cur.take(8).unwrap();
+        }
+    }
+    for _ in 0..cur.varint().unwrap() {
+        cur.varint().unwrap();
+        cur.take(8).unwrap();
+        cur.varint().unwrap();
+    }
+    assert!(cur.varint().unwrap() >= 2, "node 0 has met two peers");
+    cur.varint().unwrap();
+    cur.varint().unwrap();
+    cur.offset()
+}
+
+/// Checkpoints the scenario, rewrites the RAPID state of the newest
+/// snapshot through `corrupt` (every section CRC stays valid, so the file
+/// still decodes) and checks that the restore fails loudly naming
+/// `expect` instead of resuming on misread state; with the bad file set
+/// aside, the previous snapshot resumes to the reference result.
+fn corrupt_newest_then_fall_back(tag: &str, corrupt: impl FnOnce(&mut Vec<u8>), expect: &str) {
     let sc = scenario();
     let reference = sc.run_serial(rapid().as_mut(), RunHooks::default());
 
-    let dir = temp_dir("bad-row");
+    let dir = temp_dir(tag);
     let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(40), 64).unwrap();
     let _ = sc.run_serial(
         rapid().as_mut(),
@@ -379,12 +403,8 @@ fn unrepresentable_meeting_row_fails_loudly_and_previous_snapshot_resumes() {
     );
     let newest = load_latest(&dir).unwrap().expect("snapshots written");
 
-    // All-ones exponent: the first cell's mean becomes NaN or infinite.
     let mut bad = newest.snapshot.clone();
-    let state = &mut bad.routing.as_mut().expect("RAPID saves state").bytes;
-    let at = first_meeting_cell_value(state);
-    state[at + 6] |= 0xF0;
-    state[at + 7] = 0x7F;
+    corrupt(&mut bad.routing.as_mut().expect("RAPID saves state").bytes);
     std::fs::write(&newest.path, bad.encode()).unwrap();
 
     let loaded = load_latest(&dir).unwrap().unwrap();
@@ -392,10 +412,10 @@ fn unrepresentable_meeting_row_fails_loudly_and_previous_snapshot_resumes() {
     let crash = catch_unwind(AssertUnwindSafe(|| {
         sc.run_serial(rapid().as_mut(), resume_hooks(loaded.snapshot))
     }))
-    .expect_err("restore must reject the row");
+    .expect_err("restore must reject the state");
     let msg = crash.downcast_ref::<String>().expect("formatted panic");
     assert!(
-        msg.contains("protocol state restore failed") && msg.contains("not finite"),
+        msg.contains("protocol state restore failed") && msg.contains(expect),
         "{msg}"
     );
 
@@ -405,6 +425,36 @@ fn unrepresentable_meeting_row_fails_loudly_and_previous_snapshot_resumes() {
     let resumed = sc.run_serial(rapid().as_mut(), resume_hooks(previous.snapshot));
     assert_eq!(resumed, reference, "fallback resume diverged");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A non-finite meeting cell — a cell the sparse rows define as absent.
+#[test]
+fn unrepresentable_meeting_row_fails_loudly_and_previous_snapshot_resumes() {
+    corrupt_newest_then_fall_back(
+        "bad-row",
+        |state| {
+            // All-ones exponent: the first cell's mean becomes NaN or
+            // infinite.
+            let at = first_meeting_cell_value(state);
+            state[at + 6] |= 0xF0;
+            state[at + 7] = 0x7F;
+        },
+        "not finite",
+    );
+}
+
+/// A repeated peer in a last-met list — the sorted per-met-peer vectors
+/// are binary-searched, so the later entry can no longer just overwrite.
+#[test]
+fn repeated_last_met_peer_fails_loudly_and_previous_snapshot_resumes() {
+    corrupt_newest_then_fall_back(
+        "bad-last-met",
+        |state| {
+            let at = second_last_met_peer(state);
+            state[at] = 0; // never above the (ascending) first entry's peer
+        },
+        "last-met peer 0 not strictly ascending",
+    );
 }
 
 /// The compressed-plan streaming source supports resume too (the snapshot
