@@ -29,7 +29,7 @@ use dtn_mobility::UniformExponential;
 use dtn_sim::workload::pairwise_poisson;
 use dtn_sim::{NodeEvent, NodeId, SimReport, Time, TimeDelta};
 use dtn_stats::sample::Exponential;
-use dtn_stats::{Mergeable, SeedStream};
+use dtn_stats::SeedStream;
 use rand::Rng;
 
 /// The churn laboratory: the §6.3 synthetic defaults (Table 4) plus the
@@ -216,7 +216,7 @@ pub struct ChurnAggregate {
 }
 
 /// Streaming accumulator behind [`ChurnAggregate`]: fixed expected count,
-/// bit-identical to the collected reduction; mergeable across shards.
+/// bit-identical to the collected reduction.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnAcc {
     n: f64,
@@ -260,18 +260,6 @@ impl ChurnAcc {
             f64::NAN
         };
         agg
-    }
-}
-
-impl Mergeable for ChurnAcc {
-    fn merge(&mut self, other: Self) {
-        debug_assert_eq!(self.n, other.n, "shards must share the expected count");
-        self.delay_sum += other.delay_sum;
-        self.delay_runs += other.delay_runs;
-        self.agg.delivery_rate += other.agg.delivery_rate;
-        self.agg.within_deadline += other.agg.within_deadline;
-        self.agg.expired_rate += other.agg.expired_rate;
-        self.agg.suppressed_contacts += other.agg.suppressed_contacts;
     }
 }
 

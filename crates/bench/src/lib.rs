@@ -11,8 +11,8 @@
 //!
 //! Scenario data streams through [`runner::ContactsSpec`] /
 //! [`runner::PacketsSpec`] — `Arc`-shared when materialized, generated
-//! per run otherwise — and sweep aggregation folds reports into
-//! mergeable accumulators in run order ([`runner::parallel_reduce`]),
+//! per run otherwise — and sweep aggregation pushes reports into
+//! streaming accumulators in run order ([`runner::parallel_reduce`]),
 //! so neither scenarios nor report sets are ever cloned or collected.
 //!
 //! Environment knobs (all optional):

@@ -196,12 +196,12 @@ pub struct RunSpec {
 ///
 /// `RAPID_SHARDS=N` (default 1 = today's engine) routes the run through
 /// the sharded runtime over an even node partition; results are
-/// byte-identical at any shard count. Any node-disjoint protocol tier
-/// qualifies — `Stateless` protocols get per-shard instances, and
-/// `NodeDisjoint` ones (in-band/local RAPID) a single partitioned
-/// instance. `Serial` protocols and global-knowledge runs fall back to
-/// the serial engine — same report, one event loop — with a one-shot
-/// warning naming the protocol and the reason (no silent fallback).
+/// byte-identical at any shard count. Every `NodeDisjoint` protocol
+/// qualifies (plain Random, Epidemic, in-band/local RAPID) and runs as
+/// one instance drained through per-shard views. `Serial` protocols and
+/// global-knowledge runs fall back to the serial engine — same report,
+/// one event loop — with a one-shot warning naming the protocol and the
+/// reason (no silent fallback).
 pub fn run_spec(spec: &RunSpec, proto: Proto) -> SimReport {
     run_spec_on(spec, proto, &env_partition(spec.nodes)).0
 }
@@ -342,8 +342,8 @@ impl CkptPolicy {
             }
         })?;
         Some(Self {
-            dir: std::env::var("RAPID_CKPT_DIR")
-                .unwrap_or_else(|_| "rapid-ckpt".into())
+            dir: std::env::var_os("RAPID_CKPT_DIR")
+                .unwrap_or_else(|| "rapid-ckpt".into())
                 .into(),
             every,
             keep: dtn_sim::env::u64_from_env("RAPID_CKPT_KEEP", 3).max(1) as usize,
@@ -401,9 +401,7 @@ pub fn run_with_recovery(
     if !checkpointable {
         diag::warn_once(
             "ckpt-unsupported",
-            &format!(
-                "RAPID_CKPT_EVERY_S ignored for {name}: no save_state and contacts are not Stateless"
-            ),
+            &format!("RAPID_CKPT_EVERY_S ignored for {name}: it does not implement save_state"),
             &[("proto", name.to_string())],
         );
         return attempt_fn(RunHooks::default());

@@ -4,7 +4,7 @@
 //! Defaults: 100 000 nodes and ≈1.2 million contact windows drawn from the
 //! sparse [`ScaleFleet`] generator — the windows are pulled straight into
 //! the engine and dropped after being driven, so the full contact plan
-//! never exists in memory. Three registered plans share one measure loop
+//! never exists in memory. Three registered plans share one measure step
 //! (reset peak RSS → build the run → time it → read the peak → row):
 //! `scale` (per-window stream), `scale_compressed` (periodic-atom plan,
 //! lazy or — `RAPID_SCALE_MODE=materialized` — expanded up front) and
@@ -23,7 +23,6 @@ use crate::tsv::{f, Tsv};
 use crate::{env_u64, registry, root_seed};
 use dtn_mobility::{RegionalFleet, ScaleFleet};
 use dtn_sim::{CompiledPlan, Partition, ShardStats, Time, TimeDelta};
-use dtn_stats::{Extrema, ShardSlots, StreamingMean};
 use std::sync::Arc;
 
 /// Packet size (matches the rest of the harness: 1 KB).
@@ -44,9 +43,6 @@ const REGIONS: usize = 64;
 /// Share of `scale_sharded` meetings that stay inside one region; the
 /// rest ride the gateway backbone.
 const LOCALITY: f64 = 0.95;
-
-/// Measured runs per plan invocation (the `run` column).
-const RUNS: u32 = 1;
 
 /// The scale laboratory: a sparse fleet plus workload/buffer calibration.
 #[derive(Debug, Clone, Copy)]
@@ -185,7 +181,7 @@ fn max_rss_mb_from_env() -> u64 {
     env_u64("RAPID_SCALE_MAX_RSS_MB", 0)
 }
 
-/// The cells a plan puts around the measure loop's own; a row reads
+/// The cells a plan puts around the measure step's own; a row reads
 /// `lead… contacts_driven packets_created delivery_rate expired mid…
 /// wall_s peak_rss_mb tail…`.
 struct PlanCells {
@@ -194,53 +190,42 @@ struct PlanCells {
     tail: Vec<String>,
 }
 
-/// The one measure loop of the scale plans. Per run: reset the RSS
-/// high-water mark, let `per_run` build the run (so a plan or a
-/// materialized scenario is part of its own footprint), time the engine
-/// over `partition`, read the peak, emit the row and hand the shard
-/// telemetry to `after_run`. Closes with the summary comment and enforces
-/// `max_rss_mb` when it is non-zero.
-fn measure_runs(
+/// The one measure step of the scale plans: reset the RSS high-water
+/// mark, let `build` build the run (so a plan or a materialized scenario
+/// is part of its own footprint), time the engine over `partition`, read
+/// the peak and emit the row. Closes with the summary comment, enforces
+/// `max_rss_mb` when it is non-zero and returns the shard telemetry. A
+/// plan invocation measures one run, so every plan passes run index 0 to
+/// the generators and writes `0` in its `run` column.
+fn measure_run(
     tsv: &mut Tsv,
     max_rss_mb: u64,
     proto: Proto,
     partition: &Partition,
-    mut per_run: impl FnMut(u32) -> (RunSpec, PlanCells),
-    mut after_run: impl FnMut(u32, &[ShardStats]),
-) {
-    let mut delivery = StreamingMean::new();
-    let mut wall = StreamingMean::new();
-    let mut rss = Extrema::new();
-    for run in 0..RUNS {
-        reset_peak_rss();
-        let (spec, cells) = per_run(run);
-        let t0 = std::time::Instant::now();
-        let (report, stats) = run_spec_on(&spec, proto, partition);
-        let wall_s = t0.elapsed().as_secs_f64();
-        let peak = peak_rss_mb();
-        delivery.push(report.delivery_rate());
-        wall.push(wall_s);
-        if let Some(mb) = peak {
-            rss.push(mb);
-        }
-        let mut row = cells.lead;
-        row.extend([
-            format!("{}", report.contacts),
-            format!("{}", report.created()),
-            f(report.delivery_rate()),
-            format!("{}", report.expired),
-        ]);
-        row.extend(cells.mid);
-        row.extend([f(wall_s), f(peak.unwrap_or(0.0))]);
-        row.extend(cells.tail);
-        tsv.row(&row);
-        after_run(run, &stats);
-    }
+    build: impl FnOnce() -> (RunSpec, PlanCells),
+) -> Vec<ShardStats> {
+    reset_peak_rss();
+    let (spec, cells) = build();
+    let t0 = std::time::Instant::now();
+    let (report, stats) = run_spec_on(&spec, proto, partition);
+    let wall_s = t0.elapsed().as_secs_f64();
+    let peak = peak_rss_mb();
+    let mut row = cells.lead;
+    row.extend([
+        format!("{}", report.contacts),
+        format!("{}", report.created()),
+        f(report.delivery_rate()),
+        format!("{}", report.expired),
+    ]);
+    row.extend(cells.mid);
+    row.extend([f(wall_s), f(peak.unwrap_or(0.0))]);
+    row.extend(cells.tail);
+    tsv.row(&row);
     tsv.comment(&format!(
-        "mean delivery = {}, mean wall = {} s, peak rss = {} MB",
-        f(delivery.mean().unwrap_or(0.0)),
-        f(wall.mean().unwrap_or(0.0)),
-        f(rss.max().unwrap_or(0.0)),
+        "delivery = {}, wall = {} s, peak rss = {} MB",
+        f(report.delivery_rate()),
+        f(wall_s),
+        f(peak.unwrap_or(0.0)),
     ));
 
     if max_rss_mb > 0 {
@@ -249,7 +234,7 @@ fn measure_runs(
         // FAIL row, keeps running the remaining experiments, and still
         // exits non-zero (CI's check). No reading is a failure too — a
         // bound that cannot be checked must not pass.
-        let peak = rss.max().unwrap_or_else(|| {
+        let peak = peak.unwrap_or_else(|| {
             panic!(
                 "{id} FAILED: RAPID_SCALE_MAX_RSS_MB={max_rss_mb} is set but \
                  /proc/self/status gave no VmHWM reading [diag=rss-unreadable]"
@@ -262,6 +247,7 @@ fn measure_runs(
         );
         eprintln!("{id}: peak RSS {peak:.1} MB within the {max_rss_mb} MB bound");
     }
+    stats
 }
 
 /// The `scale` experiment: the sparse fleet streamed window by window
@@ -285,24 +271,23 @@ fn scale(lab: &ScaleLab, max_rss_mb: u64) {
     ));
     tsv.header();
 
-    measure_runs(
+    measure_run(
         &mut tsv,
         max_rss_mb,
         Proto::Random,
         &env_partition(lab.fleet.nodes),
-        |run| {
+        || {
             let cells = PlanCells {
                 lead: vec![
                     "streamed".into(),
-                    format!("{run}"),
+                    "0".into(),
                     format!("{}", lab.fleet.nodes),
                 ],
                 mid: Vec::new(),
                 tail: Vec::new(),
             };
-            (lab.spec(run), cells)
+            (lab.spec(0), cells)
         },
-        |_, _| {},
     );
 }
 
@@ -317,12 +302,13 @@ fn scale(lab: &ScaleLab, max_rss_mb: u64) {
 /// resident atom storage, `expanded_kb` what the same windows cost as
 /// 48-byte structs.
 pub fn run_scale_compressed() {
-    let materialized = match std::env::var("RAPID_SCALE_MODE") {
-        Err(_) => false,
-        Ok(v) if v == "compressed" => false,
-        Ok(v) if v == "materialized" => true,
-        Ok(v) => panic!("RAPID_SCALE_MODE must be `compressed` or `materialized`, got `{v}`"),
-    };
+    let materialized = dtn_sim::from_env_or("RAPID_SCALE_MODE", false, |v| match v {
+        "compressed" => Ok(false),
+        "materialized" => Ok(true),
+        _ => Err(format!(
+            "RAPID_SCALE_MODE must be `compressed` or `materialized`, got `{v}`"
+        )),
+    });
     scale_compressed(
         &ScaleLab::from_env(root_seed()),
         materialized,
@@ -351,21 +337,17 @@ fn scale_compressed(lab: &ScaleLab, materialized: bool, max_rss_mb: u64) {
     ));
     tsv.header();
 
-    measure_runs(
+    measure_run(
         &mut tsv,
         max_rss_mb,
         Proto::Random,
         &env_partition(lab.fleet.nodes),
-        |run| {
-            let plan = lab.compiled_plan(routes, run);
+        || {
+            let plan = lab.compiled_plan(routes, 0);
             let plan_kb = plan.in_memory_bytes() as f64 / 1024.0;
             let expanded_kb = plan.materialized_bytes() as f64 / 1024.0;
             let cells = PlanCells {
-                lead: vec![
-                    mode.into(),
-                    format!("{run}"),
-                    format!("{}", lab.fleet.nodes),
-                ],
+                lead: vec![mode.into(), "0".into(), format!("{}", lab.fleet.nodes)],
                 mid: Vec::new(),
                 tail: vec![
                     format!("{}", plan.atom_count()),
@@ -378,14 +360,13 @@ fn scale_compressed(lab: &ScaleLab, materialized: bool, max_rss_mb: u64) {
             let spec = if materialized {
                 RunSpec {
                     contacts: ContactsSpec::shared(plan.materialize()),
-                    ..lab.spec(run)
+                    ..lab.spec(0)
                 }
             } else {
-                lab.spec_compressed(&plan, run)
+                lab.spec_compressed(&plan, 0)
             };
             (spec, cells)
         },
-        |_, _| {},
     );
 }
 
@@ -394,12 +375,13 @@ fn scale_compressed(lab: &ScaleLab, materialized: bool, max_rss_mb: u64) {
 /// paper's protocol on the sharded runtime). Anything else aborts — a
 /// typo must not silently time the wrong protocol.
 fn scale_proto() -> Proto {
-    match std::env::var("RAPID_SCALE_PROTO") {
-        Err(_) => Proto::Random,
-        Ok(v) if v == "random" => Proto::Random,
-        Ok(v) if v == "rapid" => Proto::RapidAvg,
-        Ok(v) => panic!("RAPID_SCALE_PROTO must be `random` or `rapid`, got `{v}`"),
-    }
+    dtn_sim::from_env_or("RAPID_SCALE_PROTO", Proto::Random, |v| match v {
+        "random" => Ok(Proto::Random),
+        "rapid" => Ok(Proto::RapidAvg),
+        _ => Err(format!(
+            "RAPID_SCALE_PROTO must be `random` or `rapid`, got `{v}`"
+        )),
+    })
 }
 
 /// The `scale_sharded` experiment: the scale family on the regional
@@ -461,52 +443,42 @@ fn scale_sharded(lab: &ScaleLab, proto: Proto, shards: usize, max_rss_mb: u64) {
     shard_tsv.comment("Per-shard timing for the scale_sharded family");
     shard_tsv.row(registry::SCALE_SHARDED_SHARDS_COLUMNS);
 
-    let mut busy: ShardSlots<StreamingMean> = ShardSlots::new(partition.shards());
-    measure_runs(
-        &mut tsv,
-        max_rss_mb,
-        proto,
-        &partition,
-        |run| {
-            let plan = Arc::new(rf.periodic_plan(routes, lab.seed, u64::from(run)));
-            // The static conservative horizon: shards free-run to the first
-            // cross-shard window's start before any barrier can occur.
-            let free_run = plan.first_cross_shard_start(&partition);
-            let cells = PlanCells {
-                lead: vec![
-                    format!("{run}"),
-                    format!("{}", lab.fleet.nodes),
-                    format!("{}", plan.window_count()),
-                ],
-                mid: vec![
-                    format!("{shards}"),
-                    free_run.map_or_else(|| "-".into(), |t| f(t.as_secs_f64())),
-                ],
-                tail: Vec::new(),
-            };
-            (lab.spec_regional(&rf, &plan, run), cells)
-        },
-        |run, stats| {
-            for s in stats {
-                busy.slot_mut(s.shard).push(s.busy.as_secs_f64());
-                shard_tsv.row(&[
-                    format!("{run}"),
-                    format!("{}", s.shard),
-                    format!("{}", s.nodes),
-                    format!("{}", s.drives),
-                    format!("{}", s.creations),
-                    f(s.busy.as_secs_f64()),
-                    s.concurrency.label().into(),
-                ]);
-            }
-        },
-    );
-    let total_busy = busy.fold();
-    if total_busy.count() > 0 {
+    let stats = measure_run(&mut tsv, max_rss_mb, proto, &partition, || {
+        let plan = Arc::new(rf.periodic_plan(routes, lab.seed, 0));
+        // The static conservative horizon: shards free-run to the first
+        // cross-shard window's start before any barrier can occur.
+        let free_run = plan.first_cross_shard_start(&partition);
+        let cells = PlanCells {
+            lead: vec![
+                "0".into(),
+                format!("{}", lab.fleet.nodes),
+                format!("{}", plan.window_count()),
+            ],
+            mid: vec![
+                format!("{shards}"),
+                free_run.map_or_else(|| "-".into(), |t| f(t.as_secs_f64())),
+            ],
+            tail: Vec::new(),
+        };
+        (lab.spec_regional(&rf, &plan, 0), cells)
+    });
+    for s in &stats {
+        shard_tsv.row(&[
+            "0".into(),
+            format!("{}", s.shard),
+            format!("{}", s.nodes),
+            format!("{}", s.drives),
+            format!("{}", s.creations),
+            f(s.busy.as_secs_f64()),
+            s.concurrency.label().into(),
+        ]);
+    }
+    if !stats.is_empty() {
+        let busy: f64 = stats.iter().map(|s| s.busy.as_secs_f64()).sum();
         shard_tsv.comment(&format!(
-            "mean busy per shard = {} s ({} shard-run samples, shard-order fold)",
-            f(total_busy.mean().unwrap_or(0.0)),
-            total_busy.count(),
+            "mean busy per shard = {} s ({} shards)",
+            f(busy / stats.len() as f64),
+            stats.len(),
         ));
     }
 }
@@ -618,16 +590,16 @@ mod tests {
             assert!(
                 stats
                     .iter()
-                    .all(|s| s.concurrency == dtn_sim::ContactConcurrency::Stateless),
-                "Random rides the per-shard-instance tier"
+                    .all(|s| s.concurrency == dtn_sim::ContactConcurrency::NodeDisjoint),
+                "Random shards on the one tier there is"
             );
         }
 
         // The paper's own protocol on a smaller regional plan (debug-mode
         // RAPID recomputes its eviction oracle from scratch, so the fleet
-        // is sized for test time): in-band RAPID is NodeDisjoint (one
-        // shared instance, per-node partitions) and must also replay the
-        // serial engine byte-for-byte.
+        // is sized for test time): in-band RAPID leases real per-node
+        // state to the shards and must also replay the serial engine
+        // byte-for-byte.
         let lab = ScaleLab {
             fleet: ScaleFleet {
                 nodes: 300,
@@ -661,7 +633,7 @@ mod tests {
                 stats
                     .iter()
                     .all(|s| s.concurrency == dtn_sim::ContactConcurrency::NodeDisjoint),
-                "in-band RAPID rides the single-instance tier"
+                "in-band RAPID shards on the same tier"
             );
         }
     }

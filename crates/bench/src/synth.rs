@@ -12,7 +12,7 @@ use crate::runner::{run_spec, ContactsSpec, PacketsSpec, RunSpec};
 use dtn_mobility::{PowerLaw, UniformExponential};
 use dtn_sim::workload::pairwise_poisson;
 use dtn_sim::{CompiledPlan, SimReport, Time, TimeDelta};
-use dtn_stats::{Mergeable, SeedStream};
+use dtn_stats::SeedStream;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -197,8 +197,7 @@ pub struct SynthAggregate {
 }
 
 /// Streaming accumulator behind [`SynthAggregate`]: fixed expected count,
-/// so the float operations match the collected reduction bit-for-bit;
-/// mergeable across shards.
+/// so the float operations match the collected reduction bit-for-bit.
 #[derive(Debug, Clone, Copy)]
 pub struct SynthAcc {
     n: f64,
@@ -226,16 +225,6 @@ impl SynthAcc {
     /// The aggregate over everything pushed.
     pub fn finish(self) -> SynthAggregate {
         self.agg
-    }
-}
-
-impl Mergeable for SynthAcc {
-    fn merge(&mut self, other: Self) {
-        debug_assert_eq!(self.n, other.n, "shards must share the expected count");
-        self.agg.avg_delay_s += other.agg.avg_delay_s;
-        self.agg.max_delay_s += other.agg.max_delay_s;
-        self.agg.delivery_rate += other.agg.delivery_rate;
-        self.agg.within_deadline += other.agg.within_deadline;
     }
 }
 

@@ -27,7 +27,7 @@ use crate::runner::{run_spec, ContactsSpec, PacketsSpec, RunSpec};
 use dtn_mobility::{DayTrace, DieselNet, DieselNetConfig};
 use dtn_sim::workload::pairwise_poisson;
 use dtn_sim::{CompiledPlan, NodeId, NoiseModel, SimReport, Time, TimeDelta};
-use dtn_stats::{Mergeable, SeedStream};
+use dtn_stats::SeedStream;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -292,21 +292,6 @@ impl TraceAcc {
     /// The aggregate over everything pushed.
     pub fn finish(self) -> TraceAggregate {
         self.agg
-    }
-}
-
-impl Mergeable for TraceAcc {
-    fn merge(&mut self, other: Self) {
-        debug_assert_eq!(self.n, other.n, "shards must share the expected count");
-        let (a, b) = (&mut self.agg, other.agg);
-        a.avg_delay_min += b.avg_delay_min;
-        a.max_delay_min += b.max_delay_min;
-        a.delivery_rate += b.delivery_rate;
-        a.within_deadline += b.within_deadline;
-        a.avg_delay_with_undelivered_min += b.avg_delay_with_undelivered_min;
-        a.utilization += b.utilization;
-        a.metadata_over_bandwidth += b.metadata_over_bandwidth;
-        a.metadata_over_data += b.metadata_over_data;
     }
 }
 

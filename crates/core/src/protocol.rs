@@ -37,7 +37,7 @@ use crate::config::{wire, ChannelMode, RapidConfig, RoutingMetric};
 use crate::control::{HolderEntry, MetaTable};
 use crate::estimate::{
     combined_rate, delay_from_rate, meetings_needed, prob_within_from_rate, rate_contribution,
-    replica_delay, InsertCursor, Kernel, QueueSnapshot, RateBatch,
+    replica_delay, Kernel, QueueSnapshot, RateBatch,
 };
 use crate::meetings::{
     put_f64, relax_rows_into, take_ascending, take_f64, take_index, take_varint, HopEstimates,
@@ -553,42 +553,6 @@ struct Candidate {
     a_peer: f64,
 }
 
-/// Where a replication side reads *contact-start* queue state from.
-///
-/// The default is a materialized [`QueueSnapshot`]. When this contact
-/// provably cannot overflow either buffer (each direction's opportunity
-/// fits in the peer's free space, so `NeedsSpace` is impossible), the
-/// sides that are untouched between contact start and their last read can
-/// serve reads straight from the live buffer — skipping the snapshot copy:
-///
-/// * the first replicating side reads its own queues before any transfer
-///   has happened, and its peer's queues are only mutated by its own
-///   transfer loop *after* enumeration finished;
-/// * the second side's *own* queues have been mutated by then (its snapshot
-///   is always materialized), but its peer — the first side — never loses
-///   or gains a replica mid-contact without overflow evictions.
-#[derive(Clone, Copy)]
-enum QueueView<'a> {
-    /// Live buffer of this node, provably identical to contact-start state
-    /// for every queue the reader consults.
-    Live(NodeId),
-    /// Materialized contact-start snapshot.
-    Snap(&'a QueueSnapshot),
-}
-
-impl QueueView<'_> {
-    /// Cursor over the `dst` queue for monotone hypothetical-insert reads.
-    fn insert_cursor<'d>(&self, driver: &'d ContactDriver<'_>, dst: NodeId) -> InsertCursor<'d>
-    where
-        Self: 'd,
-    {
-        match *self {
-            QueueView::Live(node) => InsertCursor::over(driver.buffer(node).queue(dst)),
-            QueueView::Snap(snap) => snap.insert_cursor(dst),
-        }
-    }
-}
-
 impl Routing for Rapid {
     fn name(&self) -> String {
         let metric = match self.cfg.metric {
@@ -1048,24 +1012,10 @@ impl ContactExec<'_> {
         self.fill_est(a, b, est_b_from_a);
         self.fill_est(b, a, est_a_from_b);
         // Contact-start queue state for scoring, even as transfers mutate
-        // the buffers mid-contact. The second replicating side always needs
-        // a materialized copy of its own queues (the first side mutates
-        // them); the first side's queues stay untouched for every read this
-        // contact performs, so its copy is skipped whenever buffer overflow
-        // — the only other snapshot reader, via `NeedsSpace` eviction — is
-        // impossible: data into a buffer is bounded by the opportunity, so
-        // an opportunity that fits in the peer's free space cannot trigger
-        // it.
-        let overflow_possible = driver.remaining_bytes(a) > driver.buffer(b).free_bytes()
-            || driver.remaining_bytes(b) > driver.buffer(a).free_bytes();
+        // the buffers mid-contact.
+        snap_a.refill_from_buffer(driver.buffer(a));
         snap_b.refill_from_buffer(driver.buffer(b));
-        let view_b = QueueView::Snap(snap_b);
-        let view_a = if overflow_possible {
-            snap_a.refill_from_buffer(driver.buffer(a));
-            QueueView::Snap(snap_a)
-        } else {
-            QueueView::Live(a)
-        };
+        let (snap_a, snap_b) = (&*snap_a, &*snap_b);
 
         // --- Step 2: direct delivery, both sides.
         for (x, y) in [(a, b), (b, a)] {
@@ -1081,8 +1031,8 @@ impl ContactExec<'_> {
             est_a,
             est_b_from_a,
             est_b,
-            view_a,
-            view_b,
+            snap_a,
+            snap_b,
             now,
             stored,
             candidates,
@@ -1097,8 +1047,8 @@ impl ContactExec<'_> {
             est_b,
             est_a_from_b,
             est_a,
-            view_b,
-            view_a,
+            snap_b,
+            snap_a,
             now,
             stored,
             candidates,
@@ -1176,8 +1126,8 @@ impl ContactExec<'_> {
         est_x: &[f64],
         est_y: &[f64],
         est_y_own: &[f64],
-        snap_x: QueueView<'_>,
-        snap_y: QueueView<'_>,
+        snap_x: &QueueSnapshot,
+        snap_y: &QueueSnapshot,
         now: Time,
         stored_this_contact: &mut HashSet<PacketId>,
         candidates: &mut Vec<Candidate>,
@@ -1206,16 +1156,17 @@ impl ContactExec<'_> {
         // the candidate *set* must match the live buffer: snapshot entries
         // evicted mid-contact are skipped via the O(1) membership check.
         candidates.clear();
-        let rows = RateRows {
+        let mut rows = RateRows {
             own: row_self,
             peer: row_peer,
         };
-        match snap_x {
-            QueueView::Live(node) => self.enumerate_queues(
+        for (dst_node, queue) in snap_x.queues() {
+            self.enumerate_queue(
                 driver,
-                driver.buffer(node).queues(),
                 x,
                 y,
+                dst_node,
+                queue,
                 snap_y,
                 est_x,
                 est_y,
@@ -1223,26 +1174,10 @@ impl ContactExec<'_> {
                 b_y,
                 now,
                 candidates,
-                rows,
+                &mut rows,
                 &mut global_est,
                 &mut global_snap,
-            ),
-            QueueView::Snap(snap) => self.enumerate_queues(
-                driver,
-                snap.queues(),
-                x,
-                y,
-                snap_y,
-                est_x,
-                est_y,
-                b_x,
-                b_y,
-                now,
-                candidates,
-                rows,
-                &mut global_est,
-                &mut global_snap,
-            ),
+            );
         }
 
         sort_candidates(candidates, driver.remaining_bytes(x));
@@ -1286,11 +1221,6 @@ impl ContactExec<'_> {
                         break;
                     }
                     TransferOutcome::NeedsSpace(needed) => {
-                        // Live views exist only for contacts where
-                        // `NeedsSpace` is impossible (see `QueueView`).
-                        let QueueView::Snap(snap_y) = snap_y else {
-                            unreachable!("live queue view consulted for overflow eviction")
-                        };
                         if !self.evict_for(
                             driver,
                             y,
@@ -1313,48 +1243,7 @@ impl ContactExec<'_> {
     }
 
     /// Scores one contact-start destination queue into `candidates` (and
-    /// publishes refreshed own-packet estimates). Works identically over a
-    /// live-buffer queue or a snapshot queue — the two arms of
-    /// [`QueueView`].
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_queues<'d>(
-        &mut self,
-        driver: &'d ContactDriver<'_>,
-        queues: impl Iterator<Item = (NodeId, &'d [QueueEntry])>,
-        x: NodeId,
-        y: NodeId,
-        snap_y: QueueView<'_>,
-        est_x: &[f64],
-        est_y: &[f64],
-        b_x: f64,
-        b_y: f64,
-        now: Time,
-        candidates: &mut Vec<Candidate>,
-        mut rows: RateRows<'_>,
-        global_est: &mut HashMap<u32, HopEstimates>,
-        global_snap: &mut HashMap<u32, QueueSnapshot>,
-    ) {
-        for (dst_node, queue) in queues {
-            self.enumerate_queue(
-                driver,
-                x,
-                y,
-                dst_node,
-                queue,
-                snap_y,
-                est_x,
-                est_y,
-                b_x,
-                b_y,
-                now,
-                candidates,
-                &mut rows,
-                global_est,
-                global_snap,
-            );
-        }
-    }
-
+    /// publishes refreshed own-packet estimates).
     #[allow(clippy::too_many_arguments)]
     fn enumerate_queue(
         &mut self,
@@ -1363,7 +1252,7 @@ impl ContactExec<'_> {
         y: NodeId,
         dst_node: NodeId,
         queue: &[QueueEntry],
-        snap_y: QueueView<'_>,
+        snap_y: &QueueSnapshot,
         est_x: &[f64],
         est_y: &[f64],
         b_x: f64,
@@ -1384,7 +1273,7 @@ impl ContactExec<'_> {
         // they are gathered for every entry — the cursor is a memoized
         // monotone scan, and a query for a later-skipped entry cannot
         // disturb the value any kept entry reads.
-        let mut peer_pos = snap_y.insert_cursor(driver, dst_node);
+        let mut peer_pos = snap_y.insert_cursor(dst_node);
         rows.own.load_queue(queue);
         rows.peer.clear();
         for entry in queue {

@@ -2,6 +2,20 @@
 
 use dtn_sim::{ContactDriver, NodeId, PacketId, TransferOutcome};
 
+/// `Routing::load_state` for a protocol whose `save_state` is
+/// `Some(Vec::new())`: any other bytes were written by a different
+/// protocol and must not restore.
+pub fn load_empty_state(name: &str, bytes: &[u8]) -> Result<(), String> {
+    if bytes.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{name} keeps no state but the snapshot holds {} bytes of it",
+            bytes.len()
+        ))
+    }
+}
+
 /// Delivers every packet destined to the peer, oldest first, until the
 /// opportunity in that direction runs out. Returns the ids delivered
 /// (first-time or duplicate — bandwidth was spent either way).

@@ -7,10 +7,10 @@
 //! performance" (§2) — which makes it a useful sanity baseline for the
 //! resource-constrained experiments.
 
-use crate::common::{deliver_destined, replication_candidates};
+use crate::common::{deliver_destined, load_empty_state, replication_candidates};
 use dtn_sim::{
     ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
-    PacketStore, Routing, SimConfig, SlicePartition, Time, TransferOutcome,
+    PacketStore, Partition, Routing, SimConfig, SlicePartition, Time, TransferOutcome,
 };
 
 /// Unbounded flooding.
@@ -69,10 +69,8 @@ impl Routing for Epidemic {
 
     fn contact_concurrency(&self) -> ContactConcurrency {
         // Flooding keeps no protocol state at all: contacts are a pure
-        // function of the driver, so node-disjoint ones commute and
-        // identically-built instances are interchangeable (the sharded
-        // runtime's contract).
-        ContactConcurrency::Stateless
+        // function of the driver, so node-disjoint ones commute.
+        ContactConcurrency::NodeDisjoint
     }
 
     fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
@@ -83,6 +81,26 @@ impl Routing for Epidemic {
             // (the engine's node-disjoint batch contract).
             Self::contact_core(unsafe { drivers.get_mut(i) });
         });
+    }
+
+    fn on_shard_epoch(
+        &mut self,
+        partition: &Partition,
+        pool: &ContactPool,
+        drain: &(dyn Fn(usize, &mut dyn Routing) + Sync),
+    ) -> bool {
+        // No per-node state to lease: every shard drains against its own
+        // copy of the unit struct.
+        pool.run(partition.shards(), &|_worker, s| drain(s, &mut Epidemic));
+        true
+    }
+
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+        load_empty_state("Epidemic", bytes)
     }
 }
 

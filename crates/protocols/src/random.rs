@@ -10,17 +10,17 @@
 //! protocol stream. Statistically nothing changes (each shuffle still sees
 //! an independent uniform stream), but contact decisions become a pure
 //! function of the contact itself — which is what lets Random declare
-//! [`ContactConcurrency::Stateless`] and run under both the engine's
+//! [`ContactConcurrency::NodeDisjoint`] and run under both the engine's
 //! intra-run parallel batch layer and the sharded runtime with
 //! byte-identical results. Creation-time `make_room` follows the same
 //! discipline: a per-call substream derived from the incoming packet id,
 //! so the draw is a pure function of the eviction site rather than of
-//! how many evictions this *instance* happened to serve before.
+//! how many evictions happened before it.
 
-use crate::common::{deliver_destined, evict_until, replication_candidates};
+use crate::common::{deliver_destined, evict_until, load_empty_state, replication_candidates};
 use dtn_sim::{
     AckTable, ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
-    PacketStore, Routing, SimConfig, SlicePartition, Time, TransferOutcome,
+    PacketStore, Partition, Routing, SimConfig, SlicePartition, Time, TransferOutcome,
 };
 use dtn_stats::SeedStream;
 use rand::rngs::StdRng;
@@ -34,6 +34,7 @@ pub struct Random {
     with_acks: bool,
     /// Factory for the per-eviction `make_room` substreams.
     makeroom: SeedStream,
+    /// Sized to the world only `with_acks`; plain Random never reads it.
     acks: AckTable,
     /// Factory for the per-contact substreams.
     contacts: SeedStream,
@@ -140,7 +141,9 @@ impl Routing for Random {
 
     fn on_init(&mut self, config: &SimConfig) {
         self.makeroom = SeedStream::new(config.seed).derive("random-makeroom");
-        self.acks = AckTable::new(config.nodes);
+        if self.with_acks {
+            self.acks = AckTable::new(config.nodes);
+        }
         self.contacts = SeedStream::new(config.seed).derive("random-contact");
     }
 
@@ -156,7 +159,7 @@ impl Routing for Random {
         // Random deletion (§6.3.2: "Spray and Wait and Random deletes
         // packets randomly"), drawn from a substream of the incoming
         // packet — each creation happens exactly once, so the draw is
-        // identical no matter which instance (shard) serves it.
+        // identical no matter which shard view serves it.
         let mut rng: StdRng = self
             .makeroom
             .rng_indexed("packet", u64::from(incoming.id.0));
@@ -209,12 +212,11 @@ impl Routing for Random {
         // The ack table rows are per-node, but `exchange` walks both rows
         // through one `&mut self` path; keep the ack variant serial. The
         // plain variant keeps no evolving state at all — contact and
-        // eviction draws are derived substreams — so identically-built
-        // instances are interchangeable (the sharded runtime's contract).
+        // eviction draws are derived substreams.
         if self.with_acks {
             ContactConcurrency::Serial
         } else {
-            ContactConcurrency::Stateless
+            ContactConcurrency::NodeDisjoint
         }
     }
 
@@ -229,6 +231,38 @@ impl Routing for Random {
             let driver = unsafe { drivers.get_mut(i) };
             Self::contact_core(contacts, driver);
         });
+    }
+
+    fn on_shard_epoch(
+        &mut self,
+        partition: &Partition,
+        pool: &ContactPool,
+        drain: &(dyn Fn(usize, &mut dyn Routing) + Sync),
+    ) -> bool {
+        debug_assert!(!self.with_acks, "ack variant declared Serial");
+        let (makeroom, contacts) = (self.makeroom, self.contacts);
+        pool.run(partition.shards(), &|_worker, s| {
+            // No per-node state to lease: the two stream factories are
+            // the whole protocol, so every shard drains against its own
+            // copy of them.
+            let mut view = Random {
+                with_acks: false,
+                makeroom,
+                acks: AckTable::new(0),
+                contacts,
+            };
+            drain(s, &mut view);
+        });
+        true
+    }
+
+    fn save_state(&self) -> Option<Vec<u8>> {
+        // The ack table is evolving state this protocol does not capture.
+        (!self.with_acks).then(Vec::new)
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+        load_empty_state(&self.name(), bytes)
     }
 }
 

@@ -19,8 +19,8 @@
 //!   an end-to-end integrity check that the scenario inputs did not
 //!   change between save and resume,
 //! * report counters accumulated so far,
-//! * the routing protocol's opaque state ([`Routing::save_state`]), when
-//!   it has any.
+//! * the routing protocol's name and opaque state
+//!   ([`Routing::save_state`], empty for a protocol that keeps none).
 //!
 //! Restoring a snapshot and running to completion is byte-identical to
 //! the uninterrupted run — at any `RAPID_SHARDS` / `RAPID_INTRA_JOBS`,
@@ -39,7 +39,6 @@ use crate::contact::ContactWindow;
 use crate::event::{EventQueue, SimEvent};
 use crate::fault::{corrupt_file, FaultPlan};
 use crate::ids::IndexSet;
-use crate::par::ContactConcurrency;
 use crate::report::SimReport;
 use crate::routing::{PacketStore, Routing, SimConfig};
 use crate::time::{Time, TimeDelta};
@@ -182,7 +181,9 @@ pub struct Snapshot {
     pub open: Vec<OpenSnap>,
     /// Report counters accumulated so far.
     pub counters: Counters,
-    /// Routing protocol state, when the protocol carries any.
+    /// Routing protocol state. `None` only in snapshots written before
+    /// state-free protocols saved a name-only section; restored as empty
+    /// state.
     pub routing: Option<RoutingState>,
 }
 
@@ -221,13 +222,10 @@ impl Fnv {
     }
 }
 
-/// Whether `routing` can participate in checkpointed runs: it either
-/// saves real state, or promises it has none to save
-/// ([`ContactConcurrency::Stateless`] — every decision is a pure function
-/// of the configuration and the contact at hand, so a fresh instance
-/// resumes exactly).
+/// Whether `routing` can participate in checkpointed runs: it saves its
+/// state (empty, for a protocol that keeps none).
 pub fn routing_checkpointable(routing: &dyn Routing) -> bool {
-    routing.save_state().is_some() || routing.contact_concurrency() == ContactConcurrency::Stateless
+    routing.save_state().is_some()
 }
 
 /// Panics with a descriptive message if `routing` cannot be checkpointed.
@@ -237,9 +235,8 @@ pub fn routing_checkpointable(routing: &dyn Routing) -> bool {
 pub fn require_checkpointable(routing: &dyn Routing) {
     assert!(
         routing_checkpointable(routing),
-        "{} keeps protocol state but implements neither save_state/load_state \
-         nor the Stateless contract; checkpointed runs would resume from \
-         wrong state [diag=not-checkpointable proto={}]",
+        "{} does not implement save_state/load_state; checkpointed runs \
+         would resume from wrong state [diag=not-checkpointable proto={}]",
         routing.name(),
         routing.name(),
     );

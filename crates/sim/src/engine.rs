@@ -172,9 +172,9 @@ impl Simulation {
 /// # Intra-run parallelism
 ///
 /// With `config.intra_jobs > 1`, on runs without global knowledge and for
-/// protocols declaring [`crate::par::ContactConcurrency::NodeDisjoint`]
-/// (or the stronger `Stateless`), the engine
-/// layers a conservative parallel scheduler over the same drain order: it
+/// protocols declaring [`crate::par::ContactConcurrency::NodeDisjoint`],
+/// the engine layers a conservative parallel scheduler over the same
+/// drain order: it
 /// scans ahead (bounded lookahead), greedily groups contact drives whose
 /// node sets are pairwise disjoint, executes each group on a scoped
 /// worker pool, and commits results in the scan order. Every non-contact

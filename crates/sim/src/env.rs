@@ -2,10 +2,10 @@
 //! workspace.
 //!
 //! Every `RAPID_*` knob goes through this module: an unset knob yields
-//! its documented default, a *malformed* one aborts with a message
-//! naming the knob and the offending value. The strictness is
-//! deliberate — a typo'd `RAPID_SHARDS=fou` must not silently fall back
-//! to the serial engine and quietly invalidate a scaling measurement.
+//! its documented default, a *malformed* one (non-UTF-8 included) aborts
+//! with a message naming the knob and the offending value. The strictness
+//! is deliberate — a typo'd `RAPID_SHARDS=fou` must not silently fall
+//! back to the serial engine and quietly invalidate a scaling measurement.
 //!
 //! The per-crate copies this module replaces (`par::jobs_from_env`,
 //! `Lookahead::from_env`, `Kernel::from_env`, the bench crate's lenient
@@ -20,14 +20,31 @@
 //!   `rapid-core`, read through [`from_env_or`]).
 //! * Generic counters — [`u64_from_env`].
 
+use std::env::VarError;
+
 /// Reads a knob and runs `parse` over it: an unset knob yields
 /// `default`, a present one must parse or the process aborts with the
 /// parser's message. The single strict read-and-abort path every typed
 /// knob shares.
 pub fn from_env_or<T>(name: &str, default: T, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
-    match std::env::var(name) {
-        Ok(v) => parse(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => default,
+    resolve(name, std::env::var(name), default, parse).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// What [`from_env_or`] decides from one `std::env::var` reading: only a
+/// knob that is *not present* takes the default — a value that is not
+/// UTF-8 is set-but-garbage like any other and must not be ignored.
+fn resolve<T>(
+    name: &str,
+    read: Result<String, VarError>,
+    default: T,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    match read {
+        Ok(v) => parse(&v),
+        Err(VarError::NotPresent) => Ok(default),
+        Err(VarError::NotUnicode(raw)) => {
+            Err(format!("invalid {name} value {raw:?}: not valid UTF-8"))
+        }
     }
 }
 
@@ -117,6 +134,22 @@ mod tests {
         // runner, so exercise the parser contract directly.
         let parsed = from_env_or("RAPID_ENV_TEST_UNSET", 7u64, |_| unreachable!());
         assert_eq!(parsed, 7);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn resolve_defaults_only_when_the_knob_is_absent() {
+        use std::os::unix::ffi::OsStringExt;
+        let shards = |read| resolve("RAPID_SHARDS", read, 1, |v| parse_jobs("RAPID_SHARDS", v));
+        assert_eq!(shards(Err(VarError::NotPresent)), Ok(1));
+        assert_eq!(shards(Ok("4".into())), Ok(4));
+        assert!(shards(Ok("fou".into())).is_err());
+        let raw = std::ffi::OsString::from_vec(vec![0xff, b'4']);
+        let err = shards(Err(VarError::NotUnicode(raw))).unwrap_err();
+        assert!(
+            err.contains("RAPID_SHARDS") && err.contains("not valid UTF-8"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -50,23 +50,14 @@ pub enum ContactConcurrency {
     /// randomness is derived from the driver's contact sequence number
     /// rather than a shared stream.
     NodeDisjoint,
-    /// [`ContactConcurrency::NodeDisjoint`], plus: two identically-built
-    /// instances of the protocol are interchangeable — every observable
-    /// decision is a pure function of `(config, driver)`, with no
-    /// instance state that evolves across contacts (lazy per-contact
-    /// RNG substreams and per-call derived streams are fine; a
-    /// persistent mutated stream is not). This is the contract the
-    /// sharded runtime ([`crate::shard`]) needs: each shard drives its
-    /// own instance and the results must match one instance driving
-    /// everything.
-    Stateless,
 }
 
 impl ContactConcurrency {
     /// Whether node-disjoint contacts may be driven concurrently within
-    /// one instance (the intra-run batch scheduler's gate).
+    /// one instance (the gate of the intra-run batch scheduler and of the
+    /// sharded runtime).
     pub fn is_node_disjoint(self) -> bool {
-        matches!(self, Self::NodeDisjoint | Self::Stateless)
+        self == Self::NodeDisjoint
     }
 
     /// Stable snake-case label for telemetry columns (the per-shard
@@ -75,7 +66,6 @@ impl ContactConcurrency {
         match self {
             Self::Serial => "serial",
             Self::NodeDisjoint => "node_disjoint",
-            Self::Stateless => "stateless",
         }
     }
 }

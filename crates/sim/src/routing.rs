@@ -168,9 +168,9 @@ pub trait Routing {
     /// [`Routing::on_node_down`] may touch only the subject node's state.
     /// (Only [`Routing::on_packet_expired`] may read arbitrary nodes —
     /// the runtimes always execute it as a serial barrier.) This is what
-    /// lets the sharded runtime ([`crate::shard`]) drain shard queues of
-    /// a *single* `NodeDisjoint` instance in any shard order within an
-    /// epoch: every queued action touches only state owned by its shard.
+    /// lets the sharded runtime ([`crate::shard`]) drain the shard queues
+    /// of the run's one instance in any shard order within an epoch:
+    /// every queued action touches only state owned by its shard.
     fn contact_concurrency(&self) -> ContactConcurrency {
         ContactConcurrency::Serial
     }
@@ -197,15 +197,15 @@ pub trait Routing {
     /// Default: no-op (protocols that only care about transfers ignore it).
     fn on_contact_end(&mut self, _a: NodeId, _b: NodeId, _now: Time, _interrupted: bool) {}
 
-    /// Drains one sharded-runtime epoch against this (single, shared)
-    /// instance — the `NodeDisjoint` analogue of [`Routing::on_contact_batch`].
+    /// Drains one sharded-runtime epoch against this instance — the
+    /// sharded analogue of [`Routing::on_contact_batch`].
     ///
-    /// Only called by [`crate::shard`] for protocols that declare
-    /// [`ContactConcurrency::NodeDisjoint`] without the
-    /// [`ContactConcurrency::Stateless`] instance-interchangeability
-    /// promise: there is exactly one protocol instance, and the runtime
-    /// asks it to split its per-node state along `partition` and drain
-    /// every shard's action queue. The implementation must call
+    /// Only called by [`crate::shard`], which requires
+    /// [`ContactConcurrency::NodeDisjoint`]: a sharded run has exactly one
+    /// protocol instance, and the runtime asks it to split its per-node
+    /// state along `partition` and drain every shard's action queue (a
+    /// protocol with no per-node state hands each shard a view built from
+    /// its `Copy` configuration). The implementation must call
     /// `drain(s, view)` exactly once for every shard `s in
     /// 0..partition.shards()`, where `view` is a [`Routing`] value whose
     /// hooks address shard `s`'s node range of this instance's state;
@@ -244,13 +244,13 @@ pub trait Routing {
     /// Serializes the protocol's internal state for a checkpoint, or
     /// `None` if the protocol does not implement state capture.
     ///
-    /// Protocols declaring [`ContactConcurrency::Stateless`] are
-    /// checkpointable without overriding this — instances are
-    /// interchangeable, so there is nothing to save. Every *stateful*
-    /// protocol must override both this and [`Routing::load_state`] to be
-    /// usable on checkpointed runs: the checkpoint layer refuses to save
-    /// otherwise (loudly), rather than silently resuming with amnesiac
-    /// protocol beliefs.
+    /// Returning `Some` is the one thing that makes a protocol usable on
+    /// checkpointed runs: the checkpoint layer refuses to save otherwise
+    /// (loudly), rather than silently resuming with amnesiac protocol
+    /// beliefs. A protocol with nothing to save returns `Some(Vec::new())`
+    /// and accepts only empty bytes in [`Routing::load_state`], so its
+    /// snapshots still carry its name and cannot be resumed under another
+    /// protocol.
     ///
     /// Derived caches may be omitted and rebuilt after restore, as long as
     /// the rebuilt values are bit-identical to what the uninterrupted run

@@ -416,10 +416,10 @@ pub(crate) fn scan<E: Executor>(
             "workload source diverged from the snapshot [diag=resume-source-mismatch]"
         );
 
-        // Protocol state. Stateless protocols have nothing to restore; a
-        // fresh instance (per-shard ones included) is exact by contract.
+        // Protocol state. A snapshot without the section restores as empty
+        // state, which a protocol that keeps beliefs rejects.
+        let routing = exec.routing();
         if let Some(rs) = &snap.routing {
-            let routing = exec.routing();
             assert_eq!(
                 rs.name,
                 routing.name(),
@@ -427,10 +427,10 @@ pub(crate) fn scan<E: Executor>(
                 rs.name,
                 routing.name()
             );
-            routing
-                .load_state(&rs.bytes)
-                .unwrap_or_else(|e| panic!("protocol state restore failed: {e}"));
         }
+        routing
+            .load_state(snap.routing.as_ref().map_or(&[], |rs| &rs.bytes))
+            .unwrap_or_else(|e| panic!("protocol state restore failed: {e}"));
 
         if let Some(faults) = hooks.faults.as_deref_mut() {
             faults.ack_crashes_before(snap.now);

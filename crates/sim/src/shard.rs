@@ -19,15 +19,16 @@
 //!   queue; anything cross-shard (a gateway contact, a TTL expiry
 //!   touching arbitrary holders) is a *barrier*.
 //! * Between barriers the shards free-run: at each epoch flush every
-//!   shard drains its queue serially — its own routing instance, its own
-//!   node-buffer range, the shared read-only packet arena — on a
-//!   [`ContactPool`] worker. The epoch boundary is the
+//!   shard drains its queue serially — its node range of the protocol's
+//!   state, its own node-buffer range, the shared read-only packet arena
+//!   — on a [`ContactPool`] worker. The epoch boundary is the
 //!   conservative sync horizon: every queued action is ordered (in the
 //!   engine's total `(time, rank, seq)` order) *before* the barrier
 //!   action that forced the flush, so no shard ever sees state from its
 //!   future.
-//! * Cross-shard actions execute on the *coordinator* routing instance
-//!   against the full world, through the serial engine's own executor.
+//! * Cross-shard actions execute on the *coordinator* — the serial
+//!   engine's own executor over the run's one protocol instance and the
+//!   full world.
 //!
 //! # Determinism
 //!
@@ -56,22 +57,15 @@
 //! * **Report sums** — per-shard `u64` counters folded in shard order;
 //!   integer addition is associative and commutative.
 //!
-//! The runtime has two execution modes, keyed on the protocol's
-//! [`ContactConcurrency`] tier:
-//!
-//! * **`Stateless`** — one routing instance *per shard* plus the
-//!   coordinator. Sound because every observable decision is a pure
-//!   function of `(config, driver)`, so N instances driving disjoint
-//!   contact subsets behave like one instance driving everything.
-//! * **`NodeDisjoint`** (without the `Stateless` promise) — one *single*
-//!   shared instance (the coordinator). Per-node protocol state makes
-//!   instances non-interchangeable, but the extended `NodeDisjoint`
-//!   contract ([`Routing::contact_concurrency`]) guarantees every queued
-//!   epoch action touches only its own shard's nodes, so shard queues
-//!   commute within an epoch. Each flush asks the instance to drain the
-//!   epoch itself via [`Routing::on_shard_epoch`] (splitting its per-node
-//!   state across the pool); a protocol without that override is drained
-//!   serially in shard order — same bytes, no intra-epoch parallelism.
+//! A run has *one* protocol instance, and it must declare
+//! [`ContactConcurrency::NodeDisjoint`]: under that contract
+//! ([`Routing::contact_concurrency`]) every queued epoch action touches
+//! only its own shard's nodes, so shard queues commute within an epoch.
+//! Each flush asks the instance to drain the epoch itself via
+//! [`Routing::on_shard_epoch`] (splitting its per-node state — or, for a
+//! protocol that keeps none, its `Copy` configuration — across the pool);
+//! a protocol without that override is drained serially in shard order —
+//! same bytes, no intra-epoch parallelism.
 //!
 //! `Serial` protocols cannot shard at all and are rejected loudly.
 
@@ -203,11 +197,9 @@ pub struct ShardStats {
     pub creations: u64,
     /// Wall time spent draining this shard's queues (sum over epochs).
     pub busy: Duration,
-    /// The concurrency tier the run executed under — which of the two
-    /// sharded modes served this shard (`stateless` = per-shard
-    /// instances, `node_disjoint` = single shared instance). Harnesses
-    /// that fall back to the serial engine report `serial` here so the
-    /// per-shard TSV says *why* a run didn't parallelize.
+    /// The tier the protocol declared — `node_disjoint` on every row,
+    /// since the runtime rejects anything else and a harness that falls
+    /// back to the serial engine reports no shard rows at all.
     pub concurrency: ContactConcurrency,
 }
 
@@ -230,13 +222,10 @@ enum ShardMsg {
     NodeDown(NodeId, Time),
 }
 
-/// One shard's routing instance, action queue, holder-op log and report
-/// counters. Disjoint across shards; drained by one worker per epoch.
+/// One shard's action queue, holder-op log and report counters. Disjoint
+/// across shards; drained by one worker per epoch.
+#[derive(Default)]
 struct ShardState {
-    /// The shard's own instance under the `Stateless` mode; `None` under
-    /// the single-instance `NodeDisjoint` mode, where every drain runs
-    /// against a view of the coordinator's state.
-    routing: Option<Box<dyn Routing + Send>>,
     msgs: Vec<ShardMsg>,
     holder_log: Vec<HolderOp>,
     // Report counters, folded in shard order at the end of the run.
@@ -268,14 +257,11 @@ pub fn run_sharded(
 /// (byte-identical to [`crate::engine::run_streaming`] with the same
 /// inputs) plus per-shard telemetry.
 ///
-/// `factory` builds the coordinator instance and — under the
-/// [`ContactConcurrency::Stateless`] mode — one routing instance per
-/// shard. Every instance must declare a node-disjoint tier
-/// ([`ContactConcurrency::is_node_disjoint`]); a `Serial` protocol is
-/// rejected loudly. Protocols that are `NodeDisjoint` but not
-/// `Stateless` run in the single-instance mode (see the module docs).
-/// Runs with global knowledge cannot shard (the instant global channel
-/// reads arbitrary remote state mid-contact).
+/// `factory` is called exactly once, for the run's protocol instance,
+/// which must declare [`ContactConcurrency::NodeDisjoint`]; a `Serial`
+/// protocol is rejected loudly. Runs with global knowledge cannot shard
+/// (the instant global channel reads arbitrary remote state
+/// mid-contact).
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_with_stats(
     config: &SimConfig,
@@ -303,9 +289,9 @@ pub fn run_sharded_with_stats(
 /// injection.
 ///
 /// Snapshots are partition-independent — everything captured is the
-/// global serial-order state the shard modes agree on — so a run
-/// checkpointed at one `RAPID_SHARDS` resumes byte-identically at any
-/// other (or on the serial engine).
+/// global serial-order state — so a run checkpointed at one
+/// `RAPID_SHARDS` resumes byte-identically at any other (or on the serial
+/// engine).
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_hooked(
     config: &SimConfig,
@@ -327,42 +313,20 @@ pub fn run_sharded_hooked(
         "global-knowledge runs cannot be sharded"
     );
 
-    let mut coord = factory();
-    let concurrency = coord.contact_concurrency();
+    let mut routing = factory();
+    let concurrency = routing.contact_concurrency();
     assert!(
         concurrency.is_node_disjoint(),
-        "sharded execution requires a node-disjoint protocol tier \
-         (NodeDisjoint or Stateless); {} declared Serial",
-        coord.name()
+        "sharded execution requires a NodeDisjoint protocol; {} declared Serial",
+        routing.name()
     );
-    coord.on_init(config);
+    routing.on_init(config);
     if hooks.checkpoint.is_some() || hooks.resume.is_some() {
-        require_checkpointable(coord.as_ref());
+        require_checkpointable(routing.as_ref());
     }
-    let stateless = concurrency == ContactConcurrency::Stateless;
 
     let mut states: Vec<ShardState> = (0..partition.shards())
-        .map(|_| {
-            let routing = stateless.then(|| {
-                let mut routing = factory();
-                debug_assert_eq!(routing.contact_concurrency(), ContactConcurrency::Stateless);
-                routing.on_init(config);
-                routing
-            });
-            ShardState {
-                routing,
-                msgs: Vec::new(),
-                holder_log: Vec::new(),
-                contacts: 0,
-                offered_bytes: 0,
-                data_bytes: 0,
-                metadata_bytes: 0,
-                replications: 0,
-                drives: 0,
-                creations: 0,
-                busy: Duration::ZERO,
-            }
-        })
+        .map(|_| ShardState::default())
         .collect();
 
     let report = std::thread::scope(|scope| {
@@ -370,9 +334,8 @@ pub fn run_sharded_hooked(
         let mut exec = Partitioned {
             partition,
             states: &mut states,
-            stateless,
             coord: Immediate {
-                routing: coord.as_mut(),
+                routing: routing.as_mut(),
             },
             pool: &pool,
             pending: 0,
@@ -401,10 +364,9 @@ pub fn run_sharded_hooked(
 struct Partitioned<'a> {
     partition: &'a Partition,
     states: &'a mut [ShardState],
-    /// Whether shards own per-shard instances (`Stateless` mode) or every
-    /// epoch drains the single coordinator instance (`NodeDisjoint`).
-    stateless: bool,
-    /// The coordinator: the serial executor over the full world.
+    /// The coordinator: the serial executor over the run's one protocol
+    /// instance and the full world; epochs drain shard views of the same
+    /// instance.
     coord: Immediate<'a>,
     pool: &'a ContactPool,
     /// Same-shard actions queued since the last epoch flush.
@@ -412,8 +374,6 @@ struct Partitioned<'a> {
 }
 
 impl Executor for Partitioned<'_> {
-    /// The coordinator's state is the run's protocol state: shard
-    /// instances, when they exist, are `Stateless`.
     fn routing(&mut self) -> &mut dyn Routing {
         self.coord.routing
     }
@@ -505,55 +465,28 @@ impl Partitioned<'_> {
             let delivered = RawSlice::new(world.delivered_at.as_mut_slice());
             let entered = RawSlice::new(world.entered.as_mut_slice());
             let shards = SlicePartition::new(&mut *self.states);
-            if self.stateless {
-                self.pool.run(shards.len(), &|_, s| {
-                    // SAFETY: the pool claims each index exactly once per
-                    // run, so this is the sole reference to shard `s`.
-                    let state = unsafe { shards.get_mut(s) };
-                    if state.msgs.is_empty() {
-                        return;
-                    }
-                    let t0 = Instant::now();
-                    let mut routing = state
-                        .routing
-                        .take()
-                        .expect("stateless shards own instances");
-                    drain_shard(
-                        routing.as_mut(),
-                        state,
-                        &buffers,
-                        &delivered,
-                        &entered,
-                        store,
-                    );
-                    state.routing = Some(routing);
-                    state.busy += t0.elapsed();
-                });
-            } else {
-                // Single-instance mode: shard queues drain against views
-                // of the coordinator's per-node state. The protocol
-                // splits that state itself (`on_shard_epoch`); without an
-                // override, drain serially in shard order — intra-epoch
-                // actions of distinct shards commute under the extended
-                // NodeDisjoint contract, so any fixed order is exact.
-                let drain = |s: usize, routing: &mut dyn Routing| {
-                    // SAFETY: `on_shard_epoch` calls each shard index
-                    // exactly once per epoch (its documented contract;
-                    // the serial fallback below trivially satisfies it),
-                    // so this is the sole reference to shard `s`.
-                    let state = unsafe { shards.get_mut(s) };
-                    if state.msgs.is_empty() {
-                        return;
-                    }
-                    let t0 = Instant::now();
-                    drain_shard(routing, state, &buffers, &delivered, &entered, store);
-                    state.busy += t0.elapsed();
-                };
-                let coord = &mut *self.coord.routing;
-                if !coord.on_shard_epoch(self.partition, self.pool, &drain) {
-                    for s in 0..shards.len() {
-                        drain(s, coord);
-                    }
+            // Shard queues drain against views of the instance's per-node
+            // state. The protocol splits that state itself
+            // (`on_shard_epoch`); without an override, drain serially in
+            // shard order — intra-epoch actions of distinct shards commute
+            // under the NodeDisjoint contract, so any fixed order is exact.
+            let drain = |s: usize, routing: &mut dyn Routing| {
+                // SAFETY: `on_shard_epoch` calls each shard index exactly
+                // once per epoch (its documented contract; the serial
+                // fallback below trivially satisfies it), so this is the
+                // sole reference to shard `s`.
+                let state = unsafe { shards.get_mut(s) };
+                if state.msgs.is_empty() {
+                    return;
+                }
+                let t0 = Instant::now();
+                drain_shard(routing, state, &buffers, &delivered, &entered, store);
+                state.busy += t0.elapsed();
+            };
+            let routing = &mut *self.coord.routing;
+            if !routing.on_shard_epoch(self.partition, self.pool, &drain) {
+                for s in 0..shards.len() {
+                    drain(s, routing);
                 }
             }
         }
@@ -569,12 +502,11 @@ impl Partitioned<'_> {
 }
 
 /// Drains one shard's queue in order against its node range, through
-/// `routing` — the shard's own instance (`Stateless` mode) or a
-/// shard-range view of the single shared instance (`NodeDisjoint` mode).
-/// Runs on a pool worker; everything it touches is either owned by the
-/// shard (routing state, buffers in its range, its holder log) or
-/// governed by a single-writer contract (`delivered_at`, `entered` —
-/// see the module docs).
+/// `routing` — a shard-range view of the run's instance, or the instance
+/// itself on the serial-drain fallback. Runs on a pool worker; everything
+/// it touches is either owned by the shard (routing state, buffers in
+/// its range, its holder log) or governed by a single-writer contract
+/// (`delivered_at`, `entered` — see the module docs).
 fn drain_shard(
     routing: &mut dyn Routing,
     state: &mut ShardState,
@@ -702,8 +634,8 @@ mod tests {
         let _ = Partition::from_bounds(vec![0, 6, 4, 10]);
     }
 
-    /// Flooding with the Stateless contract: decisions are a pure
-    /// function of the driver, so any instance is interchangeable.
+    /// Flooding with no protocol state: decisions are a pure function of
+    /// the driver.
     struct ShardFlood;
 
     impl Routing for ShardFlood {
@@ -712,7 +644,7 @@ mod tests {
         }
 
         fn contact_concurrency(&self) -> ContactConcurrency {
-            ContactConcurrency::Stateless
+            ContactConcurrency::NodeDisjoint
         }
 
         fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
@@ -881,9 +813,7 @@ mod tests {
     /// Flooding with genuinely evolving per-node state: each node
     /// remembers every id it ever offered and offers unseen ids first.
     /// Two fresh instances are NOT interchangeable (the memory warms up),
-    /// so this is `NodeDisjoint` without the `Stateless` promise — it
-    /// exercises the single-shared-instance mode and its default
-    /// serial-drain epoch path.
+    /// so a runtime that built a second instance anywhere would diverge.
     struct MemoryFlood {
         seen: Vec<crate::acks::PacketSet>,
     }
@@ -961,14 +891,6 @@ mod tests {
                 .all(|s| s.concurrency == ContactConcurrency::NodeDisjoint));
         }
         assert!(serial.delivered() >= 1, "scenario must not be vacuous");
-    }
-
-    #[test]
-    fn stats_report_the_stateless_tier() {
-        let (_, stats) = run_scenario_sharded(&Partition::even(9, 3));
-        assert!(stats
-            .iter()
-            .all(|s| s.concurrency == ContactConcurrency::Stateless));
     }
 
     #[test]

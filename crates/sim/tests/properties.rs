@@ -555,7 +555,7 @@ proptest! {
 // --- Sharded runtime ------------------------------------------------------
 //
 // The shard layer (`dtn_sim::shard`) claims byte-identical reports for a
-// Stateless protocol under ANY partition of the node space — however
+// NodeDisjoint protocol under ANY partition of the node space — however
 // lopsided, wherever the cut lands relative to the contact structure's
 // "gateways" — with churn, TTL expiry, and durative windows in play. The
 // proptest draws arbitrary fence posts (which is what arbitrary gateway
@@ -563,9 +563,8 @@ proptest! {
 // and replays the same scenario through the serial engine and the
 // sharded runtime.
 
-/// A Stateless flooding protocol: destination-first transfer order, no
-/// protocol state at all, so identically-built instances are
-/// interchangeable across shards.
+/// A flooding protocol with no protocol state at all: destination-first
+/// transfer order, a pure function of the driver.
 struct ShardFlood;
 
 impl Routing for ShardFlood {
@@ -588,7 +587,7 @@ impl Routing for ShardFlood {
     }
 
     fn contact_concurrency(&self) -> ContactConcurrency {
-        ContactConcurrency::Stateless
+        ContactConcurrency::NodeDisjoint
     }
 }
 
@@ -596,8 +595,7 @@ impl Routing for ShardFlood {
 /// memory of offered ids biases each node's transfer order, and per-node
 /// lifecycle hooks (creation, churn) mutate that memory. Fresh instances
 /// are NOT interchangeable, so the sharded runtime must route every hook
-/// to the one shared instance's per-node partitions — exactly the
-/// single-instance mode `Rapid` rides.
+/// to the one instance's per-node partitions, as it does for `Rapid`.
 struct MemFlood {
     seen: Vec<dtn_sim::PacketSet>,
 }
@@ -749,8 +747,8 @@ proptest! {
             partition
         );
 
-        // Same scenario and partition through the stateful NodeDisjoint
-        // tier: one shared instance, hooks routed to per-node partitions.
+        // Same scenario and partition through a protocol with evolving
+        // per-node state: hooks routed to the one instance's partitions.
         let serial_mem = Simulation::new(
             cfg.clone(),
             Schedule::new(windows.clone()),

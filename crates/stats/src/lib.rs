@@ -17,7 +17,6 @@ pub mod dist;
 pub mod ewma;
 pub mod fairness;
 pub mod htest;
-pub mod merge;
 pub mod rng;
 pub mod sample;
 pub mod special;
@@ -27,7 +26,6 @@ pub use dist::DiscreteDist;
 pub use ewma::{Ewma, RunningMean};
 pub use fairness::jain_index;
 pub use htest::{paired_t_test, student_t_cdf, TTestResult};
-pub use merge::{Extrema, Mergeable, ShardSlots, StreamingMean};
 pub use rng::{stream, SeedStream};
 pub use sample::{Exponential, Gamma, LogNormal, Normal, Pareto, Poisson};
 pub use summary::{mean_ci95, percentile, Summary};

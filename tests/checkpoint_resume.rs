@@ -3,10 +3,11 @@
 //! under the serial engine and the sharded runtime, at any shard count,
 //! from a snapshot written by either runtime (the format captures only
 //! global serial-order state), for both a stateful protocol (RAPID, via
-//! `Routing::save_state`/`load_state`) and a stateless one (Epidemic).
+//! `Routing::save_state`/`load_state`) and one that saves empty state
+//! (Epidemic) — and a snapshot never restores into a different protocol.
 
 use proptest::prelude::*;
-use rapid_dtn::protocols::Epidemic;
+use rapid_dtn::protocols::{Epidemic, Random};
 use rapid_dtn::rapid::{Rapid, RapidConfig};
 use rapid_dtn::sim::contact::Schedule;
 use rapid_dtn::sim::workload::{PacketSpec, Workload};
@@ -211,7 +212,9 @@ fn serial_rapid_resume_from_each_checkpoint_is_identical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Stateless protocols need no `save_state`: Epidemic resumes exactly.
+/// Epidemic saves empty state under its name and resumes exactly — also
+/// from a snapshot with no routing section at all, as older snapshots of
+/// state-free protocols are.
 #[test]
 fn serial_epidemic_resume_is_identical() {
     let sc = scenario();
@@ -228,11 +231,74 @@ fn serial_epidemic_resume_is_identical() {
     );
     assert_eq!(checkpointed, reference);
 
-    for snap in snapshots_in(&dir) {
-        let resumed = sc.run_serial(&mut Epidemic::new(), resume_hooks(snap));
+    for mut snap in snapshots_in(&dir) {
+        let section = snap
+            .routing
+            .as_ref()
+            .expect("every snapshot names its protocol");
+        assert_eq!(
+            (section.name.as_str(), section.bytes.len()),
+            ("Epidemic", 0)
+        );
+        let resumed = sc.run_serial(&mut Epidemic::new(), resume_hooks(snap.clone()));
         assert_eq!(resumed, reference);
+        snap.routing = None;
+        let resumed = sc.run_serial(&mut Epidemic::new(), resume_hooks(snap));
+        assert_eq!(resumed, reference, "section-less snapshot diverged");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The newest snapshot of an Epidemic run over the scenario.
+fn epidemic_snapshot(tag: &str) -> Snapshot {
+    let dir = temp_dir(tag);
+    let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(60), 64).unwrap();
+    let _ = scenario().run_serial(
+        &mut Epidemic::new(),
+        RunHooks {
+            checkpoint: Some(&mut ckpt),
+            ..RunHooks::default()
+        },
+    );
+    let latest = load_latest(&dir).unwrap().expect("snapshots written");
+    std::fs::remove_dir_all(&dir).unwrap();
+    latest.snapshot
+}
+
+/// The panic message of a resume that must not go through.
+fn resume_refusal(routing: &mut dyn Routing, snap: Snapshot) -> String {
+    let crash = catch_unwind(AssertUnwindSafe(|| {
+        scenario().run_serial(routing, resume_hooks(snap))
+    }))
+    .expect_err("the resume must be refused");
+    crash
+        .downcast_ref::<String>()
+        .expect("formatted panic")
+        .clone()
+}
+
+/// RAPID must never start from an Epidemic snapshot on fresh beliefs:
+/// the name check refuses it, and a section-less (older) snapshot —
+/// which has no name to check — is refused by RAPID's own decoder.
+#[test]
+fn epidemic_snapshot_resumed_with_rapid_fails_loudly() {
+    let mut snap = epidemic_snapshot("epidemic-into-rapid");
+    let msg = resume_refusal(rapid().as_mut(), snap.clone());
+    assert!(msg.contains("resume-proto-mismatch"), "{msg}");
+    snap.routing = None;
+    let msg = resume_refusal(rapid().as_mut(), snap);
+    assert!(msg.contains("protocol state restore failed"), "{msg}");
+}
+
+/// Two protocols that both save empty state are still told apart.
+#[test]
+fn epidemic_snapshot_resumed_with_random_fails_the_name_check() {
+    let snap = epidemic_snapshot("epidemic-into-random");
+    let msg = resume_refusal(&mut Random::new(), snap);
+    assert!(
+        msg.contains("resume-proto-mismatch") && msg.contains("Epidemic") && msg.contains("Random"),
+        "{msg}"
+    );
 }
 
 /// Snapshots are runtime- and partition-independent: one written by the
