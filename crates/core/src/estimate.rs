@@ -15,9 +15,10 @@
 //!    `P(a(i) < t) = 1 − exp(−Σ_j t/a_j)` (Eq. 7) and
 //!    `A(i) = (Σ_j 1/a_j)^{-1}` (Eqs. 8–9).
 //!
-//! One deliberate deviation, noted in DESIGN.md: the paper writes
-//! `⌈b_j(i)/B_j⌉` meetings, which is 0 for the head-of-queue packet; we use
-//! `⌊b_j(i)/B_j⌋ + 1` so the head packet needs exactly one meeting.
+//! One deliberate deviation (EXPERIMENTS.md, "Deviations from the paper"):
+//! the paper writes `⌈b_j(i)/B_j⌉` meetings, which is 0 for the
+//! head-of-queue packet; we use `⌊b_j(i)/B_j⌋ + 1` so the head packet needs
+//! exactly one meeting.
 //!
 //! # Batched kernels and the deterministic reduction
 //!

@@ -14,7 +14,7 @@
 //! | module | paper | contents |
 //! |--------|-------|----------|
 //! | [`config`] | §3.5, §6 | metrics, channel modes, tuning |
-//! | [`protocol`] | §3.4 | the selection algorithm (Protocol RAPID) |
+//! | [`protocol`] | §3.3–3.4, §4.2 | Protocol RAPID, one private module per decision: `state`, `exchange`, `select`, `storage`, and [`Rapid`] over them |
 //! | [`estimate`] | §4.1 | Estimate Delay: Eqs. 4–9 |
 //! | [`meetings`] | §4.1.2 | meeting-time learning, h-hop estimates |
 //! | [`control`] | §4.2 | the in-band control channel's replica tables |
@@ -27,7 +27,10 @@
 //! node's delivery queues from scratch — one batched Eq. 4–5 row per queue,
 //! one sort — through the single scorer `make_room` and in-contact eviction
 //! share, and every debug-build `make_room` is asserted against a scalar
-//! per-packet reference.
+//! per-packet reference. Every [`dtn_sim::Routing`] hook that touches node
+//! state runs through one view over a run of nodes — the whole fleet
+//! serially, a partition range per shard — under a lease of exactly the
+//! nodes the hook names (see [`protocol`], "Execution model").
 //!
 //! ```
 //! use rapid_core::{Rapid, RapidConfig};

@@ -102,8 +102,8 @@ proptest! {
 
     // --- Storage decisions vs the from-scratch scalar reference -----------
     //
-    // In debug builds `protocol.rs` compares every `make_room` decision —
-    // batched Eq. 4–5 rows, one sort, the §3.4 own-packet filter — against
+    // In debug builds `protocol/storage.rs` compares every `make_room`
+    // decision — batched Eq. 4–5 rows, one sort, the §3.4 own-packet filter — against
     // a per-packet scalar filter→score→sort reference. Driving RAPID
     // through proptest-chosen scenarios (tight buffers forcing storage
     // evictions, transfers and deliveries at contacts, TTL expiry, node

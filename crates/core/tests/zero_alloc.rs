@@ -2,7 +2,7 @@
 //! global allocator wraps the system allocator; after a warm-up pass has
 //! sized each structure's buffers, further same-shaped work must perform
 //! **zero** heap allocations. Audited phases: snapshot refill (the
-//! per-contact scratch reuse in `protocol.rs`), the [`RateBatch`] kernel
+//! per-contact scratch reuse in `protocol/mod.rs`), the [`RateBatch`] kernel
 //! rows (Eq. 4–9 over whole queues), the batch scheduler's
 //! `take_ready_into` drain (capacity ping-pong + in-place compaction),
 //! the contact pool's dispatch, and whole RAPID contacts between nodes

@@ -16,10 +16,10 @@
 //!   across transfer opportunities in our bus traces" (§6.2.2) — this is
 //!   what creates the bottleneck links of Fig. 9.
 //!
-//! Substitution note (also recorded in DESIGN.md): synthetic contacts keep
-//! the *shape* of the evaluation — intermittent short-lived meetings, highly
-//! variable link capacity, day-scoped packet lifetimes — not the authors'
-//! absolute numbers.
+//! Substitution note (also in EXPERIMENTS.md, "Deviations from the paper"):
+//! synthetic contacts keep the *shape* of the evaluation — intermittent
+//! short-lived meetings, highly variable link capacity, day-scoped packet
+//! lifetimes — not the authors' absolute numbers.
 
 use crate::exponential::window;
 use dtn_sim::{CompiledPlan, ContactWindow, NodeId, Schedule, Time, TimeDelta};

@@ -11,7 +11,8 @@
 //! At small loads the network is uncongested and the two coincide
 //! (`gap == 0` certifies the greedy is optimal); at higher loads the gap is
 //! reported so Fig. 13's "Optimal" line carries its own error bar. This
-//! substitution for CPLEX is recorded in DESIGN.md.
+//! substitution for CPLEX is recorded in EXPERIMENTS.md, "Deviations from
+//! the paper".
 
 use crate::journeys::{creation_pos, EventPos};
 use dtn_sim::workload::Workload;

@@ -737,14 +737,6 @@ pub struct RunHooks<'a> {
     pub faults: Option<&'a mut FaultPlan>,
 }
 
-impl RunHooks<'_> {
-    /// Whether any hook is set (used to skip the checkpointability check
-    /// on plain runs).
-    pub fn is_active(&self) -> bool {
-        self.checkpoint.is_some() || self.resume.is_some() || self.faults.is_some()
-    }
-}
-
 /// Writes rotating, sequence-numbered `RSNP1` checkpoint files at a fixed
 /// simulated-time interval.
 #[derive(Debug)]

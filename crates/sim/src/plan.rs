@@ -32,7 +32,6 @@
 
 use crate::contact::{ContactWindow, Schedule};
 use crate::time::{Time, TimeDelta};
-use crate::types::NodeId;
 use dtn_trace::{ContactRecord, RecordAtom, RecordPlan};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -454,25 +453,10 @@ impl Iterator for PlanStream {
     }
 }
 
-/// A `NodeId`-typed convenience for building periodic atoms.
-pub fn periodic_instant(
-    first: Time,
-    a: NodeId,
-    b: NodeId,
-    bytes: u64,
-    period: TimeDelta,
-    repeats: u32,
-) -> PlanAtom {
-    PlanAtom::Periodic {
-        template: ContactWindow::instant(first, a, b, bytes),
-        period,
-        repeats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::NodeId;
 
     fn inst(start_us: u64, a: u32, b: u32, bytes: u64) -> ContactWindow {
         ContactWindow::instant(Time(start_us), NodeId(a), NodeId(b), bytes)

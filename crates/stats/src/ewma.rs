@@ -82,11 +82,6 @@ impl Ewma {
     pub fn value(&self) -> Option<f64> {
         self.value
     }
-
-    /// Current estimate, or `fallback` before any observation.
-    pub fn value_or(&self, fallback: f64) -> f64 {
-        self.value.unwrap_or(fallback)
-    }
 }
 
 #[cfg(test)]
