@@ -13,11 +13,14 @@
 //!                             # equivalent, and --jobs wins over it)
 //! ```
 //!
-//! Experiments resolve through `rapid_bench::registry` and run in-process;
+//! A `RAPID_*` environment variable no crate reads (a retired knob, a
+//! typo) exits 2 before anything runs. Experiments resolve through
+//! `rapid_bench::registry` and run in-process;
 //! every requested one runs even if an earlier one fails (panics are
 //! caught), and the exit status reflects the pass/fail summary printed at
 //! the end.
 
+use rapid_bench::knobs;
 use rapid_bench::registry::{self, ExperimentPlan};
 
 fn usage_exit(code: i32) -> ! {
@@ -27,6 +30,18 @@ fn usage_exit(code: i32) -> ! {
 }
 
 fn main() {
+    let strangers =
+        knobs::unknown(std::env::vars_os().map(|(k, _)| k.to_string_lossy().into_owned()));
+    if !strangers.is_empty() {
+        eprintln!(
+            "error: unknown RAPID_* variable(s) {}: no code reads them, so the run would \
+             silently use defaults; known knobs: {} [diag=unknown-knob]",
+            strangers.join(" "),
+            knobs::KNOBS.join(" ")
+        );
+        std::process::exit(2);
+    }
+
     let mut filters: Vec<String> = Vec::new();
     let mut list = false;
     let mut args = std::env::args().skip(1);

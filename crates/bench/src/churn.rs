@@ -161,23 +161,9 @@ impl ChurnLab {
         }
     }
 
-    /// Runs `runs` independent repetitions of one configuration (parallel).
-    pub fn run_many(
-        &self,
-        runs: u32,
-        load: f64,
-        window: TimeDelta,
-        down_fraction: f64,
-        proto: Proto,
-    ) -> Vec<SimReport> {
-        crate::parallel_map(runs as usize, |r| {
-            let spec = self.spec(r as u32, load, window, down_fraction);
-            run_spec(&spec, proto)
-        })
-    }
-
-    /// Streaming variant of [`ChurnLab::run_many`]: reports fold into a
-    /// [`ChurnAcc`] in run order — bounded memory, bit-identical aggregate.
+    /// Runs `runs` independent repetitions of one configuration in
+    /// parallel; reports fold into a [`ChurnAcc`] in run order — bounded
+    /// memory, and an aggregate independent of the worker count.
     pub fn run_many_agg(
         &self,
         runs: u32,
@@ -215,8 +201,8 @@ pub struct ChurnAggregate {
     pub suppressed_contacts: f64,
 }
 
-/// Streaming accumulator behind [`ChurnAggregate`]: fixed expected count,
-/// bit-identical to the collected reduction.
+/// Streaming accumulator behind [`ChurnAggregate`]: each report weighted
+/// by the fixed expected count.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnAcc {
     n: f64,
@@ -261,16 +247,6 @@ impl ChurnAcc {
         };
         agg
     }
-}
-
-/// Reduces run reports to a [`ChurnAggregate`] (see [`ChurnAcc::finish`]
-/// for the delay-mean convention).
-pub fn aggregate(reports: &[SimReport]) -> ChurnAggregate {
-    let mut acc = ChurnAcc::new(reports.len());
-    for r in reports {
-        acc.push(r);
-    }
-    acc.finish()
 }
 
 #[cfg(test)]
@@ -357,8 +333,7 @@ mod tests {
     #[test]
     fn churn_run_reports_new_counters() {
         let lab = ChurnLab::new(9);
-        let reports = lab.run_many(2, 20.0, TimeDelta::from_secs(60), 0.3, Proto::Random);
-        let agg = aggregate(&reports);
+        let agg = lab.run_many_agg(2, 20.0, TimeDelta::from_secs(60), 0.3, Proto::Random);
         assert!(agg.delivery_rate > 0.0 && agg.delivery_rate <= 1.0);
         assert!(agg.suppressed_contacts > 0.0, "churn must suppress windows");
         assert!(agg.expired_rate > 0.0, "a 60 s TTL must expire something");

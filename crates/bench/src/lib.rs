@@ -15,28 +15,19 @@
 //! streaming accumulators in run order ([`runner::parallel_reduce`]),
 //! so neither scenarios nor report sets are ever cloned or collected.
 //!
-//! Environment knobs (all optional):
-//!
-//! * `RAPID_DAYS` — trace days averaged per data point (default 8;
-//!   Table 3 always uses the paper's 58, Fig. 3 has `RAPID_FIG3_DAYS`,
-//!   default 20).
-//! * `RAPID_RUNS` — synthetic-mobility runs per data point (default 5).
-//! * `RAPID_SEED` — root experiment seed (default 7).
-//! * `RAPID_JOBS` — worker threads (default: available parallelism;
-//!   `fig_all --jobs N` is the CLI face of the same knob and wins over
-//!   the environment).
-//! * `RAPID_SCALE_*` — scale-family shape and its peak-RSS bound (see
-//!   [`scale`]).
+//! Environment knobs are all optional and all `RAPID_*`: [`knobs::KNOBS`]
+//! lists the names (README.md's knob table says what each does), and
+//! `fig_all` exits 2 on a `RAPID_*` variable that is not among them.
 
 pub mod churn;
 pub mod experiments;
 pub mod families;
 pub mod kbench;
+pub mod knobs;
 pub mod proto;
 pub mod registry;
 pub mod runner;
 pub mod scale;
-pub mod scenarios;
 pub mod synth;
 pub mod trace_exp;
 pub mod tsv;

@@ -185,7 +185,7 @@ pub const PLANS: &[ExperimentPlan] = &[
     ExperimentPlan {
         id: "scale_compressed",
         title: "Compressed scale family: periodic-atom plan, lazy expansion, flat memory",
-        axes: "one run x RAPID_SCALE_MODE {compressed, materialized}",
+        axes: "one lazily expanded run",
         columns: &[
             "mode",
             "run",

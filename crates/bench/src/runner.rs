@@ -321,15 +321,17 @@ pub(crate) fn run_spec_on(
 ///   Each job writes under a subdirectory keyed by its config digest and
 ///   protocol, so a killed process restarted with the same environment
 ///   resumes the right run.
-/// * `RAPID_CKPT_KEEP` — snapshots retained per job (default 3); older
-///   ones are pruned, and a corrupt newest degrades to the previous.
-/// * `RAPID_CKPT_RETRIES` — in-process crash-retry budget (default 3).
 struct CkptPolicy {
     dir: PathBuf,
     every: TimeDelta,
-    keep: usize,
-    retries: u64,
 }
+
+/// Snapshots retained per job: older ones are pruned, and a corrupt
+/// newest degrades to the previous.
+const CKPT_KEEP: usize = 3;
+
+/// Attempts a job gets under checkpointing before its crash is re-raised.
+const CKPT_ATTEMPTS: u64 = 3;
 
 impl CkptPolicy {
     fn from_env() -> Option<Self> {
@@ -346,8 +348,6 @@ impl CkptPolicy {
                 .unwrap_or_else(|| "rapid-ckpt".into())
                 .into(),
             every,
-            keep: dtn_sim::env::u64_from_env("RAPID_CKPT_KEEP", 3).max(1) as usize,
-            retries: dtn_sim::env::u64_from_env("RAPID_CKPT_RETRIES", 3).max(1),
         })
     }
 }
@@ -421,7 +421,7 @@ pub fn run_with_recovery(
 
     let mut faults = fault_plan_from_env();
     let mut backoff = std::time::Duration::from_millis(50);
-    for attempt in 1..=policy.retries {
+    for attempt in 1..=CKPT_ATTEMPTS {
         let resume = match load_latest(&run_dir) {
             Ok(Some(loaded)) if loaded.snapshot.config_digest == digest => {
                 diag::warn(
@@ -461,7 +461,7 @@ pub fn run_with_recovery(
                 None
             }
         };
-        let mut ckpt = Checkpointer::new(&run_dir, policy.every, policy.keep).unwrap_or_else(|e| {
+        let mut ckpt = Checkpointer::new(&run_dir, policy.every, CKPT_KEEP).unwrap_or_else(|e| {
             panic!(
                 "cannot create checkpoint dir {}: {e} [diag=ckpt-dir-failed]",
                 run_dir.display()
@@ -484,7 +484,7 @@ pub fn run_with_recovery(
             }
             Err(payload) => {
                 let msg = panic_message(&payload);
-                if attempt == policy.retries {
+                if attempt == CKPT_ATTEMPTS {
                     diag::warn(
                         "run-failed",
                         &format!("{name} failed after {attempt} attempts: {msg}"),
@@ -498,14 +498,13 @@ pub fn run_with_recovery(
                 diag::warn(
                     "run-retry",
                     &format!(
-                        "attempt {attempt}/{} of {name} crashed ({msg}); retrying from last good checkpoint in {}",
-                        policy.retries,
+                        "attempt {attempt}/{CKPT_ATTEMPTS} of {name} crashed ({msg}); retrying from last good checkpoint in {}",
                         run_dir.display()
                     ),
                     &[
                         ("proto", name.to_string()),
                         ("attempt", attempt.to_string()),
-                        ("of", policy.retries.to_string()),
+                        ("of", CKPT_ATTEMPTS.to_string()),
                     ],
                 );
                 std::thread::sleep(backoff);

@@ -6,13 +6,12 @@
 //! the engine and dropped after being driven, so the full contact plan
 //! never exists in memory. Three registered plans share one measure step
 //! (reset peak RSS → build the run → time it → read the peak → row):
-//! `scale` (per-window stream), `scale_compressed` (periodic-atom plan,
-//! lazy or — `RAPID_SCALE_MODE=materialized` — expanded up front) and
-//! `scale_sharded` (regional fleet under `RAPID_SHARDS`).
+//! `scale` (per-window stream), `scale_compressed` (periodic-atom plan
+//! expanded lazily) and `scale_sharded` (regional fleet under
+//! `RAPID_SHARDS`).
 //!
 //! Knobs (all env): `RAPID_SCALE_NODES`, `RAPID_SCALE_WINDOWS`,
-//! `RAPID_SCALE_PACKETS`, `RAPID_SCALE_HORIZON_S`, `RAPID_SCALE_MODE`
-//! (`scale_compressed` only: `compressed` | `materialized`),
+//! `RAPID_SCALE_PACKETS`, `RAPID_SCALE_HORIZON_S`,
 //! `RAPID_SCALE_PROTO` (`scale_sharded` only: `random` | `rapid`) and
 //! `RAPID_SCALE_MAX_RSS_MB` (> 0 ⇒ the plan fails if peak RSS exceeds the
 //! bound — the CI memory check).
@@ -191,8 +190,8 @@ struct PlanCells {
 }
 
 /// The one measure step of the scale plans: reset the RSS high-water
-/// mark, let `build` build the run (so a plan or a materialized scenario
-/// is part of its own footprint), time the engine over `partition`, read
+/// mark, let `build` build the run (so a compiled plan is part of its own
+/// footprint), time the engine over `partition`, read
 /// the peak and emit the row. Closes with the summary comment, enforces
 /// `max_rss_mb` when it is non-zero and returns the shard telemetry. A
 /// plan invocation measures one run, so every plan passes run index 0 to
@@ -294,40 +293,23 @@ fn scale(lab: &ScaleLab, max_rss_mb: u64) {
 /// The `scale_compressed` experiment: the scale family driven from a
 /// compressed contact plan — one periodic generator atom per 200 windows,
 /// expanding lazily to `RAPID_SCALE_WINDOWS` — instead of a per-window
-/// stream. `RAPID_SCALE_MODE=materialized` expands the *same* plan into a
-/// full `Schedule` first, so the two modes simulate a byte-identical
-/// scenario and differ only in plan representation; CI diffs the
-/// aggregate columns (2–7) between modes and bounds the compressed mode's
-/// peak RSS. Plan-size columns record the compression: `plan_kb` is the
-/// resident atom storage, `expanded_kb` what the same windows cost as
-/// 48-byte structs.
+/// stream. That the lazy expansion simulates the byte-identical scenario
+/// of the same plan materialized up front is
+/// `tests::compressed_mode_matches_its_materialized_expansion`'s subject;
+/// CI bounds this plan's peak RSS. Plan-size columns record the
+/// compression: `plan_kb` is the resident atom storage, `expanded_kb`
+/// what the same windows cost as 48-byte structs.
 pub fn run_scale_compressed() {
-    let materialized = dtn_sim::from_env_or("RAPID_SCALE_MODE", false, |v| match v {
-        "compressed" => Ok(false),
-        "materialized" => Ok(true),
-        _ => Err(format!(
-            "RAPID_SCALE_MODE must be `compressed` or `materialized`, got `{v}`"
-        )),
-    });
-    scale_compressed(
-        &ScaleLab::from_env(root_seed()),
-        materialized,
-        max_rss_mb_from_env(),
-    );
+    scale_compressed(&ScaleLab::from_env(root_seed()), max_rss_mb_from_env());
 }
 
-fn scale_compressed(lab: &ScaleLab, materialized: bool, max_rss_mb: u64) {
-    let mode = if materialized {
-        "materialized"
-    } else {
-        "compressed"
-    };
+fn scale_compressed(lab: &ScaleLab, max_rss_mb: u64) {
     let routes = lab.routes();
 
     let mut tsv = Tsv::new("scale_compressed");
     tsv.comment("Compressed scale family: periodic-atom plan expanded lazily through the engine");
     tsv.comment(&format!(
-        "mode = {mode}, nodes = {}, routes = {routes}, expected windows = {}, \
+        "mode = compressed, nodes = {}, routes = {routes}, expected windows = {}, \
          expected packets = {}, horizon = {} s, seed = {}",
         lab.fleet.nodes,
         lab.fleet.contacts,
@@ -347,7 +329,11 @@ fn scale_compressed(lab: &ScaleLab, materialized: bool, max_rss_mb: u64) {
             let plan_kb = plan.in_memory_bytes() as f64 / 1024.0;
             let expanded_kb = plan.materialized_bytes() as f64 / 1024.0;
             let cells = PlanCells {
-                lead: vec![mode.into(), "0".into(), format!("{}", lab.fleet.nodes)],
+                lead: vec![
+                    "compressed".into(),
+                    "0".into(),
+                    format!("{}", lab.fleet.nodes),
+                ],
                 mid: Vec::new(),
                 tail: vec![
                     format!("{}", plan.atom_count()),
@@ -357,15 +343,7 @@ fn scale_compressed(lab: &ScaleLab, materialized: bool, max_rss_mb: u64) {
                     f(expanded_kb / plan_kb.max(f64::MIN_POSITIVE)),
                 ],
             };
-            let spec = if materialized {
-                RunSpec {
-                    contacts: ContactsSpec::shared(plan.materialize()),
-                    ..lab.spec(0)
-                }
-            } else {
-                lab.spec_compressed(&plan, 0)
-            };
-            (spec, cells)
+            (lab.spec_compressed(&plan, 0), cells)
         },
     );
 }
@@ -644,8 +622,7 @@ mod tests {
         // Unbounded: every plan completes, and every row it emits passes
         // `Tsv::row`'s column-count assertion against the registry.
         scale(&lab, 0);
-        scale_compressed(&lab, false, 0);
-        scale_compressed(&lab, true, 0);
+        scale_compressed(&lab, 0);
         scale_sharded(&lab, Proto::Random, 2, 0);
 
         // No test process fits in 1 MB, so the bound must fire.

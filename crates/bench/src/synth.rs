@@ -144,24 +144,10 @@ impl SynthLab {
         }
     }
 
-    /// Runs `runs` independent repetitions of one configuration.
-    pub fn run_many(
-        &self,
-        mobility: Mobility,
-        runs: u32,
-        load: f64,
-        buffer_override: Option<u64>,
-        proto: Proto,
-    ) -> Vec<SimReport> {
-        crate::parallel_map(runs as usize, |r| {
-            let spec = self.spec(mobility, r as u32, load, buffer_override);
-            run_spec(&spec, proto)
-        })
-    }
-
-    /// Streaming variant of [`SynthLab::run_many`]: run reports fold into
-    /// a [`SynthAcc`] in run order as they complete — same parallelism,
-    /// bounded memory, bit-identical aggregate.
+    /// Runs `runs` independent repetitions of one configuration in
+    /// parallel; run reports fold into a [`SynthAcc`] in run order as they
+    /// complete — bounded memory, and an aggregate independent of the
+    /// worker count.
     pub fn run_many_agg(
         &self,
         mobility: Mobility,
@@ -196,8 +182,8 @@ pub struct SynthAggregate {
     pub within_deadline: f64,
 }
 
-/// Streaming accumulator behind [`SynthAggregate`]: fixed expected count,
-/// so the float operations match the collected reduction bit-for-bit.
+/// Streaming accumulator behind [`SynthAggregate`]: each report weighted
+/// by the fixed expected count.
 #[derive(Debug, Clone, Copy)]
 pub struct SynthAcc {
     n: f64,
@@ -226,15 +212,6 @@ impl SynthAcc {
     pub fn finish(self) -> SynthAggregate {
         self.agg
     }
-}
-
-/// Reduces run reports to a [`SynthAggregate`].
-pub fn aggregate(reports: &[SimReport]) -> SynthAggregate {
-    let mut acc = SynthAcc::new(reports.len());
-    for r in reports {
-        acc.push(r);
-    }
-    acc.finish()
 }
 
 #[cfg(test)]
@@ -278,16 +255,5 @@ mod tests {
         assert_eq!(a.contacts.materialize(), b.contacts.materialize());
         let c = lab.spec(Mobility::Exponential, 0, 5.0, None);
         assert_ne!(a.contacts.materialize(), c.contacts.materialize());
-    }
-
-    #[test]
-    fn streaming_aggregate_matches_collected() {
-        let lab = SynthLab::new(5);
-        let collected = aggregate(&lab.run_many(Mobility::PowerLaw, 2, 10.0, None, Proto::Random));
-        let streamed = lab.run_many_agg(Mobility::PowerLaw, 2, 10.0, None, Proto::Random);
-        assert_eq!(collected.avg_delay_s, streamed.avg_delay_s);
-        assert_eq!(collected.max_delay_s, streamed.max_delay_s);
-        assert_eq!(collected.delivery_rate, streamed.delivery_rate);
-        assert_eq!(collected.within_deadline, streamed.within_deadline);
     }
 }

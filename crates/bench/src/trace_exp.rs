@@ -194,26 +194,10 @@ impl TraceLab {
     }
 
     /// Runs `days` measured days (each with its warm-up prefix) of one
-    /// protocol at one load; returns the per-day reports (parallel).
-    /// Measured days start at [`WARMUP_DAYS`] so every one has a full
-    /// warm-up history.
-    pub fn run_days(
-        &self,
-        days: u32,
-        load_per_dest_per_hour: f64,
-        proto: Proto,
-        noise: Option<NoiseModel>,
-    ) -> Vec<SimReport> {
-        crate::parallel_map(days as usize, |d| {
-            let spec = self.day_spec(WARMUP_DAYS + d as u32, load_per_dest_per_hour, 0, noise);
-            run_spec(&spec, proto)
-        })
-    }
-
-    /// Streaming variant of [`TraceLab::run_days`]: day reports are folded
-    /// into a [`TraceAcc`] in day order as they complete, instead of being
-    /// collected — same parallelism, bounded memory, bit-identical
-    /// aggregate.
+    /// protocol at one load in parallel, folding the day reports into a
+    /// [`TraceAcc`] in day order as they complete — bounded memory, and an
+    /// aggregate independent of the worker count. Measured days start at
+    /// [`WARMUP_DAYS`] so every one has a full warm-up history.
     pub fn run_days_agg(
         &self,
         days: u32,
@@ -256,9 +240,7 @@ pub struct TraceAggregate {
 }
 
 /// Streaming accumulator behind [`TraceAggregate`]: absorbs one day report
-/// at a time (fixed expected count, so the float operations match the
-/// collected reduction bit-for-bit) and merges across shards for sweeps
-/// that shard work.
+/// at a time, each weighted by the fixed expected count.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceAcc {
     n: f64,
@@ -293,15 +275,6 @@ impl TraceAcc {
     pub fn finish(self) -> TraceAggregate {
         self.agg
     }
-}
-
-/// Reduces day reports to a [`TraceAggregate`].
-pub fn aggregate(reports: &[SimReport]) -> TraceAggregate {
-    let mut acc = TraceAcc::new(reports.len());
-    for r in reports {
-        acc.push(r);
-    }
-    acc.finish()
 }
 
 #[cfg(test)]
@@ -359,24 +332,8 @@ mod tests {
     #[test]
     fn aggregate_averages_across_days() {
         let lab = TraceLab::load_sweep(3);
-        let reports = lab.run_days(2, 4.0, Proto::Random, None);
-        assert_eq!(reports.len(), 2);
-        let agg = aggregate(&reports);
+        let agg = lab.run_days_agg(2, 4.0, Proto::Random, None);
         assert!(agg.delivery_rate > 0.0 && agg.delivery_rate <= 1.0);
         assert!(agg.avg_delay_min > 0.0);
-    }
-
-    #[test]
-    fn streaming_aggregate_matches_collected() {
-        let lab = TraceLab::load_sweep(3);
-        let collected = aggregate(&lab.run_days(2, 4.0, Proto::Random, None));
-        let streamed = lab.run_days_agg(2, 4.0, Proto::Random, None);
-        assert_eq!(collected.avg_delay_min, streamed.avg_delay_min);
-        assert_eq!(collected.delivery_rate, streamed.delivery_rate);
-        assert_eq!(collected.utilization, streamed.utilization);
-        assert_eq!(
-            collected.metadata_over_bandwidth,
-            streamed.metadata_over_bandwidth
-        );
     }
 }

@@ -1,13 +1,14 @@
-//! TSV output: every experiment binary prints its series to stdout and
-//! mirrors them into `results/<id>.tsv`.
+//! TSV output: every experiment prints its series to stdout and mirrors
+//! them into `results/<id>.tsv`. A file that cannot be created or written
+//! panics (`diag=tsv-write-failed`) — `fig_all` turns that into a FAIL row,
+//! so a PASS never points at a stale or truncated TSV.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::path::PathBuf;
 
 /// A TSV sink writing simultaneously to stdout and `results/<id>.tsv`.
 pub struct Tsv {
-    file: Option<std::fs::File>,
+    file: std::fs::File,
     id: String,
     /// Column count of the registry header once [`Tsv::header`] wrote it;
     /// every later row must match.
@@ -16,14 +17,20 @@ pub struct Tsv {
 
 impl Tsv {
     /// Opens the sink for experiment `id`.
+    ///
+    /// # Panics
+    /// If `results/<id>.tsv` cannot be created.
     pub fn new(id: &str) -> Self {
-        let dir = PathBuf::from("results");
-        let file = std::fs::create_dir_all(&dir)
-            .and_then(|_| std::fs::File::create(dir.join(format!("{id}.tsv"))))
-            .ok();
-        if file.is_none() {
-            eprintln!("# note: could not open results/{id}.tsv; stdout only");
-        }
+        let file = std::fs::create_dir_all("results")
+            .and_then(|()| std::fs::File::create(format!("results/{id}.tsv")))
+            .unwrap_or_else(|e| {
+                panic!("cannot create results/{id}.tsv: {e} [diag=tsv-write-failed]")
+            });
+        Self::over(id, file)
+    }
+
+    /// The sink for experiment `id` mirroring into an already open `file`.
+    fn over(id: &str, file: std::fs::File) -> Self {
         Self {
             file,
             id: id.to_string(),
@@ -86,8 +93,11 @@ impl Tsv {
 
     fn emit(&mut self, line: &str) {
         println!("{line}");
-        if let Some(f) = &mut self.file {
-            let _ = writeln!(f, "{line}");
+        if let Err(e) = writeln!(self.file, "{line}") {
+            panic!(
+                "cannot write results/{}.tsv: {e} [diag=tsv-write-failed]",
+                self.id
+            );
         }
     }
 }
@@ -105,6 +115,16 @@ mod tests {
         let mut tsv = super::Tsv::new("ttest");
         tsv.header();
         tsv.row(&["1", "2"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot write results/ttest.tsv: ")]
+    fn a_failed_write_panics_naming_the_file() {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens for writing");
+        super::Tsv::over("ttest", full).comment("lost");
     }
 
     #[test]

@@ -67,7 +67,6 @@ fn injected_crash_recovers_via_checkpoint_resume() {
     let dir = temp_dir("recover");
     std::env::set_var("RAPID_CKPT_EVERY_S", "30");
     std::env::set_var("RAPID_CKPT_DIR", &dir);
-    std::env::set_var("RAPID_CKPT_KEEP", "2");
     std::env::set_var("RAPID_FAULT_CRASH_S", "100");
     let recovered = run_spec(&spec, Proto::RapidAvg);
     assert_eq!(recovered, reference, "recovered run diverged");
@@ -85,19 +84,17 @@ fn injected_crash_recovers_via_checkpoint_resume() {
     };
     assert_eq!(run_spec(&spec, Proto::Epidemic), epidemic_ref);
 
-    // Retry budget 1: the injected crash must surface, not be swallowed.
-    std::env::set_var("RAPID_CKPT_RETRIES", "1");
-    std::env::set_var("RAPID_FAULT_CRASH_S", "100");
+    // Three scheduled crashes exhaust the three-attempt budget: the last
+    // one must surface, not be swallowed.
+    std::env::set_var("RAPID_FAULT_CRASH_S", "100,101,102");
     let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_spec(&spec, Proto::RapidAvg)
     }));
-    assert!(died.is_err(), "with no retries the crash must propagate");
+    assert!(died.is_err(), "an exhausted retry budget must propagate");
 
     for knob in [
         "RAPID_CKPT_EVERY_S",
         "RAPID_CKPT_DIR",
-        "RAPID_CKPT_KEEP",
-        "RAPID_CKPT_RETRIES",
         "RAPID_FAULT_CRASH_S",
     ] {
         std::env::remove_var(knob);

@@ -17,9 +17,9 @@
 //! convolution for ⊕).
 //!
 //! The paper uses this algorithm only as an idealized reference (it needs a
-//! global view); the reproduction ships it for the same purpose — tests and
-//! an ablation bench quantify how far Estimate Delay's independence
-//! assumption strays from it.
+//! global view); the reproduction ships it for the same purpose — tests
+//! quantify how far Estimate Delay's independence assumption strays from
+//! it.
 //!
 //! Packet and node identities are interned onto dense indices up front
 //! (the workspace-wide discipline from `dtn_sim::ids`): the recursion,

@@ -17,24 +17,21 @@
 //!
 //! All generators are deterministic functions of their seed.
 //!
-//! Each substrate also exists in *streaming* form (the [`stream`] module's
-//! [`stream::PairPoissonStream`], [`dieselnet::DayWindowStream`], and the
-//! [`scale`] module's sparse [`scale::ScaleFleet`]): contact windows pulled
-//! lazily in start order from per-run RNG substreams, so the engine never
-//! materializes a schedule. The materialized generators are kept bit-exact
-//! for the seed figures.
+//! The trace and scale substrates also exist in *streaming* form
+//! ([`dieselnet::DayWindowStream`] and the [`scale`] module's sparse
+//! [`scale::ScaleFleet`] / [`scale::RegionalFleet`]): contact windows
+//! pulled lazily in start order from per-run RNG substreams, so the engine
+//! never materializes a schedule. The §6.3 exponential and power-law
+//! models are materialized only — the paper's 20-node synthetic figures
+//! replay them bit-exactly, and fleets past pairwise enumeration use the
+//! scale generators and their compressed plans.
 
 pub mod dieselnet;
 pub mod exponential;
 pub mod powerlaw;
 pub mod scale;
-pub mod stream;
 
 pub use dieselnet::{DayTrace, DayWindowStream, DieselNet, DieselNetConfig};
 pub use exponential::UniformExponential;
 pub use powerlaw::PowerLaw;
-pub use scale::{
-    RegionalContactStream, RegionalFleet, RegionalPacketStream, ScaleContactStream, ScaleFleet,
-    ScalePacketStream,
-};
-pub use stream::PairPoissonStream;
+pub use scale::{RegionalFleet, ScaleFleet};

@@ -23,6 +23,10 @@
 //!
 //! Both sources are deterministic in `(seed, run)` via the same labelled
 //! substream scheme the rest of the workspace uses.
+//!
+//! [`ScaleFleet`] and [`RegionalFleet`] differ only in *whom* a meeting
+//! joins and a packet travels between — a draw closure each hands to the
+//! one clock, window shape, periodic-route compiler and shape check below.
 
 use dtn_sim::workload::PacketSpec;
 use dtn_sim::{CompiledPlan, ContactWindow, NodeId, Partition, PlanAtom, Time, TimeDelta};
@@ -54,26 +58,34 @@ pub struct ScaleFleet {
 }
 
 impl ScaleFleet {
-    /// Streams the fleet's contact windows for one run.
-    pub fn contact_stream(&self, seed: u64, run: u64) -> ScaleContactStream {
-        assert!(self.nodes >= 2, "need at least two nodes");
-        assert!(self.contacts > 0, "need a positive expected contact count");
-        assert!(self.horizon > Time::ZERO, "need a positive horizon");
+    /// Validates the hub structure ([`check`] covers the rest).
+    fn hubs_checked(&self) -> Self {
         assert!(self.hubs <= self.nodes, "hub set cannot exceed the fleet");
         assert!(self.hubs != 1, "need at least two hubs (or none)");
-        assert!(
-            (0.0..=1.0).contains(&self.hub_bias),
-            "hub bias is a probability"
-        );
-        let rate = self.contacts as f64 / self.horizon.as_secs_f64();
-        ScaleContactStream {
-            fleet: *self,
-            gap: Exponential::new(rate),
-            t: 0.0,
-            rng: SeedStream::new(seed)
-                .derive("scale-contacts")
-                .rng_indexed("run", run),
+        *self
+    }
+
+    /// One meeting's endpoints: a uniform pair, biased toward the hub set.
+    fn pair_draw(&self) -> impl Fn(&mut StdRng) -> (usize, usize) + Send {
+        let f = self.hubs_checked();
+        move |rng| {
+            if f.hubs > 0 && rng.gen::<f64>() < f.hub_bias {
+                // A gateway meeting: one endpoint from the hub set.
+                let a = rng.gen_range(0..f.nodes);
+                (a, distinct_from(f.hubs, a, rng))
+            } else {
+                random_pair(f.nodes, rng)
+            }
         }
+    }
+
+    /// Streams the fleet's contact windows for one run.
+    pub fn contact_stream(
+        &self,
+        seed: u64,
+        run: u64,
+    ) -> impl Iterator<Item = ContactWindow> + Send {
+        contact_stream(*self, "scale", self.pair_draw(), seed, run)
     }
 
     /// Compiles the fleet as `routes` recurring *periodic routes* — the
@@ -88,94 +100,30 @@ impl ScaleFleet {
     ///
     /// Deterministic in `(seed, run)` via its own labelled substream.
     pub fn periodic_plan(&self, routes: usize, seed: u64, run: u64) -> CompiledPlan {
-        assert!(self.nodes >= 2, "need at least two nodes");
-        assert!(routes > 0, "need a positive route count");
-        assert!(self.contacts > 0, "need a positive expected contact count");
-        assert!(self.horizon > Time::ZERO, "need a positive horizon");
-        assert!(self.hubs <= self.nodes, "hub set cannot exceed the fleet");
-        assert!(self.hubs != 1, "need at least two hubs (or none)");
-        assert!(
-            (0.0..=1.0).contains(&self.hub_bias),
-            "hub bias is a probability"
-        );
-        let mut rng = SeedStream::new(seed)
-            .derive("scale-routes")
-            .rng_indexed("run", run);
-        // Start-to-start gap so that `routes` trains together expand to
-        // ~`contacts` windows across the horizon.
-        let period_us = (self.horizon.0 * routes as u64 / self.contacts).max(1);
-        // Last start that keeps the whole window inside the horizon.
-        let last_start = self
-            .horizon
-            .0
-            .saturating_sub(self.contact_duration.0)
-            .saturating_sub(1);
-        let rate = if self.contact_duration == TimeDelta::ZERO {
-            0
-        } else {
-            (self.opportunity_bytes as f64 / self.contact_duration.as_secs_f64())
-                .floor()
-                .max(1.0) as u64
-        };
-        let mut atoms = Vec::with_capacity(routes);
-        for _ in 0..routes {
-            let (a, b) = if self.hubs > 0 && rng.gen::<f64>() < self.hub_bias {
-                let a = rng.gen_range(0..self.nodes);
-                let b = distinct_from(self.hubs, a, &mut rng);
-                (NodeId(a as u32), NodeId(b as u32))
-            } else {
-                random_pair(self.nodes, &mut rng)
-            };
-            let phase = rng.gen_range(0..period_us).min(last_start);
-            let template = if self.contact_duration == TimeDelta::ZERO {
-                ContactWindow::instant(Time(phase), a, b, self.opportunity_bytes)
-            } else {
-                ContactWindow::new(
-                    Time(phase),
-                    Time(phase + self.contact_duration.0),
-                    a,
-                    b,
-                    rate,
-                )
-            };
-            let repeats = (last_start - phase) / period_us + 1;
-            atoms.push(if repeats >= 2 {
-                PlanAtom::Periodic {
-                    template,
-                    period: TimeDelta(period_us),
-                    repeats: u32::try_from(repeats).expect("repeats fit u32"),
-                }
-            } else {
-                PlanAtom::Literal(template)
-            });
-        }
-        CompiledPlan::new(atoms)
+        periodic_plan(self, "scale", self.pair_draw(), routes, seed, run)
     }
 
     /// Streams a Poisson packet workload for one run: `packets` expected
-    /// creations over the horizon, uniformly random distinct `(src, dst)`.
+    /// creations over the horizon, uniformly random distinct `(src, dst)`
+    /// (every packet addressed to a hub when the fleet has any).
     pub fn packet_stream(
         &self,
         packets: u64,
         size_bytes: u64,
         seed: u64,
         run: u64,
-    ) -> ScalePacketStream {
-        assert!(self.nodes >= 2, "need at least two nodes");
-        assert!(packets > 0, "need a positive expected packet count");
-        assert!(self.hubs <= self.nodes, "hub set cannot exceed the fleet");
-        let rate = packets as f64 / self.horizon.as_secs_f64();
-        ScalePacketStream {
-            nodes: self.nodes,
-            hubs: self.hubs,
-            size_bytes,
-            horizon: self.horizon,
-            gap: Exponential::new(rate),
-            t: 0.0,
-            rng: SeedStream::new(seed)
-                .derive("scale-packets")
-                .rng_indexed("run", run),
-        }
+    ) -> impl Iterator<Item = PacketSpec> + Send {
+        let f = self.hubs_checked();
+        let endpoints = move |rng: &mut StdRng| {
+            if f.hubs > 0 {
+                // User-to-gateway traffic: every packet is addressed to a hub.
+                let dst = rng.gen_range(0..f.hubs);
+                (distinct_from(f.nodes, dst, rng), dst)
+            } else {
+                random_pair(f.nodes, rng)
+            }
+        };
+        packet_stream(f, "scale", endpoints, packets, size_bytes, seed, run)
     }
 }
 
@@ -214,8 +162,9 @@ pub struct RegionalFleet {
 }
 
 impl RegionalFleet {
-    /// Validates the region structure (callers hit this before streaming).
-    fn check(&self) {
+    /// Validates the region structure ([`check`] covers the rest) and
+    /// lays the regions out evenly over the node space.
+    fn layout(&self) -> Partition {
         assert!(self.regions >= 2, "need at least two regions");
         assert!(
             self.fleet.nodes / self.regions >= 2,
@@ -225,10 +174,7 @@ impl RegionalFleet {
             (0.0..=1.0).contains(&self.locality),
             "locality is a probability"
         );
-        assert!(
-            (0.0..=1.0).contains(&self.fleet.hub_bias),
-            "hub bias is a probability"
-        );
+        Partition::even(self.fleet.nodes, self.regions)
     }
 
     /// Gateways per region: the fleet-wide hub budget spread evenly, at
@@ -237,23 +183,17 @@ impl RegionalFleet {
         (self.fleet.hubs / self.regions).max(1)
     }
 
-    /// The even region layout over the node space.
-    fn region_layout(&self) -> Partition {
-        Partition::even(self.fleet.nodes, self.regions)
-    }
-
     /// A shard partition aligned to region boundaries: shard `s` owns a
     /// contiguous run of whole regions, so every intra-region contact is
     /// shard-local by construction. `shards` must not exceed `regions`.
     pub fn partition(&self, shards: usize) -> Partition {
-        self.check();
+        let layout = self.layout();
         assert!(shards >= 1, "need at least one shard");
         assert!(
             shards <= self.regions,
             "cannot split {} regions across {shards} shards",
             self.regions
         );
-        let layout = self.region_layout();
         let mut bounds = Vec::with_capacity(shards + 1);
         for s in 0..shards {
             bounds.push(layout.range(s * self.regions / shards).start as u32);
@@ -262,22 +202,44 @@ impl RegionalFleet {
         Partition::from_bounds(bounds)
     }
 
+    /// One meeting's endpoints: a gateway-biased pair inside one region,
+    /// or one gateway from each of two regions.
+    fn pair_draw(&self) -> impl Fn(&mut StdRng) -> (usize, usize) + Send {
+        let (rf, layout) = (*self, self.layout());
+        let gws = rf.gateways_per_region();
+        move |rng| {
+            if rng.gen::<f64>() < rf.locality {
+                // Intra-region: uniform pair inside one region.
+                let range = layout.range(rng.gen_range(0..rf.regions));
+                let a = rng.gen_range(0..range.len());
+                // Bias toward the region's gateways, unless `a` is the
+                // sole gateway (no distinct peer in that pool).
+                let pool = gws.min(range.len());
+                let b = if rng.gen::<f64>() < rf.fleet.hub_bias && !(pool == 1 && a == 0) {
+                    distinct_from(pool, a, rng)
+                } else {
+                    distinct_from(range.len(), a, rng)
+                };
+                (range.start + a, range.start + b)
+            } else {
+                // Backbone: one gateway from each of two distinct regions.
+                let r1 = rng.gen_range(0..rf.regions);
+                let r2 = distinct_from(rf.regions, r1, rng);
+                let (g1, g2) = (layout.range(r1), layout.range(r2));
+                let a = g1.start + rng.gen_range(0..gws.min(g1.len()));
+                (a, g2.start + rng.gen_range(0..gws.min(g2.len())))
+            }
+        }
+    }
+
     /// Streams the region-structured contact plan for one run
     /// (deterministic in `(seed, run)` via its own labelled substream).
-    pub fn contact_stream(&self, seed: u64, run: u64) -> RegionalContactStream {
-        self.check();
-        assert!(self.fleet.contacts > 0, "need a positive contact count");
-        assert!(self.fleet.horizon > Time::ZERO, "need a positive horizon");
-        let rate = self.fleet.contacts as f64 / self.fleet.horizon.as_secs_f64();
-        RegionalContactStream {
-            fleet: *self,
-            layout: self.region_layout(),
-            gap: Exponential::new(rate),
-            t: 0.0,
-            rng: SeedStream::new(seed)
-                .derive("regional-contacts")
-                .rng_indexed("run", run),
-        }
+    pub fn contact_stream(
+        &self,
+        seed: u64,
+        run: u64,
+    ) -> impl Iterator<Item = ContactWindow> + Send {
+        contact_stream(self.fleet, "regional", self.pair_draw(), seed, run)
     }
 
     /// Streams region-local user-to-gateway packet traffic, the regional
@@ -288,20 +250,20 @@ impl RegionalFleet {
         size_bytes: u64,
         seed: u64,
         run: u64,
-    ) -> RegionalPacketStream {
-        self.check();
-        assert!(packets > 0, "need a positive expected packet count");
-        let rate = packets as f64 / self.fleet.horizon.as_secs_f64();
-        RegionalPacketStream {
-            fleet: *self,
-            layout: self.region_layout(),
-            size_bytes,
-            gap: Exponential::new(rate),
-            t: 0.0,
-            rng: SeedStream::new(seed)
-                .derive("regional-packets")
-                .rng_indexed("run", run),
-        }
+    ) -> impl Iterator<Item = PacketSpec> + Send {
+        let (regions, layout) = (self.regions, self.layout());
+        let gws = self.gateways_per_region();
+        // Addressed to a gateway of the source's own region: deliveries
+        // resolve locally, so shard-local routing does real work.
+        let endpoints = move |rng: &mut StdRng| {
+            let range = layout.range(rng.gen_range(0..regions));
+            let dst = rng.gen_range(0..gws.min(range.len()));
+            let src = distinct_from(range.len(), dst, rng);
+            (range.start + src, range.start + dst)
+        };
+        packet_stream(
+            self.fleet, "regional", endpoints, packets, size_bytes, seed, run,
+        )
     }
 
     /// Compiles the regional fleet as recurring periodic routes — the
@@ -312,153 +274,155 @@ impl RegionalFleet {
     /// intra-region; the rest are gateway routes between distinct
     /// regions. Deterministic in `(seed, run)`.
     pub fn periodic_plan(&self, routes: usize, seed: u64, run: u64) -> CompiledPlan {
-        self.check();
-        assert!(routes > 0, "need a positive route count");
-        assert!(self.fleet.contacts > 0, "need a positive contact count");
-        assert!(self.fleet.horizon > Time::ZERO, "need a positive horizon");
-        let layout = self.region_layout();
-        let mut rng = SeedStream::new(seed)
-            .derive("regional-routes")
-            .rng_indexed("run", run);
-        let period_us = (self.fleet.horizon.0 * routes as u64 / self.fleet.contacts).max(1);
-        let last_start = self
-            .fleet
-            .horizon
-            .0
-            .saturating_sub(self.fleet.contact_duration.0)
-            .saturating_sub(1);
-        let rate = if self.fleet.contact_duration == TimeDelta::ZERO {
-            0
-        } else {
-            (self.fleet.opportunity_bytes as f64 / self.fleet.contact_duration.as_secs_f64())
-                .floor()
-                .max(1.0) as u64
-        };
-        let mut atoms = Vec::with_capacity(routes);
-        for _ in 0..routes {
-            let (a, b) = self.draw_pair(&layout, &mut rng);
-            let phase = rng.gen_range(0..period_us).min(last_start);
-            let template = if self.fleet.contact_duration == TimeDelta::ZERO {
-                ContactWindow::instant(Time(phase), a, b, self.fleet.opportunity_bytes)
-            } else {
-                ContactWindow::new(
-                    Time(phase),
-                    Time(phase + self.fleet.contact_duration.0),
-                    a,
-                    b,
-                    rate,
-                )
-            };
-            let repeats = (last_start - phase) / period_us + 1;
-            atoms.push(if repeats >= 2 {
-                PlanAtom::Periodic {
-                    template,
-                    period: TimeDelta(period_us),
-                    repeats: u32::try_from(repeats).expect("repeats fit u32"),
-                }
-            } else {
-                PlanAtom::Literal(template)
-            });
-        }
-        CompiledPlan::new(atoms)
-    }
-
-    /// One region-aware pair draw (shared by the stream and the plan).
-    fn draw_pair(&self, layout: &Partition, rng: &mut StdRng) -> (NodeId, NodeId) {
-        let gws = self.gateways_per_region();
-        if rng.gen::<f64>() < self.locality {
-            // Intra-region: uniform pair inside one region, gateway-biased.
-            let r = rng.gen_range(0..self.regions);
-            let range = layout.range(r);
-            let a = range.start + rng.gen_range(0..range.len());
-            let local = a - range.start;
-            // Bias toward the region's gateways, unless `a` is the sole
-            // gateway (no distinct peer in that pool).
-            let pool = gws.min(range.len());
-            let b = if rng.gen::<f64>() < self.fleet.hub_bias && !(pool == 1 && local == 0) {
-                range.start + distinct_from(pool, local, rng)
-            } else {
-                range.start + distinct_from(range.len(), local, rng)
-            };
-            (NodeId(a as u32), NodeId(b as u32))
-        } else {
-            // Backbone: one gateway from each of two distinct regions.
-            let r1 = rng.gen_range(0..self.regions);
-            let r2 = distinct_from(self.regions, r1, rng);
-            let (g1, g2) = (layout.range(r1), layout.range(r2));
-            let a = g1.start + rng.gen_range(0..gws.min(g1.len()));
-            let b = g2.start + rng.gen_range(0..gws.min(g2.len()));
-            (NodeId(a as u32), NodeId(b as u32))
-        }
+        periodic_plan(&self.fleet, "regional", self.pair_draw(), routes, seed, run)
     }
 }
 
-/// The region-structured contact stream; O(1) state, nondecreasing
-/// starts.
-#[derive(Debug)]
-pub struct RegionalContactStream {
-    fleet: RegionalFleet,
-    layout: Partition,
-    gap: Exponential,
-    t: f64,
-    rng: StdRng,
+/// The asserts every fleet shape shares.
+fn check(f: &ScaleFleet) {
+    assert!(f.nodes >= 2, "need at least two nodes");
+    assert!(f.contacts > 0, "need a positive expected contact count");
+    assert!(f.horizon > Time::ZERO, "need a positive horizon");
+    assert!(
+        (0.0..=1.0).contains(&f.hub_bias),
+        "hub bias is a probability"
+    );
 }
 
-impl Iterator for RegionalContactStream {
-    type Item = ContactWindow;
+/// The run's RNG for substream `what` of a fleet `shape`
+/// (`scale-contacts`, `regional-routes`, …).
+fn substream(shape: &str, what: &str, seed: u64, run: u64) -> StdRng {
+    SeedStream::new(seed)
+        .derive(&format!("{shape}-{what}"))
+        .rng_indexed("run", run)
+}
 
-    fn next(&mut self) -> Option<ContactWindow> {
-        self.t += self.gap.sample(&mut self.rng);
-        let f = &self.fleet.fleet;
-        if self.t >= f.horizon.as_secs_f64() {
-            return None;
-        }
-        let (a, b) = self.fleet.draw_pair(&self.layout, &mut self.rng);
-        let start = Time::from_secs_f64(self.t);
-        Some(if f.contact_duration == TimeDelta::ZERO {
-            ContactWindow::instant(start, a, b, f.opportunity_bytes)
-        } else {
-            let rate = (f.opportunity_bytes as f64 / f.contact_duration.as_secs_f64())
-                .floor()
-                .max(1.0) as u64;
-            let end = (start + f.contact_duration).min(f.horizon).max(start);
-            ContactWindow::new(start, end, a, b, rate)
-        })
+/// A window of the fleet's fixed shape opening at `start`: a lump when the
+/// duration is zero, otherwise the opportunity spread over the window and
+/// the end clamped at the horizon.
+#[inline]
+fn window_at(f: &ScaleFleet, start: Time, (a, b): (usize, usize)) -> ContactWindow {
+    let (a, b) = (NodeId(a as u32), NodeId(b as u32));
+    if f.contact_duration == TimeDelta::ZERO {
+        return ContactWindow::instant(start, a, b, f.opportunity_bytes);
     }
+    let rate = (f.opportunity_bytes as f64 / f.contact_duration.as_secs_f64())
+        .floor()
+        .max(1.0) as u64;
+    let end = (start + f.contact_duration).min(f.horizon).max(start);
+    ContactWindow::new(start, end, a, b, rate)
 }
 
-/// Region-local user-to-gateway packet traffic; O(1) state.
-#[derive(Debug)]
-pub struct RegionalPacketStream {
-    fleet: RegionalFleet,
-    layout: Partition,
+/// A fleet's contact stream — a global Poisson clock and one `pair` draw
+/// per window; O(1) state, nondecreasing starts.
+fn contact_stream(
+    f: ScaleFleet,
+    shape: &str,
+    pair: impl Fn(&mut StdRng) -> (usize, usize) + Send,
+    seed: u64,
+    run: u64,
+) -> impl Iterator<Item = ContactWindow> + Send {
+    check(&f);
+    let rng = substream(shape, "contacts", seed, run);
+    let mut clock = PoissonClock::new(f.contacts, f.horizon, rng);
+    std::iter::from_fn(move || {
+        let start = clock.tick()?;
+        Some(window_at(&f, start, pair(&mut clock.rng)))
+    })
+}
+
+/// A fleet's packet stream — a global Poisson creation clock and one
+/// `(src, dst)` draw per packet; O(1) state.
+fn packet_stream(
+    f: ScaleFleet,
+    shape: &str,
+    endpoints: impl Fn(&mut StdRng) -> (usize, usize) + Send,
+    packets: u64,
     size_bytes: u64,
-    gap: Exponential,
-    t: f64,
-    rng: StdRng,
-}
-
-impl Iterator for RegionalPacketStream {
-    type Item = PacketSpec;
-
-    fn next(&mut self) -> Option<PacketSpec> {
-        self.t += self.gap.sample(&mut self.rng);
-        if self.t >= self.fleet.fleet.horizon.as_secs_f64() {
-            return None;
-        }
-        // Addressed to a gateway of the source's own region: deliveries
-        // resolve locally, so shard-local routing does real work.
-        let r = self.rng.gen_range(0..self.fleet.regions);
-        let range = self.layout.range(r);
-        let gws = self.fleet.gateways_per_region().min(range.len());
-        let dst = range.start + self.rng.gen_range(0..gws);
-        let src = range.start + distinct_from(range.len(), dst - range.start, &mut self.rng);
+    seed: u64,
+    run: u64,
+) -> impl Iterator<Item = PacketSpec> + Send {
+    assert!(packets > 0, "need a positive expected packet count");
+    check(&f);
+    let rng = substream(shape, "packets", seed, run);
+    let mut clock = PoissonClock::new(packets, f.horizon, rng);
+    std::iter::from_fn(move || {
+        let time = clock.tick()?;
+        let (src, dst) = endpoints(&mut clock.rng);
         Some(PacketSpec {
-            time: Time::from_secs_f64(self.t),
+            time,
             src: NodeId(src as u32),
             dst: NodeId(dst as u32),
-            size_bytes: self.size_bytes,
+            size_bytes,
         })
+    })
+}
+
+/// The periodic-route compiler behind both fleets' `periodic_plan`.
+fn periodic_plan(
+    f: &ScaleFleet,
+    shape: &str,
+    pair: impl Fn(&mut StdRng) -> (usize, usize),
+    routes: usize,
+    seed: u64,
+    run: u64,
+) -> CompiledPlan {
+    assert!(routes > 0, "need a positive route count");
+    check(f);
+    let mut rng = substream(shape, "routes", seed, run);
+    // Start-to-start gap so that `routes` trains together expand to
+    // ~`contacts` windows across the horizon.
+    let period_us = (f.horizon.0 * routes as u64 / f.contacts).max(1);
+    // Last start that keeps the whole window inside the horizon.
+    let last_start = f
+        .horizon
+        .0
+        .saturating_sub(f.contact_duration.0)
+        .saturating_sub(1);
+    let mut atoms = Vec::with_capacity(routes);
+    for _ in 0..routes {
+        let ends = pair(&mut rng);
+        let phase = rng.gen_range(0..period_us).min(last_start);
+        let template = window_at(f, Time(phase), ends);
+        let repeats = (last_start - phase) / period_us + 1;
+        atoms.push(if repeats >= 2 {
+            PlanAtom::Periodic {
+                template,
+                period: TimeDelta(period_us),
+                repeats: u32::try_from(repeats).expect("repeats fit u32"),
+            }
+        } else {
+            PlanAtom::Literal(template)
+        });
+    }
+    CompiledPlan::new(atoms)
+}
+
+/// A Poisson arrival clock over one RNG substream: exponential gaps until
+/// the horizon.
+struct PoissonClock {
+    gap: Exponential,
+    t: f64,
+    horizon_s: f64,
+    rng: StdRng,
+}
+
+impl PoissonClock {
+    fn new(expected: u64, horizon: Time, rng: StdRng) -> Self {
+        let horizon_s = horizon.as_secs_f64();
+        Self {
+            gap: Exponential::new(expected as f64 / horizon_s),
+            t: 0.0,
+            horizon_s,
+            rng,
+        }
+    }
+
+    /// Advances to the next arrival; `None` once it falls past the horizon.
+    #[inline]
+    fn tick(&mut self) -> Option<Time> {
+        self.t += self.gap.sample(&mut self.rng);
+        (self.t < self.horizon_s).then(|| Time::from_secs_f64(self.t))
     }
 }
 
@@ -472,89 +436,10 @@ fn distinct_from(pool: usize, not: usize, rng: &mut StdRng) -> usize {
     }
 }
 
-/// Draws a uniformly random unordered pair of distinct nodes.
-fn random_pair(nodes: usize, rng: &mut StdRng) -> (NodeId, NodeId) {
+/// Draws a uniformly random pair of distinct nodes.
+fn random_pair(nodes: usize, rng: &mut StdRng) -> (usize, usize) {
     let a = rng.gen_range(0..nodes);
-    let b = distinct_from(nodes, a, rng);
-    (NodeId(a as u32), NodeId(b as u32))
-}
-
-/// The global-Poisson contact stream; O(1) state.
-#[derive(Debug)]
-pub struct ScaleContactStream {
-    fleet: ScaleFleet,
-    gap: Exponential,
-    t: f64,
-    rng: StdRng,
-}
-
-impl Iterator for ScaleContactStream {
-    type Item = ContactWindow;
-
-    fn next(&mut self) -> Option<ContactWindow> {
-        self.t += self.gap.sample(&mut self.rng);
-        if self.t >= self.fleet.horizon.as_secs_f64() {
-            return None;
-        }
-        let (a, b) = if self.fleet.hubs > 0 && self.rng.gen::<f64>() < self.fleet.hub_bias {
-            // A gateway meeting: one endpoint from the hub set.
-            let a = self.rng.gen_range(0..self.fleet.nodes);
-            let b = distinct_from(self.fleet.hubs, a, &mut self.rng);
-            (NodeId(a as u32), NodeId(b as u32))
-        } else {
-            random_pair(self.fleet.nodes, &mut self.rng)
-        };
-        let start = Time::from_secs_f64(self.t);
-        Some(if self.fleet.contact_duration == TimeDelta::ZERO {
-            ContactWindow::instant(start, a, b, self.fleet.opportunity_bytes)
-        } else {
-            let rate = (self.fleet.opportunity_bytes as f64
-                / self.fleet.contact_duration.as_secs_f64())
-            .floor()
-            .max(1.0) as u64;
-            let end = (start + self.fleet.contact_duration)
-                .min(self.fleet.horizon)
-                .max(start);
-            ContactWindow::new(start, end, a, b, rate)
-        })
-    }
-}
-
-/// The global-Poisson packet stream; O(1) state.
-#[derive(Debug)]
-pub struct ScalePacketStream {
-    nodes: usize,
-    hubs: usize,
-    size_bytes: u64,
-    horizon: Time,
-    gap: Exponential,
-    t: f64,
-    rng: StdRng,
-}
-
-impl Iterator for ScalePacketStream {
-    type Item = PacketSpec;
-
-    fn next(&mut self) -> Option<PacketSpec> {
-        self.t += self.gap.sample(&mut self.rng);
-        if self.t >= self.horizon.as_secs_f64() {
-            return None;
-        }
-        let (src, dst) = if self.hubs > 0 {
-            // User-to-gateway traffic: every packet is addressed to a hub.
-            let dst = self.rng.gen_range(0..self.hubs);
-            let src = distinct_from(self.nodes, dst, &mut self.rng);
-            (NodeId(src as u32), NodeId(dst as u32))
-        } else {
-            random_pair(self.nodes, &mut self.rng)
-        };
-        Some(PacketSpec {
-            time: Time::from_secs_f64(self.t),
-            src,
-            dst,
-            size_bytes: self.size_bytes,
-        })
-    }
+    (a, distinct_from(nodes, a, rng))
 }
 
 #[cfg(test)]

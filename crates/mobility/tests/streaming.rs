@@ -1,107 +1,15 @@
-//! Property tests for the streaming mobility sources: every lazy stream
-//! must yield *exactly* the window sequence of its materialized
-//! [`Schedule`] counterpart for a fixed `(seed, run)`, stay in
-//! nondecreasing start order, and be insensitive to how pulls interleave
-//! with other sources (substream independence).
+//! Property tests for the streaming mobility sources: the DieselNet day
+//! stream must yield *exactly* the window sequence of its materialized
+//! per-day schedules, and the scale stream must stay in nondecreasing
+//! start order however much of it is pulled.
 
-use dtn_mobility::{DieselNet, DieselNetConfig, PowerLaw, ScaleFleet, UniformExponential};
+use dtn_mobility::{DieselNet, DieselNetConfig, ScaleFleet};
 use dtn_sim::{ContactWindow, Time, TimeDelta};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn exp_model(nodes: usize, mean_s: u64) -> UniformExponential {
-    UniformExponential {
-        nodes,
-        mean_inter_meeting: TimeDelta::from_secs(mean_s),
-        opportunity_bytes: 50_000,
-    }
-}
-
-/// Pulls `a` and `b` alternately according to `pattern` (true = pull from
-/// `a`), then drains both; returns the two sequences.
-fn interleave<I: Iterator<Item = ContactWindow>>(
-    mut a: I,
-    mut b: I,
-    pattern: &[bool],
-) -> (Vec<ContactWindow>, Vec<ContactWindow>) {
-    let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-    for &take_a in pattern {
-        if take_a {
-            out_a.extend(a.next());
-        } else {
-            out_b.extend(b.next());
-        }
-    }
-    out_a.extend(a);
-    out_b.extend(b);
-    (out_a, out_b)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn exponential_stream_equals_materialized(
-        nodes in 2usize..8,
-        mean_s in 20u64..200,
-        horizon_s in 100u64..1200,
-        duration_s in 0u64..90,
-        seed in 0u64..1000,
-        run in 0u64..4,
-    ) {
-        let model = exp_model(nodes, mean_s);
-        let horizon = Time::from_secs(horizon_s);
-        let duration = TimeDelta::from_secs(duration_s);
-        let streamed: Vec<ContactWindow> =
-            model.stream(horizon, duration, seed, run).collect();
-        let materialized = model.stream(horizon, duration, seed, run).materialize();
-        prop_assert_eq!(&streamed[..], materialized.windows());
-        prop_assert!(streamed.windows(2).all(|w| w[0].start <= w[1].start));
-        prop_assert!(streamed.iter().all(|w| w.end <= horizon && w.a != w.b));
-    }
-
-    #[test]
-    fn powerlaw_stream_equals_materialized(
-        nodes in 2usize..8,
-        base_s in 30u64..300,
-        horizon_s in 100u64..1200,
-        seed in 0u64..1000,
-        run in 0u64..4,
-    ) {
-        let model = PowerLaw {
-            nodes,
-            base_mean: TimeDelta::from_secs(base_s),
-            opportunity_bytes: 1024,
-        };
-        let horizon = Time::from_secs(horizon_s);
-        let streamed: Vec<ContactWindow> =
-            model.stream(horizon, TimeDelta::ZERO, seed, run).collect();
-        let materialized = model.stream(horizon, TimeDelta::ZERO, seed, run).materialize();
-        prop_assert_eq!(&streamed[..], materialized.windows());
-        prop_assert!(streamed.windows(2).all(|w| w[0].start <= w[1].start));
-    }
-
-    #[test]
-    fn interleaved_pulls_do_not_perturb_streams(
-        pattern in prop::collection::vec(any::<bool>(), 0..200),
-        seed in 0u64..1000,
-    ) {
-        // Two runs of the same model share nothing: however their pulls
-        // interleave, each yields its own straight-collected sequence.
-        let model = exp_model(5, 40);
-        let horizon = Time::from_secs(600);
-        let expect_a: Vec<ContactWindow> =
-            model.stream(horizon, TimeDelta::ZERO, seed, 0).collect();
-        let expect_b: Vec<ContactWindow> =
-            model.stream(horizon, TimeDelta::ZERO, seed, 1).collect();
-        let (got_a, got_b) = interleave(
-            model.stream(horizon, TimeDelta::ZERO, seed, 0),
-            model.stream(horizon, TimeDelta::ZERO, seed, 1),
-            &pattern,
-        );
-        prop_assert_eq!(got_a, expect_a);
-        prop_assert_eq!(got_b, expect_b);
-    }
 
     #[test]
     fn dieselnet_day_stream_equals_materialized_concatenation(

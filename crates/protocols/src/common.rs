@@ -74,6 +74,30 @@ pub fn evict_until(
     true
 }
 
+/// The victims `Routing::make_room` returns for an eviction `order`: its
+/// shortest prefix whose sizes reach `needed` bytes, or nothing when the
+/// whole order falls short (room is made in full or not at all).
+pub fn victims_until(
+    order: impl IntoIterator<Item = PacketId>,
+    needed: u64,
+    size_of: impl Fn(PacketId) -> u64,
+) -> Vec<PacketId> {
+    let mut victims = Vec::new();
+    let mut freed = 0u64;
+    for id in order {
+        if freed >= needed {
+            break;
+        }
+        freed += size_of(id);
+        victims.push(id);
+    }
+    if freed >= needed {
+        victims
+    } else {
+        Vec::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use dtn_sim::workload::{PacketSpec, Workload};

@@ -7,7 +7,7 @@
 //! performance" (§2) — which makes it a useful sanity baseline for the
 //! resource-constrained experiments.
 
-use crate::common::{deliver_destined, load_empty_state, replication_candidates};
+use crate::common::{deliver_destined, load_empty_state, replication_candidates, victims_until};
 use dtn_sim::{
     ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
     PacketStore, Partition, Routing, SimConfig, SlicePartition, Time, TransferOutcome,
@@ -42,25 +42,14 @@ impl Routing for Epidemic {
     ) -> Vec<PacketId> {
         // Drop the newest packets first (drop-tail on creation age): the
         // oldest copies have spread furthest and are closest to delivery.
-        let mut scored: Vec<(dtn_sim::Time, PacketId, u64)> = buffer
+        let mut newest_first: Vec<(dtn_sim::Time, PacketId)> = buffer
             .iter()
-            .map(|(id, meta)| (packets.get(id).created_at, id, meta.size_bytes))
+            .map(|(id, _)| (packets.get(id).created_at, id))
             .collect();
-        scored.sort_unstable_by_key(|&(created, id, _)| std::cmp::Reverse((created, id)));
-        let mut victims = Vec::new();
-        let mut freed = 0u64;
-        for (_, id, size) in scored {
-            if freed >= needed {
-                break;
-            }
-            freed += size;
-            victims.push(id);
-        }
-        if freed >= needed {
-            victims
-        } else {
-            Vec::new()
-        }
+        newest_first.sort_unstable_by_key(|&key| std::cmp::Reverse(key));
+        victims_until(newest_first.into_iter().map(|(_, id)| id), needed, |id| {
+            packets.get(id).size_bytes
+        })
     }
 
     fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {

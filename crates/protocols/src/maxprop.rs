@@ -21,7 +21,7 @@
 //! Per the paper's methodology, its control traffic is not charged against
 //! the data channel.
 
-use crate::common::{deliver_destined, evict_until, replication_candidates};
+use crate::common::{deliver_destined, evict_until, replication_candidates, victims_until};
 use dtn_sim::{
     AckTable, ContactDriver, NodeBuffer, NodeId, Packet, PacketId, PacketStore, Routing, SimConfig,
     Time, TransferOutcome,
@@ -163,20 +163,7 @@ impl Routing for MaxProp {
         _now: Time,
     ) -> Vec<PacketId> {
         let order = self.eviction_order(node, buffer, packets);
-        let mut victims = Vec::new();
-        let mut freed = 0u64;
-        for id in order {
-            if freed >= needed {
-                break;
-            }
-            freed += packets.get(id).size_bytes;
-            victims.push(id);
-        }
-        if freed >= needed {
-            victims
-        } else {
-            Vec::new()
-        }
+        victims_until(order, needed, |id| packets.get(id).size_bytes)
     }
 
     fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {

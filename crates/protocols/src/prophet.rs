@@ -15,7 +15,7 @@
 //! vehicular meeting cadences. Eviction is FIFO (the Lindgren default).
 //! Per the paper's methodology its control traffic is not charged.
 
-use crate::common::{deliver_destined, evict_until, replication_candidates};
+use crate::common::{deliver_destined, evict_until, replication_candidates, victims_until};
 use dtn_sim::{
     ContactDriver, NodeBuffer, NodeId, Packet, PacketId, PacketStore, Routing, SimConfig, Time,
     TransferOutcome,
@@ -122,20 +122,9 @@ impl Routing for Prophet {
             .map(|(id, meta)| (meta.stored_at, id))
             .collect();
         ids.sort_unstable();
-        let mut victims = Vec::new();
-        let mut freed = 0u64;
-        for (_, id) in ids {
-            if freed >= needed {
-                break;
-            }
-            freed += buffer.meta(id).expect("id from buffer").size_bytes;
-            victims.push(id);
-        }
-        if freed >= needed {
-            victims
-        } else {
-            Vec::new()
-        }
+        victims_until(ids.into_iter().map(|(_, id)| id), needed, |id| {
+            buffer.meta(id).expect("id from buffer").size_bytes
+        })
     }
 
     fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {

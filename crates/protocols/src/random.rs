@@ -17,7 +17,9 @@
 //! so the draw is a pure function of the eviction site rather than of
 //! how many evictions happened before it.
 
-use crate::common::{deliver_destined, evict_until, load_empty_state, replication_candidates};
+use crate::common::{
+    deliver_destined, evict_until, load_empty_state, replication_candidates, victims_until,
+};
 use dtn_sim::{
     AckTable, ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
     PacketStore, Partition, Routing, SimConfig, SlicePartition, Time, TransferOutcome,
@@ -165,20 +167,9 @@ impl Routing for Random {
             .rng_indexed("packet", u64::from(incoming.id.0));
         let mut ids = buffer.ids();
         ids.shuffle(&mut rng);
-        let mut victims = Vec::new();
-        let mut freed = 0u64;
-        for id in ids {
-            if freed >= needed {
-                break;
-            }
-            freed += buffer.meta(id).expect("id from buffer").size_bytes;
-            victims.push(id);
-        }
-        if freed >= needed {
-            victims
-        } else {
-            Vec::new()
-        }
+        victims_until(ids, needed, |id| {
+            buffer.meta(id).expect("id from buffer").size_bytes
+        })
     }
 
     fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {

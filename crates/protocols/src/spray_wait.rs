@@ -11,7 +11,7 @@
 //! constraints" (§2): under pressure it sprays oldest-first and deletes
 //! randomly (§6.3.2).
 
-use crate::common::{deliver_destined, evict_until, replication_candidates};
+use crate::common::{deliver_destined, evict_until, replication_candidates, victims_until};
 use dtn_sim::{
     ContactDriver, NodeBuffer, NodeId, Packet, PacketId, PacketStore, Routing, SimConfig, Time,
     TransferOutcome,
@@ -82,20 +82,9 @@ impl Routing for SprayAndWait {
     ) -> Vec<PacketId> {
         let mut ids = buffer.ids();
         ids.shuffle(&mut self.rng);
-        let mut victims = Vec::new();
-        let mut freed = 0u64;
-        for id in ids {
-            if freed >= needed {
-                break;
-            }
-            freed += buffer.meta(id).expect("id from buffer").size_bytes;
-            victims.push(id);
-        }
-        if freed >= needed {
-            victims
-        } else {
-            Vec::new()
-        }
+        victims_until(ids, needed, |id| {
+            buffer.meta(id).expect("id from buffer").size_bytes
+        })
     }
 
     fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {

@@ -114,8 +114,7 @@ impl DiscreteDist {
     /// Distribution of the sum of two independent delays (the paper's `⊕`).
     ///
     /// Mass that lands past the horizon stays in the implicit tail.
-    /// O(n²); `dag_delay` uses modest grids so this is fine, and the
-    /// Criterion bench `dag_delay` tracks the cost.
+    /// O(n²); `dag_delay` uses modest grids so this is fine.
     pub fn convolve(&self, other: &Self) -> Self {
         assert_eq!(self.cdf.len(), other.cdf.len(), "grids must match");
         assert!((self.dt - other.dt).abs() < 1e-12, "grid steps must match");
