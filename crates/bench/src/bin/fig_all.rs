@@ -14,11 +14,12 @@
 //! ```
 //!
 //! A `RAPID_*` environment variable no crate reads (a retired knob, a
-//! typo) exits 2 before anything runs. Experiments resolve through
-//! `rapid_bench::registry` and run in-process;
-//! every requested one runs even if an earlier one fails (panics are
-//! caught), and the exit status reflects the pass/fail summary printed at
-//! the end.
+//! typo) exits 2 before anything runs. The first stderr line of a run
+//! names the kernel RAPID executes (`kernel=avx2`, or
+//! `kernel=scalar (RAPID_KERNEL)` when the knob pinned it). Experiments
+//! resolve through `rapid_bench::registry` and run in-process; every
+//! requested one runs even if an earlier one fails (panics are caught),
+//! and the exit status reflects the pass/fail summary printed at the end.
 
 use rapid_bench::knobs;
 use rapid_bench::registry::{self, ExperimentPlan};
@@ -90,6 +91,11 @@ fn main() {
         .iter()
         .filter(|p| filters.is_empty() || filters.iter().any(|f| f == p.id))
         .collect();
+
+    // Which kernel every RAPID run below executes: detected, or pinned.
+    let pinned = std::env::var_os("RAPID_KERNEL").map_or("", |_| " (RAPID_KERNEL)");
+    let kernel = format!("{:?}", rapid_core::Kernel::from_env()).to_lowercase();
+    eprintln!("kernel={kernel}{pinned}");
 
     let mut results: Vec<(&str, bool)> = Vec::new();
     for plan in &selected {

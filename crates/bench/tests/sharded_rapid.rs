@@ -3,17 +3,22 @@
 //! engine — same reports under churn/TTL and arbitrary partitions, and
 //! byte-identical figure TSVs with intra-run parallelism composed on top.
 //!
-//! Everything lives in **one** test function: the figure plans and the
-//! `RAPID_SHARDS`/`RAPID_INTRA_JOBS` knobs are driven through process
-//! environment variables, so concurrent tests in this binary would race
-//! on them.
+//! Everything that reads a knob lives in **one** test function: the
+//! figure plans and the `RAPID_SHARDS`/`RAPID_INTRA_JOBS` knobs are driven
+//! through process environment variables, so concurrent tests in this
+//! binary would race on them. The kernel-equivalence test calls the
+//! engine entry points directly and reads no variable.
 
-use dtn_mobility::ScaleFleet;
-use dtn_sim::{run_sharded, run_streaming, NodeEvent, NodeId, Partition, SimConfig};
+use dtn_mobility::{RegionalFleet, ScaleFleet};
+use dtn_sim::{
+    load_latest, run_sharded, run_sharded_hooked, run_streaming, run_streaming_hooked,
+    Checkpointer, NodeEvent, NodeId, Partition, Routing, RunHooks, SimConfig, SimReport,
+};
 use dtn_sim::{Time, TimeDelta};
 use rapid_bench::registry;
 use rapid_bench::runner::{run_spec, ContactsSpec, PacketsSpec, RunSpec};
 use rapid_bench::Proto;
+use rapid_core::{Kernel, Rapid, RapidConfig};
 
 fn fleet() -> ScaleFleet {
     ScaleFleet {
@@ -188,5 +193,116 @@ fn sharded_rapid_reproduces_serial_byte_for_byte() {
         );
         std::env::remove_var("RAPID_SHARDS");
         std::env::remove_var("RAPID_INTRA_JOBS");
+    }
+}
+
+/// The regional RAPID shape of the benchmark of record, cut to test size:
+/// 2 KiB opportunities against 320 nodes' worth of opportunity averages,
+/// so the §4.2 exchange runs out of budget at nearly every contact. Runs
+/// it under `kernel` on `shards` shards (1 = the serial engine),
+/// checkpointing every 500 simulated seconds, and returns the report, the
+/// newest snapshot's `RSNP1` bytes (RAPID's `save_state` section
+/// included) and, for a serial run, the end-of-run `save_state` bytes.
+fn regional_run(kernel: Kernel, shards: usize) -> (SimReport, Vec<u8>, Option<Vec<u8>>) {
+    let rf = RegionalFleet {
+        fleet: ScaleFleet {
+            nodes: 320,
+            contacts: 12_000,
+            opportunity_bytes: 2 * 1024,
+            contact_duration: TimeDelta::ZERO,
+            horizon: Time::from_secs(1800),
+            hubs: 16,
+            hub_bias: 0.3,
+        },
+        regions: 8,
+        locality: 0.95,
+    };
+    let cfg = SimConfig {
+        nodes: rf.fleet.nodes,
+        buffer_capacity: 16 * 1024,
+        deadline: Some(TimeDelta::from_secs(600)),
+        ttl: Some(TimeDelta::from_secs(900)),
+        horizon: rf.fleet.horizon,
+        seed: 11,
+        ..SimConfig::default()
+    };
+    let build = || Rapid::with_kernel(RapidConfig::avg_delay().with_delay_cap(2700.0), kernel);
+    let dir = std::env::temp_dir().join(format!(
+        "rapid-kernel-eq-{}-{kernel:?}-{shards}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(500), 1).expect("checkpoint dir");
+    let hooks = RunHooks {
+        checkpoint: Some(&mut ckpt),
+        ..RunHooks::default()
+    };
+    let mut contacts = rf.contact_stream(11, 0);
+    let mut packets = rf.packet_stream(200, 1024, 11, 0);
+    let (report, end_state) = if shards == 1 {
+        let mut rapid = build();
+        let report = run_streaming_hooked(
+            &cfg,
+            &mut contacts,
+            &mut packets,
+            &[],
+            None,
+            &mut rapid,
+            hooks,
+        );
+        (report, rapid.save_state())
+    } else {
+        let partition = Partition::even(cfg.nodes, shards);
+        let mut factory = || Box::new(build()) as Box<dyn Routing + Send>;
+        let (report, _) = run_sharded_hooked(
+            &cfg,
+            &partition,
+            &mut contacts,
+            &mut packets,
+            &[],
+            None,
+            &mut factory,
+            hooks,
+        );
+        (report, None)
+    };
+    let snapshot = load_latest(&dir)
+        .expect("checkpoint dir readable")
+        .expect("a 1800 s run checkpoints at 500 s intervals")
+        .snapshot;
+    let _ = std::fs::remove_dir_all(&dir);
+    (report, snapshot.encode(), end_state)
+}
+
+/// `RAPID_KERNEL` is never a results knob: the plain and the detected
+/// instantiation of the Eq. 4–9 rows and of the §4.2 opportunity-average
+/// merge leave the same report and the same protocol state, serial and
+/// sharded, on a shape whose exchanges are cut short by their budget.
+#[test]
+fn kernels_agree_on_a_regional_run_that_truncates() {
+    let (report, snapshot, end_state) = regional_run(Kernel::Scalar, 1);
+    assert!(report.delivered() > 0, "the run must route something");
+    // Acks, replica entries and 8 B averages are all the channel carries
+    // here (a 320 × 12 B meeting row never fits): budget-bound means the
+    // mean direction fills most of its 2 KiB.
+    let per_direction = report.metadata_bytes / (2 * report.contacts);
+    assert!(
+        per_direction > 1024,
+        "exchanges average {per_direction} B of 2048: the shape no longer truncates"
+    );
+    for (kernel, shards) in [
+        (Kernel::detect(), 1),
+        (Kernel::Scalar, 2),
+        (Kernel::detect(), 2),
+    ] {
+        let (r, s, e) = regional_run(kernel, shards);
+        assert_eq!(report, r, "{kernel:?} on {shards} shard(s): report");
+        assert!(
+            snapshot == s,
+            "{kernel:?} on {shards} shard(s): snapshot bytes"
+        );
+        if shards == 1 {
+            assert!(end_state == e, "{kernel:?} serial: end-of-run save_state");
+        }
     }
 }

@@ -204,6 +204,25 @@ impl Kernel {
     pub fn from_env() -> Self {
         dtn_sim::env::from_env_or("RAPID_KERNEL", Self::detect(), |v| Self::parse(Some(v)))
     }
+
+    /// Returns `self`, or panics (`diag=kernel-unsupported`) if the running
+    /// CPU cannot execute it. The variants are public, so safe code can
+    /// name `Avx2` anywhere; every place that stores a `Kernel` to dispatch
+    /// on later ([`RateBatch::new`], [`RateBatch::set_kernel`],
+    /// [`crate::Rapid::with_kernel`]) passes it through here, and that is
+    /// the check each `unsafe` AVX2 call in this crate rests on.
+    pub(crate) fn assert_supported(self) -> Self {
+        self.assert_supported_on(Self::detect())
+    }
+
+    fn assert_supported_on(self, detected: Kernel) -> Self {
+        assert!(
+            self == Kernel::Scalar || detected == Kernel::Avx2,
+            "Kernel::Avx2 selected but the CPU does not report AVX2 \
+             [diag=kernel-unsupported detected={detected:?}]"
+        );
+        self
+    }
 }
 
 /// Batched evaluation of the Eq. 4–5 chain over one delivery queue: a SoA
@@ -234,9 +253,12 @@ impl Default for RateBatch {
 
 impl RateBatch {
     /// An empty batch evaluating rows with `kernel`.
+    ///
+    /// # Panics
+    /// If the CPU cannot execute `kernel` (`diag=kernel-unsupported`).
     pub fn new(kernel: Kernel) -> Self {
         Self {
-            kernel,
+            kernel: kernel.assert_supported(),
             bytes: Vec::new(),
             delays: Vec::new(),
         }
@@ -247,9 +269,10 @@ impl RateBatch {
         self.kernel
     }
 
-    /// Replaces the kernel (scratch buffers keep their capacity).
+    /// Replaces the kernel (scratch buffers keep their capacity); panics
+    /// like [`RateBatch::new`] on one the CPU cannot execute.
     pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
+        self.kernel = kernel.assert_supported();
     }
 
     /// Drops the input row (keeps capacity).
@@ -304,8 +327,9 @@ impl RateBatch {
         match self.kernel {
             Kernel::Scalar => row_scalar(&self.bytes, &mut self.delays, e, b, cap_secs),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Avx2` is only constructed through
-            // `detect`/`parse`, which gate on runtime AVX2 detection.
+            // SAFETY: `self.kernel` is private and only `new` / `set_kernel`
+            // write it, both through `Kernel::assert_supported`, which
+            // panics on `Avx2` unless AVX2 was detected at runtime.
             Kernel::Avx2 => unsafe { row_avx2(&self.bytes, &mut self.delays, e, b, cap_secs) },
             #[cfg(not(target_arch = "x86_64"))]
             Kernel::Avx2 => unreachable!("Avx2 is never selected off x86-64"),
@@ -326,7 +350,7 @@ impl RateBatch {
         match self.kernel {
             Kernel::Scalar => combined_rate(self.delays.iter().copied()),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `compute` — the variant implies detection.
+            // SAFETY: as in `compute` — `assert_supported` vetted the field.
             Kernel::Avx2 => unsafe { rate_avx2(&self.delays) },
             #[cfg(not(target_arch = "x86_64"))]
             Kernel::Avx2 => unreachable!("Avx2 is never selected off x86-64"),
@@ -670,6 +694,29 @@ mod tests {
             Ok(k) => assert_eq!(k, Kernel::Avx2),
             Err(e) => assert!(e.contains("AVX2"), "unexpected error: {e}"),
         }
+    }
+
+    #[test]
+    fn only_a_supported_kernel_is_accepted() {
+        for detected in [Kernel::Scalar, Kernel::Avx2] {
+            assert_eq!(Kernel::Scalar.assert_supported_on(detected), Kernel::Scalar);
+        }
+        assert_eq!(Kernel::Avx2.assert_supported_on(Kernel::Avx2), Kernel::Avx2);
+        // Whatever this machine detects is accepted by every entry point.
+        let k = Kernel::detect();
+        let mut batch = RateBatch::new(k);
+        batch.set_kernel(Kernel::Scalar);
+        batch.set_kernel(k);
+        assert_eq!(batch.kernel(), k);
+        let rapid = crate::Rapid::with_kernel(crate::RapidConfig::avg_delay(), k);
+        assert_eq!(rapid.kernel(), k);
+    }
+
+    /// The reject path, with detection stubbed to a CPU without AVX2.
+    #[test]
+    #[should_panic(expected = "diag=kernel-unsupported detected=Scalar")]
+    fn avx2_is_refused_where_it_was_not_detected() {
+        Kernel::Avx2.assert_supported_on(Kernel::Scalar);
     }
 
     /// Every kernel available on this machine, scalar always first.

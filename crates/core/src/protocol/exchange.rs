@@ -126,7 +126,7 @@ impl ContactExec<'_> {
             scratch.acks_new.clear();
             scratch
                 .acks_new
-                .extend(from_st.acks.iter().filter(|&id| !to_st.acks.contains(id)));
+                .extend(from_st.acks.difference(&to_st.acks));
             for &id in scratch.acks_new.iter() {
                 if allowed < wire::ACK_BYTES {
                     truncated = true;
@@ -160,22 +160,19 @@ impl ContactExec<'_> {
                 allowed -= row_cost;
                 used += row_cost;
             }
-            // Opportunity averages changed since the watermark.
+            // Opportunity averages changed since the watermark, in node
+            // order, `AVG_OPP_BYTES` each, as many as the budget holds:
+            // the stamp column says which, the value column rides along.
             let (from_st, to_st) = self.states.two(from, to);
-            for (&(v, stamp), theirs) in from_st.believed_opp.iter().zip(&mut to_st.believed_opp) {
-                if stamp <= since {
-                    continue;
-                }
-                if allowed < wire::AVG_OPP_BYTES {
-                    truncated = true;
-                    break;
-                }
-                if stamp > theirs.1 {
-                    *theirs = (v, stamp);
-                }
-                allowed -= wire::AVG_OPP_BYTES;
-                used += wire::AVG_OPP_BYTES;
-            }
+            let (shipped, more_waiting) = from_st.believed_opp.ship_into(
+                &mut to_st.believed_opp,
+                since,
+                allowed / wire::AVG_OPP_BYTES,
+                self.kernel,
+            );
+            truncated |= more_waiting;
+            allowed -= shipped * wire::AVG_OPP_BYTES;
+            used += shipped * wire::AVG_OPP_BYTES;
         }
 
         // 3. Replica entries. Two classes, following §4.2:

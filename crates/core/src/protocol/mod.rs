@@ -20,6 +20,7 @@
 //! |--------|-------|----------|
 //! | `state` | §4.1.2, §4.2 | per-node beliefs, the state lease, `RSNP1` save/load |
 //! | `exchange` | §4.2 | the control channel: exchange, purge, table bound |
+//! | `opp` | §4.2 | believed opportunity averages in two columns, and their budgeted merge |
 //! | `select` | §3.3, Eqs. 1–3 | delivery and replication order, `marginal_utility` |
 //! | `storage` | §3.4 | eviction order, `utility_from_rate`, the scalar reference |
 //! | this one | §3.4 | [`Rapid`], its [`Routing`] hooks, the contact's four steps |
@@ -48,6 +49,7 @@
 //! snapshot/estimate setup entirely.
 
 mod exchange;
+mod opp;
 mod select;
 mod state;
 mod storage;
@@ -69,8 +71,10 @@ use storage::RoomRequest;
 pub struct Rapid {
     cfg: RapidConfig,
     states: Vec<NodeState>,
-    /// Eq. 4–9 kernel for every batched rate evaluation (the `RAPID_KERNEL`
-    /// knob; every kernel is bitwise-identical, see `estimate.rs`).
+    /// Kernel for every batched Eq. 4–9 rate evaluation and for the §4.2
+    /// opportunity-average merge (the `RAPID_KERNEL` knob; every kernel is
+    /// bitwise-identical, see `estimate.rs` and `opp.rs`). Vetted by
+    /// [`Kernel::assert_supported`] in [`Rapid::with_kernel`].
     kernel: Kernel,
     /// Reusable contact scratch; `[0]` serves serial execution, and the
     /// vector grows to the pool's worker count for batch execution (one
@@ -132,6 +136,8 @@ struct ContactExec<'a> {
     cfg: &'a RapidConfig,
     n: usize,
     states: StatePair<'a>,
+    /// [`Rapid::kernel`].
+    kernel: Kernel,
     /// [`Rapid::row_warned`].
     row_warned: &'a AtomicBool,
 }
@@ -141,12 +147,14 @@ impl<'a> ContactExec<'a> {
         cfg: &'a RapidConfig,
         n: usize,
         states: StatePair<'a>,
+        kernel: Kernel,
         row_warned: &'a AtomicBool,
     ) -> Self {
         Self {
             cfg,
             n,
             states,
+            kernel,
             row_warned,
         }
     }
@@ -165,7 +173,7 @@ impl<'a> ContactExec<'a> {
     /// Average transfer-opportunity size of `node` as `believer` believes
     /// it, bytes. (The instant global channel asks `node` itself.)
     fn opp_bytes(&self, believer: NodeId, node: NodeId) -> f64 {
-        let (v, stamp) = self.states.state(believer).believed_opp[node.index()];
+        let (v, stamp) = self.states.state(believer).believed_opp.get(node.index());
         if stamp > Time::ZERO && v > 0.0 {
             v
         } else {
@@ -271,6 +279,7 @@ struct RapidShardView<'a> {
     base: usize,
     states: &'a mut [NodeState],
     scratch: &'a mut ContactScratch,
+    kernel: Kernel,
     row_warned: &'a AtomicBool,
 }
 
@@ -283,7 +292,7 @@ impl RapidShardView<'_> {
             Some(y) => StatePair::pair_in(self.base, self.states, x, y),
             None => StatePair::solo_in(self.base, self.states, x),
         };
-        let exec = ContactExec::new(self.cfg, self.n, states, self.row_warned);
+        let exec = ContactExec::new(self.cfg, self.n, states, self.kernel, self.row_warned);
         (exec, self.scratch)
     }
 }
@@ -328,10 +337,14 @@ impl Rapid {
         Self::with_kernel(cfg, Kernel::from_env())
     }
 
-    /// Creates a RAPID instance pinned to a specific Eq. 4–9 kernel
-    /// (kernels are bitwise-interchangeable; this exists for equivalence
-    /// tests and benchmarks).
+    /// Creates a RAPID instance pinned to a specific kernel (kernels are
+    /// bitwise-interchangeable; this exists for equivalence tests and
+    /// benchmarks).
+    ///
+    /// # Panics
+    /// If the CPU cannot execute `kernel` (`diag=kernel-unsupported`).
     pub fn with_kernel(cfg: RapidConfig, kernel: Kernel) -> Self {
+        let kernel = kernel.assert_supported();
         Self {
             cfg,
             states: Vec::new(),
@@ -346,7 +359,7 @@ impl Rapid {
         &self.cfg
     }
 
-    /// The Eq. 4–9 kernel in use.
+    /// The Eq. 4–9 and §4.2 merge kernel in use.
     pub fn kernel(&self) -> Kernel {
         self.kernel
     }
@@ -363,6 +376,7 @@ impl Rapid {
             base: 0,
             states: &mut self.states,
             scratch: &mut self.scratch[0],
+            kernel: self.kernel,
             row_warned: &self.row_warned,
         }
     }
@@ -437,7 +451,7 @@ impl Routing for Rapid {
         debug_assert!(!self.is_global(), "global channel declared Serial");
         self.ensure_scratch(pool.workers());
         let n = self.states.len();
-        let (cfg, row_warned) = (&self.cfg, &self.row_warned);
+        let (cfg, kernel, row_warned) = (&self.cfg, self.kernel, &self.row_warned);
         let states = SlicePartition::new(&mut self.states);
         let scratches = SlicePartition::new(&mut self.scratch);
         let drivers = SlicePartition::new(batch);
@@ -452,7 +466,7 @@ impl Routing for Rapid {
             let (sa, sb) = unsafe { states.pair_mut(a.index(), b.index()) };
             let scratch = unsafe { scratches.get_mut(worker) };
             let lease = StatePair::Pair { a, sa, b, sb };
-            ContactExec::new(cfg, n, lease, row_warned).contact(driver, scratch);
+            ContactExec::new(cfg, n, lease, kernel, row_warned).contact(driver, scratch);
         });
     }
 
@@ -466,7 +480,7 @@ impl Routing for Rapid {
         let shards = partition.shards();
         self.ensure_scratch(shards);
         let n = self.states.len();
-        let (cfg, row_warned) = (&self.cfg, &self.row_warned);
+        let (cfg, kernel, row_warned) = (&self.cfg, self.kernel, &self.row_warned);
         let states = SlicePartition::new(&mut self.states);
         let scratches = SlicePartition::new(&mut self.scratch);
         pool.run(shards, &|_worker, s| {
@@ -484,6 +498,7 @@ impl Routing for Rapid {
                 base: range.start,
                 states: unsafe { states.range_mut(range) },
                 scratch: unsafe { scratches.get_mut(s) },
+                kernel,
                 row_warned,
             };
             drain(s, &mut view);

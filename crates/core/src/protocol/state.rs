@@ -2,6 +2,7 @@
 //! beliefs one execution may touch (the [`StatePair`] lease), and the
 //! `RSNP1` protocol-state section that saves and restores them.
 
+use super::opp::OppBeliefs;
 use crate::control::{HolderEntry, MetaTable, PacketBelief};
 use crate::meetings::{put_f64, take_ascending, take_f64, take_index, take_varint, MeetingView};
 use dtn_sim::{NodeId, PacketId, PacketSet, Time};
@@ -11,7 +12,8 @@ use dtn_trace::{write_varint, ByteCursor};
 ///
 /// Everything is stored by what the node knows — met peers, reported rows,
 /// peers sent to — except `believed_opp`, the fleet's one remaining n²
-/// term (16 B × n²: 2.6 MB at 400 nodes, 256 MB at 4000).
+/// term (two 8 B × n columns per node, 16 B × n² together: 2.6 MB at 400
+/// nodes, 256 MB at 4000).
 #[derive(Debug, Clone)]
 pub(super) struct NodeState {
     /// Believed meeting-time matrix, finite cells only.
@@ -23,12 +25,9 @@ pub(super) struct NodeState {
     pub(super) last_sent: Vec<(u32, Time)>,
     /// Average opportunity size observed by this node (bytes).
     pub(super) avg_opp: dtn_stats::RunningMean,
-    /// Believed average opportunity size of every node, with stamp.
-    /// Dense (`n` entries) on purpose: opportunity averages gossip
-    /// fleet-wide, and by the end of a regional pass a node was measured
-    /// to know 383 of 400 entries (868 of 1200), so a sorted sparse form
-    /// at 20 B per entry would save nothing there.
-    pub(super) believed_opp: Vec<(f64, Time)>,
+    /// Believed average opportunity size of every node, with stamp: a
+    /// value column and a stamp column, `n` entries each.
+    pub(super) believed_opp: OppBeliefs,
 }
 
 impl NodeState {
@@ -39,7 +38,7 @@ impl NodeState {
             acks: PacketSet::new(),
             last_sent: Vec::new(),
             avg_opp: dtn_stats::RunningMean::new(),
-            believed_opp: vec![(0.0, Time::ZERO); n],
+            believed_opp: OppBeliefs::new(n),
         }
     }
 
@@ -64,7 +63,7 @@ impl NodeState {
         self.meetings.record_meeting(peer, now);
         self.avg_opp.observe(full_opp as f64);
         let me = self.meetings.me().index();
-        self.believed_opp[me] = (self.avg_opp.mean_or(0.0), now);
+        self.believed_opp.set(me, self.avg_opp.mean_or(0.0), now);
     }
 }
 
@@ -260,14 +259,15 @@ fn encode_node_state(out: &mut Vec<u8>, st: &NodeState) {
     put_f64(out, mean);
     write_varint(out, count);
 
-    let opp: Vec<usize> = (0..st.believed_opp.len())
-        .filter(|&p| st.believed_opp[p] != (0.0, Time::ZERO))
-        .collect();
-    write_varint(out, opp.len() as u64);
-    for p in opp {
+    let heard = || {
+        let all = (0..st.believed_opp.len()).map(|p| (p, st.believed_opp.get(p)));
+        all.filter(|&(_, belief)| belief != (0.0, Time::ZERO))
+    };
+    write_varint(out, heard().count() as u64);
+    for (p, (size, stamp)) in heard() {
         write_varint(out, p as u64);
-        put_f64(out, st.believed_opp[p].0);
-        write_varint(out, st.believed_opp[p].1 .0);
+        put_f64(out, size);
+        write_varint(out, stamp.0);
     }
 }
 
@@ -330,7 +330,7 @@ fn decode_node_state(cur: &mut ByteCursor<'_>, st: &mut NodeState, n: usize) -> 
         let p = take_ascending(cur, n, &mut prev, "believed-opportunity node")?;
         let size = take_f64(cur)?;
         let stamp = Time(take_varint(cur)?);
-        st.believed_opp[p] = (size, stamp);
+        st.believed_opp.set(p, size, stamp);
     }
     Ok(())
 }

@@ -484,7 +484,7 @@ impl Routing for Checked {
         let rapid = &mut self.rapid;
         let n = rapid.states.len();
         let lease = StatePair::Full(&mut rapid.states);
-        let exec = ContactExec::new(&rapid.cfg, n, lease, &rapid.row_warned);
+        let exec = ContactExec::new(&rapid.cfg, n, lease, rapid.kernel, &rapid.row_warned);
         let expect = exec.reference_victims(node, incoming, needed, buffer, packets, now);
         let got = rapid.make_room(node, incoming, needed, buffer, packets, now);
         assert_eq!(

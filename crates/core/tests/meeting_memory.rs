@@ -107,8 +107,8 @@ fn meeting_state_stays_far_below_dense_rows() {
     drop(view);
 
     // 1000 nodes through 5000 contacts. Measured 21.3 MB (debug and
-    // release alike), 16.0 MB of it the dense `believed_opp`; the bound
-    // is that + 25 %.
+    // release alike), 16.0 MB of it the dense `believed_opp` (two 8 B
+    // columns per node); the bound is that + 25 %.
     let (peak, report) = fleet_peak(1000, 5000, 200);
     assert!(report.delivered() > 0, "the run must route something");
     assert!(
@@ -122,8 +122,8 @@ fn meeting_state_stays_far_below_dense_rows() {
     );
 
     // 4000 nodes through 1000 contacts: construction dominates. Measured
-    // 258.6 MB, 256 MB of it `believed_opp`; with the dense per-peer
-    // vectors this state used to keep it was 1.9 GB.
+    // 258.6 MB, 256 MB of it the two `believed_opp` columns; with the
+    // dense per-peer vectors this state used to keep it was 1.9 GB.
     let (peak, report) = fleet_peak(4000, 1000, 40);
     assert_eq!(report.contacts, 1000);
     assert!(

@@ -7,13 +7,15 @@
 //! Several protocols therefore share this utility: a per-node bitset of
 //! packet ids known to be delivered, merged whenever two nodes meet.
 
+use crate::ids::IndexSet;
 use crate::types::{NodeId, PacketId};
 
-/// A growable bitset keyed by [`PacketId`].
+/// A growable bitset keyed by [`PacketId`]: an [`IndexSet`] over the ids.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PacketSet {
-    words: Vec<u64>,
-    count: usize,
+pub struct PacketSet(IndexSet);
+
+fn packet(idx: usize) -> PacketId {
+    PacketId(idx as u32)
 }
 
 impl PacketSet {
@@ -24,65 +26,37 @@ impl PacketSet {
 
     /// Inserts `id`; returns `true` if it was newly inserted.
     pub fn insert(&mut self, id: PacketId) -> bool {
-        let (w, bit) = (id.index() / 64, id.index() % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let mask = 1u64 << bit;
-        if self.words[w] & mask == 0 {
-            self.words[w] |= mask;
-            self.count += 1;
-            true
-        } else {
-            false
-        }
+        self.0.insert(id.index())
     }
 
     /// Membership test.
     pub fn contains(&self, id: PacketId) -> bool {
-        let (w, bit) = (id.index() / 64, id.index() % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << bit) != 0)
+        self.0.contains(id.index())
     }
 
     /// Number of ids in the set.
     pub fn len(&self) -> usize {
-        self.count
+        self.0.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.0.is_empty()
     }
 
     /// Iterates the ids in the set in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = PacketId> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(PacketId((w * 64 + b) as u32))
-                }
-            })
-        })
+        self.0.iter().map(packet)
+    }
+
+    /// Iterates the ids in this set and not in `other`, ascending.
+    pub fn difference<'a>(&'a self, other: &'a PacketSet) -> impl Iterator<Item = PacketId> + 'a {
+        self.0.difference(&other.0).map(packet)
     }
 
     /// Union with another set; returns how many ids were newly added here.
     pub fn union_from(&mut self, other: &PacketSet) -> usize {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        let mut added = 0;
-        for (w, &ow) in other.words.iter().enumerate() {
-            let new_bits = ow & !self.words[w];
-            added += new_bits.count_ones() as usize;
-            self.words[w] |= ow;
-        }
-        self.count += added;
-        added
+        self.0.union_from(&other.0)
     }
 }
 

@@ -248,19 +248,42 @@ impl IndexSet {
 
     /// Iterates the indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(w * 64 + b)
-                }
-            })
-        })
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(w, &word)| set_bits(w, word))
     }
+
+    /// Iterates the indices in `self` and not in `other`, ascending — one
+    /// and-not per word; the sets may differ in word count.
+    pub fn difference<'a>(&'a self, other: &'a IndexSet) -> impl Iterator<Item = usize> + 'a {
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(w, &word)| set_bits(w, word & !other.words.get(w).copied().unwrap_or(0)))
+    }
+
+    /// Union with another set; returns how many indices were newly added
+    /// here.
+    pub fn union_from(&mut self, other: &IndexSet) -> usize {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        let mut added = 0;
+        for (mine, &theirs) in self.words.iter_mut().zip(&other.words) {
+            added += (theirs & !*mine).count_ones() as usize;
+            *mine |= theirs;
+        }
+        self.count += added;
+        added
+    }
+}
+
+/// The set bits of word `w` of a bitset as indices, ascending.
+fn set_bits(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            w * 64 + b
+        })
+    })
 }
 
 #[cfg(test)]

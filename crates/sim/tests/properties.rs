@@ -114,6 +114,28 @@ proptest! {
         }
     }
 
+    /// The word-wise and-not against the probing oracle, over sets whose
+    /// word counts differ in either direction (id ranges 70 / 500 / 0).
+    #[test]
+    fn packet_set_difference_matches_filter_oracle(
+        a in prop::collection::vec(0u32..500, 0..120),
+        b in prop::collection::vec(0u32..70, 0..60),
+    ) {
+        let set = |ids: &[u32]| {
+            let mut s = PacketSet::new();
+            for &id in ids {
+                s.insert(PacketId(id));
+            }
+            s
+        };
+        let (a, b, empty) = (set(&a), set(&b), PacketSet::new());
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &empty), (&empty, &a), (&a, &a)] {
+            let got: Vec<PacketId> = x.difference(y).collect();
+            let expect: Vec<PacketId> = x.iter().filter(|&id| !y.contains(id)).collect();
+            prop_assert_eq!(got, expect);
+        }
+    }
+
     #[test]
     fn ack_exchange_reaches_fixed_point(
         learns in prop::collection::vec((0u32..4, 0u32..100), 1..60),
