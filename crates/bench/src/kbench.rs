@@ -35,7 +35,7 @@ pub fn queue_bytes(len: usize, seed: u64) -> Vec<u64> {
 /// bitwise-identical sums).
 pub fn measure_rows_stats(kernel: Kernel, len: usize, iters: u64, repeats: u64) -> (f64, f64, f64) {
     let bytes = queue_bytes(len, 7);
-    let mut batch = RateBatch::new(kernel);
+    let mut batch = RateBatch::default();
     for &b in &bytes {
         batch.push(b);
     }
@@ -49,8 +49,8 @@ pub fn measure_rows_stats(kernel: Kernel, len: usize, iters: u64, repeats: u64) 
     for repeat in 0..=repeats.max(1) {
         let start = Instant::now();
         for _ in 0..iters.max(1) {
-            batch.compute(e, opp, cap);
-            sink += batch.combined_rate();
+            batch.compute(e, opp, cap, kernel);
+            sink += batch.combined_rate(kernel);
         }
         let ms = start.elapsed().as_secs_f64() * 1e3;
         if repeat > 0 {

@@ -27,12 +27,14 @@
 //! destination's expected meeting time, the believed opportunity size, the
 //! cap) are fixed — which is how the protocol consumes it: one row per
 //! destination queue. [`RateBatch`] evaluates that chain over a whole row
-//! at once from a SoA `bytes_ahead` layout, in fixed-width `f64` chunks
-//! the autovectorizer can lower directly, with an optional explicit AVX2
-//! path behind runtime feature detection ([`Kernel`]). Every row element
-//! is produced by the same IEEE-754 operation sequence as the scalar
-//! functions, so the rows are **bitwise identical** to per-packet calls on
-//! every kernel (property-tested in `tests/properties.rs`).
+//! at once from a SoA `bytes_ahead` layout, in fixed-width `f64` chunks.
+//! The row and the rate reduction are each one safe body compiled twice —
+//! plain, and inside a `#[target_feature(enable = "avx2")]` wrapper picked
+//! by runtime feature detection ([`Kernel`]) — so the kernels agree by
+//! construction. Every row element is produced by the same IEEE-754
+//! operation sequence as the scalar functions, so the rows are **bitwise
+//! identical** to per-packet calls on every kernel (property-tested in
+//! `tests/properties.rs`).
 //!
 //! The one order-sensitive quantity is the combined-rate *sum* (Eq. 8).
 //! [`combined_rate`] defines its reduction as a fixed [`RATE_LANES`]-stripe
@@ -79,9 +81,9 @@ pub fn replica_delay(expected_meeting_secs: f64, meetings: f64) -> f64 {
 /// Combined replica rate `Σ_j 1/a_j` over the per-replica delays — the
 /// one expensive quantity behind Eqs. 7–9. Every utility RAPID uses is a
 /// cheap closed form over this rate ([`delay_from_rate`],
-/// [`prob_within_from_rate`]), which is what makes the rate the natural
-/// unit to cache incrementally (see `cache.rs`). Infinite delays
-/// (unreachable replicas) contribute nothing.
+/// [`prob_within_from_rate`]). Infinite delays (unreachable replicas)
+/// contribute nothing. Production folds every belief list through this
+/// function; [`RateBatch::combined_rate`] is its batched twin.
 ///
 /// The summation order is the deterministic [`RATE_LANES`]-stripe
 /// reduction (module docs): element `j` accumulates into stripe
@@ -101,8 +103,8 @@ pub fn combined_rate(replica_delays: impl IntoIterator<Item = f64>) -> f64 {
 
 /// Closes the stripe accumulators of the deterministic reduction under a
 /// fixed pairwise tree: `(s0 + s1) + (s2 + s3)`. One order, everywhere —
-/// the scalar [`combined_rate`], the batched [`RateBatch::combined_rate`],
-/// and the AVX2 lane extraction all end here.
+/// the scalar [`combined_rate`] and both instantiations of the batched
+/// [`RateBatch::combined_rate`] end here.
 #[inline]
 pub fn reduce_stripes(acc: [f64; RATE_LANES]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
@@ -151,18 +153,20 @@ pub fn prob_delivered_within(replica_delays: impl IntoIterator<Item = f64>, t_se
     prob_within_from_rate(combined_rate(replica_delays), t_secs)
 }
 
-/// Execution strategy for the batched Eq. 4–9 kernels.
+/// Execution strategy for the batched Eq. 4–9 kernels and the §4.2
+/// opportunity-average merge, passed to each call that runs one.
 ///
-/// Every strategy computes the same IEEE-754 operation sequence, so the
-/// choice can never change a result bit — only how many elements move per
-/// instruction. `Scalar` is the portable chunked loop (autovectorizable);
-/// `Avx2` is the explicit `std::arch` path, only selectable where the CPU
-/// reports the feature.
+/// One body per kernel, compiled twice: `Scalar` runs the plain
+/// instantiation (baseline x86-64), `Avx2` the same body inside a
+/// `#[target_feature(enable = "avx2")]` wrapper, where the compiler may
+/// use wider registers and single-instruction rounding. Agreement is by
+/// construction — both run one IEEE-754 operation sequence — so the
+/// choice can never change a result bit, only the speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Portable chunked loop over [`RATE_LANES`]-wide stripes.
+    /// The plain instantiation.
     Scalar,
-    /// Explicit 256-bit `std::arch` path (x86-64 with AVX2 only).
+    /// The AVX2 instantiation (x86-64 with AVX2 only).
     Avx2,
 }
 
@@ -207,10 +211,10 @@ impl Kernel {
 
     /// Returns `self`, or panics (`diag=kernel-unsupported`) if the running
     /// CPU cannot execute it. The variants are public, so safe code can
-    /// name `Avx2` anywhere; every place that stores a `Kernel` to dispatch
-    /// on later ([`RateBatch::new`], [`RateBatch::set_kernel`],
-    /// [`crate::Rapid::with_kernel`]) passes it through here, and that is
-    /// the check each `unsafe` AVX2 call in this crate rests on.
+    /// name `Avx2` anywhere: each `Kernel::Avx2` arm calls this right
+    /// before its `unsafe` call (a cached feature-bit load), and
+    /// [`crate::Rapid::with_kernel`] calls it at construction so a
+    /// misconfigured run fails before its first contact.
     pub(crate) fn assert_supported(self) -> Self {
         self.assert_supported_on(Self::detect())
     }
@@ -234,10 +238,9 @@ impl Kernel {
 /// allocate nothing in steady state (the zero-allocation audit covers
 /// this). Rows are bitwise identical to calling
 /// `replica_delay(e, meetings_needed(b, opp)).min(cap)` per element, on
-/// every [`Kernel`].
-#[derive(Debug, Clone)]
+/// every [`Kernel`]. The batch stores no kernel: each call is handed one.
+#[derive(Debug, Clone, Default)]
 pub struct RateBatch {
-    kernel: Kernel,
     /// SoA input row: per-packet bytes-ahead, pre-converted to `f64`
     /// (the exact conversion `meetings_needed` performs).
     bytes: Vec<f64>,
@@ -245,36 +248,7 @@ pub struct RateBatch {
     delays: Vec<f64>,
 }
 
-impl Default for RateBatch {
-    fn default() -> Self {
-        Self::new(Kernel::detect())
-    }
-}
-
 impl RateBatch {
-    /// An empty batch evaluating rows with `kernel`.
-    ///
-    /// # Panics
-    /// If the CPU cannot execute `kernel` (`diag=kernel-unsupported`).
-    pub fn new(kernel: Kernel) -> Self {
-        Self {
-            kernel: kernel.assert_supported(),
-            bytes: Vec::new(),
-            delays: Vec::new(),
-        }
-    }
-
-    /// The kernel this batch evaluates with.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Replaces the kernel (scratch buffers keep their capacity); panics
-    /// like [`RateBatch::new`] on one the CPU cannot execute.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel.assert_supported();
-    }
-
     /// Drops the input row (keeps capacity).
     pub fn clear(&mut self) {
         self.bytes.clear();
@@ -292,30 +266,27 @@ impl RateBatch {
             .extend(queue.iter().map(|e| e.bytes_ahead as f64));
     }
 
-    /// Row length.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the input row is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Evaluates the fused Eq. 4–5 + cap chain over the loaded row:
-    /// `min(max(E · (⌊b/B⌋ + 1), MIN_DELAY), cap)` per element, with a
-    /// non-finite `E` behaving exactly like the scalar chain (an infinite
-    /// per-replica delay, then capped). Returns the output row.
+    /// Evaluates the fused Eq. 4–5 + cap chain over the loaded row with
+    /// `kernel`: `min(max(E · (⌊b/B⌋ + 1), MIN_DELAY), cap)` per element,
+    /// with a non-finite `E` behaving exactly like the scalar chain (an
+    /// infinite per-replica delay, then capped). Returns the output row.
+    ///
+    /// # Panics
+    /// If `cap_secs` is not positive (NaN included;
+    /// `diag=delay-cap-invalid`), or if the CPU cannot execute `kernel`
+    /// (`diag=kernel-unsupported`).
     pub fn compute(
         &mut self,
         expected_meeting_secs: f64,
         avg_opportunity_bytes: f64,
         cap_secs: f64,
+        kernel: Kernel,
     ) -> &[f64] {
+        assert_cap(cap_secs);
         let b = avg_opportunity_bytes.max(1.0);
         // The scalar chain routes any non-finite expected meeting time
         // through `replica_delay`'s infinity arm; folding that into the
-        // broadcast constant keeps the row kernel branch-free (NaN would
+        // broadcast constant keeps the row branch-free (NaN would
         // otherwise poison the multiply differently than the scalar path).
         let e = if expected_meeting_secs.is_finite() {
             expected_meeting_secs
@@ -324,13 +295,15 @@ impl RateBatch {
         };
         self.delays.clear();
         self.delays.resize(self.bytes.len(), 0.0);
-        match self.kernel {
-            Kernel::Scalar => row_scalar(&self.bytes, &mut self.delays, e, b, cap_secs),
+        let (bytes, out) = (self.bytes.as_slice(), self.delays.as_mut_slice());
+        match kernel {
+            Kernel::Scalar => row(bytes, out, e, b, cap_secs),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `self.kernel` is private and only `new` / `set_kernel`
-            // write it, both through `Kernel::assert_supported`, which
-            // panics on `Avx2` unless AVX2 was detected at runtime.
-            Kernel::Avx2 => unsafe { row_avx2(&self.bytes, &mut self.delays, e, b, cap_secs) },
+            Kernel::Avx2 => {
+                kernel.assert_supported();
+                // SAFETY: `assert_supported` returned, so AVX2 was detected.
+                unsafe { row_avx2(bytes, out, e, b, cap_secs) }
+            }
             #[cfg(not(target_arch = "x86_64"))]
             Kernel::Avx2 => unreachable!("Avx2 is never selected off x86-64"),
         }
@@ -342,121 +315,119 @@ impl RateBatch {
         &self.delays
     }
 
-    /// The striped combined rate (Eq. 8) of the computed row — bitwise
-    /// identical to [`combined_rate`] over the same delays on every
-    /// kernel (`1/∞ = +0.0` is exactly the scalar arm's zero
-    /// contribution).
-    pub fn combined_rate(&self) -> f64 {
-        match self.kernel {
-            Kernel::Scalar => combined_rate(self.delays.iter().copied()),
+    /// The striped combined rate (Eq. 8) of the computed row with
+    /// `kernel` — bitwise identical to [`combined_rate`] over the same
+    /// delays (`1/∞ = +0.0` is exactly the scalar arm's zero
+    /// contribution). Reached only by the `kbench` probe and tests:
+    /// production folds belief lists through the free [`combined_rate`].
+    ///
+    /// # Panics
+    /// If the CPU cannot execute `kernel` (`diag=kernel-unsupported`).
+    pub fn combined_rate(&self, kernel: Kernel) -> f64 {
+        match kernel {
+            Kernel::Scalar => rate(&self.delays),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `compute` — `assert_supported` vetted the field.
-            Kernel::Avx2 => unsafe { rate_avx2(&self.delays) },
+            Kernel::Avx2 => {
+                kernel.assert_supported();
+                // SAFETY: `assert_supported` returned, so AVX2 was detected.
+                unsafe { rate_avx2(&self.delays) }
+            }
             #[cfg(not(target_arch = "x86_64"))]
             Kernel::Avx2 => unreachable!("Avx2 is never selected off x86-64"),
         }
     }
 }
 
-/// One element of the fused row chain — shared by the scalar kernel and
-/// every vector kernel's tail loop. `e` is pre-sanitized (finite or
-/// `+∞`), `b` is already clamped to ≥ 1.
-#[inline]
-fn row_elem(bytes: f64, e: f64, b: f64, cap: f64) -> f64 {
+/// Panics (`diag=delay-cap-invalid`) unless the delay cap is positive (a
+/// NaN cap fails the compare too). Row elements are then positive and
+/// never NaN: the domain on which [`rate`]'s compare-select equals
+/// [`rate_contribution`] (a `−∞` element would add `1e6`, not 0).
+pub(crate) fn assert_cap(cap_secs: f64) {
+    assert!(
+        cap_secs > 0.0,
+        "the delay cap must be positive [diag=delay-cap-invalid cap={cap_secs}]"
+    );
+}
+
+/// `x.max(lo)` as one compare-select (`maxsd`); `f64::max`'s NaN rule
+/// costs extra instructions per element, and no NaN reaches a row.
+#[inline(always)]
+fn max_sel(x: f64, lo: f64) -> f64 {
+    if x > lo {
+        x
+    } else {
+        lo
+    }
+}
+
+/// `x.min(hi)` as one compare-select (`minsd`), like [`max_sel`].
+#[inline(always)]
+fn min_sel(x: f64, hi: f64) -> f64 {
+    if hi < x {
+        hi
+    } else {
+        x
+    }
+}
+
+/// The fused row chain over [`RATE_LANES`]-wide chunks, instantiated once
+/// per kernel. `e` is pre-sanitized (finite or `+∞`), `b` is clamped to
+/// ≥ 1 and `cap` is positive, so no NaN reaches a compare and each
+/// compare-select equals the `f64::max` / `f64::min` of the scalar chain.
+#[inline(always)]
+fn row(bytes: &[f64], out: &mut [f64], e: f64, b: f64, cap: f64) {
     // `q.trunc()` equals `meetings_needed`'s `(q as u64) as f64` for the
     // whole input range: below 2^53 both are the exact integer part, and
-    // from 2^53 every representable f64 is already integral, so the
-    // u64 round-trip is the identity.
-    let m = (bytes / b).trunc() + 1.0;
-    (e * m).max(MIN_DELAY_SECS).min(cap)
-}
-
-/// Portable chunked row kernel, laid out in [`RATE_LANES`]-wide stripes
-/// for the autovectorizer.
-fn row_scalar(bytes: &[f64], out: &mut [f64], e: f64, b: f64, cap: f64) {
-    let chunks = bytes.len() / RATE_LANES * RATE_LANES;
-    for (x, d) in bytes[..chunks]
-        .chunks_exact(RATE_LANES)
-        .zip(out[..chunks].chunks_exact_mut(RATE_LANES))
-    {
+    // from 2^53 every representable f64 is already integral, so the u64
+    // round-trip is the identity.
+    let elem = |x: f64| min_sel(max_sel(e * ((x / b).trunc() + 1.0), MIN_DELAY_SECS), cap);
+    let mut xs = bytes.chunks_exact(RATE_LANES);
+    let mut ds = out.chunks_exact_mut(RATE_LANES);
+    for (x, d) in (&mut xs).zip(&mut ds) {
         for lane in 0..RATE_LANES {
-            d[lane] = row_elem(x[lane], e, b, cap);
+            d[lane] = elem(x[lane]);
         }
     }
-    for (x, d) in bytes[chunks..].iter().zip(&mut out[chunks..]) {
-        *d = row_elem(*x, e, b, cap);
+    for (x, d) in xs.remainder().iter().zip(ds.into_remainder()) {
+        *d = elem(*x);
     }
 }
 
-/// Explicit AVX2 row kernel: the same operation sequence as [`row_elem`],
-/// four lanes per instruction. `vdivpd`/`vroundpd`(truncate)/`vmulpd`/
-/// `vmaxpd`/`vminpd` are bit-exact IEEE-754 ops, so lanes match the scalar
-/// chain; no FMA contraction is used anywhere (the scalar path does not
-/// fuse either). NaNs cannot reach the min/max (e is sanitized, inputs are
-/// finite), so the asymmetric NaN rules of `vmaxpd`/`vminpd` never apply.
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn row_avx2(bytes: &[f64], out: &mut [f64], e: f64, b: f64, cap: f64) {
-    use std::arch::x86_64::*;
-    let vb = _mm256_set1_pd(b);
-    let ve = _mm256_set1_pd(e);
-    let vone = _mm256_set1_pd(1.0);
-    let vmin = _mm256_set1_pd(MIN_DELAY_SECS);
-    let vcap = _mm256_set1_pd(cap);
-    let n = bytes.len();
-    let mut i = 0;
-    while i + RATE_LANES <= n {
-        let x = _mm256_loadu_pd(bytes.as_ptr().add(i));
-        let q = _mm256_div_pd(x, vb);
-        let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
-        let m = _mm256_add_pd(t, vone);
-        let d = _mm256_min_pd(_mm256_max_pd(_mm256_mul_pd(ve, m), vmin), vcap);
-        _mm256_storeu_pd(out.as_mut_ptr().add(i), d);
-        i += RATE_LANES;
-    }
-    while i < n {
-        out[i] = row_elem(bytes[i], e, b, cap);
-        i += 1;
-    }
-}
-
-/// Explicit AVX2 striped combined-rate reduction over a delay row. The
-/// stripe accumulators live in one 256-bit register (element `i` lands in
-/// lane `i % 4` by construction of the chunked loads — the exact stripe
-/// assignment of [`combined_rate`]), the tail accumulates into the same
-/// logical stripes scalar-wise, and the register closes under
-/// [`reduce_stripes`]'s fixed tree. `1/max(∞, MIN) = +0.0` reproduces the
-/// scalar zero contribution of unreachable replicas exactly.
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn rate_avx2(delays: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let vone = _mm256_set1_pd(1.0);
-    let vmin = _mm256_set1_pd(MIN_DELAY_SECS);
-    let mut vacc = _mm256_setzero_pd();
-    let n = delays.len();
-    let mut i = 0;
-    while i + RATE_LANES <= n {
-        let a = _mm256_loadu_pd(delays.as_ptr().add(i));
-        let c = _mm256_div_pd(vone, _mm256_max_pd(a, vmin));
-        vacc = _mm256_add_pd(vacc, c);
-        i += RATE_LANES;
-    }
+/// The striped Eq. 8 reduction over a computed row, instantiated once per
+/// kernel: element `i` adds into stripe `i % RATE_LANES` (the stripe
+/// assignment of [`combined_rate`]) and the stripes close under
+/// [`reduce_stripes`]. Every element is positive, never NaN, so
+/// `1/max(a, MIN)` equals [`rate_contribution`] — `+0.0` for `a = ∞`.
+#[inline(always)]
+fn rate(delays: &[f64]) -> f64 {
     let mut acc = [0.0f64; RATE_LANES];
-    _mm256_storeu_pd(acc.as_mut_ptr(), vacc);
-    let mut lane = 0;
-    while i < n {
-        acc[lane] += rate_contribution(delays[i]);
-        lane = (lane + 1) % RATE_LANES;
-        i += 1;
+    let chunks = delays.chunks_exact(RATE_LANES);
+    let tail = chunks.remainder();
+    let elem = |a: f64| 1.0 / max_sel(a, MIN_DELAY_SECS);
+    for c in chunks {
+        for lane in 0..RATE_LANES {
+            acc[lane] += elem(c[lane]);
+        }
+    }
+    for (s, &a) in acc.iter_mut().zip(tail) {
+        *s += elem(a);
     }
     reduce_stripes(acc)
+}
+
+/// [`row`] compiled with AVX2 enabled: `trunc` becomes one `vroundsd` /
+/// `vroundpd` instead of the libm call baseline x86-64 makes per element.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn row_avx2(bytes: &[f64], out: &mut [f64], e: f64, b: f64, cap: f64) {
+    row(bytes, out, e, b, cap)
+}
+
+/// [`rate`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rate_avx2(delays: &[f64]) -> f64 {
+    rate(delays)
 }
 
 /// A snapshot of one node's buffer organised as per-destination delivery
@@ -702,12 +673,8 @@ mod tests {
             assert_eq!(Kernel::Scalar.assert_supported_on(detected), Kernel::Scalar);
         }
         assert_eq!(Kernel::Avx2.assert_supported_on(Kernel::Avx2), Kernel::Avx2);
-        // Whatever this machine detects is accepted by every entry point.
+        // Whatever this machine detects is accepted at construction.
         let k = Kernel::detect();
-        let mut batch = RateBatch::new(k);
-        batch.set_kernel(Kernel::Scalar);
-        batch.set_kernel(k);
-        assert_eq!(batch.kernel(), k);
         let rapid = crate::Rapid::with_kernel(crate::RapidConfig::avg_delay(), k);
         assert_eq!(rapid.kernel(), k);
     }
@@ -717,6 +684,16 @@ mod tests {
     #[should_panic(expected = "diag=kernel-unsupported detected=Scalar")]
     fn avx2_is_refused_where_it_was_not_detected() {
         Kernel::Avx2.assert_supported_on(Kernel::Scalar);
+    }
+
+    /// A NaN cap used to reach the row: the AVX2 lanes returned NaN, its
+    /// tail 250.0 and `Scalar` finite values. Now no kernel runs at all.
+    #[test]
+    #[should_panic(expected = "diag=delay-cap-invalid")]
+    fn a_nan_delay_cap_is_refused_by_the_row() {
+        let mut batch = RateBatch::default();
+        batch.push(0);
+        batch.compute(50.0, 10.0, f64::NAN, Kernel::Scalar);
     }
 
     /// Every kernel available on this machine, scalar always first.
@@ -741,7 +718,7 @@ mod tests {
         let meetings = [50.0, 0.0, f64::INFINITY, f64::NAN, 1.0e-12, 3.7e8];
         let opps = [1000.0, 0.0, 1.0, 102_400.0, f64::INFINITY];
         for &kernel in &available_kernels() {
-            let mut batch = RateBatch::new(kernel);
+            let mut batch = RateBatch::default();
             for &queue in queues {
                 for &e in &meetings {
                     for &b in &opps {
@@ -749,7 +726,7 @@ mod tests {
                         for &bytes in queue {
                             batch.push(bytes);
                         }
-                        let rows = batch.compute(e, b, cap).to_vec();
+                        let rows = batch.compute(e, b, cap, kernel).to_vec();
                         let expect: Vec<f64> = queue
                             .iter()
                             .map(|&bytes| replica_delay(e, meetings_needed(bytes, b)).min(cap))
@@ -763,7 +740,7 @@ mod tests {
                             );
                         }
                         assert_eq!(
-                            batch.combined_rate().to_bits(),
+                            batch.combined_rate(kernel).to_bits(),
                             combined_rate(expect.iter().copied()).to_bits(),
                             "{kernel:?} combined_rate diverged"
                         );

@@ -73,8 +73,9 @@ pub struct Rapid {
     states: Vec<NodeState>,
     /// Kernel for every batched Eq. 4–9 rate evaluation and for the §4.2
     /// opportunity-average merge (the `RAPID_KERNEL` knob; every kernel is
-    /// bitwise-identical, see `estimate.rs` and `opp.rs`). Vetted by
-    /// [`Kernel::assert_supported`] in [`Rapid::with_kernel`].
+    /// bitwise-identical, see `estimate.rs` and `opp.rs`), handed to each
+    /// call that runs one. Vetted by [`Kernel::assert_supported`] in
+    /// [`Rapid::with_kernel`], and again by each AVX2 arm.
     kernel: Kernel,
     /// Reusable contact scratch; `[0]` serves serial execution, and the
     /// vector grows to the pool's worker count for batch execution (one
@@ -99,16 +100,6 @@ struct ContactScratch {
     est_peer: [HopEstimates; 2],
     exchange: ExchangeScratch,
     select: SelectScratch,
-}
-
-impl ContactScratch {
-    fn with_kernel(kernel: Kernel) -> Self {
-        let mut s = Self::default();
-        s.select.row_self.set_kernel(kernel);
-        s.select.row_peer.set_kernel(kernel);
-        s.select.storage.row.set_kernel(kernel);
-        s
-    }
 }
 
 /// One direction of a contact as Steps 2–3 see it: `x` sends, `y`
@@ -342,14 +333,18 @@ impl Rapid {
     /// benchmarks).
     ///
     /// # Panics
-    /// If the CPU cannot execute `kernel` (`diag=kernel-unsupported`).
+    /// If the CPU cannot execute `kernel` (`diag=kernel-unsupported`), or
+    /// if `cfg.delay_cap_secs` is not positive (`diag=delay-cap-invalid`;
+    /// the field is public, so [`RapidConfig::with_delay_cap`]'s check can
+    /// be bypassed).
     pub fn with_kernel(cfg: RapidConfig, kernel: Kernel) -> Self {
         let kernel = kernel.assert_supported();
+        crate::estimate::assert_cap(cfg.delay_cap_secs);
         Self {
             cfg,
             states: Vec::new(),
             kernel,
-            scratch: vec![ContactScratch::with_kernel(kernel)],
+            scratch: vec![ContactScratch::default()],
             row_warned: AtomicBool::new(false),
         }
     }
@@ -384,9 +379,7 @@ impl Rapid {
     /// Grows the scratch vector to one slot per concurrent execution.
     fn ensure_scratch(&mut self, slots: usize) {
         if self.scratch.len() < slots {
-            let kernel = self.kernel;
-            self.scratch
-                .resize_with(slots, || ContactScratch::with_kernel(kernel));
+            self.scratch.resize_with(slots, ContactScratch::default);
         }
     }
 }

@@ -65,10 +65,11 @@ impl OppBeliefs {
         match kernel {
             Kernel::Scalar => ship_blocks(from, to, since, max_entries),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the one `Kernel` this module is handed is
-            // `Rapid::kernel`, which `Rapid::with_kernel` passed through
-            // `Kernel::assert_supported`: `Avx2` means AVX2 was detected.
-            Kernel::Avx2 => unsafe { ship_blocks_avx2(from, to, since, max_entries) },
+            Kernel::Avx2 => {
+                kernel.assert_supported();
+                // SAFETY: `assert_supported` returned, so AVX2 was detected.
+                unsafe { ship_blocks_avx2(from, to, since, max_entries) }
+            }
             #[cfg(not(target_arch = "x86_64"))]
             Kernel::Avx2 => unreachable!("Avx2 is never selected off x86-64"),
         }
@@ -170,17 +171,9 @@ fn merge_if_fits(
 /// selects of a block become `vpcmpgtq` / `vblendvpd` over four entries
 /// each (baseline x86-64 has no 64-bit vector compare, and the same body
 /// built without the feature stays scalar).
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn ship_blocks_avx2(
-    from: Cols<'_>,
-    to: ColsMut<'_>,
-    since: Time,
-    max_entries: u64,
-) -> (u64, bool) {
+fn ship_blocks_avx2(from: Cols<'_>, to: ColsMut<'_>, since: Time, max_entries: u64) -> (u64, bool) {
     ship_blocks(from, to, since, max_entries)
 }
 

@@ -271,8 +271,8 @@ impl ContactExec<'_> {
             row_peer.push(peer_pos.bytes_ahead_if_inserted(entry.created_at));
         }
         let cap = self.cfg.delay_cap_secs;
-        row_self.compute(side.est_x[dst], b_x, cap);
-        row_peer.compute(side.est_y[dst], b_y, cap);
+        row_self.compute(side.est_x[dst], b_x, cap, self.kernel);
+        row_peer.compute(side.est_y[dst], b_y, cap, self.kernel);
         // Pass 2: score against the precomputed rows.
         for (i, entry) in queue.iter().enumerate() {
             let id = entry.id;

@@ -129,11 +129,11 @@ impl ContactExec<'_> {
         storage: &mut StorageScratch,
     ) {
         let StorageScratch { row, scored, .. } = storage;
-        let b_self = self.opp_bytes(node, node);
+        let (b_self, cap) = (self.opp_bytes(node, node), self.cfg.delay_cap_secs);
         scored.clear();
         for (dst, queue) in queues {
             row.load_queue(queue);
-            row.compute(est[dst.index()], b_self, self.cfg.delay_cap_secs);
+            row.compute(est[dst.index()], b_self, cap, self.kernel);
             for (entry, &a_self) in queue.iter().zip(row.delays()) {
                 if keep(entry.id) {
                     let rate = self.rate_from_a_self(node, entry.id, a_self);

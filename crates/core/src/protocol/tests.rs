@@ -347,6 +347,18 @@ fn global_channel_requires_flag() {
     assert!(result.is_err(), "must refuse to run without the flag");
 }
 
+/// `delay_cap_secs` is a public field, so `with_delay_cap`'s check can be
+/// bypassed; construction refuses what would reach the rows.
+#[test]
+#[should_panic(expected = "diag=delay-cap-invalid")]
+fn a_nan_delay_cap_is_refused_at_construction() {
+    let cfg = RapidConfig {
+        delay_cap_secs: f64::NAN,
+        ..RapidConfig::avg_delay()
+    };
+    Rapid::with_kernel(cfg, Kernel::Scalar);
+}
+
 #[test]
 fn global_channel_runs_clean() {
     let cfg = SimConfig {

@@ -212,51 +212,61 @@ proptest! {
     }
 
     /// The batched Eq. 4–9 kernels must be **bitwise** equal to the scalar
-    /// chain for arbitrary queues — every tail width (`len % RATE_LANES`),
-    /// every available kernel (AVX2 included when the host supports it),
-    /// degenerate meeting estimates and opportunity sizes included.
+    /// chain for arbitrary queues — every tail width (`len % RATE_LANES`,
+    /// lengths 0–9 drawn often), every available kernel (AVX2 included
+    /// when the host supports it), the integer-rounding corners of the
+    /// `u64 → f64` position (`u64::MAX`, 2^53 ± 1), degenerate meeting
+    /// estimates and opportunity sizes, and caps above, at infinity and
+    /// below the minimum per-replica delay.
     #[test]
     fn rate_batch_kernels_match_scalar_chain_bitwise(
-        bytes in prop::collection::vec(
-            prop_oneof![0u64..1 << 30, Just(0), Just(u64::MAX), Just(1u64 << 53)],
-            0..40,
-        ),
+        bytes in prop_oneof![
+            prop::collection::vec(0u64..10_000, 0..10),
+            prop::collection::vec(
+                prop_oneof![
+                    0u64..1 << 30,
+                    Just(0),
+                    Just(u64::MAX),
+                    Just((1u64 << 53) - 1),
+                    Just(1u64 << 53),
+                    Just((1u64 << 53) + 1),
+                ],
+                0..40,
+            ),
+        ],
         meeting in prop_oneof![
             1e-12f64..1e9,
             Just(0.0),
             Just(f64::INFINITY),
             Just(f64::NAN),
+            Just(1e-12),
         ],
-        opp in prop_oneof![1.0f64..1e9, Just(0.0), Just(f64::INFINITY)],
+        opp in prop_oneof![1.0f64..1e9, Just(0.0), Just(1.0), Just(f64::INFINITY)],
+        cap in prop_oneof![Just(1e9), Just(f64::INFINITY), Just(1e-9)],
     ) {
-        let cap = 1e9;
         let kernels: &[Kernel] = if Kernel::detect() == Kernel::Scalar {
             &[Kernel::Scalar]
         } else {
             &[Kernel::Scalar, Kernel::Avx2]
         };
+        let scalar = |b: u64| replica_delay(meeting, meetings_needed(b, opp)).min(cap);
         for &kernel in kernels {
-            let mut batch = RateBatch::new(kernel);
+            let mut batch = RateBatch::default();
             for &b in &bytes {
                 batch.push(b);
             }
-            let rows = batch.compute(meeting, opp, cap);
+            let rows = batch.compute(meeting, opp, cap, kernel);
             prop_assert_eq!(rows.len(), bytes.len());
             for (&b, &row) in bytes.iter().zip(rows) {
-                let scalar = replica_delay(meeting, meetings_needed(b, opp)).min(cap);
                 prop_assert_eq!(
                     row.to_bits(),
-                    scalar.to_bits(),
-                    "kernel {:?} row for bytes={} diverges: {} vs {}",
-                    kernel, b, row, scalar
+                    scalar(b).to_bits(),
+                    "kernel {:?} row for bytes={} cap={} diverges: {} vs {}",
+                    kernel, b, cap, row, scalar(b)
                 );
             }
-            let batched_rate = batch.combined_rate();
-            let scalar_rate = combined_rate(
-                bytes
-                    .iter()
-                    .map(|&b| replica_delay(meeting, meetings_needed(b, opp)).min(cap)),
-            );
+            let batched_rate = batch.combined_rate(kernel);
+            let scalar_rate = combined_rate(bytes.iter().map(|&b| scalar(b)));
             prop_assert_eq!(batched_rate.to_bits(), scalar_rate.to_bits());
         }
     }

@@ -18,7 +18,7 @@ use dtn_sim::{
     Contact, ContactDriver, ContactWindow, NodeBuffer, NodeId, Packet, PacketId, PacketStore,
     Routing, Schedule, SimConfig, Simulation, Time,
 };
-use rapid_core::{QueueSnapshot, Rapid, RapidConfig, RateBatch};
+use rapid_core::{Kernel, QueueSnapshot, Rapid, RapidConfig, RateBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -177,20 +177,21 @@ fn repeat_contact_phase() {
 /// Same-length Eq. 4–9 kernel rows must reuse the batch's lane storage.
 fn rate_batch_phase() {
     let mut batch = RateBatch::default();
+    let kernel = Kernel::detect();
     // Warm-up: sizes the input and output lanes.
     for k in 0..33u64 {
         batch.push(k * 1024);
     }
-    batch.compute(120.0, 4096.0, 1e9);
+    batch.compute(120.0, 4096.0, 1e9, kernel);
 
     let before = ALLOCS.load(Ordering::Relaxed);
     batch.clear();
     for k in 0..33u64 {
         batch.push(k * 2048 + 7);
     }
-    let rows = batch.compute(90.0, 2048.0, 1e9);
+    let rows = batch.compute(90.0, 2048.0, 1e9, kernel);
     assert_eq!(rows.len(), 33);
-    let rate = batch.combined_rate();
+    let rate = batch.combined_rate(kernel);
     assert!(rate.is_finite() && rate > 0.0);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(

@@ -22,7 +22,7 @@
 //! lifetimes — not the authors' absolute numbers.
 
 use crate::exponential::window;
-use dtn_sim::{CompiledPlan, ContactWindow, NodeId, Schedule, Time, TimeDelta};
+use dtn_sim::{ContactWindow, NodeId, Schedule, Time, TimeDelta};
 use dtn_stats::rng::SeedStream;
 use dtn_stats::sample::{poisson_process, Exponential, LogNormal, Poisson};
 use dtn_trace::{ContactRecord, Record, Trace};
@@ -202,16 +202,6 @@ impl DieselNet {
         (0..days).map(|d| self.generate_day(d)).collect()
     }
 
-    /// Compiles one service day into a [`CompiledPlan`] whose expansion is
-    /// byte-identical to `generate_day(day).schedule`. DieselNet meetings
-    /// carry lognormal per-meeting opportunities, so most windows stay
-    /// literal atoms — the win here is sharing (one plan behind an `Arc`
-    /// serves every sweep point that replays the day) rather than deep
-    /// compression, which belongs to fleets with repeating opportunities.
-    pub fn compile_day(&self, day: u32) -> CompiledPlan {
-        CompiledPlan::compress_schedule(&self.generate_day(day).schedule)
-    }
-
     /// Streams the windows of consecutive service days, each day shifted
     /// onto a common timeline (day `days.start + k` by `k · day_length`).
     ///
@@ -284,6 +274,7 @@ impl Iterator for DayWindowStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtn_sim::CompiledPlan;
 
     fn fleet() -> DieselNet {
         DieselNet::new(DieselNetConfig::default(), 42)
@@ -293,7 +284,7 @@ mod tests {
     fn compiled_day_replays_the_schedule_exactly() {
         let f = fleet();
         let schedule = f.generate_day(3).schedule;
-        let plan = Arc::new(f.compile_day(3));
+        let plan = Arc::new(CompiledPlan::compress_schedule(&schedule));
         let replayed: Vec<ContactWindow> = plan.stream().collect();
         assert_eq!(replayed, schedule.windows());
         assert_eq!(plan.window_count(), schedule.len() as u64);

@@ -97,18 +97,6 @@ pub enum TransferOutcome {
     NeedsSpace(u64),
 }
 
-impl TransferOutcome {
-    /// Whether bytes moved across the link.
-    pub fn consumed_bandwidth(&self) -> bool {
-        matches!(
-            self,
-            TransferOutcome::Delivered
-                | TransferOutcome::DeliveredDuplicate
-                | TransferOutcome::Replicated
-        )
-    }
-}
-
 /// A DTN routing protocol.
 ///
 /// Implementations drive all packet movement through the [`ContactDriver`]
@@ -376,16 +364,6 @@ impl PacketStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outcome_bandwidth_classification() {
-        assert!(TransferOutcome::Delivered.consumed_bandwidth());
-        assert!(TransferOutcome::DeliveredDuplicate.consumed_bandwidth());
-        assert!(TransferOutcome::Replicated.consumed_bandwidth());
-        assert!(!TransferOutcome::AlreadyHeld.consumed_bandwidth());
-        assert!(!TransferOutcome::NoBandwidth.consumed_bandwidth());
-        assert!(!TransferOutcome::NeedsSpace(5).consumed_bandwidth());
-    }
 
     #[test]
     fn packet_store_roundtrip() {

@@ -81,11 +81,6 @@ impl TimeDelta {
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// This span in minutes.
-    pub fn as_mins_f64(&self) -> f64 {
-        self.0 as f64 / 60e6
-    }
 }
 
 impl Add<TimeDelta> for Time {
@@ -139,7 +134,6 @@ mod tests {
         assert_eq!(Time::from_hours(1), Time::from_secs(3600));
         assert!((Time::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
         assert!((TimeDelta::from_secs_f64(0.25).as_secs_f64() - 0.25).abs() < 1e-9);
-        assert!((TimeDelta::from_mins(2).as_mins_f64() - 2.0).abs() < 1e-12);
     }
 
     #[test]

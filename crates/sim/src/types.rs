@@ -55,34 +55,13 @@ pub struct Packet {
     pub created_at: Time,
 }
 
-impl Packet {
-    /// Time since creation — the paper's `T(i)`.
-    pub fn age_at(&self, now: Time) -> crate::time::TimeDelta {
-        now.since(self.created_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::TimeDelta;
 
     #[test]
     fn display_forms() {
         assert_eq!(NodeId(3).to_string(), "n3");
         assert_eq!(PacketId(9).to_string(), "p9");
-    }
-
-    #[test]
-    fn age_is_saturating() {
-        let p = Packet {
-            id: PacketId(0),
-            src: NodeId(0),
-            dst: NodeId(1),
-            size_bytes: 1024,
-            created_at: Time::from_secs(10),
-        };
-        assert_eq!(p.age_at(Time::from_secs(12)), TimeDelta::from_secs(2));
-        assert_eq!(p.age_at(Time::from_secs(5)), TimeDelta::ZERO);
     }
 }

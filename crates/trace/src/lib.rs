@@ -82,17 +82,6 @@ impl Trace {
             .collect()
     }
 
-    /// All packet records for `day`, in time order.
-    pub fn packets_on(&self, day: u32) -> Vec<PacketRecord> {
-        self.records
-            .iter()
-            .filter_map(|r| match r {
-                Record::Packet(p) if p.day == day => Some(*p),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The set of node ids appearing anywhere in the trace, ascending.
     pub fn node_ids(&self) -> Vec<u32> {
         let mut ids = Vec::new();
@@ -507,8 +496,6 @@ mod tests {
         assert_eq!(t.days(), vec![0, 1]);
         assert_eq!(t.node_ids(), vec![1, 2, 3]);
         assert_eq!(t.contacts_on(0).len(), 1);
-        assert_eq!(t.packets_on(0).len(), 1);
-        assert_eq!(t.packets_on(1).len(), 0);
     }
 
     #[test]
