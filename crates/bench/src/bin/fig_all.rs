@@ -21,6 +21,8 @@
 //! requested one runs even if an earlier one fails (panics are caught),
 //! and the exit status reflects the pass/fail summary printed at the end.
 
+#![forbid(unsafe_code)]
+
 use rapid_bench::knobs;
 use rapid_bench::registry::{self, ExperimentPlan};
 

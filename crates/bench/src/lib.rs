@@ -19,6 +19,8 @@
 //! lists the names (README.md's knob table says what each does), and
 //! `fig_all` exits 2 on a `RAPID_*` variable that is not among them.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod experiments;
 pub mod families;

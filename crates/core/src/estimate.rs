@@ -275,6 +275,7 @@ impl RateBatch {
     /// If `cap_secs` is not positive (NaN included;
     /// `diag=delay-cap-invalid`), or if the CPU cannot execute `kernel`
     /// (`diag=kernel-unsupported`).
+    #[allow(unsafe_code)]
     pub fn compute(
         &mut self,
         expected_meeting_secs: f64,
@@ -323,6 +324,7 @@ impl RateBatch {
     ///
     /// # Panics
     /// If the CPU cannot execute `kernel` (`diag=kernel-unsupported`).
+    #[allow(unsafe_code)]
     pub fn combined_rate(&self, kernel: Kernel) -> f64 {
         match kernel {
             Kernel::Scalar => rate(&self.delays),

@@ -46,6 +46,11 @@
 //!     .run(&mut Rapid::new(RapidConfig::avg_delay()));
 //! assert_eq!(report.delivered(), 1);
 //! ```
+//!
+//! `unsafe` is denied crate-wide; each of the three `Kernel::Avx2` arms
+//! (row, rate, §4.2 merge) allows it on its own function.
+
+#![deny(unsafe_code)]
 
 pub mod config;
 pub mod control;

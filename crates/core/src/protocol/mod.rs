@@ -36,11 +36,12 @@
 //! property behind RAPID's [`ContactConcurrency::NodeDisjoint`]
 //! declaration. The [`Routing`] hooks that build a lease are written once,
 //! on `RapidShardView`, a run of nodes: the sharded runtime hands each
-//! shard a view over its partition range, and serial execution runs
-//! through the same view over `0..n` (a batch leases its node-disjoint
-//! pairs directly). The one exception is the `InstantGlobal` oracle, which
-//! reads arbitrary nodes: it leases the full slice and declares itself
-//! [`ContactConcurrency::Serial`].
+//! shard a view over its [`Partition::split_mut`] range, and serial
+//! execution runs through the same view over `0..n` (a batch leases its
+//! node-disjoint pairs with [`dtn_sim::par::disjoint_pairs`]). Every lease
+//! is a borrow the compiler checks. The one exception is the
+//! `InstantGlobal` oracle, which reads arbitrary nodes: it leases the full
+//! slice and declares itself [`ContactConcurrency::Serial`].
 //!
 //! The steady-state contact is allocation-free: queue snapshots, h-hop
 //! estimate vectors, candidate lists and exchange listings all live in a
@@ -57,14 +58,16 @@ mod storage;
 use crate::config::{ChannelMode, RapidConfig, RoutingMetric};
 use crate::estimate::{Kernel, QueueSnapshot};
 use crate::meetings::{relax_rows_into, HopEstimates};
+use dtn_sim::par::disjoint_pairs;
 use dtn_sim::{
     ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
-    PacketStore, Partition, Routing, SimConfig, SlicePartition, Time,
+    PacketStore, Partition, Routing, SimConfig, Time,
 };
 use exchange::ExchangeScratch;
 use select::SelectScratch;
 use state::{NodeState, StatePair};
 use std::sync::atomic::AtomicBool;
+use std::sync::Mutex;
 use storage::RoomRequest;
 
 /// The RAPID routing protocol.
@@ -77,10 +80,10 @@ pub struct Rapid {
     /// call that runs one. Vetted by [`Kernel::assert_supported`] in
     /// [`Rapid::with_kernel`], and again by each AVX2 arm.
     kernel: Kernel,
-    /// Reusable contact scratch; `[0]` serves serial execution, and the
-    /// vector grows to the pool's worker count for batch execution (one
-    /// scratch per worker — workers never share).
-    scratch: Vec<ContactScratch>,
+    /// Reusable contact scratch; `[0]` serves serial execution. The vector
+    /// grows to one slot per batch worker (locked, never contended) or per
+    /// shard of a sharded epoch (borrowed).
+    scratch: Vec<Mutex<ContactScratch>>,
     /// Set once the "meeting row exceeds the opportunity" notice has been
     /// raised, so the per-contact check stays a relaxed load.
     row_warned: AtomicBool,
@@ -344,7 +347,7 @@ impl Rapid {
             cfg,
             states: Vec::new(),
             kernel,
-            scratch: vec![ContactScratch::default()],
+            scratch: vec![Mutex::default()],
             row_warned: AtomicBool::new(false),
         }
     }
@@ -370,7 +373,7 @@ impl Rapid {
             n: self.states.len(),
             base: 0,
             states: &mut self.states,
-            scratch: &mut self.scratch[0],
+            scratch: self.scratch[0].get_mut().expect("contact scratch lock"),
             kernel: self.kernel,
             row_warned: &self.row_warned,
         }
@@ -379,7 +382,7 @@ impl Rapid {
     /// Grows the scratch vector to one slot per concurrent execution.
     fn ensure_scratch(&mut self, slots: usize) {
         if self.scratch.len() < slots {
-            self.scratch.resize_with(slots, ContactScratch::default);
+            self.scratch.resize_with(slots, Mutex::default);
         }
     }
 }
@@ -445,21 +448,15 @@ impl Routing for Rapid {
         self.ensure_scratch(pool.workers());
         let n = self.states.len();
         let (cfg, kernel, row_warned) = (&self.cfg, self.kernel, &self.row_warned);
-        let states = SlicePartition::new(&mut self.states);
-        let scratches = SlicePartition::new(&mut self.scratch);
-        let drivers = SlicePartition::new(batch);
-        pool.run(drivers.len(), &|worker, i| {
-            // SAFETY: each batch index is claimed by exactly one worker
-            // (`ContactPool::run`); drivers are node-disjoint (the
-            // engine's batch contract), so the two state slots of driver
-            // `i` are borrowed by no other concurrent execution; each
-            // worker uses only its own scratch slot.
-            let driver = unsafe { drivers.get_mut(i) };
+        let scratch = &self.scratch;
+        let ends = batch.iter().map(|d| d.endpoints());
+        let leases = disjoint_pairs(&mut self.states, ends.map(|(a, b)| (a.index(), b.index())));
+        let mut contacts: Vec<_> = batch.iter_mut().zip(leases).collect();
+        pool.run_each(&mut contacts, &|worker, (driver, (sa, sb))| {
             let (a, b) = driver.endpoints();
-            let (sa, sb) = unsafe { states.pair_mut(a.index(), b.index()) };
-            let scratch = unsafe { scratches.get_mut(worker) };
             let lease = StatePair::Pair { a, sa, b, sb };
-            ContactExec::new(cfg, n, lease, kernel, row_warned).contact(driver, scratch);
+            let mut scratch = scratch[worker].lock().expect("contact scratch lock");
+            ContactExec::new(cfg, n, lease, kernel, row_warned).contact(driver, &mut scratch);
         });
     }
 
@@ -470,31 +467,27 @@ impl Routing for Rapid {
         drain: &(dyn Fn(usize, &mut dyn Routing) + Sync),
     ) -> bool {
         debug_assert!(!self.is_global(), "global channel declared Serial");
-        let shards = partition.shards();
-        self.ensure_scratch(shards);
+        self.ensure_scratch(partition.shards());
         let n = self.states.len();
         let (cfg, kernel, row_warned) = (&self.cfg, self.kernel, &self.row_warned);
-        let states = SlicePartition::new(&mut self.states);
-        let scratches = SlicePartition::new(&mut self.scratch);
-        pool.run(shards, &|_worker, s| {
-            // SAFETY: partition ranges are disjoint and each shard index
-            // is claimed by exactly one worker (`ContactPool::run`), so
-            // shard `s`'s run of node states and scratch slot `s` are
-            // borrowed by no other concurrent execution. The drained
-            // messages address only nodes the shard owns (the sharded
-            // runtime's routing contract), which `RapidShardView` enforces by
-            // construction: its lease is exactly `partition.range(s)`.
-            let range = partition.range(s);
+        // Shard `s` gets its partition range of the states (a message for
+        // a node outside it panics in `RapidShardView`) and scratch slot `s`.
+        let mut shards: Vec<_> = partition
+            .split_mut(&mut self.states)
+            .zip(&mut self.scratch)
+            .enumerate()
+            .collect();
+        pool.run_each(&mut shards, &|_worker, (s, (states, scratch))| {
             let mut view = RapidShardView {
                 cfg,
                 n,
-                base: range.start,
-                states: unsafe { states.range_mut(range) },
-                scratch: unsafe { scratches.get_mut(s) },
+                base: partition.range(*s).start,
+                states,
+                scratch: scratch.get_mut().expect("contact scratch lock"),
                 kernel,
                 row_warned,
             };
-            drain(s, &mut view);
+            drain(*s, &mut view);
         });
         true
     }

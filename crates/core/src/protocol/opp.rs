@@ -52,6 +52,7 @@ impl OppBeliefs {
     /// in ascending node order; a shipped belief replaces the receiver's
     /// only if it is newer, and counts against the budget either way.
     /// Returns how many shipped and whether a fresh one was left behind.
+    #[allow(unsafe_code)]
     pub(super) fn ship_into(
         &self,
         to: &mut OppBeliefs,

@@ -86,18 +86,6 @@ pub(super) enum StatePair<'a> {
     },
 }
 
-/// Split-borrows two distinct elements of `states`.
-fn split_two(states: &mut [NodeState], xi: usize, yi: usize) -> (&mut NodeState, &mut NodeState) {
-    assert_ne!(xi, yi);
-    if xi < yi {
-        let (lo, hi) = states.split_at_mut(yi);
-        (&mut lo[xi], &mut hi[0])
-    } else {
-        let (lo, hi) = states.split_at_mut(xi);
-        (&mut hi[0], &mut lo[yi])
-    }
-}
-
 /// Index of node `x` in a shard's run of `len` states starting at node
 /// `base`; a node outside the run is a routing-contract breach.
 fn local(base: usize, len: usize, x: NodeId) -> usize {
@@ -115,7 +103,9 @@ impl<'a> StatePair<'a> {
     /// `states` (node `base` first).
     pub(super) fn pair_in(base: usize, states: &'a mut [NodeState], a: NodeId, b: NodeId) -> Self {
         let (ai, bi) = (local(base, states.len(), a), local(base, states.len(), b));
-        let (sa, sb) = split_two(states, ai, bi);
+        let [sa, sb] = states
+            .get_disjoint_mut([ai, bi])
+            .expect("a contact's two endpoints are distinct");
         StatePair::Pair { a, sa, b, sb }
     }
 
@@ -163,7 +153,12 @@ impl StatePair<'_> {
     /// Split-borrows two distinct node states.
     pub(super) fn two(&mut self, x: NodeId, y: NodeId) -> (&mut NodeState, &mut NodeState) {
         match self {
-            StatePair::Full(states) => split_two(states, x.index(), y.index()),
+            StatePair::Full(states) => {
+                let [sx, sy] = states
+                    .get_disjoint_mut([x.index(), y.index()])
+                    .expect("two distinct node states");
+                (sx, sy)
+            }
             StatePair::Pair { a, sa, b, sb } => {
                 if x == *a && y == *b {
                     (sa, sb)

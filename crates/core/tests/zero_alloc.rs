@@ -5,9 +5,9 @@
 //! per-contact scratch reuse in `protocol/mod.rs`), the [`RateBatch`] kernel
 //! rows (Eq. 4–9 over whole queues), the batch scheduler's
 //! `take_ready_into` drain (capacity ping-pong + in-place compaction),
-//! the contact pool's dispatch, and whole RAPID contacts between nodes
-//! that have met before (the sparse per-peer state's sorted inserts are
-//! first-meeting-only).
+//! the contact pool's dispatch by index and by item, and whole RAPID
+//! contacts between nodes that have met before (the sparse per-peer
+//! state's sorted inserts are first-meeting-only).
 //!
 //! One test only: the counter is process-global, and a sibling test's
 //! allocations would pollute the measurement.
@@ -249,7 +249,8 @@ fn batcher_phase() {
 }
 
 /// Dispatch reuses the pool's cursor and hand-shake state: after the
-/// first batch, further batches allocate nothing.
+/// first batch, further batches allocate nothing — by index, and by item
+/// through `run_each`'s locked iterator.
 fn pool_phase() {
     std::thread::scope(|scope| {
         let pool = ContactPool::start(scope, 2);
@@ -257,14 +258,23 @@ fn pool_phase() {
         let task = |_worker: usize, _idx: usize| {
             hits.fetch_add(1, Ordering::Relaxed);
         };
+        let mut items = vec![0u64; 64];
+        let bump = |_worker: usize, item: &mut u64| *item += 1;
         // Warm-up: first dispatch may fault in thread state.
         pool.run(64, &task);
+        pool.run_each(&mut items, &bump);
 
         let before = ALLOCS.load(Ordering::Relaxed);
         pool.run(64, &task);
         pool.run(64, &task);
+        pool.run_each(&mut items, &bump);
+        pool.run_each(&mut items, &bump);
         let after = ALLOCS.load(Ordering::Relaxed);
         assert_eq!(hits.load(Ordering::Relaxed), 192);
+        assert!(
+            items.iter().all(|&n| n == 3),
+            "every item ran once per dispatch"
+        );
         assert_eq!(
             after - before,
             0,

@@ -26,6 +26,8 @@
 //! replay them bit-exactly, and fleets past pairwise enumeration use the
 //! scale generators and their compressed plans.
 
+#![forbid(unsafe_code)]
+
 pub mod dieselnet;
 pub mod exponential;
 pub mod powerlaw;

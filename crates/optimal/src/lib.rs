@@ -24,6 +24,8 @@
 //! schedules — which is what the Appendix-D ILP encodes with its
 //! conservation constraint — equals the optimum over replication schedules.
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod edp;
 pub mod exact;

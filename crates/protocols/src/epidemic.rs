@@ -10,7 +10,7 @@
 use crate::common::{deliver_destined, load_empty_state, replication_candidates, victims_until};
 use dtn_sim::{
     ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
-    PacketStore, Partition, Routing, SimConfig, SlicePartition, Time, TransferOutcome,
+    PacketStore, Partition, Routing, SimConfig, Time, TransferOutcome,
 };
 
 /// Unbounded flooding.
@@ -63,13 +63,7 @@ impl Routing for Epidemic {
     }
 
     fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
-        let drivers = SlicePartition::new(batch);
-        pool.run(drivers.len(), &|_worker, i| {
-            // SAFETY: each batch index is claimed by exactly one worker
-            // (ContactPool::run) and drivers address disjoint world slices
-            // (the engine's node-disjoint batch contract).
-            Self::contact_core(unsafe { drivers.get_mut(i) });
-        });
+        pool.run_each(batch, &|_worker, driver| Self::contact_core(driver));
     }
 
     fn on_shard_epoch(

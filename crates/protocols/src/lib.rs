@@ -20,6 +20,8 @@
 //! cost. All protocols perform direct delivery before replication; none
 //! fragments packets.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod epidemic;
 pub mod maxprop;

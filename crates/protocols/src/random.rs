@@ -22,7 +22,7 @@ use crate::common::{
 };
 use dtn_sim::{
     AckTable, ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
-    PacketStore, Partition, Routing, SimConfig, SlicePartition, Time, TransferOutcome,
+    PacketStore, Partition, Routing, SimConfig, Time, TransferOutcome,
 };
 use dtn_stats::SeedStream;
 use rand::rngs::StdRng;
@@ -214,13 +214,8 @@ impl Routing for Random {
     fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
         debug_assert!(!self.with_acks, "ack variant declared Serial");
         let contacts = self.contacts;
-        let drivers = SlicePartition::new(batch);
-        pool.run(drivers.len(), &|_worker, i| {
-            // SAFETY: each batch index is claimed by exactly one worker
-            // (ContactPool::run) and drivers address disjoint world slices
-            // (the engine's node-disjoint batch contract).
-            let driver = unsafe { drivers.get_mut(i) };
-            Self::contact_core(contacts, driver);
+        pool.run_each(batch, &|_worker, driver| {
+            Self::contact_core(contacts, driver)
         });
     }
 

@@ -90,16 +90,10 @@ impl AckTable {
     /// control channel.
     pub fn exchange(&mut self, a: NodeId, b: NodeId) -> (usize, usize) {
         assert_ne!(a, b, "cannot exchange acks with self");
-        let (ai, bi) = (a.index(), b.index());
-        // Split-borrow the two entries.
-        let (lo, hi) = if ai < bi { (ai, bi) } else { (bi, ai) };
-        let (head, tail) = self.per_node.split_at_mut(hi);
-        let (first, second) = (&mut head[lo], &mut tail[0]);
-        let (set_a, set_b) = if ai < bi {
-            (first, second)
-        } else {
-            (second, first)
-        };
+        let [set_a, set_b] = self
+            .per_node
+            .get_disjoint_mut([a.index(), b.index()])
+            .expect("both nodes in the table");
         let to_a = set_a.union_from(set_b);
         let to_b = set_b.union_from(set_a);
         (to_a, to_b)

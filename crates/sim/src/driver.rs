@@ -9,23 +9,25 @@
 //! # Serial and batch world access
 //!
 //! The serial engine hands each driver the *full* world (every buffer, the
-//! delivered-at table, the holder sets). Under intra-run parallelism
-//! (`RAPID_INTRA_JOBS > 1`, see [`crate::par`]) a batch of node-disjoint
-//! contacts executes concurrently, and each driver instead holds a *pair*
-//! view: exclusive access to its two endpoint buffers, a contracted view
-//! of `delivered_at` (a packet's slot is only touched by the single
-//! contact involving the packet's destination), and a deferred holder-op
-//! log the engine applies at commit time. Both views produce identical
-//! observable behaviour for protocols that only address the contact's
-//! endpoints; the global view ([`ContactDriver::global`]) exists only in
-//! serial mode (global-knowledge runs are never batched).
+//! holder sets). Under intra-run parallelism (`RAPID_INTRA_JOBS > 1`, see
+//! [`crate::par`]) and inside a shard's epoch ([`crate::shard`]), a driver
+//! instead holds a *pair* view: `&mut` borrows of its two endpoint buffers,
+//! split off by the borrow checker, and a deferred holder-op log the engine
+//! applies at commit time. Every view shares the run's `DeliveredAt`
+//! column by `&`: its slots are relaxed atomics, so concurrent contacts
+//! can never race on it, and a packet's slot is only ever written by the
+//! contact reaching its destination — one contact per batch or shard
+//! epoch — so what each contact reads is the serial value. Both views
+//! produce identical observable behaviour for protocols that only address
+//! the contact's endpoints; the global view ([`ContactDriver::global`])
+//! exists only in serial mode (global-knowledge runs are never batched).
 
 use crate::buffer::NodeBuffer;
 use crate::ids::IndexSet;
-use crate::par::RawSlice;
 use crate::routing::{PacketStore, TransferOutcome};
 use crate::time::Time;
 use crate::types::{NodeId, PacketId};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Direction of flow within a contact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,23 +69,66 @@ impl HolderOp {
     }
 }
 
+/// Each packet's first-delivery instant, one relaxed atomic per packet
+/// (`u64::MAX` = not delivered), owned by the run's world and shared by `&`
+/// with every driver (see the module docs). A slot publishes no other
+/// data, so `Relaxed` suffices: a worker's stores reach the next reader
+/// through `ContactPool::run`'s completion hand-off (its `AcqRel` counter
+/// and state mutex). On x86-64 a relaxed load or store is a plain `mov`.
+#[derive(Debug, Default)]
+pub(crate) struct DeliveredAt(Vec<AtomicU64>);
+
+const UNDELIVERED: u64 = u64::MAX;
+
+impl DeliveredAt {
+    /// The column holding `slots` (a snapshot's form).
+    pub(crate) fn from_slots(slots: &[Option<Time>]) -> Self {
+        Self(
+            slots
+                .iter()
+                .map(|d| AtomicU64::new(d.map_or(UNDELIVERED, |t| t.0)))
+                .collect(),
+        )
+    }
+
+    /// The slots in packet order, as a snapshot and the report carry them.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = Option<Time>> + '_ {
+        (0..self.0.len() as u32).map(|i| self.get(PacketId(i)))
+    }
+
+    /// Appends an undelivered slot for a packet just created.
+    pub(crate) fn push_undelivered(&mut self) {
+        self.0.push(AtomicU64::new(UNDELIVERED));
+    }
+
+    pub(crate) fn get(&self, id: PacketId) -> Option<Time> {
+        let t = self.0[id.index()].load(Ordering::Relaxed);
+        (t != UNDELIVERED).then_some(Time(t))
+    }
+
+    fn set(&self, id: PacketId, at: Time) {
+        assert_ne!(at.0, UNDELIVERED, "a delivery at the end of time");
+        self.0[id.index()].store(at.0, Ordering::Relaxed);
+    }
+}
+
 /// Mutable world state the driver operates on; borrowed from the engine.
 pub(crate) enum WorldMut<'a> {
     /// The serial engine's full world.
     Full {
         packets: &'a PacketStore,
         buffers: &'a mut [NodeBuffer],
-        delivered_at: &'a mut [Option<Time>],
+        delivered_at: &'a DeliveredAt,
         holders: &'a mut [IndexSet],
     },
-    /// One batch contact's exclusive slice of the world (see module docs).
+    /// One batch or shard contact's slice of the world (see module docs).
     Pair {
         packets: &'a PacketStore,
         a: NodeId,
         buf_a: &'a mut NodeBuffer,
         b: NodeId,
         buf_b: &'a mut NodeBuffer,
-        delivered_at: RawSlice<'a, Option<Time>>,
+        delivered_at: &'a DeliveredAt,
         holder_log: Vec<HolderOp>,
     },
 }
@@ -92,6 +137,14 @@ impl WorldMut<'_> {
     fn packets(&self) -> &PacketStore {
         match self {
             WorldMut::Full { packets, .. } | WorldMut::Pair { packets, .. } => packets,
+        }
+    }
+
+    fn delivered_at(&self) -> &DeliveredAt {
+        match self {
+            WorldMut::Full { delivered_at, .. } | WorldMut::Pair { delivered_at, .. } => {
+                delivered_at
+            }
         }
     }
 
@@ -126,29 +179,6 @@ impl WorldMut<'_> {
                     panic!("{node} is outside this batch contact's pair view")
                 }
             }
-        }
-    }
-
-    /// Reads a packet's delivered-at slot. In pair mode this is only ever
-    /// called for packets destined to one of the contact's endpoints,
-    /// which is exactly the per-batch exclusivity contract of
-    /// [`RawSlice`] (no other batch member can involve that destination).
-    fn delivered_at(&self, id: PacketId) -> Option<Time> {
-        match self {
-            WorldMut::Full { delivered_at, .. } => delivered_at[id.index()],
-            // SAFETY: see above — slot exclusivity per the batch contract.
-            WorldMut::Pair { delivered_at, .. } => unsafe { delivered_at.get(id.index()) },
-        }
-    }
-
-    fn set_delivered_at(&mut self, id: PacketId, now: Time) {
-        match self {
-            WorldMut::Full { delivered_at, .. } => delivered_at[id.index()] = Some(now),
-            // SAFETY: as `delivered_at` — slot exclusivity per the batch
-            // contract.
-            WorldMut::Pair { delivered_at, .. } => unsafe {
-                delivered_at.set(id.index(), Some(now))
-            },
         }
     }
 
@@ -329,8 +359,9 @@ impl<'a> ContactDriver<'a> {
             self.ledger.data_bytes += size;
             // Sender observed the delivery: its own replica is now useless.
             self.remove_replica(from, id);
-            if self.world.delivered_at(id).is_none() {
-                self.world.set_delivered_at(id, self.now);
+            let delivered_at = self.world.delivered_at();
+            if delivered_at.get(id).is_none() {
+                delivered_at.set(id, self.now);
                 self.ledger.deliveries += 1;
                 TransferOutcome::Delivered
             } else {
@@ -418,7 +449,7 @@ impl<'a> ContactDriver<'a> {
 
 /// Read-only true global state (instant global control channel, §6.2.3).
 pub struct GlobalView<'a> {
-    delivered_at: &'a [Option<Time>],
+    delivered_at: &'a DeliveredAt,
     holders: &'a [IndexSet],
     buffers: &'a [NodeBuffer],
 }
@@ -426,7 +457,7 @@ pub struct GlobalView<'a> {
 impl GlobalView<'_> {
     /// Whether the packet has been delivered (anywhere, as of now).
     pub fn is_delivered(&self, id: PacketId) -> bool {
-        self.delivered_at[id.index()].is_some()
+        self.delivered_at.get(id).is_some()
     }
 
     /// The nodes currently holding replicas of `id`, in ascending node-id

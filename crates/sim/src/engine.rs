@@ -25,7 +25,7 @@ use crate::contact::Schedule;
 use crate::driver::{ContactDriver, HolderOp, WorldMut};
 use crate::event::NodeEvent;
 use crate::noise::NoiseModel;
-use crate::par::{Batcher, ContactPool, PendingDrive, RawSlice, SlicePartition};
+use crate::par::{disjoint_pairs, Batcher, ContactPool, PendingDrive};
 use crate::report::SimReport;
 use crate::routing::{Routing, SimConfig};
 use crate::scan::{scan, Executor, Immediate, Run, World};
@@ -33,34 +33,16 @@ use crate::source::{ContactSource, WorkloadSource};
 use crate::time::Time;
 use crate::types::{NodeId, PacketId};
 
-/// Reusable storage for the batch flush loop: the drained ready set, the
-/// per-flush driver list, and a pool of holder-op log vectors — all
-/// recycled across flushes so steady-state batch execution allocates
-/// nothing.
+/// Reusable storage for the batch flush loop: the drained ready set and a
+/// pool of holder-op log vectors, recycled across flushes. The drivers
+/// borrow the world, so their list is built per flush.
 #[derive(Default)]
 struct FlushScratch {
     /// The ready set drained from the batcher (capacity ping-pongs with
     /// the batcher's internal vector).
     ready: Vec<PendingDrive>,
-    /// The driver list's raw allocation, parked between flushes. The
-    /// `'static` here is nominal: the vector is always empty outside
-    /// `execute_ready`, which re-tags the lifetime via
-    /// [`recycle_drivers`].
-    drivers: Vec<ContactDriver<'static>>,
     /// Holder-op logs returned by committed drivers, cleared for reuse.
     logs: Vec<Vec<HolderOp>>,
-}
-
-/// Re-tags the lifetime parameter of an *empty* driver vector so its
-/// allocation can be reused for the next flush's borrows.
-fn recycle_drivers<'b>(v: Vec<ContactDriver<'_>>) -> Vec<ContactDriver<'b>> {
-    assert!(v.is_empty(), "only an empty driver vec can change lifetime");
-    let mut v = std::mem::ManuallyDrop::new(v);
-    let (ptr, cap) = (v.as_mut_ptr(), v.capacity());
-    // SAFETY: the vector is empty, so no value of the old lifetime
-    // survives; only the raw allocation is reused, and types differing
-    // solely in lifetime parameters share one layout.
-    unsafe { Vec::from_raw_parts(ptr.cast::<ContactDriver<'b>>(), 0, cap) }
 }
 
 /// A fully specified simulation run: configuration, contact-window schedule,
@@ -308,35 +290,17 @@ impl Executor for Batched<'_, '_> {
 }
 
 /// Executes one pairwise node-disjoint set of drives (`scratch.ready`) and
-/// commits it, returning the driver and log allocations to the scratch
-/// pool for the next flush.
+/// commits it, returning the log allocations to the scratch pool for the
+/// next flush. The endpoint buffers are leased by [`disjoint_pairs`], so a
+/// batch whose members share a node panics in every build.
 fn execute_ready(
     run: &mut Run<'_>,
     routing: &mut dyn Routing,
     pool: &ContactPool,
     scratch: &mut FlushScratch,
 ) {
-    let FlushScratch {
-        ready,
-        drivers: parked,
-        logs,
-    } = scratch;
-    let ready: &[PendingDrive] = ready;
+    let FlushScratch { ready, logs } = scratch;
     debug_assert!(!run.config.allow_global_knowledge);
-    #[cfg(debug_assertions)]
-    {
-        // Defense in depth: the batcher's contract — pairwise-disjoint
-        // node sets — is what makes the unsafe splits below sound.
-        let mut nodes: Vec<usize> = ready
-            .iter()
-            .flat_map(|p| [p.window.a.index(), p.window.b.index()])
-            .collect();
-        nodes.sort_unstable();
-        let len = nodes.len();
-        nodes.dedup();
-        debug_assert_eq!(len, nodes.len(), "batch members must be node-disjoint");
-    }
-
     let Run { world, report, .. } = run;
     let World {
         buffers,
@@ -345,38 +309,38 @@ fn execute_ready(
         holders,
         ..
     } = world;
-    let parts = SlicePartition::new(buffers.as_mut_slice());
-    let delivered = RawSlice::new(delivered_at.as_mut_slice());
-    let mut drivers = recycle_drivers(std::mem::take(parked));
-    drivers.extend(ready.iter().map(|p| {
-        // SAFETY: batch members are pairwise node-disjoint (asserted
-        // above, guaranteed by the batcher), so every buffer slot is
-        // borrowed at most once across this driver set.
-        let (buf_a, buf_b) = unsafe { parts.pair_mut(p.window.a.index(), p.window.b.index()) };
-        ContactDriver::new(
-            WorldMut::Pair {
-                packets: store,
-                a: p.window.a,
-                buf_a,
-                b: p.window.b,
-                buf_b,
-                delivered_at: delivered.share(),
-                holder_log: logs.pop().unwrap_or_default(),
-            },
-            p.now,
-            p.window.a,
-            p.window.b,
-            p.budget,
-            false,
-            p.seq,
-        )
-    }));
+    let ends = ready
+        .iter()
+        .map(|p| (p.window.a.index(), p.window.b.index()));
+    let mut drivers: Vec<ContactDriver<'_>> = ready
+        .iter()
+        .zip(disjoint_pairs(buffers, ends))
+        .map(|(p, (buf_a, buf_b))| {
+            ContactDriver::new(
+                WorldMut::Pair {
+                    packets: store,
+                    a: p.window.a,
+                    buf_a,
+                    b: p.window.b,
+                    buf_b,
+                    delivered_at,
+                    holder_log: logs.pop().unwrap_or_default(),
+                },
+                p.now,
+                p.window.a,
+                p.window.b,
+                p.budget,
+                false,
+                p.seq,
+            )
+        })
+        .collect();
 
     routing.on_contact_batch(&mut drivers, pool);
 
     // Commit in scan order: report accounting, deferred holder ops, and
     // the contact-end hook.
-    for (p, driver) in ready.iter().zip(drivers.drain(..)) {
+    for (p, driver) in ready.iter().zip(drivers) {
         let (ledger, mut log) = driver.into_commit();
         if p.measured {
             report.contacts += 1;
@@ -391,7 +355,6 @@ fn execute_ready(
         logs.push(log);
         routing.on_contact_end(p.window.a, p.window.b, p.now, false);
     }
-    *parked = recycle_drivers(drivers);
 }
 
 #[cfg(test)]

@@ -52,6 +52,12 @@
 //! integer microseconds ([`time::Time`]), giving bit-for-bit reproducible
 //! results for a given seed; instantaneous schedules reproduce the seed
 //! engine's two-stream merge byte-for-byte.
+//!
+//! `unsafe` is denied crate-wide: every parallel split is a borrow the
+//! compiler checks, and the one exception is [`par::ContactPool`]'s
+//! lifetime erasure of its task, allowed item by item.
+
+#![deny(unsafe_code)]
 
 pub mod acks;
 pub mod buffer;
@@ -89,9 +95,7 @@ pub use event::{EventQueue, NodeEvent, SimEvent};
 pub use fault::{corrupt_bytes, corrupt_file, CorruptMode, Fault, FaultPlan};
 pub use ids::{IndexSet, NodeIdx, NodeInterner, PacketIdx, PacketInterner};
 pub use noise::NoiseModel;
-pub use par::{
-    intra_jobs_from_env, jobs_from_env, ContactConcurrency, ContactPool, Lookahead, SlicePartition,
-};
+pub use par::{intra_jobs_from_env, jobs_from_env, ContactConcurrency, ContactPool, Lookahead};
 pub use plan::{CompiledPlan, PlanAtom, PlanStream};
 pub use report::{PacketOutcome, SimReport};
 pub use routing::{PacketStore, Routing, SimConfig, TransferOutcome};

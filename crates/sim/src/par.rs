@@ -1,5 +1,6 @@
-//! Intra-run parallel execution: the conservative batch scheduler's worker
-//! pool and the unsafe-but-contracted splitting primitives it runs on.
+//! Intra-run parallel execution: the conservative batch scheduler, the
+//! worker pool both parallel executors run on, and the borrow-checked
+//! split that leases a batch its endpoints.
 //!
 //! The engine's event stream is inherently sequential — events commit in
 //! the documented `(time, rank, seq)` order — but most of the *work* is
@@ -23,6 +24,14 @@
 //! 3. The engine commits results — report accounting, holder-table ops,
 //!    `on_contact_end` hooks — serially, in the scan order.
 //!
+//! Race freedom is the compiler's to check, not a contract's: each batch
+//! member gets `&mut` access to its two endpoints through
+//! [`disjoint_pairs`], a `split_at_mut` walk that panics when a node is
+//! named twice; [`ContactPool::run_each`] hands every item to exactly one
+//! worker through a locked iterator; and the per-packet facts a contact
+//! writes (`delivered_at`) are relaxed atomics shared by `&`. The only
+//! `unsafe` left is the pool's lifetime erasure of its task.
+//!
 //! Determinism argument: the scan itself follows the serial drain order
 //! (so noise draws, suppression checks and contact sequence numbers are
 //! identical to the serial engine); batch members are pairwise
@@ -33,7 +42,6 @@
 //! this module entirely — byte-identical by construction, not by
 //! argument.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -151,6 +159,7 @@ impl Lookahead {
 struct TaskRef(*const (dyn Fn(usize, usize) + Sync));
 // SAFETY: the pointee is `Sync` (shared calls are safe) and the pointer is
 // only dereferenced while `run` keeps the referent alive (see above).
+#[allow(unsafe_code)]
 unsafe impl Send for TaskRef {}
 
 struct PoolState {
@@ -253,8 +262,10 @@ impl ContactPool {
 
     /// Executes `task(worker, index)` for every `index in 0..n` and
     /// returns when all calls completed. Calls for distinct indices may
-    /// run concurrently on distinct workers; `task` must therefore only
-    /// touch state that is disjoint per index (plus per-worker scratch).
+    /// run concurrently on distinct workers, so `task` is `Sync`: whatever
+    /// it mutates per index it must reach through its own split (see
+    /// [`ContactPool::run_each`]) or a lock.
+    #[allow(unsafe_code)]
     pub fn run(&self, n: usize, task: &(dyn Fn(usize, usize) + Sync)) {
         if n == 0 {
             return;
@@ -298,6 +309,24 @@ impl ContactPool {
         }
         state.completed = state.generation;
     }
+
+    /// Executes `task(worker, item)` once for every element of `items`
+    /// and returns when all calls completed. Workers take items off one
+    /// locked iterator, so each `&mut` goes to exactly one call — the
+    /// split is the borrow checker's, and the cost is one uncontended lock
+    /// per item on top of [`ContactPool::run`]'s claim.
+    pub fn run_each<T: Send>(&self, items: &mut [T], task: &(dyn Fn(usize, &mut T) + Sync)) {
+        let n = items.len();
+        let queue = Mutex::new(items.iter_mut());
+        self.run(n, &|worker, _| {
+            let item = queue
+                .lock()
+                .expect("run_each queue lock")
+                .next()
+                .expect("one item per claimed index");
+            task(worker, item);
+        });
+    }
 }
 
 impl Drop for ContactPool {
@@ -309,6 +338,7 @@ impl Drop for ContactPool {
     }
 }
 
+#[allow(unsafe_code)]
 fn worker_loop(shared: &PoolShared, worker: usize) {
     let mut last_seen = 0u64;
     loop {
@@ -346,137 +376,40 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Disjoint-access primitives
+// Disjoint leases
 // ---------------------------------------------------------------------------
 
-/// A shareable view of a mutable slice that hands out `&mut` references to
-/// *disjoint* elements across threads.
-///
-/// This is the standard disjoint-indices pattern: the engine's batch
-/// scheduler guarantees that concurrently-executing contacts address
-/// pairwise-disjoint node (and scratch/driver) indices, which is exactly
-/// the contract the unsafe accessors require. All accessors are `unsafe`
-/// because that disjointness lives outside the type system.
-pub struct SlicePartition<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the partition only yields disjoint `&mut T` under the caller's
-// contract; sending/sharing the view itself carries no aliasing.
-unsafe impl<T: Send> Send for SlicePartition<'_, T> {}
-unsafe impl<T: Send> Sync for SlicePartition<'_, T> {}
-
-impl<'a, T> SlicePartition<'a, T> {
-    /// Wraps a slice for disjoint-index access.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Exclusive access to element `i`.
-    ///
-    /// # Safety
-    /// No other live reference (from this partition or elsewhere) may
-    /// address `i` for the lifetime of the returned borrow.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, i: usize) -> &mut T {
-        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        &mut *self.ptr.add(i)
-    }
-
-    /// Exclusive access to two distinct elements.
-    ///
-    /// # Safety
-    /// As [`SlicePartition::get_mut`], for both indices.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn pair_mut(&self, i: usize, j: usize) -> (&mut T, &mut T) {
-        assert_ne!(i, j, "pair indices must be distinct");
-        (self.get_mut(i), self.get_mut(j))
-    }
-
-    /// Exclusive access to the contiguous subslice `r` — how the sharded
-    /// runtime leases each shard's node range of a single protocol
-    /// instance's per-node state to one worker.
-    ///
-    /// # Safety
-    /// As [`SlicePartition::get_mut`], for every index in `r`: no other
-    /// live reference may address any of them for the borrow's lifetime.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn range_mut(&self, r: std::ops::Range<usize>) -> &mut [T] {
+/// Leases `[x, y]` out of `items` for every `(x, y)` of `pairs`, in
+/// `pairs` order — how a batch of node-disjoint contacts borrows its
+/// endpoints' buffers or protocol states. The indices are sorted and taken
+/// by one `split_at_mut` walk; an index named twice (an overlapping batch,
+/// or a pair with itself) panics in every build.
+pub fn disjoint_pairs<T>(
+    items: &mut [T],
+    pairs: impl Iterator<Item = (usize, usize)>,
+) -> Vec<(&mut T, &mut T)> {
+    let mut order: Vec<(usize, usize)> = pairs
+        .enumerate()
+        .flat_map(|(k, (x, y))| [(x, 2 * k), (y, 2 * k + 1)])
+        .collect();
+    order.sort_unstable();
+    let mut slots: Vec<Option<&mut T>> = order.iter().map(|_| None).collect();
+    let (mut rest, mut next) = (items, 0);
+    for (i, slot) in order {
         assert!(
-            r.start <= r.end && r.end <= self.len,
-            "range {r:?} out of bounds ({})",
-            self.len
+            i >= next,
+            "batch members must be node-disjoint: index {i} is leased twice"
         );
-        std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.end - r.start)
+        let (item, tail) = std::mem::take(&mut rest)
+            .split_at_mut(i - next)
+            .1
+            .split_first_mut()
+            .expect("pair index in bounds");
+        slots[slot] = Some(item);
+        (rest, next) = (tail, i + 1);
     }
-}
-
-/// A shareable mutable view of a slice whose *per-index exclusivity* is
-/// guaranteed by the batch contract rather than the borrow checker — used
-/// for the engine's `delivered_at` table, where a packet's slot is only
-/// ever touched by the (single, per batch) contact involving the packet's
-/// destination.
-pub struct RawSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-unsafe impl<T: Send> Send for RawSlice<'_, T> {}
-unsafe impl<T: Send> Sync for RawSlice<'_, T> {}
-
-impl<'a, T: Copy> RawSlice<'a, T> {
-    /// Wraps a slice.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// A second handle onto the same slice (for another batch member).
-    pub fn share(&self) -> Self {
-        Self {
-            ptr: self.ptr,
-            len: self.len,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Reads element `i`.
-    ///
-    /// # Safety
-    /// No concurrent writer may address `i` (batch contract).
-    pub unsafe fn get(&self, i: usize) -> T {
-        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        *self.ptr.add(i)
-    }
-
-    /// Writes element `i`.
-    ///
-    /// # Safety
-    /// No concurrent reader or writer may address `i` (batch contract).
-    pub unsafe fn set(&self, i: usize, value: T) {
-        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        *self.ptr.add(i) = value;
-    }
+    let mut leased = slots.into_iter().map(|s| s.expect("every slot is leased"));
+    std::iter::from_fn(|| Some((leased.next()?, leased.next()?))).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -810,16 +743,51 @@ mod tests {
     }
 
     #[test]
-    fn slice_partition_hands_out_disjoint_pairs() {
+    fn run_each_visits_every_item_once_under_front_loaded_work() {
+        // The twin of the index test above, through the item queue: the
+        // first quarter of the items is slow, and every item must still be
+        // handed to exactly one call.
+        std::thread::scope(|scope| {
+            let pool = ContactPool::start(scope, 4);
+            let mut items: Vec<(usize, u32)> = (0..256).map(|i| (i, 0)).collect();
+            pool.run_each(&mut items, &|worker, (i, hits)| {
+                assert!(worker < 4);
+                if *i < 64 {
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                }
+                *hits += 1;
+            });
+            for (i, hits) in &items {
+                assert_eq!(*hits, 1, "item {i} ran once");
+            }
+        });
+    }
+
+    #[test]
+    fn disjoint_pairs_lease_in_pair_order() {
         let mut data = vec![0u32; 8];
-        let part = SlicePartition::new(&mut data);
-        // SAFETY: indices are disjoint.
-        let (a, b) = unsafe { part.pair_mut(1, 6) };
-        *a = 10;
-        *b = 60;
-        let c = unsafe { part.get_mut(3) };
-        *c = 30;
-        assert_eq!(data, vec![0, 10, 0, 30, 0, 0, 60, 0]);
+        for (k, (x, y)) in disjoint_pairs(&mut data, [(6, 1), (3, 7), (0, 2)].into_iter())
+            .into_iter()
+            .enumerate()
+        {
+            *x = 10 * k as u32 + 1;
+            *y = 10 * k as u32 + 2;
+        }
+        assert_eq!(data, vec![21, 2, 22, 11, 0, 0, 1, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch members must be node-disjoint: index 1 is leased twice")]
+    fn an_overlapping_batch_panics() {
+        let mut data = vec![0u32; 4];
+        let _ = disjoint_pairs(&mut data, [(0, 1), (1, 2)].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "index 2 is leased twice")]
+    fn a_pair_with_itself_panics() {
+        let mut data = vec![0u32; 4];
+        let _ = disjoint_pairs(&mut data, [(2, 2)].into_iter());
     }
 
     #[test]

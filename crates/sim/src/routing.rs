@@ -170,8 +170,9 @@ pub trait Routing {
     ///
     /// The default runs them one by one on the calling thread — correct
     /// for any protocol, parallel for none. Protocols override it to
-    /// spread the batch over `pool` (splitting their per-endpoint state
-    /// with [`crate::par::SlicePartition`]); effects must be identical to
+    /// spread the batch over `pool` with [`ContactPool::run_each`],
+    /// leasing their per-endpoint state with
+    /// [`crate::par::disjoint_pairs`]; effects must be identical to
     /// driving the batch serially in order.
     fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
         let _ = pool;
@@ -196,10 +197,13 @@ pub trait Routing {
     /// its `Copy` configuration). The implementation must call
     /// `drain(s, view)` exactly once for every shard `s in
     /// 0..partition.shards()`, where `view` is a [`Routing`] value whose
-    /// hooks address shard `s`'s node range of this instance's state;
+    /// hooks address shard `s`'s node range of this instance's state
+    /// ([`Partition::split_mut`] cuts per-node state into those ranges);
     /// calls for distinct shards may run concurrently on `pool` because
     /// every queued action touches only its own shard's nodes (the
-    /// extended `NodeDisjoint` contract).
+    /// extended `NodeDisjoint` contract). The runtime leases each shard's
+    /// queue and buffers to `drain` once per epoch: a second call for a
+    /// shard, or a shard left undrained, panics.
     ///
     /// Returns whether the epoch was drained. The default returns `false`
     /// without calling `drain`: the runtime then drains every shard

@@ -27,7 +27,7 @@
 //! [`crate::engine::run_streaming`] and [`crate::shard::run_sharded`].
 
 use crate::checkpoint::{config_digest, Counters, OpenSnap, RoutingState, RunHooks, Snapshot};
-use crate::driver::{ContactDriver, HolderOp, WorldMut};
+use crate::driver::{ContactDriver, DeliveredAt, HolderOp, WorldMut};
 use crate::event::{EventQueue, NodeEvent, SimEvent, WindowIdx};
 use crate::ids::IndexSet;
 use crate::noise::NoiseModel;
@@ -41,18 +41,21 @@ use crate::NodeBuffer;
 use dtn_stats::sample::Exponential;
 use dtn_stats::stream;
 use rand::Rng;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The world state of a run, grouped so executors can borrow it whole.
-/// Under the sharded runtime buffers are range-owned by shards during an
-/// epoch; everything else follows the access contract in [`crate::shard`].
+/// A parallel executor splits `buffers` into `&mut` leases and shares the
+/// two per-packet columns by `&` — their slots are relaxed atomics, so no
+/// split needs them (see [`crate::shard`]).
 pub(crate) struct World {
     pub buffers: Vec<NodeBuffer>,
     pub store: PacketStore,
-    pub delivered_at: Vec<Option<Time>>,
+    pub delivered_at: DeliveredAt,
     /// Per-packet replica holder sets (ascending-order bitsets — O(1)
     /// insert/remove keeps fleet-wide replica spread off the hot path).
     pub holders: Vec<IndexSet>,
-    pub entered: Vec<bool>,
+    /// Whether each packet entered the network (its source stored it).
+    pub entered: Vec<AtomicBool>,
 }
 
 /// What the scan lends every [`Executor`] call: the configuration, the
@@ -119,7 +122,7 @@ impl Executor for Immediate<'_> {
             WorldMut::Full {
                 packets: &run.world.store,
                 buffers: &mut run.world.buffers,
-                delivered_at: &mut run.world.delivered_at,
+                delivered_at: &run.world.delivered_at,
                 holders: &mut run.world.holders,
             },
             drive.now,
@@ -150,9 +153,11 @@ impl Executor for Immediate<'_> {
         } = &mut run.world;
         let packet = store.get(id);
         let buf = &mut buffers[packet.src.index()];
-        entered[id.index()] = create_at_source(self.routing, &packet, src_up, buf, store, |op| {
+        if create_at_source(self.routing, &packet, src_up, buf, store, |op| {
             op.apply(holders)
-        });
+        }) {
+            entered[id.index()].store(true, Ordering::Relaxed);
+        }
     }
 
     fn node_up(&mut self, _run: &mut Run<'_>, node: NodeId, now: Time) {
@@ -169,7 +174,9 @@ impl Executor for Immediate<'_> {
         // entered the network: they carry no replicas, and their expiry
         // was scheduled before the creation verdict was known (see the
         // scheduling rule in `scan`).
-        if !world.entered[id.index()] || world.delivered_at[id.index()].is_some() {
+        if !world.entered[id.index()].load(Ordering::Relaxed)
+            || world.delivered_at.get(id).is_some()
+        {
             return;
         }
         let holders = std::mem::take(&mut world.holders[id.index()]);
@@ -226,6 +233,11 @@ pub(crate) fn create_at_source(
         routing.on_creation_dropped(packet);
         false
     }
+}
+
+/// The entered flags in packet order.
+fn flags(entered: &[AtomicBool]) -> impl Iterator<Item = bool> + '_ {
+    entered.iter().map(|e| e.load(Ordering::Relaxed))
 }
 
 /// The instant a packet created at `created` expires, or
@@ -300,7 +312,7 @@ pub(crate) fn scan<E: Executor>(
                 .map(|_| NodeBuffer::new(config.buffer_capacity))
                 .collect(),
             store: PacketStore::default(),
-            delivered_at: Vec::new(),
+            delivered_at: DeliveredAt::default(),
             holders: Vec::new(),
             entered: Vec::new(),
         },
@@ -381,8 +393,8 @@ pub(crate) fn scan<E: Executor>(
         let (buffers, holders) = snap.restore_buffers(config.buffer_capacity, &run.world.store);
         run.world.buffers = buffers;
         run.world.holders = holders;
-        run.world.delivered_at = snap.delivered_at.clone();
-        run.world.entered = snap.entered.clone();
+        run.world.delivered_at = DeliveredAt::from_slots(&snap.delivered_at);
+        run.world.entered = snap.entered.iter().map(|&e| AtomicBool::new(e)).collect();
         queue = snap.restore_queue();
         assert_eq!(snap.up.len(), n, "snapshot node count mismatch");
         up = snap.up.clone();
@@ -476,8 +488,8 @@ pub(crate) fn scan<E: Executor>(
                 noise_rng: noise_rng.state(),
                 events: queue.snapshot_events(),
                 packets: Snapshot::capture_store(&run.world.store),
-                delivered_at: run.world.delivered_at.clone(),
-                entered: run.world.entered.clone(),
+                delivered_at: run.world.delivered_at.slots().collect(),
+                entered: flags(&run.world.entered).collect(),
                 buffers: Snapshot::capture_buffers(&run.world.buffers),
                 up: up.clone(),
                 open: open.clone(),
@@ -563,12 +575,11 @@ pub(crate) fn scan<E: Executor>(
                 .world
                 .store
                 .push(spec.src, spec.dst, spec.size_bytes, spec.time, deadline);
-            run.world.delivered_at.push(None);
+            run.world.delivered_at.push_undelivered();
             run.world.holders.push(IndexSet::new());
             // The executor flips this when the source-buffer insert
-            // succeeds — possibly later (a shard's epoch), so the slot is
-            // single-writer (see `crate::shard`).
-            run.world.entered.push(false);
+            // succeeds — possibly later, inside a shard's epoch.
+            run.world.entered.push(AtomicBool::new(false));
 
             let src_up = up[spec.src.index()];
             exec.create(&mut run, id, src_up);
@@ -627,22 +638,21 @@ pub(crate) fn scan<E: Executor>(
     // routing decisions above are unaffected; only the recorded delivery
     // timestamps shift, exactly like computation delay on a bus. The draw
     // order over delivered slots is packet order under every executor.
-    if let Some(noise) = &noise {
-        if noise.processing_delay_mean > TimeDelta::ZERO {
-            let jitter = Exponential::with_mean(noise.processing_delay_mean.as_secs_f64());
-            for slot in run.world.delivered_at.iter_mut().flatten() {
-                *slot += TimeDelta::from_secs_f64(jitter.sample(&mut noise_rng));
-            }
-        }
-    }
-
+    let jitter = noise
+        .as_ref()
+        .filter(|noise| noise.processing_delay_mean > TimeDelta::ZERO)
+        .map(|noise| Exponential::with_mean(noise.processing_delay_mean.as_secs_f64()));
     let Run { world, report, .. } = run;
+    let delivered_at = world.delivered_at.slots().map(|slot| match &jitter {
+        Some(jitter) => slot.map(|t| t + TimeDelta::from_secs_f64(jitter.sample(&mut noise_rng))),
+        None => slot,
+    });
     let outcomes = SimReport::from_parts(
         world
             .store
             .iter()
-            .zip(world.delivered_at.iter().copied())
-            .zip(world.entered.iter().copied())
+            .zip(delivered_at)
+            .zip(flags(&world.entered))
             .map(|((p, d), e)| (p, d, e)),
         config.horizon,
         config.deadline,

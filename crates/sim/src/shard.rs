@@ -38,16 +38,19 @@
 //! contact seq numbers, expiry accounting) or commutes across shards
 //! within an epoch:
 //!
-//! * **Buffers** — shards own disjoint node ranges; the coordinator only
+//! * **Buffers** — [`Partition::split_mut`] gives each shard a `&mut`
+//!   range, leased with its queue to one drain per epoch, and a drive
+//!   borrows its endpoints with `get_disjoint_mut`; the coordinator only
 //!   touches buffers between epochs.
-//! * **`delivered_at`** — slot `p` is only written by the contact whose
-//!   endpoint is `dst(p)`; within an epoch that is exactly one shard
+//! * **`delivered_at`** — relaxed atomics every shard shares by `&`, so
+//!   shards cannot race on it. Slot `p` is only written by the contact
+//!   whose endpoint is `dst(p)`; within an epoch that is exactly one shard
 //!   (the coordinator only reads/writes between epochs). The engine's
 //!   serial order among the drives of one shard is preserved by the
 //!   queue, so first-delivery resolution is identical.
-//! * **`entered`** — slot `p` is written only by `src(p)`'s shard, in the
-//!   epoch that executes the creation; the coordinator reads it (TTL
-//!   expiry, snapshots) only between epochs.
+//! * **`entered`** — the same kind of column: slot `p` is written only by
+//!   `src(p)`'s shard, in the epoch that executes the creation; the
+//!   coordinator reads it (TTL expiry, snapshots) only between epochs.
 //! * **Holder sets** — shards never mutate the shared holder table;
 //!   drives and creations log `HolderOp`s, applied in shard order after
 //!   every epoch. All ops for a fixed `(packet, node)`
@@ -71,17 +74,19 @@
 
 use crate::checkpoint::{require_checkpointable, RunHooks};
 use crate::contact::ContactWindow;
-use crate::driver::{ContactDriver, HolderOp, WorldMut};
+use crate::driver::{ContactDriver, DeliveredAt, HolderOp, WorldMut};
 use crate::event::NodeEvent;
 use crate::noise::NoiseModel;
-use crate::par::{ContactConcurrency, ContactPool, PendingDrive, RawSlice, SlicePartition};
+use crate::par::{ContactConcurrency, ContactPool, PendingDrive};
 use crate::report::SimReport;
 use crate::routing::{PacketStore, Routing, SimConfig};
-use crate::scan::{create_at_source, scan, Executor, Immediate, Run};
+use crate::scan::{create_at_source, scan, Executor, Immediate, Run, World};
 use crate::source::{ContactSource, WorkloadSource};
 use crate::time::Time;
 use crate::types::{NodeId, PacketId};
 use crate::NodeBuffer;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Pending same-shard actions across all queues before a flush is forced
@@ -155,6 +160,25 @@ impl Partition {
     /// Whether both endpoints of `w` fall in one shard.
     pub fn is_local(&self, w: &ContactWindow) -> bool {
         self.shard_of(w.a) == self.shard_of(w.b)
+    }
+
+    /// Cuts `items` — one per node — into each shard's range, in shard
+    /// order: a `split_at_mut` chain, so the shards' `&mut` leases are
+    /// disjoint by construction (an empty shard gets an empty slice).
+    ///
+    /// # Panics
+    /// If `items` does not hold exactly one element per node.
+    pub fn split_mut<'s, T>(
+        &self,
+        items: &'s mut [T],
+    ) -> impl Iterator<Item = &'s mut [T]> + use<'_, 's, T> {
+        assert_eq!(items.len(), self.nodes(), "one item per partitioned node");
+        let mut rest = items;
+        (0..self.shards()).map(move |s| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(self.range(s).len());
+            rest = tail;
+            head
+        })
     }
 }
 
@@ -458,44 +482,58 @@ impl Partitioned<'_> {
             return;
         }
         self.pending = 0;
-        let world = &mut run.world;
-        {
-            let store = &world.store;
-            let buffers = SlicePartition::new(world.buffers.as_mut_slice());
-            let delivered = RawSlice::new(world.delivered_at.as_mut_slice());
-            let entered = RawSlice::new(world.entered.as_mut_slice());
-            let shards = SlicePartition::new(&mut *self.states);
-            // Shard queues drain against views of the instance's per-node
-            // state. The protocol splits that state itself
-            // (`on_shard_epoch`); without an override, drain serially in
-            // shard order — intra-epoch actions of distinct shards commute
-            // under the NodeDisjoint contract, so any fixed order is exact.
-            let drain = |s: usize, routing: &mut dyn Routing| {
-                // SAFETY: `on_shard_epoch` calls each shard index exactly
-                // once per epoch (its documented contract; the serial
-                // fallback below trivially satisfies it), so this is the
-                // sole reference to shard `s`.
-                let state = unsafe { shards.get_mut(s) };
-                if state.msgs.is_empty() {
-                    return;
-                }
-                let t0 = Instant::now();
-                drain_shard(routing, state, &buffers, &delivered, &entered, store);
-                state.busy += t0.elapsed();
-            };
-            let routing = &mut *self.coord.routing;
-            if !routing.on_shard_epoch(self.partition, self.pool, &drain) {
-                for s in 0..shards.len() {
-                    drain(s, routing);
-                }
+        let World {
+            buffers,
+            store,
+            delivered_at,
+            holders,
+            entered,
+        } = &mut run.world;
+        let partition = self.partition;
+        let (store, delivered_at, entered) = (&*store, &*delivered_at, entered.as_slice());
+        // One lease per shard — its queue and counters, and its range
+        // of the node buffers — which the drain takes exactly once.
+        let leases: Vec<Mutex<Option<_>>> = self
+            .states
+            .iter_mut()
+            .zip(partition.split_mut(buffers))
+            .map(|lease| Mutex::new(Some(lease)))
+            .collect();
+        // Shard queues drain against views of the instance's per-node
+        // state. The protocol splits that state itself
+        // (`on_shard_epoch`); without an override, drain serially in
+        // shard order — intra-epoch actions of distinct shards commute
+        // under the NodeDisjoint contract, so any fixed order is exact.
+        let drain = |s: usize, routing: &mut dyn Routing| {
+            let (state, buffers) = leases[s]
+                .lock()
+                .expect("shard lease lock")
+                .take()
+                .expect("on_shard_epoch drains each shard once per epoch");
+            if state.msgs.is_empty() {
+                return;
+            }
+            let t0 = Instant::now();
+            let base = partition.range(s).start;
+            drain_shard(routing, state, base, buffers, delivered_at, entered, store);
+            state.busy += t0.elapsed();
+        };
+        let routing = &mut *self.coord.routing;
+        if !routing.on_shard_epoch(partition, self.pool, &drain) {
+            for s in 0..partition.shards() {
+                drain(s, routing);
             }
         }
+        let undrained = leases
+            .into_iter()
+            .position(|lease| lease.into_inner().expect("shard lease lock").is_some());
+        assert_eq!(undrained, None, "on_shard_epoch left a shard undrained");
         // Holder ops in shard order: all ops for a (packet, node) pair
         // come from node's own shard in queue order, so per-pair final
         // state is exact regardless of the cross-shard fold order.
         for state in self.states.iter_mut() {
             for op in state.holder_log.drain(..) {
-                op.apply(&mut world.holders);
+                op.apply(holders);
             }
         }
     }
@@ -504,15 +542,16 @@ impl Partitioned<'_> {
 /// Drains one shard's queue in order against its node range, through
 /// `routing` — a shard-range view of the run's instance, or the instance
 /// itself on the serial-drain fallback. Runs on a pool worker; everything
-/// it touches is either owned by the shard (routing state, buffers in
-/// its range, its holder log) or governed by a single-writer contract
-/// (`delivered_at`, `entered` — see the module docs).
+/// it mutates is either leased to the shard (its queue, counters and
+/// holder log, `buffers` = nodes `base..`) or an atomic column shared by
+/// every shard (`delivered_at`, `entered` — see the module docs).
 fn drain_shard(
     routing: &mut dyn Routing,
     state: &mut ShardState,
-    buffers: &SlicePartition<NodeBuffer>,
-    delivered: &RawSlice<Option<Time>>,
-    entered: &RawSlice<bool>,
+    base: usize,
+    buffers: &mut [NodeBuffer],
+    delivered_at: &DeliveredAt,
+    entered: &[AtomicBool],
     store: &PacketStore,
 ) {
     let ShardState {
@@ -536,10 +575,9 @@ fn drain_shard(
                     *offered_bytes += 2 * drive.budget;
                 }
                 let (a, b) = (drive.window.a, drive.window.b);
-                // SAFETY: both endpoints belong to this shard's node
-                // range; ranges are disjoint across shards and the
-                // coordinator does not touch buffers during an epoch.
-                let (buf_a, buf_b) = unsafe { buffers.pair_mut(a.index(), b.index()) };
+                let [buf_a, buf_b] = buffers
+                    .get_disjoint_mut([a.index() - base, b.index() - base])
+                    .expect("a shard's drive meets two of its own nodes");
                 let mut driver = ContactDriver::new(
                     WorldMut::Pair {
                         packets: store,
@@ -547,7 +585,7 @@ fn drain_shard(
                         buf_a,
                         b,
                         buf_b,
-                        delivered_at: delivered.share(),
+                        delivered_at,
                         holder_log: std::mem::take(holder_log),
                     },
                     drive.now,
@@ -570,16 +608,11 @@ fn drain_shard(
             ShardMsg::Create { id, src_up } => {
                 *creations += 1;
                 let packet = store.get(id);
-                // SAFETY: creations route to the source's shard, and the
-                // source node is in this shard's exclusive range.
-                let buf = unsafe { buffers.get_mut(packet.src.index()) };
+                let buf = &mut buffers[packet.src.index() - base];
                 if create_at_source(routing, &packet, src_up, buf, store, |op| {
                     holder_log.push(op)
                 }) {
-                    // SAFETY: `entered[id]` is written only here (the
-                    // packet's home shard) during an epoch, read only by
-                    // the coordinator between epochs.
-                    unsafe { entered.set(id.index(), true) };
+                    entered[id.index()].store(true, Ordering::Relaxed);
                 }
             }
             ShardMsg::NodeUp(node, t) => routing.on_node_up(node, t),
@@ -619,6 +652,25 @@ mod tests {
         assert_eq!(p.shard_of(NodeId(4)), 0);
         assert_eq!(p.shard_of(NodeId(5)), 2, "empty shard 1 owns nothing");
         assert!(p.range(1).is_empty());
+    }
+
+    #[test]
+    fn split_mut_leases_each_shard_its_range() {
+        let p = Partition::from_bounds(vec![0, 5, 5, 10]);
+        let mut nodes: Vec<usize> = (0..10).collect();
+        let leases: Vec<&mut [usize]> = p.split_mut(&mut nodes).collect();
+        assert_eq!(leases.len(), p.shards());
+        for (s, lease) in leases.iter().enumerate() {
+            assert_eq!(lease.len(), p.range(s).len());
+            assert!(lease.iter().copied().eq(p.range(s)), "shard {s}");
+        }
+        assert!(leases[1].is_empty(), "empty shard 1 leases nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "one item per partitioned node")]
+    fn split_mut_rejects_a_short_slice() {
+        let _ = Partition::even(4, 2).split_mut(&mut [0u8; 3]).count();
     }
 
     #[test]
@@ -808,6 +860,67 @@ mod tests {
             None,
             &mut || Box::new(SerialOnly),
         );
+    }
+
+    /// `ShardFlood` with an `on_shard_epoch` that drains shard `s`
+    /// `drains[s]` times — a breach of the once-per-epoch lease.
+    struct MisDrained {
+        drains: [usize; 3],
+    }
+
+    impl Routing for MisDrained {
+        fn name(&self) -> String {
+            "mis-drained-test".into()
+        }
+
+        fn contact_concurrency(&self) -> ContactConcurrency {
+            ContactConcurrency::NodeDisjoint
+        }
+
+        fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
+            ShardFlood.on_contact(driver);
+        }
+
+        fn on_shard_epoch(
+            &mut self,
+            _partition: &Partition,
+            _pool: &ContactPool,
+            drain: &(dyn Fn(usize, &mut dyn Routing) + Sync),
+        ) -> bool {
+            for (s, &times) in self.drains.iter().enumerate() {
+                for _ in 0..times {
+                    drain(s, &mut ShardFlood);
+                }
+            }
+            true
+        }
+    }
+
+    fn run_mis_drained(drains: [usize; 3]) {
+        let sim = scenario();
+        let mut contacts = sim.schedule().windows().iter().copied();
+        let mut workload = sim.workload().specs().iter().copied();
+        let _ = run_sharded(
+            sim.config(),
+            &Partition::even(9, 3),
+            &mut contacts,
+            &mut workload,
+            sim.churn(),
+            None,
+            &mut || Box::new(MisDrained { drains }),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "on_shard_epoch drains each shard once per epoch")]
+    fn a_shard_drained_twice_panics() {
+        run_mis_drained([2, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "on_shard_epoch left a shard undrained")]
+    fn a_shard_left_undrained_panics() {
+        run_mis_drained([1, 0, 1]);
     }
 
     /// Flooding with genuinely evolving per-node state: each node

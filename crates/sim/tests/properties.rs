@@ -359,7 +359,7 @@ proptest! {
 // equal to the serial engine's, event for event.
 
 use dtn_sim::par::{Batcher, PendingDrive};
-use dtn_sim::{ContactConcurrency, ContactPool, ContactWindow, SlicePartition, TransferOutcome};
+use dtn_sim::{ContactConcurrency, ContactPool, ContactWindow, TransferOutcome};
 
 fn pending(seq: u64, a: u32, b: u32) -> PendingDrive {
     PendingDrive {
@@ -494,11 +494,7 @@ impl Routing for ParFlood {
     }
 
     fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
-        let drivers = SlicePartition::new(batch);
-        pool.run(drivers.len(), &|_worker, i| {
-            // SAFETY: one worker per index; node-disjoint drivers.
-            Self::contact_core(unsafe { drivers.get_mut(i) });
-        });
+        pool.run_each(batch, &|_worker, driver| Self::contact_core(driver));
     }
 }
 

@@ -13,6 +13,8 @@
 //! source so that the workspace needs no external statistics crates and the
 //! numeric behaviour is fully deterministic given a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod ewma;
 pub mod fairness;

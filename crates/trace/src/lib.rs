@@ -31,6 +31,8 @@
 //! [`parse`] verifies this and rejects malformed input with a line-precise
 //! error.
 
+#![forbid(unsafe_code)]
+
 pub mod plan;
 pub mod record;
 pub mod snapshot;

@@ -1,4 +1,7 @@
 //! Facade crate re-exporting the whole RAPID reproduction workspace.
+
+#![forbid(unsafe_code)]
+
 pub use dtn_mobility as mobility;
 pub use dtn_optimal as optimal;
 pub use dtn_protocols as protocols;
