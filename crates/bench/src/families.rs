@@ -130,8 +130,8 @@ pub fn trace_loads() -> Vec<f64> {
 pub fn synth_loads() -> Vec<f64> {
     let mut loads = vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0];
     // `RAPID_SYNTH_LOADS` truncates the axis to its first N points — the
-    // smoke/equivalence knob (CI and the intra-parallel TSV test run one
-    // point instead of eight).
+    // smoke/equivalence knob (the sharded-RAPID TSV test runs one point
+    // instead of eight).
     let cap = crate::env_u64("RAPID_SYNTH_LOADS", loads.len() as u64) as usize;
     loads.truncate(cap.max(1));
     loads

@@ -1,13 +1,13 @@
-//! Microbenchmark of the batched Eq. 4–9 estimate kernels.
+//! Microbenchmark of the batched Eq. 4–9 estimate kernel.
 //!
-//! Times [`RateBatch::compute`] + [`RateBatch::combined_rate`] over a
-//! fixed pseudo-random queue, per kernel — the isolated cost of one
-//! per-destination row sweep, the inner loop of both `make_room` rate
+//! Times [`RateBatch::compute`] plus the Eq. 8 fold ([`combined_rate`])
+//! over a fixed pseudo-random queue, per kernel — the isolated cost of
+//! one per-destination row sweep, the inner loop of both `make_room` rate
 //! refreshes and `replicate_side` candidate scoring. The benchmark of
 //! record (`benchmark/`) calls [`measure_rows_stats`] once per kernel for
 //! its `core.kernel.ns_per_row` / `scalar_ns_per_row` probes.
 
-use rapid_core::{Kernel, RateBatch};
+use rapid_core::{combined_rate, Kernel, RateBatch};
 use std::time::Instant;
 
 /// Deterministic pseudo-random backlog sizes (SplitMix64 stream): spread
@@ -50,7 +50,7 @@ pub fn measure_rows_stats(kernel: Kernel, len: usize, iters: u64, repeats: u64) 
         let start = Instant::now();
         for _ in 0..iters.max(1) {
             batch.compute(e, opp, cap, kernel);
-            sink += batch.combined_rate(kernel);
+            sink += combined_rate(batch.delays().iter().copied());
         }
         let ms = start.elapsed().as_secs_f64() * 1e3;
         if repeat > 0 {

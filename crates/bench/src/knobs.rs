@@ -9,16 +9,14 @@
 //! README.md's knob table.
 
 /// Every `RAPID_*` name some crate reads.
-pub const KNOBS: [&str; 19] = [
+pub const KNOBS: [&str; 17] = [
     "RAPID_CKPT_DIR",
     "RAPID_CKPT_EVERY_S",
     "RAPID_DAYS",
     "RAPID_FAULT_CRASH_S",
     "RAPID_FIG3_DAYS",
-    "RAPID_INTRA_JOBS",
     "RAPID_JOBS",
     "RAPID_KERNEL",
-    "RAPID_LOOKAHEAD",
     "RAPID_RUNS",
     "RAPID_SCALE_HORIZON_S",
     "RAPID_SCALE_MAX_RSS_MB",
@@ -60,5 +58,11 @@ mod tests {
             "RAPID_",
         ];
         assert_eq!(unknown(env), ["RAPID_", "RAPID_JOB", "RAPID_SCALE_ROUTES"]);
+    }
+
+    #[test]
+    fn the_batch_scheduler_knobs_are_strangers() {
+        let env = ["RAPID_INTRA_JOBS", "RAPID_LOOKAHEAD", "RAPID_SHARDS"];
+        assert_eq!(unknown(env), ["RAPID_INTRA_JOBS", "RAPID_LOOKAHEAD"]);
     }
 }

@@ -225,15 +225,7 @@ fn spec_config(spec: &RunSpec, proto: Proto) -> SimConfig {
         allow_global_knowledge: proto.needs_global(),
         seed: spec.seed,
         measure_from: spec.measure_from,
-        // Intra-run workers (RAPID_INTRA_JOBS, default 1 = serial). The
-        // engine ignores it for protocols without NodeDisjoint support
-        // and for global-knowledge runs; results are byte-identical
-        // either way. Composes with RAPID_JOBS (across-run workers): the
-        // total worker budget is their product.
-        intra_jobs: dtn_sim::intra_jobs_from_env(),
-        // Batch lookahead policy (RAPID_LOOKAHEAD, default adaptive);
-        // results are byte-identical at any setting.
-        lookahead: dtn_sim::par::Lookahead::from_env(),
+        ..SimConfig::default()
     }
 }
 

@@ -1,10 +1,10 @@
 //! Sharded RAPID equivalence: the paper's own protocol under
 //! `RAPID_SHARDS > 1` must be observationally identical to the serial
 //! engine — same reports under churn/TTL and arbitrary partitions, and
-//! byte-identical figure TSVs with intra-run parallelism composed on top.
+//! byte-identical figure TSVs.
 //!
 //! Everything that reads a knob lives in **one** test function: the
-//! figure plans and the `RAPID_SHARDS`/`RAPID_INTRA_JOBS` knobs are driven
+//! figure plans and the `RAPID_SHARDS` knob are driven
 //! through process environment variables, so concurrent tests in this
 //! binary would race on them. The kernel-equivalence test calls the
 //! engine entry points directly and reads no variable.
@@ -111,16 +111,6 @@ fn sharded_rapid_reproduces_serial_byte_for_byte() {
                 "{proto:?} with RAPID_SHARDS={shards} diverged from serial"
             );
         }
-        // Composed with intra-run parallel contact batches: the two
-        // runtimes multiply, the report must not move.
-        std::env::set_var("RAPID_SHARDS", "4");
-        std::env::set_var("RAPID_INTRA_JOBS", "8");
-        let composed = run_spec(&spec(0), proto);
-        assert_eq!(
-            serial, composed,
-            "{proto:?} with RAPID_SHARDS=4 + RAPID_INTRA_JOBS=8 diverged from serial"
-        );
-        std::env::remove_var("RAPID_INTRA_JOBS");
         std::env::remove_var("RAPID_SHARDS");
     }
 
@@ -174,25 +164,22 @@ fn sharded_rapid_reproduces_serial_byte_for_byte() {
 
     // TSV-level equivalence across figure plans: fig03 is all-RAPID
     // (trace-driven validation), fig16_18 carries labeled Rapid rows in
-    // the synthetic load sweep. Both must be byte-identical when the
-    // sharded runtime and intra-run batches are both on.
+    // the synthetic load sweep. Both must be byte-identical on the sharded
+    // runtime.
     for (id, rapid_marker) in [("fig03", "sim_avg_delay_min"), ("fig16_18", "Rapid")] {
         std::env::set_var("RAPID_SHARDS", "1");
-        std::env::set_var("RAPID_INTRA_JOBS", "1");
         let serial = run_plan(id);
         assert!(
             serial.contains(rapid_marker),
             "{id} TSV lost its Rapid rows — the diff below would be vacuous"
         );
         std::env::set_var("RAPID_SHARDS", "4");
-        std::env::set_var("RAPID_INTRA_JOBS", "8");
         let sharded = run_plan(id);
         assert_eq!(
             serial, sharded,
-            "{id} TSV not byte-identical under RAPID_SHARDS=4 + RAPID_INTRA_JOBS=8"
+            "{id} TSV not byte-identical under RAPID_SHARDS=4"
         );
         std::env::remove_var("RAPID_SHARDS");
-        std::env::remove_var("RAPID_INTRA_JOBS");
     }
 }
 

@@ -28,21 +28,19 @@
 //! cap) are fixed — which is how the protocol consumes it: one row per
 //! destination queue. [`RateBatch`] evaluates that chain over a whole row
 //! at once from a SoA `bytes_ahead` layout, in fixed-width `f64` chunks.
-//! The row and the rate reduction are each one safe body compiled twice —
-//! plain, and inside a `#[target_feature(enable = "avx2")]` wrapper picked
-//! by runtime feature detection ([`Kernel`]) — so the kernels agree by
-//! construction. Every row element is produced by the same IEEE-754
-//! operation sequence as the scalar functions, so the rows are **bitwise
-//! identical** to per-packet calls on every kernel (property-tested in
-//! `tests/properties.rs`).
+//! The row is one safe body compiled twice — plain, and inside a
+//! `#[target_feature(enable = "avx2")]` wrapper picked by runtime feature
+//! detection ([`Kernel`]) — so the kernels agree by construction. Every
+//! row element is produced by the same IEEE-754 operation sequence as the
+//! scalar functions, so the rows are **bitwise identical** to per-packet
+//! calls on every kernel (property-tested in `tests/properties.rs`).
 //!
 //! The one order-sensitive quantity is the combined-rate *sum* (Eq. 8).
 //! [`combined_rate`] defines its reduction as a fixed [`RATE_LANES`]-stripe
 //! accumulation — element `i` adds into stripe `i % RATE_LANES` — closed by
-//! a fixed pairwise tree over the stripes ([`reduce_stripes`]). That order
-//! is exactly what a chunked vector loop computes, so the hardware lane
-//! width (scalar, SSE2, AVX2) can never change the bitwise result; trailing
-//! empty stripes hold `+0.0`, which is an exact no-op addend over the
+//! a fixed pairwise tree over the stripes ([`reduce_stripes`]). That is the
+//! recorded summation order every figure was produced with, so it stays;
+//! trailing empty stripes hold `+0.0`, an exact no-op addend over the
 //! non-negative partial sums.
 
 use dtn_sim::buffer::queue_slice;
@@ -52,7 +50,7 @@ use dtn_sim::{NodeBuffer, NodeId, NodeInterner, PacketId, QueueEntry, Time};
 const MIN_DELAY_SECS: f64 = 1e-6;
 
 /// Logical stripe count of the deterministic combined-rate reduction (and
-/// the chunk width the batched kernels are laid out for): one AVX2 `f64`
+/// the chunk width the row kernel is laid out for): one AVX2 `f64`
 /// register. Fixed — never derived from the runtime vector width — so the
 /// reduction order is a property of the algorithm, not the machine.
 pub const RATE_LANES: usize = 4;
@@ -83,14 +81,14 @@ pub fn replica_delay(expected_meeting_secs: f64, meetings: f64) -> f64 {
 /// cheap closed form over this rate ([`delay_from_rate`],
 /// [`prob_within_from_rate`]). Infinite delays (unreachable replicas)
 /// contribute nothing. Production folds every belief list through this
-/// function; [`RateBatch::combined_rate`] is its batched twin.
+/// one function.
 ///
 /// The summation order is the deterministic [`RATE_LANES`]-stripe
 /// reduction (module docs): element `j` accumulates into stripe
 /// `j % RATE_LANES`, and the stripes close under the fixed tree of
-/// [`reduce_stripes`]. The order is a function of element *count* only —
-/// never of the execution strategy — so scalar and vectorized evaluations
-/// of the same delay list are bitwise identical.
+/// [`reduce_stripes`]. The order is a function of element *count* only,
+/// and it is kept because it is the order every recorded result was
+/// summed in — changing it would move low-order bits of every figure.
 pub fn combined_rate(replica_delays: impl IntoIterator<Item = f64>) -> f64 {
     let mut acc = [0.0f64; RATE_LANES];
     let mut lane = 0;
@@ -102,9 +100,7 @@ pub fn combined_rate(replica_delays: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// Closes the stripe accumulators of the deterministic reduction under a
-/// fixed pairwise tree: `(s0 + s1) + (s2 + s3)`. One order, everywhere —
-/// the scalar [`combined_rate`] and both instantiations of the batched
-/// [`RateBatch::combined_rate`] end here.
+/// fixed pairwise tree: `(s0 + s1) + (s2 + s3)`.
 #[inline]
 pub fn reduce_stripes(acc: [f64; RATE_LANES]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
@@ -153,7 +149,7 @@ pub fn prob_delivered_within(replica_delays: impl IntoIterator<Item = f64>, t_se
     prob_within_from_rate(combined_rate(replica_delays), t_secs)
 }
 
-/// Execution strategy for the batched Eq. 4–9 kernels and the §4.2
+/// Execution strategy for the Eq. 4–5 row kernel and the §4.2
 /// opportunity-average merge, passed to each call that runs one.
 ///
 /// One body per kernel, compiled twice: `Scalar` runs the plain
@@ -315,35 +311,12 @@ impl RateBatch {
     pub fn delays(&self) -> &[f64] {
         &self.delays
     }
-
-    /// The striped combined rate (Eq. 8) of the computed row with
-    /// `kernel` — bitwise identical to [`combined_rate`] over the same
-    /// delays (`1/∞ = +0.0` is exactly the scalar arm's zero
-    /// contribution). Reached only by the `kbench` probe and tests:
-    /// production folds belief lists through the free [`combined_rate`].
-    ///
-    /// # Panics
-    /// If the CPU cannot execute `kernel` (`diag=kernel-unsupported`).
-    #[allow(unsafe_code)]
-    pub fn combined_rate(&self, kernel: Kernel) -> f64 {
-        match kernel {
-            Kernel::Scalar => rate(&self.delays),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                kernel.assert_supported();
-                // SAFETY: `assert_supported` returned, so AVX2 was detected.
-                unsafe { rate_avx2(&self.delays) }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Avx2 => unreachable!("Avx2 is never selected off x86-64"),
-        }
-    }
 }
 
 /// Panics (`diag=delay-cap-invalid`) unless the delay cap is positive (a
 /// NaN cap fails the compare too). Row elements are then positive and
-/// never NaN: the domain on which [`rate`]'s compare-select equals
-/// [`rate_contribution`] (a `−∞` element would add `1e6`, not 0).
+/// never NaN, so [`row`]'s compare-selects equal the scalar chain's
+/// `f64::max` / `f64::min`.
 pub(crate) fn assert_cap(cap_secs: f64) {
     assert!(
         cap_secs > 0.0,
@@ -395,41 +368,12 @@ fn row(bytes: &[f64], out: &mut [f64], e: f64, b: f64, cap: f64) {
     }
 }
 
-/// The striped Eq. 8 reduction over a computed row, instantiated once per
-/// kernel: element `i` adds into stripe `i % RATE_LANES` (the stripe
-/// assignment of [`combined_rate`]) and the stripes close under
-/// [`reduce_stripes`]. Every element is positive, never NaN, so
-/// `1/max(a, MIN)` equals [`rate_contribution`] — `+0.0` for `a = ∞`.
-#[inline(always)]
-fn rate(delays: &[f64]) -> f64 {
-    let mut acc = [0.0f64; RATE_LANES];
-    let chunks = delays.chunks_exact(RATE_LANES);
-    let tail = chunks.remainder();
-    let elem = |a: f64| 1.0 / max_sel(a, MIN_DELAY_SECS);
-    for c in chunks {
-        for lane in 0..RATE_LANES {
-            acc[lane] += elem(c[lane]);
-        }
-    }
-    for (s, &a) in acc.iter_mut().zip(tail) {
-        *s += elem(a);
-    }
-    reduce_stripes(acc)
-}
-
 /// [`row`] compiled with AVX2 enabled: `trunc` becomes one `vroundsd` /
 /// `vroundpd` instead of the libm call baseline x86-64 makes per element.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn row_avx2(bytes: &[f64], out: &mut [f64], e: f64, b: f64, cap: f64) {
     row(bytes, out, e, b, cap)
-}
-
-/// [`rate`] compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn rate_avx2(delays: &[f64]) -> f64 {
-    rate(delays)
 }
 
 /// A snapshot of one node's buffer organised as per-destination delivery
@@ -741,11 +685,6 @@ mod tests {
                                 "{kernel:?} e={e} b={b}: {got} != {want}"
                             );
                         }
-                        assert_eq!(
-                            batch.combined_rate(kernel).to_bits(),
-                            combined_rate(expect.iter().copied()).to_bits(),
-                            "{kernel:?} combined_rate diverged"
-                        );
                     }
                 }
             }

@@ -47,8 +47,8 @@
 //! assert_eq!(report.delivered(), 1);
 //! ```
 //!
-//! `unsafe` is denied crate-wide; each of the three `Kernel::Avx2` arms
-//! (row, rate, §4.2 merge) allows it on its own function.
+//! `unsafe` is denied crate-wide; each of the two `Kernel::Avx2` arms
+//! (the Eq. 4–5 row, the §4.2 merge) allows it on its own function.
 
 #![deny(unsafe_code)]
 

@@ -37,15 +37,14 @@
 //! declaration. The [`Routing`] hooks that build a lease are written once,
 //! on `RapidShardView`, a run of nodes: the sharded runtime hands each
 //! shard a view over its [`Partition::split_mut`] range, and serial
-//! execution runs through the same view over `0..n` (a batch leases its
-//! node-disjoint pairs with [`dtn_sim::par::disjoint_pairs`]). Every lease
-//! is a borrow the compiler checks. The one exception is the
+//! execution runs through the same view over `0..n`. Every lease is a
+//! borrow the compiler checks. The one exception is the
 //! `InstantGlobal` oracle, which reads arbitrary nodes: it leases the full
 //! slice and declares itself [`ContactConcurrency::Serial`].
 //!
 //! The steady-state contact is allocation-free: queue snapshots, h-hop
 //! estimate vectors, candidate lists and exchange listings all live in a
-//! reusable `ContactScratch` (one per worker under batch execution),
+//! reusable `ContactScratch` (one per shard under sharded execution),
 //! and contacts where both endpoints' buffers are empty skip the
 //! snapshot/estimate setup entirely.
 
@@ -58,7 +57,6 @@ mod storage;
 use crate::config::{ChannelMode, RapidConfig, RoutingMetric};
 use crate::estimate::{Kernel, QueueSnapshot};
 use crate::meetings::{relax_rows_into, HopEstimates};
-use dtn_sim::par::disjoint_pairs;
 use dtn_sim::{
     ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
     PacketStore, Partition, Routing, SimConfig, Time,
@@ -67,7 +65,6 @@ use exchange::ExchangeScratch;
 use select::SelectScratch;
 use state::{NodeState, StatePair};
 use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
 use storage::RoomRequest;
 
 /// The RAPID routing protocol.
@@ -81,9 +78,8 @@ pub struct Rapid {
     /// [`Rapid::with_kernel`], and again by each AVX2 arm.
     kernel: Kernel,
     /// Reusable contact scratch; `[0]` serves serial execution. The vector
-    /// grows to one slot per batch worker (locked, never contended) or per
-    /// shard of a sharded epoch (borrowed).
-    scratch: Vec<Mutex<ContactScratch>>,
+    /// grows to one slot per shard of a sharded epoch.
+    scratch: Vec<ContactScratch>,
     /// Set once the "meeting row exceeds the opportunity" notice has been
     /// raised, so the per-contact check stays a relaxed load.
     row_warned: AtomicBool,
@@ -125,7 +121,7 @@ struct Side<'c> {
 
 /// One execution's context: configuration plus the states it may touch.
 /// Every exchange/selection/storage routine is a method of it, so the
-/// serial, batch and sharded paths share one implementation.
+/// serial and sharded paths share one implementation.
 struct ContactExec<'a> {
     cfg: &'a RapidConfig,
     n: usize,
@@ -192,7 +188,7 @@ impl<'a> ContactExec<'a> {
     }
 
     /// One full contact. `scratch` is this execution's reusable storage;
-    /// under batch execution each worker brings its own.
+    /// under sharded execution each shard brings its own.
     fn contact(&mut self, driver: &mut ContactDriver<'_>, scratch: &mut ContactScratch) {
         let (a, b) = driver.endpoints();
         let now = driver.now();
@@ -347,7 +343,7 @@ impl Rapid {
             cfg,
             states: Vec::new(),
             kernel,
-            scratch: vec![Mutex::default()],
+            scratch: vec![ContactScratch::default()],
             row_warned: AtomicBool::new(false),
         }
     }
@@ -373,16 +369,9 @@ impl Rapid {
             n: self.states.len(),
             base: 0,
             states: &mut self.states,
-            scratch: self.scratch[0].get_mut().expect("contact scratch lock"),
+            scratch: &mut self.scratch[0],
             kernel: self.kernel,
             row_warned: &self.row_warned,
-        }
-    }
-
-    /// Grows the scratch vector to one slot per concurrent execution.
-    fn ensure_scratch(&mut self, slots: usize) {
-        if self.scratch.len() < slots {
-            self.scratch.resize_with(slots, Mutex::default);
         }
     }
 }
@@ -443,23 +432,6 @@ impl Routing for Rapid {
         }
     }
 
-    fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
-        debug_assert!(!self.is_global(), "global channel declared Serial");
-        self.ensure_scratch(pool.workers());
-        let n = self.states.len();
-        let (cfg, kernel, row_warned) = (&self.cfg, self.kernel, &self.row_warned);
-        let scratch = &self.scratch;
-        let ends = batch.iter().map(|d| d.endpoints());
-        let leases = disjoint_pairs(&mut self.states, ends.map(|(a, b)| (a.index(), b.index())));
-        let mut contacts: Vec<_> = batch.iter_mut().zip(leases).collect();
-        pool.run_each(&mut contacts, &|worker, (driver, (sa, sb))| {
-            let (a, b) = driver.endpoints();
-            let lease = StatePair::Pair { a, sa, b, sb };
-            let mut scratch = scratch[worker].lock().expect("contact scratch lock");
-            ContactExec::new(cfg, n, lease, kernel, row_warned).contact(driver, &mut scratch);
-        });
-    }
-
     fn on_shard_epoch(
         &mut self,
         partition: &Partition,
@@ -467,7 +439,10 @@ impl Routing for Rapid {
         drain: &(dyn Fn(usize, &mut dyn Routing) + Sync),
     ) -> bool {
         debug_assert!(!self.is_global(), "global channel declared Serial");
-        self.ensure_scratch(partition.shards());
+        if self.scratch.len() < partition.shards() {
+            self.scratch
+                .resize_with(partition.shards(), ContactScratch::default);
+        }
         let n = self.states.len();
         let (cfg, kernel, row_warned) = (&self.cfg, self.kernel, &self.row_warned);
         // Shard `s` gets its partition range of the states (a message for
@@ -483,7 +458,7 @@ impl Routing for Rapid {
                 n,
                 base: partition.range(*s).start,
                 states,
-                scratch: scratch.get_mut().expect("contact scratch lock"),
+                scratch,
                 kernel,
                 row_warned,
             };

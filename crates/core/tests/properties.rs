@@ -8,9 +8,8 @@ use dtn_sim::{
 };
 use proptest::prelude::*;
 use rapid_core::{
-    combined_rate, expected_meeting_times_from, expected_remaining_delay, meetings_needed,
-    prob_delivered_within, replica_delay, HopEstimates, Kernel, MeetingView, QueueSnapshot, Rapid,
-    RapidConfig, RateBatch,
+    expected_meeting_times_from, expected_remaining_delay, meetings_needed, prob_delivered_within,
+    replica_delay, HopEstimates, Kernel, MeetingView, QueueSnapshot, Rapid, RapidConfig, RateBatch,
 };
 
 proptest! {
@@ -211,7 +210,7 @@ proptest! {
         }
     }
 
-    /// The batched Eq. 4–9 kernels must be **bitwise** equal to the scalar
+    /// The Eq. 4–5 row kernels must be **bitwise** equal to the scalar
     /// chain for arbitrary queues — every tail width (`len % RATE_LANES`,
     /// lengths 0–9 drawn often), every available kernel (AVX2 included
     /// when the host supports it), the integer-rounding corners of the
@@ -265,9 +264,6 @@ proptest! {
                     kernel, b, cap, row, scalar(b)
                 );
             }
-            let batched_rate = batch.combined_rate(kernel);
-            let scalar_rate = combined_rate(bytes.iter().map(|&b| scalar(b)));
-            prop_assert_eq!(batched_rate.to_bits(), scalar_rate.to_bits());
         }
     }
 }

@@ -3,19 +3,17 @@
 //! sized each structure's buffers, further same-shaped work must perform
 //! **zero** heap allocations. Audited phases: snapshot refill (the
 //! per-contact scratch reuse in `protocol/mod.rs`), the [`RateBatch`] kernel
-//! rows (Eq. 4–9 over whole queues), the batch scheduler's
-//! `take_ready_into` drain (capacity ping-pong + in-place compaction),
-//! the contact pool's dispatch by index and by item, and whole RAPID
-//! contacts between nodes that have met before (the sparse per-peer
-//! state's sorted inserts are first-meeting-only).
+//! rows (Eq. 4–9 over whole queues), the contact pool's dispatch by index
+//! and by item, and whole RAPID contacts between nodes that have met
+//! before (the sparse per-peer state's sorted inserts are
+//! first-meeting-only).
 //!
 //! One test only: the counter is process-global, and a sibling test's
 //! allocations would pollute the measurement.
 
-use dtn_sim::par::{Batcher, ContactPool, Lookahead, PendingDrive};
 use dtn_sim::workload::{PacketSpec, Workload};
 use dtn_sim::{
-    Contact, ContactDriver, ContactWindow, NodeBuffer, NodeId, Packet, PacketId, PacketStore,
+    Contact, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId, PacketStore,
     Routing, Schedule, SimConfig, Simulation, Time,
 };
 use rapid_core::{Kernel, QueueSnapshot, Rapid, RapidConfig, RateBatch};
@@ -99,7 +97,6 @@ fn steady_state_snapshot_refill_allocates_nothing() {
     );
 
     rate_batch_phase();
-    batcher_phase();
     pool_phase();
     repeat_contact_phase();
 }
@@ -191,60 +188,11 @@ fn rate_batch_phase() {
     }
     let rows = batch.compute(90.0, 2048.0, 1e9, kernel);
     assert_eq!(rows.len(), 33);
-    let rate = batch.combined_rate(kernel);
-    assert!(rate.is_finite() && rate > 0.0);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
         0,
         "steady-state RateBatch compute must not touch the heap"
-    );
-}
-
-fn drive(seq: u64, a: u32, b: u32) -> PendingDrive {
-    PendingDrive {
-        window: ContactWindow::instant(Time::from_secs(seq), NodeId(a), NodeId(b), 2048),
-        now: Time::from_secs(seq),
-        budget: 2048,
-        seq,
-        measured: true,
-    }
-}
-
-/// The batch scheduler's push/drain cycle must ping-pong the ready
-/// storage with the caller's vector and compact deferrals in place.
-fn batcher_phase() {
-    let mut batcher = Batcher::new(8, Lookahead::Fixed(6));
-    let mut out = Vec::new();
-    let fill = |batcher: &mut Batcher| {
-        // Two conflicting pairs exercise the deferral path too.
-        for (i, (a, b)) in [(0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (1, 3)]
-            .into_iter()
-            .enumerate()
-        {
-            batcher.push(drive(i as u64, a, b));
-        }
-    };
-    // Warm-up: sizes ready, deferred and the caller's out vector.
-    fill(&mut batcher);
-    while !batcher.is_empty() {
-        batcher.take_ready_into(&mut out);
-    }
-    batcher.take_ready_into(&mut out);
-
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let mut drained = 0;
-    fill(&mut batcher);
-    while !batcher.is_empty() {
-        batcher.take_ready_into(&mut out);
-        drained += out.len();
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(drained, 6, "every pushed drive drains exactly once");
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state batcher drain must not touch the heap"
     );
 }
 

@@ -53,17 +53,30 @@ impl Routing for Epidemic {
     }
 
     fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
-        Self::contact_core(driver);
+        let (a, b) = driver.endpoints();
+        for x in [a, b] {
+            let _ = deliver_destined(driver, x);
+        }
+        for x in [a, b] {
+            let mut candidates = replication_candidates(driver, x);
+            candidates.sort_unstable_by_key(|&id| {
+                let p = driver.packets().get(id);
+                (p.created_at, id)
+            });
+            for id in candidates {
+                // Flooding does not evict at the receiver: a full buffer
+                // simply rejects new replicas, so only bandwidth stops us.
+                if driver.try_transfer(x, id) == TransferOutcome::NoBandwidth {
+                    break;
+                }
+            }
+        }
     }
 
     fn contact_concurrency(&self) -> ContactConcurrency {
         // Flooding keeps no protocol state at all: contacts are a pure
         // function of the driver, so node-disjoint ones commute.
         ContactConcurrency::NodeDisjoint
-    }
-
-    fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
-        pool.run_each(batch, &|_worker, driver| Self::contact_core(driver));
     }
 
     fn on_shard_epoch(
@@ -84,30 +97,6 @@ impl Routing for Epidemic {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         load_empty_state("Epidemic", bytes)
-    }
-}
-
-impl Epidemic {
-    /// One flooding contact; free of `self`, so batches parallelize.
-    fn contact_core(driver: &mut ContactDriver<'_>) {
-        let (a, b) = driver.endpoints();
-        for x in [a, b] {
-            let _ = deliver_destined(driver, x);
-        }
-        for x in [a, b] {
-            let mut candidates = replication_candidates(driver, x);
-            candidates.sort_unstable_by_key(|&id| {
-                let p = driver.packets().get(id);
-                (p.created_at, id)
-            });
-            for id in candidates {
-                // Flooding does not evict at the receiver: a full buffer
-                // simply rejects new replicas, so only bandwidth stops us.
-                if driver.try_transfer(x, id) == TransferOutcome::NoBandwidth {
-                    break;
-                }
-            }
-        }
     }
 }
 

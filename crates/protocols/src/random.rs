@@ -10,9 +10,8 @@
 //! protocol stream. Statistically nothing changes (each shuffle still sees
 //! an independent uniform stream), but contact decisions become a pure
 //! function of the contact itself — which is what lets Random declare
-//! [`ContactConcurrency::NodeDisjoint`] and run under both the engine's
-//! intra-run parallel batch layer and the sharded runtime with
-//! byte-identical results. Creation-time `make_room` follows the same
+//! [`ContactConcurrency::NodeDisjoint`] and run under the sharded runtime
+//! with byte-identical results. Creation-time `make_room` follows the same
 //! discipline: a per-call substream derived from the incoming packet id,
 //! so the draw is a pure function of the eviction site rather than of
 //! how many evictions happened before it.
@@ -59,17 +58,6 @@ impl Random {
             with_acks: true,
             ..Self::new()
         }
-    }
-
-    /// Delivery plus randomized replication for one contact, drawing from
-    /// the contact's own substream. Free of `self`: the batch path runs
-    /// this concurrently for node-disjoint contacts.
-    fn contact_core(contacts: SeedStream, driver: &mut ContactDriver<'_>) {
-        let (a, b) = driver.endpoints();
-        for x in [a, b] {
-            let _ = deliver_destined(driver, x);
-        }
-        Self::replicate_randomly(contacts, driver);
     }
 
     /// The randomized replication half of a contact.
@@ -186,17 +174,16 @@ impl Routing for Random {
                     }
                 }
             }
-            for x in [a, b] {
-                for id in deliver_destined(driver, x) {
+        }
+        for x in [a, b] {
+            for id in deliver_destined(driver, x) {
+                if self.with_acks {
                     self.acks.learn(x, id);
                     self.acks.learn(driver.peer_of(x), id);
                 }
             }
-            // Delivery already ran; replication only below.
-            Self::replicate_randomly(self.contacts, driver);
-        } else {
-            Self::contact_core(self.contacts, driver);
         }
+        Self::replicate_randomly(self.contacts, driver);
     }
 
     fn contact_concurrency(&self) -> ContactConcurrency {
@@ -209,14 +196,6 @@ impl Routing for Random {
         } else {
             ContactConcurrency::NodeDisjoint
         }
-    }
-
-    fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
-        debug_assert!(!self.with_acks, "ack variant declared Serial");
-        let contacts = self.contacts;
-        pool.run_each(batch, &|_worker, driver| {
-            Self::contact_core(contacts, driver)
-        });
     }
 
     fn on_shard_epoch(

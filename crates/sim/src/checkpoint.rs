@@ -3,8 +3,8 @@
 //!
 //! A [`Snapshot`] is the complete deterministic state of a run at a
 //! *quiescent point* of the event-merge scan ([`crate::scan`]) — the top
-//! of its loop, after `Executor::quiesce` committed every batched drive
-//! and drained every shard queue. Captured state:
+//! of its loop, after `Executor::quiesce` drained every shard queue.
+//! Captured state:
 //!
 //! * the pending [`EventQueue`] in drain order,
 //! * the world: packet arena columns, per-node buffers (including each
@@ -23,10 +23,9 @@
 //!   ([`Routing::save_state`], empty for a protocol that keeps none).
 //!
 //! Restoring a snapshot and running to completion is byte-identical to
-//! the uninterrupted run — at any `RAPID_SHARDS` / `RAPID_INTRA_JOBS`,
-//! because the snapshot holds only the serial-order state that every
-//! runtime agrees on (see `crate::par` and `crate::shard` for why the
-//! parallel schedules commute).
+//! the uninterrupted run — at any `RAPID_SHARDS`, because the snapshot
+//! holds only the serial-order state both runtimes agree on (see
+//! `crate::shard` for why shard epochs commute).
 //!
 //! The [`Checkpointer`] writes rotating `ckpt-<seq>.rsnp` files
 //! (tmp-write + rename so a crash mid-write never clobbers the previous
@@ -36,11 +35,13 @@
 //! snapshot instead of a dead run.
 
 use crate::contact::ContactWindow;
+use crate::driver::ContactLedger;
 use crate::event::{EventQueue, SimEvent};
 use crate::fault::{corrupt_file, FaultPlan};
 use crate::ids::IndexSet;
 use crate::report::SimReport;
 use crate::routing::{PacketStore, Routing, SimConfig};
+use crate::scan::PendingDrive;
 use crate::time::{Time, TimeDelta};
 use crate::types::{NodeId, PacketId};
 use crate::workload::PacketSpec;
@@ -86,7 +87,8 @@ pub struct OpenSnap {
 }
 
 /// The run's scalar report counters (everything in `SimReport` that is
-/// accumulated rather than derived at the end).
+/// accumulated rather than derived at the end): the one accumulator the
+/// scan, both executors and every shard add into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counters {
     /// Contacts that took place.
@@ -108,22 +110,20 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// The counters `report` has accumulated so far (capture).
-    pub(crate) fn of(report: &SimReport) -> Self {
-        Self {
-            contacts: report.contacts,
-            contacts_failed: report.contacts_failed,
-            contacts_suppressed: report.contacts_suppressed,
-            expired: report.expired,
-            offered_bytes: report.offered_bytes,
-            data_bytes: report.data_bytes,
-            metadata_bytes: report.metadata_bytes,
-            replications: report.replications,
+    /// Accounts one driven contact — its offered opportunity and what its
+    /// ledger moved — when it falls in the measured span.
+    pub(crate) fn add_drive(&mut self, drive: &PendingDrive, ledger: ContactLedger) {
+        if drive.measured {
+            self.contacts += 1;
+            self.offered_bytes += 2 * drive.budget;
+            self.data_bytes += ledger.data_bytes;
+            self.metadata_bytes += ledger.metadata_bytes;
+            self.replications += ledger.replications;
         }
     }
 
-    /// Writes the counters back into a fresh `report` (resume).
-    pub(crate) fn restore_into(self, report: &mut SimReport) {
+    /// Writes the counters into `report` (end of run).
+    pub(crate) fn write_into(self, report: &mut SimReport) {
         report.contacts = self.contacts;
         report.contacts_failed = self.contacts_failed;
         report.contacts_suppressed = self.contacts_suppressed;
@@ -132,6 +132,19 @@ impl Counters {
         report.data_bytes = self.data_bytes;
         report.metadata_bytes = self.metadata_bytes;
         report.replications = self.replications;
+    }
+}
+
+impl std::ops::AddAssign for Counters {
+    fn add_assign(&mut self, other: Self) {
+        self.contacts += other.contacts;
+        self.contacts_failed += other.contacts_failed;
+        self.contacts_suppressed += other.contacts_suppressed;
+        self.expired += other.expired;
+        self.offered_bytes += other.offered_bytes;
+        self.data_bytes += other.data_bytes;
+        self.metadata_bytes += other.metadata_bytes;
+        self.replications += other.replications;
     }
 }
 
@@ -188,10 +201,8 @@ pub struct Snapshot {
 }
 
 /// FNV-1a over the behavioral `SimConfig` fields — everything that
-/// changes results. `intra_jobs` and `lookahead` are deliberately
-/// excluded: they only change the parallel schedule, which is
-/// byte-identical by construction, so a snapshot taken at one
-/// `RAPID_INTRA_JOBS` restores under another.
+/// changes results. `intra_jobs` and `lookahead` are excluded: nothing
+/// reads them.
 pub fn config_digest(config: &SimConfig) -> u64 {
     let mut h = Fnv::new();
     h.u64(config.nodes as u64);

@@ -6,21 +6,20 @@
 //! buffer capacity respected — and keeps the byte accounting (data versus
 //! control metadata) that the evaluation reports (Figs. 8, 9).
 //!
-//! # Serial and batch world access
+//! # Serial and shard world access
 //!
 //! The serial engine hands each driver the *full* world (every buffer, the
-//! holder sets). Under intra-run parallelism (`RAPID_INTRA_JOBS > 1`, see
-//! [`crate::par`]) and inside a shard's epoch ([`crate::shard`]), a driver
+//! holder sets). Inside a shard's epoch ([`crate::shard`]) a driver
 //! instead holds a *pair* view: `&mut` borrows of its two endpoint buffers,
-//! split off by the borrow checker, and a deferred holder-op log the engine
-//! applies at commit time. Every view shares the run's `DeliveredAt`
-//! column by `&`: its slots are relaxed atomics, so concurrent contacts
-//! can never race on it, and a packet's slot is only ever written by the
-//! contact reaching its destination — one contact per batch or shard
-//! epoch — so what each contact reads is the serial value. Both views
+//! split off by the borrow checker, and a deferred holder-op log the
+//! runtime applies after the epoch. Every view shares the run's
+//! `DeliveredAt` column by `&`: its slots are relaxed atomics, so
+//! concurrent shards can never race on it, and a packet's slot is only
+//! ever written by contacts reaching its destination — all in one shard
+//! per epoch — so what each contact reads is the serial value. Both views
 //! produce identical observable behaviour for protocols that only address
 //! the contact's endpoints; the global view ([`ContactDriver::global`])
-//! exists only in serial mode (global-knowledge runs are never batched).
+//! exists only in serial mode (global-knowledge runs are never sharded).
 
 use crate::buffer::NodeBuffer;
 use crate::ids::IndexSet;
@@ -49,7 +48,7 @@ pub struct ContactLedger {
     pub deliveries: u64,
 }
 
-/// One deferred holder-set mutation (batch mode): `added == true` inserts
+/// One deferred holder-set mutation (shard epochs): `added == true` inserts
 /// `node` into packet `id`'s holder set, `false` removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct HolderOp {
@@ -121,7 +120,7 @@ pub(crate) enum WorldMut<'a> {
         delivered_at: &'a DeliveredAt,
         holders: &'a mut [IndexSet],
     },
-    /// One batch or shard contact's slice of the world (see module docs).
+    /// One shard contact's slice of the world (see module docs).
     Pair {
         packets: &'a PacketStore,
         a: NodeId,
@@ -159,7 +158,7 @@ impl WorldMut<'_> {
                 } else if node == *b {
                     buf_b
                 } else {
-                    panic!("{node} is outside this batch contact's pair view")
+                    panic!("{node} is outside this contact's pair view")
                 }
             }
         }
@@ -176,7 +175,7 @@ impl WorldMut<'_> {
                 } else if node == *b {
                     buf_b
                 } else {
-                    panic!("{node} is outside this batch contact's pair view")
+                    panic!("{node} is outside this contact's pair view")
                 }
             }
         }
@@ -265,7 +264,7 @@ impl<'a> ContactDriver<'a> {
     /// (0-based, counting every driven contact). Protocols that need
     /// randomness derive a per-contact RNG substream from it — the one
     /// discipline that keeps their draws identical between the serial
-    /// engine and intra-run parallel execution (see [`crate::par`]).
+    /// engine and the sharded runtime (see [`crate::shard`]).
     pub fn contact_seq(&self) -> u64 {
         self.seq
     }
@@ -425,7 +424,7 @@ impl<'a> ContactDriver<'a> {
                 buffers,
             },
             WorldMut::Pair { .. } => {
-                unreachable!("global-knowledge runs are never batch-executed")
+                unreachable!("global-knowledge runs are never sharded")
             }
         }
     }

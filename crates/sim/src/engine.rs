@@ -7,8 +7,8 @@
 //! [`SimEvent`]s (contact window open/close, packet creation, TTL expiry,
 //! node churn) in the documented tie-break order; at each driven contact the
 //! routing protocol moves packets through a [`ContactDriver`] that enforces
-//! the feasibility rules of §3.1. This module holds the entry points and
-//! the batched executor of intra-run parallelism.
+//! the feasibility rules of §3.1. This module holds the serial entry
+//! points; [`crate::shard`] holds the sharded ones.
 //!
 //! Contact windows ([`crate::contact::ContactWindow`]) are durative: the
 //! protocol is driven when a window *closes* (or is interrupted by churn),
@@ -19,31 +19,16 @@
 //! are deterministic given the configuration seed.
 //!
 //! [`SimEvent`]: crate::event::SimEvent
+//! [`ContactDriver`]: crate::driver::ContactDriver
 
 use crate::checkpoint::{require_checkpointable, RunHooks};
 use crate::contact::Schedule;
-use crate::driver::{ContactDriver, HolderOp, WorldMut};
 use crate::event::NodeEvent;
 use crate::noise::NoiseModel;
-use crate::par::{disjoint_pairs, Batcher, ContactPool, PendingDrive};
 use crate::report::SimReport;
 use crate::routing::{Routing, SimConfig};
-use crate::scan::{scan, Executor, Immediate, Run, World};
+use crate::scan::{scan, Immediate};
 use crate::source::{ContactSource, WorkloadSource};
-use crate::time::Time;
-use crate::types::{NodeId, PacketId};
-
-/// Reusable storage for the batch flush loop: the drained ready set and a
-/// pool of holder-op log vectors, recycled across flushes. The drivers
-/// borrow the world, so their list is built per flush.
-#[derive(Default)]
-struct FlushScratch {
-    /// The ready set drained from the batcher (capacity ping-pongs with
-    /// the batcher's internal vector).
-    ready: Vec<PendingDrive>,
-    /// Holder-op logs returned by committed drivers, cleared for reuse.
-    logs: Vec<Vec<HolderOp>>,
-}
 
 /// A fully specified simulation run: configuration, contact-window schedule,
 /// packet workload and (optionally) node churn.
@@ -124,8 +109,8 @@ impl Simulation {
     /// Executes the run against `routing` and returns the measured report.
     ///
     /// The engine owns all world state; the protocol only moves packets
-    /// through the [`ContactDriver`]. Identical inputs (including
-    /// `config.seed`) produce identical reports.
+    /// through the [`ContactDriver`](crate::driver::ContactDriver).
+    /// Identical inputs (including `config.seed`) produce identical reports.
     ///
     /// This is the materialized convenience wrapper around
     /// [`run_streaming`]: the schedule and workload are streamed through
@@ -150,19 +135,6 @@ impl Simulation {
 /// is bounded by the open state (buffers, in-flight packets, open windows),
 /// not the contact-plan size. The drain order and the source contract are
 /// those of the event-merge scan (see `crate::scan::scan`).
-///
-/// # Intra-run parallelism
-///
-/// With `config.intra_jobs > 1`, on runs without global knowledge and for
-/// protocols declaring [`crate::par::ContactConcurrency::NodeDisjoint`],
-/// the engine layers a conservative parallel scheduler over the same
-/// drain order: it
-/// scans ahead (bounded lookahead), greedily groups contact drives whose
-/// node sets are pairwise disjoint, executes each group on a scoped
-/// worker pool, and commits results in the scan order. Every non-contact
-/// event is a barrier. Results are byte-identical to `intra_jobs = 1`
-/// (the serial engine, and the default) — see [`crate::par`] for the
-/// determinism argument.
 pub fn run_streaming(
     config: &SimConfig,
     contacts: &mut dyn ContactSource,
@@ -199,171 +171,19 @@ pub fn run_streaming_hooked(
     if hooks.checkpoint.is_some() || hooks.resume.is_some() {
         require_checkpointable(routing);
     }
-    let jobs = config.intra_jobs.max(1);
-    let parallel = jobs > 1
-        && !config.allow_global_knowledge
-        && routing.contact_concurrency().is_node_disjoint();
     routing.on_init(config);
-    let mut serial = Immediate { routing };
-    if !parallel {
-        return scan(config, contacts, workload, churn, noise, hooks, &mut serial);
-    }
-    std::thread::scope(|scope| {
-        let pool = ContactPool::start(scope, jobs);
-        let mut exec = Batched {
-            serial,
-            pool: &pool,
-            batcher: Batcher::new(config.nodes, config.lookahead),
-            scratch: FlushScratch::default(),
-        };
-        scan(config, contacts, workload, churn, noise, hooks, &mut exec)
-    })
-}
-
-/// The batched executor of intra-run parallelism: contact drives are held
-/// by the batch scheduler and executed in node-disjoint groups on `pool`;
-/// everything else is a barrier executed by the serial executor.
-struct Batched<'a, 'p> {
-    serial: Immediate<'a>,
-    pool: &'p ContactPool,
-    batcher: Batcher,
-    scratch: FlushScratch,
-}
-
-impl Executor for Batched<'_, '_> {
-    fn routing(&mut self) -> &mut dyn Routing {
-        self.serial.routing
-    }
-
-    fn drive(&mut self, run: &mut Run<'_>, drive: PendingDrive, interrupted: bool) {
-        if interrupted {
-            // A churn interruption belongs to its `NodeDown`: a barrier.
-            self.quiesce(run);
-            return self.serial.drive(run, drive, true);
-        }
-        self.batcher.push(drive);
-        if self.batcher.full() {
-            self.quiesce(run);
-        }
-    }
-
-    /// Creations read and mutate world state other contacts may share
-    /// (the source buffer, holder sets): a barrier.
-    fn create(&mut self, run: &mut Run<'_>, id: PacketId, src_up: bool) {
-        self.quiesce(run);
-        self.serial.create(run, id, src_up);
-    }
-
-    // Every queue event other than a window close reads or mutates state
-    // pending drives may share (availability, holder sets, buffers of
-    // arbitrary nodes): a barrier.
-    fn node_up(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
-        self.quiesce(run);
-        self.serial.node_up(run, node, now);
-    }
-
-    fn node_down(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
-        self.quiesce(run);
-        self.serial.node_down(run, node, now);
-    }
-
-    fn expire(&mut self, run: &mut Run<'_>, id: PacketId) {
-        self.quiesce(run);
-        self.serial.expire(run, id);
-    }
-
-    /// Drains every drive held by the batch scheduler: executes the ready
-    /// set on the pool, commits it in scan order, promotes deferred
-    /// drives, and repeats until nothing is held. See [`crate::par`] for
-    /// why this is byte-identical to driving the same contacts serially
-    /// in scan order — at any point of the scan.
-    fn quiesce(&mut self, run: &mut Run<'_>) {
-        loop {
-            self.batcher.take_ready_into(&mut self.scratch.ready);
-            if self.scratch.ready.is_empty() {
-                debug_assert!(self.batcher.is_empty(), "take_ready drains everything");
-                return;
-            }
-            execute_ready(run, self.serial.routing, self.pool, &mut self.scratch);
-        }
-    }
-}
-
-/// Executes one pairwise node-disjoint set of drives (`scratch.ready`) and
-/// commits it, returning the log allocations to the scratch pool for the
-/// next flush. The endpoint buffers are leased by [`disjoint_pairs`], so a
-/// batch whose members share a node panics in every build.
-fn execute_ready(
-    run: &mut Run<'_>,
-    routing: &mut dyn Routing,
-    pool: &ContactPool,
-    scratch: &mut FlushScratch,
-) {
-    let FlushScratch { ready, logs } = scratch;
-    debug_assert!(!run.config.allow_global_knowledge);
-    let Run { world, report, .. } = run;
-    let World {
-        buffers,
-        store,
-        delivered_at,
-        holders,
-        ..
-    } = world;
-    let ends = ready
-        .iter()
-        .map(|p| (p.window.a.index(), p.window.b.index()));
-    let mut drivers: Vec<ContactDriver<'_>> = ready
-        .iter()
-        .zip(disjoint_pairs(buffers, ends))
-        .map(|(p, (buf_a, buf_b))| {
-            ContactDriver::new(
-                WorldMut::Pair {
-                    packets: store,
-                    a: p.window.a,
-                    buf_a,
-                    b: p.window.b,
-                    buf_b,
-                    delivered_at,
-                    holder_log: logs.pop().unwrap_or_default(),
-                },
-                p.now,
-                p.window.a,
-                p.window.b,
-                p.budget,
-                false,
-                p.seq,
-            )
-        })
-        .collect();
-
-    routing.on_contact_batch(&mut drivers, pool);
-
-    // Commit in scan order: report accounting, deferred holder ops, and
-    // the contact-end hook.
-    for (p, driver) in ready.iter().zip(drivers) {
-        let (ledger, mut log) = driver.into_commit();
-        if p.measured {
-            report.contacts += 1;
-            report.offered_bytes += 2 * p.budget;
-            report.data_bytes += ledger.data_bytes;
-            report.metadata_bytes += ledger.metadata_bytes;
-            report.replications += ledger.replications;
-        }
-        for op in log.drain(..) {
-            op.apply(holders);
-        }
-        logs.push(log);
-        routing.on_contact_end(p.window.a, p.window.b, p.now, false);
-    }
+    let mut exec = Immediate { routing };
+    scan(config, contacts, workload, churn, noise, hooks, &mut exec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contact::{Contact, ContactWindow};
+    use crate::driver::ContactDriver;
     use crate::routing::TransferOutcome;
-    use crate::time::TimeDelta;
-    use crate::types::Packet;
+    use crate::time::{Time, TimeDelta};
+    use crate::types::{NodeId, Packet, PacketId};
     use crate::workload::{PacketSpec, Workload};
 
     /// Minimal flooding protocol for engine tests: each side sends

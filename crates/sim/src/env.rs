@@ -7,15 +7,11 @@
 //! is deliberate — a typo'd `RAPID_SHARDS=fou` must not silently fall
 //! back to the serial engine and quietly invalidate a scaling measurement.
 //!
-//! The per-crate copies this module replaces (`par::jobs_from_env`,
-//! `Lookahead::from_env`, `Kernel::from_env`, the bench crate's lenient
-//! `env_u64`) now delegate here, so the parse-and-abort behaviour is
+//! Every knob reader delegates here, so the parse-and-abort behaviour is
 //! identical across knobs:
 //!
-//! * `RAPID_JOBS` / `RAPID_INTRA_JOBS` / `RAPID_SHARDS` — worker and
-//!   shard counts, positive integers ([`jobs_from_env`]).
-//! * `RAPID_LOOKAHEAD` — the batch scheduler's policy
-//!   ([`crate::par::Lookahead::from_env`]).
+//! * `RAPID_JOBS` / `RAPID_SHARDS` — worker and shard counts, positive
+//!   integers ([`jobs_from_env`]).
 //! * `RAPID_KERNEL` — the estimate-kernel selector (parsed by
 //!   `rapid-core`, read through [`from_env_or`]).
 //! * Generic counters — [`u64_from_env`].
@@ -70,13 +66,6 @@ pub fn jobs_from_env(name: &str, default: usize) -> usize {
     from_env_or(name, default, |v| parse_jobs(name, v))
 }
 
-/// The intra-run worker count from `RAPID_INTRA_JOBS` (default 1 = the
-/// serial engine). Harness code plumbs this into
-/// [`crate::routing::SimConfig::intra_jobs`].
-pub fn intra_jobs_from_env() -> usize {
-    jobs_from_env("RAPID_INTRA_JOBS", 1)
-}
-
 /// The shard count from `RAPID_SHARDS` (default 1 = today's unsharded
 /// engine, byte-identical). Harness code routes a run through
 /// [`crate::shard::run_sharded`] when this exceeds 1.
@@ -125,7 +114,6 @@ mod tests {
         assert_eq!(jobs_from_env("RAPID_ENV_TEST_UNSET", 3), 3);
         assert_eq!(u64_from_env("RAPID_ENV_TEST_UNSET", 42), 42);
         assert!(shards_from_env() >= 1);
-        assert!(intra_jobs_from_env() >= 1);
     }
 
     #[test]

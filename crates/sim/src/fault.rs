@@ -9,24 +9,12 @@
 //!   panic) the first time simulated time reaches `at`. The bench
 //!   runner's retry loop catches it and resumes from the last good
 //!   checkpoint, exactly as it would for a genuine worker panic.
-//! * [`Fault::AbortWindow`] — a durative contact window is cut short at
-//!   `at`, closing with only the capacity accrued by then (the same
-//!   semantics as a churn interruption, but aimed at one window). This
-//!   perturbs the schedule the way a flaky radio would, while keeping
-//!   the run fully deterministic for a given plan.
 //! * [`Fault::CorruptSnapshot`] — the checkpoint file with sequence
 //!   number `seq` is damaged right after it is written (truncated or
 //!   bit-flipped), so the resume path must detect the damage via the
 //!   `RSNP1` checksums and fall back to the previous snapshot.
-//!
-//! Plans are either scheduled explicitly ([`FaultPlan::scheduled`]) or
-//! drawn from a seeded RNG substream ([`FaultPlan::seeded`]) so fuzz-style
-//! CI jobs stay reproducible.
 
-use crate::event::WindowIdx;
 use crate::time::Time;
-use dtn_stats::stream;
-use rand::Rng;
 use std::path::Path;
 
 /// How [`Fault::CorruptSnapshot`] damages the file.
@@ -44,15 +32,6 @@ pub enum Fault {
     /// Panic the event loop when simulated time first reaches `at`.
     Crash {
         /// Simulated instant of the crash.
-        at: Time,
-    },
-    /// Close durative window `idx` at `at` with the capacity accrued so
-    /// far (ignored if the window is instantaneous or `at` is outside its
-    /// span).
-    AbortWindow {
-        /// Pull-order index of the window (the engine's `WindowIdx`).
-        idx: WindowIdx,
-        /// When to cut the window short.
         at: Time,
     },
     /// Damage checkpoint file `seq` immediately after it is written.
@@ -81,34 +60,6 @@ impl FaultPlan {
             faults,
             spent_crashes: Vec::new(),
         }
-    }
-
-    /// A reproducible random plan: `crashes` crash instants drawn
-    /// uniformly from the middle 80% of `[0, horizon]` on the
-    /// `fault-plan` substream of `seed`.
-    pub fn seeded(seed: u64, horizon: Time, crashes: usize) -> Self {
-        let mut rng = stream(seed, "fault-plan");
-        let mut faults: Vec<Fault> = (0..crashes)
-            .map(|_| {
-                let f = 0.1 + 0.8 * rng.gen::<f64>();
-                Fault::Crash {
-                    at: Time((horizon.0 as f64 * f) as u64),
-                }
-            })
-            .collect();
-        faults.sort_by_key(|f| match f {
-            Fault::Crash { at } => at.0,
-            _ => unreachable!("seeded plans only draw crashes"),
-        });
-        Self {
-            faults,
-            spent_crashes: Vec::new(),
-        }
-    }
-
-    /// The faults in the plan.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
     }
 
     /// Marks every crash at or before `now` as already spent — called on
@@ -143,16 +94,6 @@ impl FaultPlan {
                 at.0
             );
         }
-    }
-
-    /// The abort instant for window `idx`, if one is planned inside
-    /// `(start, end)`. The scan substitutes this for the window's
-    /// natural close when scheduling its `ContactEnd`.
-    pub fn abort_for(&self, idx: WindowIdx, start: Time, end: Time) -> Option<Time> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::AbortWindow { idx: i, at } if *i == idx && *at > start && *at < end => Some(*at),
-            _ => None,
-        })
     }
 
     /// How checkpoint `seq` should be damaged, if a corruption fault
@@ -195,28 +136,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seeded_plans_are_reproducible_and_sorted() {
-        let horizon = Time::from_secs(1000);
-        let a = FaultPlan::seeded(7, horizon, 4);
-        let b = FaultPlan::seeded(7, horizon, 4);
-        assert_eq!(a.faults(), b.faults());
-        let times: Vec<u64> = a
-            .faults()
-            .iter()
-            .map(|f| match f {
-                Fault::Crash { at } => at.0,
-                _ => panic!("seeded plans only contain crashes"),
-            })
-            .collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        assert!(times
-            .iter()
-            .all(|&t| t >= horizon.0 / 10 && t <= horizon.0 * 9 / 10));
-        let c = FaultPlan::seeded(8, horizon, 4);
-        assert_ne!(a.faults(), c.faults(), "different seeds differ");
-    }
-
-    #[test]
     #[should_panic(expected = "injected crash fault")]
     fn crash_trips_when_due() {
         let mut plan = FaultPlan::scheduled(vec![Fault::Crash {
@@ -233,22 +152,6 @@ mod tests {
         }]);
         plan.ack_crashes_before(Time::from_secs(10));
         plan.trip_crash(Time::from_secs(11)); // must not panic
-    }
-
-    #[test]
-    fn abort_only_inside_the_window_span() {
-        let plan = FaultPlan::scheduled(vec![Fault::AbortWindow {
-            idx: 3,
-            at: Time::from_secs(50),
-        }]);
-        let (s, e) = (Time::from_secs(40), Time::from_secs(60));
-        assert_eq!(plan.abort_for(3, s, e), Some(Time::from_secs(50)));
-        assert_eq!(plan.abort_for(2, s, e), None, "other windows untouched");
-        assert_eq!(
-            plan.abort_for(3, Time::from_secs(55), e),
-            None,
-            "abort before the start is ignored"
-        );
     }
 
     #[test]

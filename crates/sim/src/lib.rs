@@ -36,9 +36,10 @@
 //!   merges a [`source::ContactSource`] and a [`source::WorkloadSource`]
 //!   against the event queue in the documented tie-break order, so a
 //!   run's memory is bounded by its open state, not its contact-plan
-//!   size. That merge is the one [`scan`] every runtime shares — the
-//!   serial engine, intra-run batching ([`par`]) and the sharded runtime
-//!   ([`shard`]) differ only in the executor it hands each action to.
+//!   size. That merge is the one [`scan`] both runtimes share — the
+//!   serial engine and the sharded runtime ([`shard`], the one parallel
+//!   executor, on a [`par::ContactPool`]) differ only in the executor it
+//!   hands each action to.
 //!   [`engine::Simulation`] is the materialized convenience wrapper
 //!   — including node churn ([`event::NodeEvent`]) that interrupts active
 //!   windows mid-accrual and per-packet TTL
@@ -90,15 +91,15 @@ pub use checkpoint::{
 pub use contact::{Contact, ContactWindow, Schedule};
 pub use driver::{ContactDriver, ContactLedger, GlobalView};
 pub use engine::{run_streaming, run_streaming_hooked, Simulation};
-pub use env::{from_env_or, shards_from_env};
+pub use env::{from_env_or, jobs_from_env, shards_from_env};
 pub use event::{EventQueue, NodeEvent, SimEvent};
 pub use fault::{corrupt_bytes, corrupt_file, CorruptMode, Fault, FaultPlan};
 pub use ids::{IndexSet, NodeIdx, NodeInterner, PacketIdx, PacketInterner};
 pub use noise::NoiseModel;
-pub use par::{intra_jobs_from_env, jobs_from_env, ContactConcurrency, ContactPool, Lookahead};
+pub use par::{intra_jobs_from_env, ContactPool, Lookahead};
 pub use plan::{CompiledPlan, PlanAtom, PlanStream};
 pub use report::{PacketOutcome, SimReport};
-pub use routing::{PacketStore, Routing, SimConfig, TransferOutcome};
+pub use routing::{ContactConcurrency, PacketStore, Routing, SimConfig, TransferOutcome};
 pub use shard::{
     clamp_shards, run_sharded, run_sharded_hooked, run_sharded_with_stats, Partition, ShardStats,
 };

@@ -11,7 +11,7 @@
 
 use crate::buffer::NodeBuffer;
 use crate::driver::ContactDriver;
-use crate::par::{ContactConcurrency, ContactPool};
+use crate::par::ContactPool;
 use crate::shard::Partition;
 use crate::time::{Time, TimeDelta};
 use crate::types::{NodeId, Packet, PacketId};
@@ -45,18 +45,11 @@ pub struct SimConfig {
     /// them) but excluded from the report's byte and contact accounting —
     /// used for warm-up windows that precede the measured experiment.
     pub measure_from: Time,
-    /// Intra-run worker count for the conservative parallel contact layer
-    /// (see [`crate::par`]). `1` (the default) is the serial engine —
-    /// every other value still produces byte-identical results, but only
-    /// takes effect for protocols that declare
-    /// [`ContactConcurrency::NodeDisjoint`] on runs without global
-    /// knowledge. Harness code plumbs `RAPID_INTRA_JOBS` in here
-    /// ([`crate::par::intra_jobs_from_env`]).
+    /// Read by nothing: the engine has one event loop. Kept, with
+    /// [`SimConfig::lookahead`], only because the benchmark of record
+    /// still sets both; they go with ROADMAP item 1.
     pub intra_jobs: usize,
-    /// Lookahead policy for the batch scheduler (adaptive by default; any
-    /// policy commits byte-identical results — see [`crate::par`]).
-    /// Harness code plumbs `RAPID_LOOKAHEAD` in here
-    /// ([`crate::par::Lookahead::from_env`]).
+    /// Read by nothing (see [`SimConfig::intra_jobs`]).
     pub lookahead: crate::par::Lookahead,
 }
 
@@ -72,8 +65,46 @@ impl Default for SimConfig {
             seed: 0,
             measure_from: Time::ZERO,
             intra_jobs: 1,
-            lookahead: crate::par::Lookahead::default(),
+            lookahead: crate::par::Lookahead,
         }
+    }
+}
+
+/// How a routing protocol's contact handler may be scheduled within one
+/// run (see [`Routing::contact_concurrency`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ContactConcurrency {
+    /// Contacts must be driven one at a time, in event order (the
+    /// default; always correct).
+    Serial,
+    /// Contacts whose node sets are disjoint may be driven concurrently:
+    /// the protocol promises that `on_contact` / `on_contact_end` touch
+    /// only per-endpoint protocol state (plus the driver), and that any
+    /// randomness is derived from the driver's contact sequence number
+    /// rather than a shared stream.
+    NodeDisjoint,
+}
+
+impl ContactConcurrency {
+    /// Whether node-disjoint contacts may be driven concurrently within
+    /// one instance (the gate of the sharded runtime).
+    pub fn is_node_disjoint(self) -> bool {
+        self == Self::NodeDisjoint
+    }
+
+    /// Stable snake-case label for telemetry columns (the per-shard
+    /// timing TSV's `concurrency` field).
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::Serial => "serial",
+            Self::NodeDisjoint => "node_disjoint",
+        }
+    }
+}
+
+impl std::fmt::Display for ContactConcurrency {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -147,8 +178,8 @@ pub trait Routing {
     /// [`Routing::on_contact`] / [`Routing::on_contact_end`] touch only
     /// per-endpoint protocol state (plus the driver), and that any
     /// randomness is derived from [`ContactDriver::contact_seq`] — which
-    /// lets the engine drive node-disjoint contacts concurrently with
-    /// byte-identical results (see [`crate::par`]).
+    /// lets the sharded runtime drive node-disjoint contacts concurrently
+    /// with byte-identical results.
     ///
     /// The promise extends to the per-node lifecycle hooks:
     /// [`Routing::make_room`], [`Routing::on_packet_created`] /
@@ -163,17 +194,10 @@ pub trait Routing {
         ContactConcurrency::Serial
     }
 
-    /// Executes a batch of pairwise node-disjoint contacts (only called
-    /// when [`Routing::contact_concurrency`] declared
-    /// [`ContactConcurrency::NodeDisjoint`] and the run enabled intra-run
-    /// parallelism). The drivers are in scan (serial drive) order.
-    ///
-    /// The default runs them one by one on the calling thread — correct
-    /// for any protocol, parallel for none. Protocols override it to
-    /// spread the batch over `pool` with [`ContactPool::run_each`],
-    /// leasing their per-endpoint state with
-    /// [`crate::par::disjoint_pairs`]; effects must be identical to
-    /// driving the batch serially in order.
+    /// Drives `batch` one contact at a time, in order. No runtime calls
+    /// it: the engine drives every contact through [`Routing::on_contact`].
+    /// The hook stays only because the benchmark of record still forwards
+    /// it, and goes with ROADMAP item 1; overriding it changes nothing.
     fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
         let _ = pool;
         for driver in batch {
@@ -186,8 +210,7 @@ pub trait Routing {
     /// Default: no-op (protocols that only care about transfers ignore it).
     fn on_contact_end(&mut self, _a: NodeId, _b: NodeId, _now: Time, _interrupted: bool) {}
 
-    /// Drains one sharded-runtime epoch against this instance — the
-    /// sharded analogue of [`Routing::on_contact_batch`].
+    /// Drains one sharded-runtime epoch against this instance.
     ///
     /// Only called by [`crate::shard`], which requires
     /// [`ContactConcurrency::NodeDisjoint`]: a sharded run has exactly one

@@ -1,19 +1,17 @@
-//! The one event-merge scan behind every runtime.
+//! The one event-merge scan behind both runtimes.
 //!
 //! `scan` owns everything the runtimes share: the three-way merge of the
 //! event queue (churn, window closes, TTL expiries) against the two
 //! pull-based sources on the `(time, rank)` key of the tie-break table
 //! ([`crate::event`]), the source pulls and their asserts, node
 //! availability and the open-window set, noise draws, contact sequence
-//! numbers, TTL scheduling, resume, quiescent-point snapshot capture and
-//! the fault hooks. What differs between runtimes — *who executes a drive
-//! and when its effects commit* — sits behind the `Executor` trait:
+//! numbers, TTL scheduling, resume, quiescent-point snapshot capture, the
+//! report counters and the fault hooks. What differs between the two
+//! runtimes — *who executes a drive and when its effects commit* — sits
+//! behind the `Executor` trait:
 //!
 //! * `Immediate`: every action executes at once against the full world.
-//!   The serial engine, and the coordinator inside the other two.
-//! * `engine::Batched` (`intra_jobs > 1`): contact drives are held back
-//!   and executed in node-disjoint groups on a worker pool
-//!   ([`crate::par`]); every other action is a barrier.
+//!   The serial engine, and the coordinator inside the sharded runtime.
 //! * `shard::Partitioned` (`run_sharded*`): actions whose nodes lie in one
 //!   shard queue to it and free-run until the next cross-shard action
 //!   ([`crate::shard`]).
@@ -27,11 +25,11 @@
 //! [`crate::engine::run_streaming`] and [`crate::shard::run_sharded`].
 
 use crate::checkpoint::{config_digest, Counters, OpenSnap, RoutingState, RunHooks, Snapshot};
+use crate::contact::ContactWindow;
 use crate::driver::{ContactDriver, DeliveredAt, HolderOp, WorldMut};
 use crate::event::{EventQueue, NodeEvent, SimEvent, WindowIdx};
 use crate::ids::IndexSet;
 use crate::noise::NoiseModel;
-use crate::par::PendingDrive;
 use crate::report::SimReport;
 use crate::routing::{PacketStore, Routing, SimConfig};
 use crate::source::{ContactSource, WorkloadSource};
@@ -43,8 +41,24 @@ use dtn_stats::stream;
 use rand::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// One contact drive as the scan hands it to an executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PendingDrive {
+    /// The window being driven.
+    pub window: ContactWindow,
+    /// The drive instant (window close, or start for instantaneous).
+    pub now: Time,
+    /// Per-direction byte budget.
+    pub budget: u64,
+    /// Contact sequence number in serial scan order (drives the
+    /// per-contact RNG substreams of randomized protocols).
+    pub seq: u64,
+    /// Whether this contact falls in the measured span.
+    pub measured: bool,
+}
+
 /// The world state of a run, grouped so executors can borrow it whole.
-/// A parallel executor splits `buffers` into `&mut` leases and shares the
+/// The sharded executor splits `buffers` into `&mut` leases and shares the
 /// two per-packet columns by `&` — their slots are relaxed atomics, so no
 /// split needs them (see [`crate::shard`]).
 pub(crate) struct World {
@@ -59,11 +73,11 @@ pub(crate) struct World {
 }
 
 /// What the scan lends every [`Executor`] call: the configuration, the
-/// world, and the report accumulated so far.
+/// world, and the report counters accumulated so far.
 pub(crate) struct Run<'a> {
     pub config: &'a SimConfig,
     pub world: World,
-    pub report: SimReport,
+    pub counters: Counters,
 }
 
 /// Who executes each ordered action of the [`scan`], and when its effects
@@ -96,8 +110,7 @@ pub(crate) trait Executor {
     fn expire(&mut self, run: &mut Run<'_>, id: PacketId);
 
     /// Commits everything deferred. Called before a snapshot and at end
-    /// of run; calling it early is byte-identical (see [`crate::par`] and
-    /// [`crate::shard`]).
+    /// of run; calling it early is byte-identical (see [`crate::shard`]).
     fn quiesce(&mut self, run: &mut Run<'_>);
 }
 
@@ -114,10 +127,6 @@ impl Executor for Immediate<'_> {
     /// Hands one driven contact to the protocol and accounts its ledger.
     fn drive(&mut self, run: &mut Run<'_>, drive: PendingDrive, interrupted: bool) {
         let w = &drive.window;
-        if drive.measured {
-            run.report.contacts += 1;
-            run.report.offered_bytes += 2 * drive.budget;
-        }
         let mut driver = ContactDriver::new(
             WorldMut::Full {
                 packets: &run.world.store,
@@ -133,12 +142,7 @@ impl Executor for Immediate<'_> {
             drive.seq,
         );
         self.routing.on_contact(&mut driver);
-        let ledger = driver.ledger();
-        if drive.measured {
-            run.report.data_bytes += ledger.data_bytes;
-            run.report.metadata_bytes += ledger.metadata_bytes;
-            run.report.replications += ledger.replications;
-        }
+        run.counters.add_drive(&drive, driver.ledger());
         self.routing
             .on_contact_end(w.a, w.b, drive.now, interrupted);
     }
@@ -183,7 +187,7 @@ impl Executor for Immediate<'_> {
         for h in holders.iter() {
             world.buffers[h].remove(id);
         }
-        run.report.expired += 1;
+        run.counters.expired += 1;
         self.routing.on_packet_expired(&world.store.get(id));
     }
 
@@ -316,11 +320,7 @@ pub(crate) fn scan<E: Executor>(
             holders: Vec::new(),
             entered: Vec::new(),
         },
-        report: SimReport {
-            horizon: config.horizon,
-            deadline: config.deadline,
-            ..SimReport::default()
-        },
+        counters: Counters::default(),
     };
     let mut noise_rng = stream(config.seed, "sim-noise");
 
@@ -401,7 +401,7 @@ pub(crate) fn scan<E: Executor>(
         open = snap.open.clone();
         noise_rng = rand::rngs::StdRng::from_state(snap.noise_rng);
         contact_seq = snap.contact_seq;
-        snap.counters.restore_into(&mut run.report);
+        run.counters = snap.counters;
 
         // Sources are replayed by count from the beginning (they are
         // deterministic), then the lookahead item each source had already
@@ -493,7 +493,7 @@ pub(crate) fn scan<E: Executor>(
                 buffers: Snapshot::capture_buffers(&run.world.buffers),
                 up: up.clone(),
                 open: open.clone(),
-                counters: Counters::of(&run.report),
+                counters: run.counters,
                 routing: routing.save_state().map(|bytes| RoutingState {
                     name: routing.name(),
                     bytes,
@@ -519,7 +519,7 @@ pub(crate) fn scan<E: Executor>(
                 // not reopen if the node returns mid-span). Gated on the
                 // measured span like the sibling contact counters.
                 if measured {
-                    run.report.contacts_suppressed += 1;
+                    run.counters.contacts_suppressed += 1;
                 }
                 continue;
             }
@@ -527,7 +527,7 @@ pub(crate) fn scan<E: Executor>(
             if let Some(noise) = &noise {
                 if noise_rng.gen::<f64>() < noise.contact_failure_prob {
                     if measured {
-                        run.report.contacts_failed += 1;
+                        run.counters.contacts_failed += 1;
                     }
                     continue;
                 }
@@ -548,15 +548,7 @@ pub(crate) fn scan<E: Executor>(
                 };
                 exec.drive(&mut run, drive, false);
             } else {
-                // An injected abort fault cuts the window short: it closes
-                // at the abort instant with only the capacity accrued by
-                // then (the same semantics as a churn interruption).
-                let end = hooks
-                    .faults
-                    .as_deref()
-                    .and_then(|f| f.abort_for(i, w.start, w.end))
-                    .unwrap_or(w.end);
-                queue.push(end, SimEvent::ContactEnd(i));
+                queue.push(w.end, SimEvent::ContactEnd(i));
                 open.push(OpenSnap {
                     idx: i as u64,
                     window: w,
@@ -642,12 +634,14 @@ pub(crate) fn scan<E: Executor>(
         .as_ref()
         .filter(|noise| noise.processing_delay_mean > TimeDelta::ZERO)
         .map(|noise| Exponential::with_mean(noise.processing_delay_mean.as_secs_f64()));
-    let Run { world, report, .. } = run;
+    let Run {
+        world, counters, ..
+    } = run;
     let delivered_at = world.delivered_at.slots().map(|slot| match &jitter {
         Some(jitter) => slot.map(|t| t + TimeDelta::from_secs_f64(jitter.sample(&mut noise_rng))),
         None => slot,
     });
-    let outcomes = SimReport::from_parts(
+    let mut report = SimReport::from_parts(
         world
             .store
             .iter()
@@ -657,10 +651,8 @@ pub(crate) fn scan<E: Executor>(
         config.horizon,
         config.deadline,
     );
-    SimReport {
-        outcomes: outcomes.outcomes,
-        ..report
-    }
+    counters.write_into(&mut report);
+    report
 }
 
 #[cfg(test)]

@@ -1,12 +1,8 @@
 //! The sharded simulation runtime: partitioned execution under a
-//! conservative sync horizon.
+//! conservative sync horizon — the engine's one parallel executor.
 //!
-//! Intra-run parallelism (`RAPID_INTRA_JOBS`, see [`crate::par`])
-//! parallelizes *within* one event loop: one thread scans, batches and
-//! commits, and workers only execute node-disjoint contact drives. That
-//! tops out well before the ROADMAP's million-node worlds, because
-//! everything but the drive itself — commits, creations, churn hooks — is
-//! serial. This module partitions the *node space* instead:
+//! The serial engine drives every action of the event-merge scan on one
+//! thread. This module partitions the *node space* instead:
 //!
 //! * A [`Partition`] maps contiguous `NodeId` ranges to shards —
 //!   `ScaleFleet`'s hub-gateway topology emits hub-local contacts, so
@@ -57,7 +53,7 @@
 //!   pair originate from `node`'s own shard (in queue order), so the
 //!   final state per pair — the only thing later barriers observe — is
 //!   exact.
-//! * **Report sums** — per-shard `u64` counters folded in shard order;
+//! * **Report sums** — one `Counters` per shard, folded in shard order;
 //!   integer addition is associative and commutative.
 //!
 //! A run has *one* protocol instance, and it must declare
@@ -72,15 +68,15 @@
 //!
 //! `Serial` protocols cannot shard at all and are rejected loudly.
 
-use crate::checkpoint::{require_checkpointable, RunHooks};
+use crate::checkpoint::{require_checkpointable, Counters, RunHooks};
 use crate::contact::ContactWindow;
 use crate::driver::{ContactDriver, DeliveredAt, HolderOp, WorldMut};
 use crate::event::NodeEvent;
 use crate::noise::NoiseModel;
-use crate::par::{ContactConcurrency, ContactPool, PendingDrive};
+use crate::par::ContactPool;
 use crate::report::SimReport;
-use crate::routing::{PacketStore, Routing, SimConfig};
-use crate::scan::{create_at_source, scan, Executor, Immediate, Run, World};
+use crate::routing::{ContactConcurrency, PacketStore, Routing, SimConfig};
+use crate::scan::{create_at_source, scan, Executor, Immediate, PendingDrive, Run, World};
 use crate::source::{ContactSource, WorkloadSource};
 use crate::time::Time;
 use crate::types::{NodeId, PacketId};
@@ -252,12 +248,8 @@ enum ShardMsg {
 struct ShardState {
     msgs: Vec<ShardMsg>,
     holder_log: Vec<HolderOp>,
-    // Report counters, folded in shard order at the end of the run.
-    contacts: u64,
-    offered_bytes: u64,
-    data_bytes: u64,
-    metadata_bytes: u64,
-    replications: u64,
+    /// Report counters, folded in shard order at every quiesce.
+    counters: Counters,
     // Telemetry.
     drives: u64,
     creations: u64,
@@ -438,31 +430,19 @@ impl Executor for Partitioned<'_> {
     }
 
     /// Drains every shard queue and applies the holder logs, then folds
-    /// (and zeroes) the shard counters so `run.report` is the full
-    /// serial-order prefix.
+    /// (and zeroes) the shard counters in shard order, so `run.counters`
+    /// is the full serial-order prefix. Folding early — at a checkpoint —
+    /// changes nothing: the end-of-run fold adds whatever accumulated
+    /// afterwards.
     fn quiesce(&mut self, run: &mut Run<'_>) {
         self.flush_epoch(run);
-        self.fold_shard_counters(&mut run.report);
+        for s in self.states.iter_mut() {
+            run.counters += std::mem::take(&mut s.counters);
+        }
     }
 }
 
 impl Partitioned<'_> {
-    /// Folds per-shard report counters into the report in shard order
-    /// (commutative sums, but a fixed fold order keeps the merge
-    /// obviously deterministic) and zeroes them. Running it early —
-    /// at a checkpoint — is behavior-preserving: the end-of-run fold adds
-    /// whatever accumulated afterwards. Telemetry counters (`drives`,
-    /// `creations`, `busy`) are left untouched.
-    fn fold_shard_counters(&mut self, report: &mut SimReport) {
-        for s in self.states.iter_mut() {
-            report.contacts += std::mem::take(&mut s.contacts);
-            report.offered_bytes += std::mem::take(&mut s.offered_bytes);
-            report.data_bytes += std::mem::take(&mut s.data_bytes);
-            report.metadata_bytes += std::mem::take(&mut s.metadata_bytes);
-            report.replications += std::mem::take(&mut s.replications);
-        }
-    }
-
     /// Appends a routed action to shard `s`'s queue, flushing first if
     /// the pending-action cap is reached (bounds queue memory).
     fn enqueue(&mut self, run: &mut Run<'_>, s: usize, msg: ShardMsg) {
@@ -557,11 +537,7 @@ fn drain_shard(
     let ShardState {
         msgs,
         holder_log,
-        contacts,
-        offered_bytes,
-        data_bytes,
-        metadata_bytes,
-        replications,
+        counters,
         drives,
         creations,
         ..
@@ -570,10 +546,6 @@ fn drain_shard(
         match msg {
             ShardMsg::Drive { drive, interrupted } => {
                 *drives += 1;
-                if drive.measured {
-                    *contacts += 1;
-                    *offered_bytes += 2 * drive.budget;
-                }
                 let (a, b) = (drive.window.a, drive.window.b);
                 let [buf_a, buf_b] = buffers
                     .get_disjoint_mut([a.index() - base, b.index() - base])
@@ -598,11 +570,7 @@ fn drain_shard(
                 routing.on_contact(&mut driver);
                 let (ledger, log) = driver.into_commit();
                 *holder_log = log;
-                if drive.measured {
-                    *data_bytes += ledger.data_bytes;
-                    *metadata_bytes += ledger.metadata_bytes;
-                    *replications += ledger.replications;
-                }
+                counters.add_drive(&drive, ledger);
                 routing.on_contact_end(a, b, drive.now, interrupted);
             }
             ShardMsg::Create { id, src_up } => {

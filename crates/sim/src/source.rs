@@ -8,7 +8,7 @@
 //! lazily, in event order, from whatever produces them — a materialized
 //! schedule behind an [`Arc`] (zero per-run clones, byte-identical to the
 //! seed figures), a mobility generator drawing windows on demand from a
-//! per-run RNG substream, or a trace file parsed line by line. Scenario size
+//! per-run RNG substream, or a compiled plan's cursor. Scenario size
 //! is then bounded by the *open* state (buffers, in-flight packets), not the
 //! full contact plan.
 //!
@@ -22,11 +22,7 @@
 //! directly.
 
 use crate::contact::{ContactWindow, Schedule};
-use crate::time::Time;
-use crate::types::NodeId;
 use crate::workload::{PacketSpec, Workload};
-use dtn_trace::{Record, RecordStream};
-use std::io::BufRead;
 use std::sync::Arc;
 
 /// A pull-based stream of contact windows in nondecreasing `start` order.
@@ -125,86 +121,12 @@ impl Iterator for WorkloadStream {
     }
 }
 
-/// Streams one trace day's contact windows straight off a reader — the
-/// trace-file impl of [`ContactSource`]. Records before `day` are skipped,
-/// and the stream ends at the first later day (traces are `(day, time)`
-/// ordered), so replaying one day of a multi-gigabyte trace costs only the
-/// reader's buffer.
-///
-/// # Panics
-/// On malformed trace input (a replay cannot proceed past a parse error).
-pub struct TraceDayContacts<R: BufRead> {
-    records: RecordStream<R>,
-    day: u32,
-}
-
-impl<R: BufRead> TraceDayContacts<R> {
-    /// Streams the contacts of `day` from `records`
-    /// (see [`dtn_trace::stream_records`]).
-    pub fn new(records: RecordStream<R>, day: u32) -> Self {
-        Self { records, day }
-    }
-}
-
-impl<R: BufRead> Iterator for TraceDayContacts<R> {
-    type Item = ContactWindow;
-
-    fn next(&mut self) -> Option<ContactWindow> {
-        for record in self.records.by_ref() {
-            match record.expect("trace parses during replay") {
-                Record::Contact(c) if c.day == self.day => return Some(ContactWindow::from(c)),
-                r if r.day() > self.day => return None,
-                _ => {}
-            }
-        }
-        None
-    }
-}
-
-/// The workload-side twin of [`TraceDayContacts`]: one trace day's packet
-/// creations streamed off a reader — the trace-file impl of
-/// [`WorkloadSource`].
-///
-/// # Panics
-/// On malformed trace input.
-pub struct TraceDayPackets<R: BufRead> {
-    records: RecordStream<R>,
-    day: u32,
-}
-
-impl<R: BufRead> TraceDayPackets<R> {
-    /// Streams the packet creations of `day` from `records`.
-    pub fn new(records: RecordStream<R>, day: u32) -> Self {
-        Self { records, day }
-    }
-}
-
-impl<R: BufRead> Iterator for TraceDayPackets<R> {
-    type Item = PacketSpec;
-
-    fn next(&mut self) -> Option<PacketSpec> {
-        for record in self.records.by_ref() {
-            match record.expect("trace parses during replay") {
-                Record::Packet(p) if p.day == self.day => {
-                    return Some(PacketSpec {
-                        time: Time(p.time_us),
-                        src: NodeId(p.src),
-                        dst: NodeId(p.dst),
-                        size_bytes: p.bytes,
-                    })
-                }
-                r if r.day() > self.day => return None,
-                _ => {}
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contact::Contact;
+    use crate::time::Time;
+    use crate::types::NodeId;
 
     #[test]
     fn schedule_stream_yields_all_windows_in_order() {
@@ -244,32 +166,6 @@ mod tests {
         assert_eq!(s.next_packet().unwrap().time, Time::from_secs(2));
         assert_eq!(s.next_packet().unwrap().time, Time::from_secs(9));
         assert_eq!(s.next_packet(), None);
-    }
-
-    #[test]
-    fn trace_day_sources_stream_one_day() {
-        let text = format!(
-            "{}\nC 0 10 1 2 512\nP 0 20 1 2 64\nC 1 5 0 1 128\nC 1 9 1 2 256 3000000\nP 1 9 2 0 32\nC 2 1 0 2 99\n",
-            dtn_trace::HEADER
-        );
-        let contacts: Vec<ContactWindow> =
-            TraceDayContacts::new(dtn_trace::stream_records(text.as_bytes()), 1).collect();
-        assert_eq!(contacts.len(), 2);
-        assert_eq!(contacts[0].start, Time(5));
-        assert_eq!(contacts[0].lump_bytes, 128);
-        assert!(!contacts[1].is_instantaneous());
-        assert_eq!(contacts[1].bytes_per_sec, 256);
-
-        let packets: Vec<PacketSpec> =
-            TraceDayPackets::new(dtn_trace::stream_records(text.as_bytes()), 1).collect();
-        assert_eq!(packets.len(), 1);
-        assert_eq!(packets[0].src, NodeId(2));
-        assert_eq!(packets[0].time, Time(9));
-
-        // Sources compose with the engine's schedule/workload types.
-        let day0: Vec<ContactWindow> =
-            TraceDayContacts::new(dtn_trace::stream_records(text.as_bytes()), 0).collect();
-        assert_eq!(Schedule::new(day0).len(), 1);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use dtn_sim::workload::{PacketSpec, Workload};
 use dtn_sim::{
-    AckTable, Contact, ContactDriver, NodeBuffer, NodeId, Packet, PacketId, PacketSet, PacketStore,
-    Routing, Schedule, SimConfig, Simulation, Time, TimeDelta,
+    AckTable, Contact, ContactConcurrency, ContactDriver, ContactWindow, NodeBuffer, NodeId,
+    Packet, PacketId, PacketSet, PacketStore, Routing, Schedule, SimConfig, Simulation, Time,
+    TimeDelta, TransferOutcome,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -346,227 +347,6 @@ proptest! {
         let mut auditor = HolderAuditor::new(decisions);
         let _ = sim.run(&mut auditor);
         prop_assert!(auditor.violation.is_none(), "{}", auditor.violation.unwrap());
-    }
-}
-
-// --- Intra-run parallel batch scheduler ----------------------------------
-//
-// The conservative parallel layer (`dtn_sim::par`) rests on two claims:
-// the batcher only ever groups pairwise node-disjoint contact drives, and
-// two drives that share a node always commit in scan (`seq`) order. The
-// proptests below check both directly on the batcher, then close the loop
-// end-to-end: a run executed with `intra_jobs > 1` must produce a report
-// equal to the serial engine's, event for event.
-
-use dtn_sim::par::{Batcher, PendingDrive};
-use dtn_sim::{ContactConcurrency, ContactPool, ContactWindow, TransferOutcome};
-
-fn pending(seq: u64, a: u32, b: u32) -> PendingDrive {
-    PendingDrive {
-        window: ContactWindow::instant(Time::from_secs(seq), NodeId(a), NodeId(b), 2048),
-        now: Time::from_secs(seq),
-        budget: 2048,
-        seq,
-        measured: true,
-    }
-}
-
-proptest! {
-    #[test]
-    fn batches_are_node_disjoint_and_conflicts_commit_in_seq_order(
-        pairs in prop::collection::vec((0u32..12, 0u32..12), 1..80),
-        lookahead in 1usize..16,
-    ) {
-        let drives: Vec<PendingDrive> = pairs
-            .iter()
-            .enumerate()
-            .filter(|(_, &(a, b))| a != b)
-            .map(|(i, &(a, b))| pending(i as u64, a, b))
-            .collect();
-        if drives.is_empty() {
-            continue;
-        }
-
-        let mut batcher = Batcher::new(12, dtn_sim::par::Lookahead::Fixed(lookahead));
-        let mut passes: Vec<Vec<PendingDrive>> = Vec::new();
-        let flush = |batcher: &mut Batcher, passes: &mut Vec<Vec<PendingDrive>>| {
-            loop {
-                let ready = batcher.take_ready();
-                if ready.is_empty() {
-                    break;
-                }
-                passes.push(ready);
-            }
-        };
-        for drive in &drives {
-            batcher.push(*drive);
-            if batcher.full() {
-                flush(&mut batcher, &mut passes);
-            }
-        }
-        flush(&mut batcher, &mut passes);
-        prop_assert!(batcher.is_empty());
-
-        // 1. Every pass is pairwise node-disjoint.
-        for pass in &passes {
-            let mut nodes: Vec<u32> = pass
-                .iter()
-                .flat_map(|d| [d.window.a.0, d.window.b.0])
-                .collect();
-            nodes.sort_unstable();
-            let len = nodes.len();
-            nodes.dedup();
-            prop_assert_eq!(len, nodes.len(), "pass shares a node");
-        }
-
-        // 2. The commit order is a permutation of the scan order: every
-        //    drive exactly once, ascending seq within each pass.
-        let committed: Vec<u64> = passes.iter().flatten().map(|d| d.seq).collect();
-        let mut sorted = committed.clone();
-        sorted.sort_unstable();
-        let expect: Vec<u64> = drives.iter().map(|d| d.seq).collect();
-        prop_assert_eq!(&sorted, &expect, "every drive commits exactly once");
-        for pass in &passes {
-            prop_assert!(
-                pass.windows(2).all(|w| w[0].seq < w[1].seq),
-                "in-pass commit order must be scan order"
-            );
-        }
-
-        // 3. Two drives sharing a node commit in seq order — the batched
-        //    commit order equals the serial (time, rank, seq) order
-        //    wherever order can be observed.
-        let commit_pos: std::collections::BTreeMap<u64, usize> = committed
-            .iter()
-            .enumerate()
-            .map(|(pos, &seq)| (seq, pos))
-            .collect();
-        for (i, x) in drives.iter().enumerate() {
-            for y in &drives[i + 1..] {
-                let shares = x.window.a == y.window.a
-                    || x.window.a == y.window.b
-                    || x.window.b == y.window.a
-                    || x.window.b == y.window.b;
-                if shares {
-                    prop_assert!(
-                        commit_pos[&x.seq] < commit_pos[&y.seq],
-                        "conflicting drives {} and {} committed out of order",
-                        x.seq,
-                        y.seq
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// A flooding protocol that opts into node-disjoint batch execution and
-/// spreads batches over the pool — the engine-level equivalence subject.
-struct ParFlood;
-
-impl ParFlood {
-    fn contact_core(driver: &mut ContactDriver<'_>) {
-        let (a, b) = driver.endpoints();
-        for from in [a, b] {
-            let to = driver.peer_of(from);
-            let mut ids = driver.buffer(from).ids();
-            ids.sort_by_key(|&id| driver.packets().get(id).dst != to);
-            for id in ids {
-                if driver.try_transfer(from, id) == TransferOutcome::NoBandwidth {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-impl Routing for ParFlood {
-    fn name(&self) -> String {
-        "par-flood".into()
-    }
-
-    fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
-        Self::contact_core(driver);
-    }
-
-    fn contact_concurrency(&self) -> ContactConcurrency {
-        ContactConcurrency::NodeDisjoint
-    }
-
-    fn on_contact_batch(&mut self, batch: &mut [ContactDriver<'_>], pool: &ContactPool) {
-        pool.run_each(batch, &|_worker, driver| Self::contact_core(driver));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    #[test]
-    fn parallel_engine_equals_serial(
-        contacts in prop::collection::vec((1u64..200, 0u32..10, 0u32..10, 256u64..4096), 1..120),
-        packets in prop::collection::vec((0u64..150, 0u32..10, 0u32..10, 128u64..1024), 1..40),
-        ttl in prop::option::of(5u64..100),
-        churn in prop::collection::vec((1u64..250, 0u32..10, any::<bool>()), 0..12),
-        jobs in 2usize..5,
-        lookahead in prop_oneof![
-            (1usize..16).prop_map(dtn_sim::par::Lookahead::Fixed),
-            (1usize..4, 4usize..64).prop_map(|(min, max)| {
-                dtn_sim::par::Lookahead::Adaptive { min, max }
-            }),
-        ],
-    ) {
-        let mut windows: Vec<Contact> = contacts
-            .iter()
-            .filter(|&&(_, a, b, _)| a != b)
-            .map(|&(t, a, b, bytes)| Contact::new(Time::from_secs(t), NodeId(a), NodeId(b), bytes))
-            .collect();
-        windows.sort_by_key(|w| w.time);
-        let mut specs: Vec<PacketSpec> = packets
-            .iter()
-            .filter(|&&(_, s, d, _)| s != d)
-            .map(|&(t, src, dst, size)| PacketSpec {
-                time: Time::from_secs(t),
-                src: NodeId(src),
-                dst: NodeId(dst),
-                size_bytes: size,
-            })
-            .collect();
-        specs.sort_by_key(|s| s.time);
-        if windows.is_empty() || specs.is_empty() {
-            continue;
-        }
-
-        let mut churn_events: Vec<dtn_sim::NodeEvent> = churn
-            .iter()
-            .map(|&(t, node, up)| dtn_sim::NodeEvent {
-                time: Time::from_secs(t),
-                node: NodeId(node),
-                up,
-            })
-            .collect();
-        churn_events.sort_by_key(|e| e.time);
-
-        let run = |intra_jobs: usize, lookahead: dtn_sim::par::Lookahead| {
-            let cfg = SimConfig {
-                nodes: 10,
-                buffer_capacity: 4096,
-                horizon: Time::from_secs(300),
-                ttl: ttl.map(TimeDelta::from_secs),
-                intra_jobs,
-                lookahead,
-                ..SimConfig::default()
-            };
-            Simulation::new(cfg, Schedule::new(windows.clone()), Workload::new(specs.clone()))
-                .with_churn(churn_events.clone())
-                .run(&mut ParFlood)
-        };
-        // The serial baseline uses the default policy; pooled
-        // replay must be byte-identical at any job count AND any
-        // lookahead policy, under churn and TTL expiry.
-        let serial = run(1, dtn_sim::par::Lookahead::default());
-        let parallel = run(jobs, lookahead);
-        prop_assert_eq!(serial, parallel, "intra-run parallel run diverged from serial");
-        let serial_same_policy = run(1, lookahead);
-        prop_assert_eq!(serial_same_policy, parallel, "lookahead policy changed results");
     }
 }
 

@@ -169,8 +169,6 @@ pub enum ParseErrorKind {
     SelfPacket,
     /// Records were not in non-decreasing `(day, time)` order.
     OutOfOrder,
-    /// The underlying reader failed (streaming parse only).
-    Io(String),
 }
 
 impl fmt::Display for ParseError {
@@ -201,7 +199,6 @@ impl fmt::Display for ParseError {
                 "line {}: records out of time order within a day",
                 self.line
             ),
-            ParseErrorKind::Io(e) => write!(f, "line {}: read failed: {e}", self.line),
         }
     }
 }
@@ -236,7 +233,14 @@ pub fn parse(text: &str) -> Result<Trace, ParseError> {
     let mut last_seen: Option<(u32, u64)> = None;
     for (line_no, line) in lines {
         let record = parse_record_line(line, line_no)?;
-        check_order(&record, &mut last_seen, line_no)?;
+        let key = (record.day(), record.time_us());
+        if last_seen.is_some_and(|prev| key < prev) {
+            return Err(ParseError {
+                line: line_no,
+                kind: ParseErrorKind::OutOfOrder,
+            });
+        }
+        last_seen = Some(key);
         records.push(record);
     }
     Ok(Trace { records })
@@ -287,102 +291,6 @@ fn parse_record_line(line: &str, line_no: usize) -> Result<Record, ParseError> {
             line: line_no,
             kind: ParseErrorKind::UnknownTag(other.to_string()),
         }),
-    }
-}
-
-/// Enforces non-decreasing `(day, time)` order across records.
-fn check_order(
-    record: &Record,
-    last_seen: &mut Option<(u32, u64)>,
-    line_no: usize,
-) -> Result<(), ParseError> {
-    let key = (record.day(), record.time_us());
-    if let Some(prev) = *last_seen {
-        if key < prev {
-            return Err(ParseError {
-                line: line_no,
-                kind: ParseErrorKind::OutOfOrder,
-            });
-        }
-    }
-    *last_seen = Some(key);
-    Ok(())
-}
-
-/// Streams records from a reader one line at a time — the trace is never
-/// materialized, so replaying a multi-gigabyte contact plan needs only the
-/// reader's buffer. Yields records in file order after validating the
-/// header, field syntax and `(day, time)` ordering exactly like [`parse`];
-/// the first error ends the stream.
-pub fn stream_records<R: std::io::BufRead>(reader: R) -> RecordStream<R> {
-    RecordStream {
-        lines: reader.lines(),
-        line_no: 0,
-        header_seen: false,
-        last_seen: None,
-        failed: false,
-    }
-}
-
-/// Lazy record iterator built by [`stream_records`].
-#[derive(Debug)]
-pub struct RecordStream<R: std::io::BufRead> {
-    lines: std::io::Lines<R>,
-    line_no: usize,
-    header_seen: bool,
-    last_seen: Option<(u32, u64)>,
-    failed: bool,
-}
-
-impl<R: std::io::BufRead> Iterator for RecordStream<R> {
-    type Item = Result<Record, ParseError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            let line = match self.lines.next() {
-                None if self.header_seen => return None,
-                None => {
-                    self.failed = true;
-                    return Some(Err(ParseError {
-                        line: 0,
-                        kind: ParseErrorKind::BadHeader,
-                    }));
-                }
-                Some(Err(e)) => {
-                    self.failed = true;
-                    return Some(Err(ParseError {
-                        line: self.line_no + 1,
-                        kind: ParseErrorKind::Io(e.to_string()),
-                    }));
-                }
-                Some(Ok(line)) => line,
-            };
-            self.line_no += 1;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if !self.header_seen {
-                if line == HEADER {
-                    self.header_seen = true;
-                    continue;
-                }
-                self.failed = true;
-                return Some(Err(ParseError {
-                    line: self.line_no,
-                    kind: ParseErrorKind::BadHeader,
-                }));
-            }
-            let result = parse_record_line(line, self.line_no)
-                .and_then(|r| check_order(&r, &mut self.last_seen, self.line_no).map(|()| r));
-            if result.is_err() {
-                self.failed = true;
-            }
-            return Some(result);
-        }
     }
 }
 
@@ -586,40 +494,6 @@ mod tests {
     fn seven_field_contact_rejected() {
         let err = parse(&format!("{HEADER}\nC 0 1 1 2 10 5 9\n")).unwrap_err();
         assert!(matches!(err.kind, ParseErrorKind::FieldCount { .. }));
-    }
-
-    #[test]
-    fn stream_records_matches_parse() {
-        let text = sample().to_string_format();
-        let streamed: Vec<Record> = stream_records(text.as_bytes())
-            .map(|r| r.expect("valid trace"))
-            .collect();
-        assert_eq!(streamed, parse(&text).unwrap().records);
-    }
-
-    #[test]
-    fn stream_records_reports_errors_and_stops() {
-        let text = format!("{HEADER}\nC 0 10 1 2 5\nC 0 4 1 2 5\nC 0 20 1 2 5\n");
-        let mut s = stream_records(text.as_bytes());
-        assert!(s.next().unwrap().is_ok());
-        let err = s.next().unwrap().unwrap_err();
-        assert_eq!(err.kind, ParseErrorKind::OutOfOrder);
-        assert_eq!(err.line, 3);
-        assert!(s.next().is_none(), "stream is fused after an error");
-    }
-
-    #[test]
-    fn stream_records_requires_header() {
-        let mut s = stream_records("C 0 1 1 2 10\n".as_bytes());
-        assert_eq!(
-            s.next().unwrap().unwrap_err().kind,
-            ParseErrorKind::BadHeader
-        );
-        let mut empty = stream_records("".as_bytes());
-        assert_eq!(
-            empty.next().unwrap().unwrap_err().kind,
-            ParseErrorKind::BadHeader
-        );
     }
 
     #[test]

@@ -23,7 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A self-contained deterministic run: everything the engine pulls.
-#[derive(Clone)]
 struct Scenario {
     config: SimConfig,
     windows: Vec<ContactWindow>,
@@ -305,12 +304,11 @@ fn epidemic_snapshot_resumed_with_random_fails_the_name_check() {
 /// serial engine restores under the sharded runtime at any shard count,
 /// and one written by a 3-shard run restores serially and at other
 /// shard counts — all byte-identical to the uninterrupted run. Stronger:
-/// every runtime executes the one event-merge scan, so at a fixed cadence
-/// the serial engine, the batched engine (`intra_jobs = 4`) and the
-/// sharded runtime write *equal* snapshots at every cadence index —
-/// pending events (incl. the expiry of the creation dropped at its
-/// source), availability, open windows, counters, source cursors, noise
-/// RNG, contact sequence, world and protocol state.
+/// both runtimes execute the one event-merge scan, so at a fixed cadence
+/// the serial engine and the sharded runtime write *equal* snapshots at
+/// every cadence index — pending events (incl. the expiry of the creation
+/// dropped at its source), availability, open windows, counters, source
+/// cursors, noise RNG, contact sequence, world and protocol state.
 #[test]
 fn snapshots_cross_runtimes_and_shard_counts() {
     let sc = scenario();
@@ -371,26 +369,20 @@ fn snapshots_cross_runtimes_and_shard_counts() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 
-    // The same cadence under the batched engine and a second shard count.
-    let mut batched = sc.clone();
-    batched.config.intra_jobs = 4;
-    let mut checkpointed = |runtime, run: &mut dyn FnMut(RunHooks<'_>) -> SimReport| {
-        let dir = temp_dir("cross-cadence");
-        let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(70), 64).unwrap();
-        let report = run(RunHooks {
+    // The same cadence at a second shard count.
+    let dir = temp_dir("cross-cadence");
+    let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(70), 64).unwrap();
+    let report = sc.run_sharded(
+        2,
+        &mut rapid,
+        RunHooks {
             checkpoint: Some(&mut ckpt),
             ..RunHooks::default()
-        });
-        assert_eq!(report, reference, "{runtime}: checkpointed run diverged");
-        by_runtime.push((runtime, snapshots_in(&dir)));
-        std::fs::remove_dir_all(&dir).unwrap();
-    };
-    checkpointed("intra_jobs=4", &mut |hooks| {
-        batched.run_serial(rapid().as_mut(), hooks)
-    });
-    checkpointed("2 shards", &mut |hooks| {
-        sc.run_sharded(2, &mut rapid, hooks)
-    });
+        },
+    );
+    assert_eq!(report, reference, "2 shards: checkpointed run diverged");
+    by_runtime.push(("2 shards", snapshots_in(&dir)));
+    std::fs::remove_dir_all(&dir).unwrap();
 
     let (_, serial) = &by_runtime[0];
     assert!(serial.len() >= 2, "expected several cadence points");
