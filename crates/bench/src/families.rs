@@ -128,11 +128,5 @@ pub fn trace_loads() -> Vec<f64> {
 
 /// The standard synthetic load axis (packets per destination per 50 s).
 pub fn synth_loads() -> Vec<f64> {
-    let mut loads = vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0];
-    // `RAPID_SYNTH_LOADS` truncates the axis to its first N points — the
-    // smoke/equivalence knob (the sharded-RAPID TSV test runs one point
-    // instead of eight).
-    let cap = crate::env_u64("RAPID_SYNTH_LOADS", loads.len() as u64) as usize;
-    loads.truncate(cap.max(1));
-    loads
+    vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
 }

@@ -15,9 +15,9 @@ use dtn_sim::{
     Checkpointer, NodeEvent, NodeId, Partition, Routing, RunHooks, SimConfig, SimReport,
 };
 use dtn_sim::{Time, TimeDelta};
-use rapid_bench::registry;
+use rapid_bench::families::{synth_load_sweep, synth_loads};
 use rapid_bench::runner::{run_spec, ContactsSpec, PacketsSpec, RunSpec};
-use rapid_bench::Proto;
+use rapid_bench::{registry, Mobility, Proto};
 use rapid_core::{Kernel, Rapid, RapidConfig};
 
 fn fleet() -> ScaleFleet {
@@ -83,9 +83,19 @@ fn spec(run: u32) -> RunSpec {
     }
 }
 
-fn run_plan(id: &str) -> String {
-    let plan = registry::find(id).unwrap_or_else(|| panic!("unknown plan {id}"));
-    (plan.run)();
+/// `fig16_18`'s synthetic load sweep cut to its first load.
+fn fig16_18_first_load() {
+    synth_load_sweep(
+        "fig16_18",
+        "Figs. 16-18 (Powerlaw) at the first load",
+        Mobility::PowerLaw,
+        &synth_loads()[..1],
+    );
+}
+
+/// Runs `plan` and returns the TSV it wrote as `results/<id>.tsv`.
+fn run_plan(id: &str, plan: fn()) -> String {
+    plan();
     std::fs::read_to_string(format!("results/{id}.tsv"))
         .unwrap_or_else(|e| panic!("results/{id}.tsv unreadable: {e}"))
 }
@@ -96,7 +106,6 @@ fn sharded_rapid_reproduces_serial_byte_for_byte() {
     std::env::set_var("RAPID_DAYS", "1");
     std::env::set_var("RAPID_RUNS", "1");
     std::env::set_var("RAPID_FIG3_DAYS", "1");
-    std::env::set_var("RAPID_SYNTH_LOADS", "1");
 
     // Report equivalence for the node-disjoint RAPID variants across
     // shard counts, with churn and TTL expiry in play.
@@ -164,17 +173,22 @@ fn sharded_rapid_reproduces_serial_byte_for_byte() {
 
     // TSV-level equivalence across figure plans: fig03 is all-RAPID
     // (trace-driven validation), fig16_18 carries labeled Rapid rows in
-    // the synthetic load sweep. Both must be byte-identical on the sharded
-    // runtime.
-    for (id, rapid_marker) in [("fig03", "sim_avg_delay_min"), ("fig16_18", "Rapid")] {
+    // the synthetic load sweep (one load of it here). Both must be
+    // byte-identical on the sharded runtime.
+    let fig03 = registry::find("fig03").expect("fig03 is registered").run;
+    let plans: [(&str, fn(), &str); 2] = [
+        ("fig03", fig03, "sim_avg_delay_min"),
+        ("fig16_18", fig16_18_first_load, "Rapid"),
+    ];
+    for (id, plan, rapid_marker) in plans {
         std::env::set_var("RAPID_SHARDS", "1");
-        let serial = run_plan(id);
+        let serial = run_plan(id, plan);
         assert!(
             serial.contains(rapid_marker),
             "{id} TSV lost its Rapid rows — the diff below would be vacuous"
         );
         std::env::set_var("RAPID_SHARDS", "4");
-        let sharded = run_plan(id);
+        let sharded = run_plan(id, plan);
         assert_eq!(
             serial, sharded,
             "{id} TSV not byte-identical under RAPID_SHARDS=4"

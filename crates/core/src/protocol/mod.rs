@@ -35,10 +35,12 @@
 //! for a storage decision; touching any other node's state panics — the
 //! property behind RAPID's [`ContactConcurrency::NodeDisjoint`]
 //! declaration. The [`Routing`] hooks that build a lease are written once,
-//! on `RapidShardView`, a run of nodes: the sharded runtime hands each
-//! shard a view over its [`Partition::split_mut`] range, and serial
-//! execution runs through the same view over `0..n`. Every lease is a
-//! borrow the compiler checks. The one exception is the
+//! on `RapidShardView`, a run of nodes. The engine has one executor: over
+//! two or more shards it asks [`Routing::on_shard_epoch`] for a view per
+//! shard over its [`Partition::split_mut`] range; a one-shard run (the
+//! serial engine) and a cross-shard barrier call the instance itself,
+//! which runs the same view over `0..n`. Every lease is a borrow the
+//! compiler checks. The one exception is the
 //! `InstantGlobal` oracle, which reads arbitrary nodes: it leases the full
 //! slice and declares itself [`ContactConcurrency::Serial`].
 //!
@@ -250,8 +252,9 @@ impl<'a> ContactExec<'a> {
 
 /// A lease over a contiguous run of RAPID node states, with the
 /// [`Routing`] hooks that need one written once: a shard's partition
-/// range during a sharded epoch ([`Rapid::on_shard_epoch`]), or the whole
-/// fleet (`base` 0) for serial execution. Hooks arrive with *global* node
+/// range during a multi-shard epoch ([`Rapid::on_shard_epoch`]), or the
+/// whole fleet (`base` 0) on one shard and at cross-shard barriers. Hooks
+/// arrive with *global* node
 /// ids; a message addressing a node outside the run is a panic rather
 /// than a data race.
 ///
@@ -362,7 +365,8 @@ impl Rapid {
         matches!(self.cfg.channel, ChannelMode::InstantGlobal)
     }
 
-    /// The view serial execution runs through: the whole fleet as one run.
+    /// The view a one-shard epoch and a cross-shard barrier run through:
+    /// the whole fleet as one run.
     fn serial_view(&mut self) -> RapidShardView<'_> {
         RapidShardView {
             cfg: &self.cfg,

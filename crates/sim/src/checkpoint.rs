@@ -3,7 +3,7 @@
 //!
 //! A [`Snapshot`] is the complete deterministic state of a run at a
 //! *quiescent point* of the event-merge scan ([`crate::scan`]) — the top
-//! of its loop, after `Executor::quiesce` drained every shard queue.
+//! of its loop, after the executor drained every shard queue.
 //! Captured state:
 //!
 //! * the pending [`EventQueue`] in drain order,
@@ -24,7 +24,7 @@
 //!
 //! Restoring a snapshot and running to completion is byte-identical to
 //! the uninterrupted run — at any `RAPID_SHARDS`, because the snapshot
-//! holds only the serial-order state both runtimes agree on (see
+//! holds only the serial-order state every partition agrees on (see
 //! `crate::shard` for why shard epochs commute).
 //!
 //! The [`Checkpointer`] writes rotating `ckpt-<seq>.rsnp` files
@@ -37,7 +37,7 @@
 use crate::contact::ContactWindow;
 use crate::driver::ContactLedger;
 use crate::event::{EventQueue, SimEvent};
-use crate::fault::{corrupt_file, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::ids::IndexSet;
 use crate::report::SimReport;
 use crate::routing::{PacketStore, Routing, SimConfig};
@@ -88,7 +88,7 @@ pub struct OpenSnap {
 
 /// The run's scalar report counters (everything in `SimReport` that is
 /// accumulated rather than derived at the end): the one accumulator the
-/// scan, both executors and every shard add into.
+/// scan, the coordinator and every shard add into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counters {
     /// Contacts that took place.
@@ -194,10 +194,9 @@ pub struct Snapshot {
     pub open: Vec<OpenSnap>,
     /// Report counters accumulated so far.
     pub counters: Counters,
-    /// Routing protocol state. `None` only in snapshots written before
-    /// state-free protocols saved a name-only section; restored as empty
-    /// state.
-    pub routing: Option<RoutingState>,
+    /// Routing protocol state, under the name of the protocol that wrote
+    /// it (checkpointed runs require [`Routing::save_state`]).
+    pub routing: RoutingState,
 }
 
 /// FNV-1a over the behavioral `SimConfig` fields — everything that
@@ -240,7 +239,8 @@ pub fn routing_checkpointable(routing: &dyn Routing) -> bool {
 }
 
 /// Panics with a descriptive message if `routing` cannot be checkpointed.
-/// Called up front by the hooked runtimes, so a stateful protocol without
+/// Called up front by the one runner on every checkpointed or resumed
+/// run, serial or sharded, so a stateful protocol without
 /// [`Routing::save_state`] fails loudly at configuration time instead of
 /// resuming from silently-wrong state hours later.
 pub fn require_checkpointable(routing: &dyn Routing) {
@@ -472,13 +472,11 @@ impl Snapshot {
         }
         w.section("report", &report);
 
-        if let Some(r) = &self.routing {
-            let mut routing = Vec::new();
-            write_varint(&mut routing, r.name.len() as u64);
-            routing.extend_from_slice(r.name.as_bytes());
-            routing.extend_from_slice(&r.bytes);
-            w.section("routing", &routing);
-        }
+        let mut routing = Vec::new();
+        write_varint(&mut routing, self.routing.name.len() as u64);
+        routing.extend_from_slice(self.routing.name.as_bytes());
+        routing.extend_from_slice(&self.routing.bytes);
+        w.section("routing", &routing);
 
         w.finish()
     }
@@ -631,19 +629,13 @@ impl Snapshot {
         };
         rep.done()?;
 
-        let routing = match reader.section("routing") {
-            None => None,
-            Some(payload) => {
-                let mut cur = ByteCursor::new(payload);
-                let fail = |e: WireError| format!("snapshot section `routing`: {e}");
-                let name_len = cur.varint().map_err(fail)? as usize;
-                let name = std::str::from_utf8(cur.take(name_len).map_err(fail)?)
-                    .map_err(|_| "snapshot section `routing`: non-UTF-8 protocol name".to_string())?
-                    .to_string();
-                let bytes = cur.take(cur.remaining()).map_err(fail)?.to_vec();
-                Some(RoutingState { name, bytes })
-            }
-        };
+        let mut rs = Section::new(&reader, "routing")?;
+        let name_len = rs.varint()? as usize;
+        let name = std::str::from_utf8(rs.take(name_len)?)
+            .map_err(|_| "snapshot section `routing`: non-UTF-8 protocol name".to_string())?
+            .to_string();
+        let bytes = rs.take(rs.cur.remaining())?.to_vec();
+        let routing = RoutingState { name, bytes };
 
         Ok(Self {
             config_digest,
@@ -818,14 +810,9 @@ impl Checkpointer {
         }
     }
 
-    /// Writes `snapshot` (tmp-write + rename), applies any injected
-    /// corruption targeting this sequence number, prunes old files, and
+    /// Writes `snapshot` (tmp-write + rename), prunes old files, and
     /// advances the schedule past `snapshot.now`.
-    pub fn save(
-        &mut self,
-        snapshot: &Snapshot,
-        faults: Option<&FaultPlan>,
-    ) -> std::io::Result<PathBuf> {
+    pub fn save(&mut self, snapshot: &Snapshot) -> std::io::Result<PathBuf> {
         let seq = self.seq;
         self.seq += 1;
         self.align(snapshot.now);
@@ -834,19 +821,6 @@ impl Checkpointer {
         let tmp = self.dir.join(format!("ckpt-{seq:010}.tmp"));
         std::fs::write(&tmp, snapshot.encode())?;
         std::fs::rename(&tmp, &path)?;
-
-        if let Some(mode) = faults.and_then(|f| f.corruption_for(seq)) {
-            corrupt_file(&path, mode)?;
-            crate::diag::warn(
-                "fault-corrupt-snapshot",
-                "injected corruption into checkpoint just written",
-                &[
-                    ("path", path.display().to_string()),
-                    ("seq", seq.to_string()),
-                    ("mode", format!("{mode:?}")),
-                ],
-            );
-        }
 
         // Prune: keep the newest `keep` checkpoints.
         let all = list_checkpoints(&self.dir)?;
@@ -924,7 +898,7 @@ pub fn load_latest(dir: &Path) -> std::io::Result<Option<LoadedSnapshot>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{CorruptMode, Fault};
+    use crate::fault::{corrupt_file, CorruptMode};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1011,10 +985,10 @@ mod tests {
                 metadata_bytes: 99,
                 replications: 5,
             },
-            routing: Some(RoutingState {
+            routing: RoutingState {
                 name: "rapid".into(),
                 bytes: vec![9, 8, 7],
-            }),
+            },
         }
     }
 
@@ -1026,12 +1000,36 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    /// `bytes` re-framed without its `routing` section: every other
+    /// section is intact, with a valid CRC.
+    fn without_routing(bytes: &[u8]) -> Vec<u8> {
+        let reader = SnapshotReader::new(bytes).expect("frames");
+        let mut w = SnapshotWriter::new();
+        for name in reader.names().filter(|&n| n != "routing") {
+            w.section(name, reader.section(name).expect("listed"));
+        }
+        w.finish()
+    }
+
     #[test]
-    fn snapshot_without_routing_round_trips() {
-        let mut snap = sample_snapshot();
-        snap.routing = None;
-        let back = Snapshot::decode(&snap.encode()).expect("decodes");
-        assert_eq!(back, snap);
+    fn a_section_less_snapshot_is_skipped() {
+        let err = Snapshot::decode(&without_routing(&sample_snapshot().encode())).unwrap_err();
+        assert!(err.contains("routing"), "{err}");
+
+        let dir = temp_dir("section-less");
+        let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(10), 3).unwrap();
+        let mut good = sample_snapshot();
+        good.now = Time::from_secs(10);
+        ckpt.save(&good).unwrap();
+        let newest = ckpt.save(&sample_snapshot()).unwrap();
+        std::fs::write(&newest, without_routing(&std::fs::read(&newest).unwrap())).unwrap();
+        let loaded = load_latest(&dir).unwrap().expect("previous survives");
+        assert_eq!(
+            loaded.snapshot, good,
+            "fell back past the section-less file"
+        );
+        assert_eq!(loaded.skipped.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1090,7 +1088,7 @@ mod tests {
             let mut snap = sample_snapshot();
             snap.now = Time::from_secs(secs);
             snap.contact_seq = secs;
-            ckpt.save(&snap, None).unwrap();
+            ckpt.save(&snap).unwrap();
             assert!(!ckpt.due(snap.now), "save advances the schedule");
         }
         let files = list_checkpoints(&dir).unwrap();
@@ -1108,16 +1106,13 @@ mod tests {
         let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(10), 3).unwrap();
         let mut good = sample_snapshot();
         good.now = Time::from_secs(10);
-        ckpt.save(&good, None).unwrap();
+        ckpt.save(&good).unwrap();
 
-        // The second save is corrupted by an injected fault.
-        let faults = FaultPlan::scheduled(vec![Fault::CorruptSnapshot {
-            seq: 1,
-            mode: CorruptMode::BitFlip,
-        }]);
+        // The second save is damaged on disk.
         let mut bad = sample_snapshot();
         bad.now = Time::from_secs(20);
-        ckpt.save(&bad, Some(&faults)).unwrap();
+        let path = ckpt.save(&bad).unwrap();
+        corrupt_file(&path, CorruptMode::BitFlip).unwrap();
 
         let loaded = load_latest(&dir).unwrap().expect("previous survives");
         assert_eq!(loaded.snapshot.now, Time::from_secs(10), "fell back");
@@ -1131,14 +1126,11 @@ mod tests {
         let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(10), 3).unwrap();
         let mut a = sample_snapshot();
         a.now = Time::from_secs(10);
-        ckpt.save(&a, None).unwrap();
-        let faults = FaultPlan::scheduled(vec![Fault::CorruptSnapshot {
-            seq: 1,
-            mode: CorruptMode::Truncate,
-        }]);
+        ckpt.save(&a).unwrap();
         let mut b = sample_snapshot();
         b.now = Time::from_secs(20);
-        ckpt.save(&b, Some(&faults)).unwrap();
+        let path = ckpt.save(&b).unwrap();
+        corrupt_file(&path, CorruptMode::Truncate).unwrap();
         let loaded = load_latest(&dir).unwrap().expect("previous survives");
         assert_eq!(loaded.snapshot.now, Time::from_secs(10));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1159,7 +1151,7 @@ mod tests {
         let dir = temp_dir("seq");
         let mut first = Checkpointer::new(&dir, TimeDelta::from_secs(10), 5).unwrap();
         let snap = sample_snapshot();
-        let p0 = first.save(&snap, None).unwrap();
+        let p0 = first.save(&snap).unwrap();
         let second = Checkpointer::new(&dir, TimeDelta::from_secs(10), 5).unwrap();
         assert_eq!(second.seq, 1, "resumed checkpointer continues the sequence");
         assert!(p0.exists());

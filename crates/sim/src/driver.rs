@@ -6,27 +6,30 @@
 //! buffer capacity respected — and keeps the byte accounting (data versus
 //! control metadata) that the evaluation reports (Figs. 8, 9).
 //!
-//! # Serial and shard world access
+//! # World leases
 //!
-//! The serial engine hands each driver the *full* world (every buffer, the
-//! holder sets). Inside a shard's epoch ([`crate::shard`]) a driver
-//! instead holds a *pair* view: `&mut` borrows of its two endpoint buffers,
-//! split off by the borrow checker, and a deferred holder-op log the
-//! runtime applies after the epoch. Every view shares the run's
-//! `DeliveredAt` column by `&`: its slots are relaxed atomics, so
-//! concurrent shards can never race on it, and a packet's slot is only
-//! ever written by contacts reaching its destination — all in one shard
-//! per epoch — so what each contact reads is the serial value. Both views
-//! produce identical observable behaviour for protocols that only address
-//! the contact's endpoints; the global view ([`ContactDriver::global`])
-//! exists only in serial mode (global-knowledge runs are never sharded).
+//! Every driver, and every creation at a source, works on one kind of
+//! lease, a `WorldMut`: a run of node buffers with its `base` — the whole
+//! fleet on a one-shard run and at a cross-shard barrier, one shard's
+//! partition range inside a multi-shard epoch ([`crate::shard`]) — the
+//! run's `DeliveredAt` and `entered` columns by `&`, and a holder sink.
+//! The columns' slots are relaxed atomics, so concurrent shards can never
+//! race on them, and a packet's delivery slot is only ever written by
+//! contacts reaching its destination — all in one shard per epoch — so
+//! what each contact reads is the serial value. The holder sink applies a
+//! change in place when the lease is the whole fleet and logs it for the
+//! epoch commit otherwise. A protocol addresses only the contact's two
+//! endpoints ([`ContactDriver::buffer`] panics on any other node, under
+//! every lease), so every lease is observably the same; the global view
+//! ([`ContactDriver::global`]) needs the whole fleet's lease, which is
+//! why global-knowledge runs never shard.
 
 use crate::buffer::NodeBuffer;
 use crate::ids::IndexSet;
 use crate::routing::{PacketStore, TransferOutcome};
 use crate::time::Time;
-use crate::types::{NodeId, PacketId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::types::{NodeId, Packet, PacketId};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Direction of flow within a contact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +51,8 @@ pub struct ContactLedger {
     pub deliveries: u64,
 }
 
-/// One deferred holder-set mutation (shard epochs): `added == true` inserts
-/// `node` into packet `id`'s holder set, `false` removes it.
+/// One holder-set mutation: `added == true` inserts `node` into packet
+/// `id`'s holder set, `false` removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct HolderOp {
     pub id: PacketId,
@@ -111,99 +114,87 @@ impl DeliveredAt {
     }
 }
 
-/// Mutable world state the driver operates on; borrowed from the engine.
-pub(crate) enum WorldMut<'a> {
-    /// The serial engine's full world.
-    Full {
-        packets: &'a PacketStore,
-        buffers: &'a mut [NodeBuffer],
-        delivered_at: &'a DeliveredAt,
-        holders: &'a mut [IndexSet],
-    },
-    /// One shard contact's slice of the world (see module docs).
-    Pair {
-        packets: &'a PacketStore,
-        a: NodeId,
-        buf_a: &'a mut NodeBuffer,
-        b: NodeId,
-        buf_b: &'a mut NodeBuffer,
-        delivered_at: &'a DeliveredAt,
-        holder_log: Vec<HolderOp>,
-    },
+/// Where a lease's holder-set changes go.
+pub(crate) enum HolderSink<'a> {
+    /// The whole fleet's lease: into the holder table at once.
+    Apply(&'a mut [IndexSet]),
+    /// One shard's lease: into its log, applied after the epoch.
+    Log(&'a mut Vec<HolderOp>),
+}
+
+/// A lease on the world (see the module docs): node buffers
+/// `base..base + buffers.len()`, the shared per-packet columns, and the
+/// sink for holder-set changes.
+pub(crate) struct WorldMut<'a> {
+    pub packets: &'a PacketStore,
+    pub base: usize,
+    pub buffers: &'a mut [NodeBuffer],
+    pub delivered_at: &'a DeliveredAt,
+    /// Whether each packet entered the network (its source stored it).
+    pub entered: &'a [AtomicBool],
+    pub holders: HolderSink<'a>,
 }
 
 impl WorldMut<'_> {
-    fn packets(&self) -> &PacketStore {
-        match self {
-            WorldMut::Full { packets, .. } | WorldMut::Pair { packets, .. } => packets,
+    /// The same lease for a shorter borrow (one drive of an epoch).
+    pub(crate) fn reborrow(&mut self) -> WorldMut<'_> {
+        WorldMut {
+            packets: self.packets,
+            base: self.base,
+            buffers: self.buffers,
+            delivered_at: self.delivered_at,
+            entered: self.entered,
+            holders: match &mut self.holders {
+                HolderSink::Apply(holders) => HolderSink::Apply(holders),
+                HolderSink::Log(log) => HolderSink::Log(log),
+            },
         }
     }
 
-    fn delivered_at(&self) -> &DeliveredAt {
-        match self {
-            WorldMut::Full { delivered_at, .. } | WorldMut::Pair { delivered_at, .. } => {
-                delivered_at
-            }
-        }
+    /// `node`'s position in the leased run.
+    fn local(&self, node: NodeId) -> usize {
+        node.index()
+            .checked_sub(self.base)
+            .filter(|&i| i < self.buffers.len())
+            .unwrap_or_else(|| panic!("{node} is outside this lease"))
     }
 
-    fn buffer(&self, node: NodeId) -> &NodeBuffer {
-        match self {
-            WorldMut::Full { buffers, .. } => &buffers[node.index()],
-            WorldMut::Pair {
-                a, buf_a, b, buf_b, ..
-            } => {
-                if node == *a {
-                    buf_a
-                } else if node == *b {
-                    buf_b
-                } else {
-                    panic!("{node} is outside this contact's pair view")
-                }
-            }
-        }
+    pub(crate) fn buffer(&self, node: NodeId) -> &NodeBuffer {
+        &self.buffers[self.local(node)]
     }
 
-    fn buffer_mut(&mut self, node: NodeId) -> &mut NodeBuffer {
-        match self {
-            WorldMut::Full { buffers, .. } => &mut buffers[node.index()],
-            WorldMut::Pair {
-                a, buf_a, b, buf_b, ..
-            } => {
-                if node == *a {
-                    buf_a
-                } else if node == *b {
-                    buf_b
-                } else {
-                    panic!("{node} is outside this contact's pair view")
-                }
-            }
-        }
-    }
-
-    fn add_holder(&mut self, node: NodeId, id: PacketId) {
-        match self {
-            WorldMut::Full { holders, .. } => {
-                holders[id.index()].insert(node.index());
-            }
-            WorldMut::Pair { holder_log, .. } => holder_log.push(HolderOp {
-                id,
+    /// Stores a replica of `packet` at `node`; false when it does not fit.
+    pub(crate) fn store(&mut self, node: NodeId, packet: &Packet, at: Time) -> bool {
+        let i = self.local(node);
+        let stored = self.buffers[i].insert(packet, at);
+        if stored {
+            self.holder(HolderOp {
+                id: packet.id,
                 node,
                 added: true,
-            }),
+            });
         }
+        stored
     }
 
-    fn remove_holder(&mut self, node: NodeId, id: PacketId) {
-        match self {
-            WorldMut::Full { holders, .. } => {
-                holders[id.index()].remove(node.index());
-            }
-            WorldMut::Pair { holder_log, .. } => holder_log.push(HolderOp {
+    /// Drops `node`'s replica of `id`; false when it held none.
+    pub(crate) fn drop_replica(&mut self, node: NodeId, id: PacketId) -> bool {
+        let i = self.local(node);
+        let removed = self.buffers[i].remove(id);
+        if removed {
+            self.holder(HolderOp {
                 id,
                 node,
                 added: false,
-            }),
+            });
+        }
+        removed
+    }
+
+    fn holder(&mut self, op: HolderOp) {
+        match &mut self.holders {
+            HolderSink::Apply(holders) => op.apply(holders),
+            HolderSink::Log(log) => log.push(op),
         }
     }
 }
@@ -243,16 +234,6 @@ impl<'a> ContactDriver<'a> {
             allow_global,
             seq,
         }
-    }
-
-    /// Drains the driver at commit time: the accumulated ledger plus any
-    /// deferred holder ops (empty in serial mode).
-    pub(crate) fn into_commit(self) -> (ContactLedger, Vec<HolderOp>) {
-        let log = match self.world {
-            WorldMut::Full { .. } => Vec::new(),
-            WorldMut::Pair { holder_log, .. } => holder_log,
-        };
-        (self.ledger, log)
     }
 
     /// Current simulation time (the instant of the meeting).
@@ -319,13 +300,20 @@ impl<'a> ContactDriver<'a> {
     }
 
     /// Read access to a node's buffer (either endpoint).
+    ///
+    /// # Panics
+    /// If `node` is not one of the two endpoints — under every lease, so
+    /// a protocol that peeks at a third node fails on the serial engine
+    /// exactly as it would inside a shard. Remote buffers are what
+    /// [`ContactDriver::global`] is for.
     pub fn buffer(&self, node: NodeId) -> &NodeBuffer {
+        self.dir_from(node);
         self.world.buffer(node)
     }
 
     /// The packet arena.
     pub fn packets(&self) -> &PacketStore {
-        self.world.packets()
+        self.world.packets
     }
 
     /// Byte/transfer counters so far in this contact.
@@ -339,7 +327,7 @@ impl<'a> ContactDriver<'a> {
     /// witnessed the delivery, §3.4's implicit ack).
     pub fn try_transfer(&mut self, from: NodeId, id: PacketId) -> TransferOutcome {
         let to = self.peer_of(from);
-        let packet = self.world.packets().get(id);
+        let packet = self.world.packets.get(id);
         assert!(
             self.world.buffer(from).contains(id),
             "{from} does not hold {id}"
@@ -357,8 +345,8 @@ impl<'a> ContactDriver<'a> {
             self.consume(from, size);
             self.ledger.data_bytes += size;
             // Sender observed the delivery: its own replica is now useless.
-            self.remove_replica(from, id);
-            let delivered_at = self.world.delivered_at();
+            self.world.drop_replica(from, id);
+            let delivered_at = self.world.delivered_at;
             if delivered_at.get(id).is_none() {
                 delivered_at.set(id, self.now);
                 self.ledger.deliveries += 1;
@@ -379,9 +367,8 @@ impl<'a> ContactDriver<'a> {
             }
             self.consume(from, size);
             self.ledger.data_bytes += size;
-            let stored = self.world.buffer_mut(to).insert(&packet, self.now);
+            let stored = self.world.store(to, &packet, self.now);
             debug_assert!(stored, "insert after free-space check cannot fail");
-            self.world.add_holder(to, id);
             self.ledger.replications += 1;
             TransferOutcome::Replicated
         }
@@ -397,35 +384,30 @@ impl<'a> ContactDriver<'a> {
             node == self.a || node == self.b,
             "{node} is not part of this contact"
         );
-        self.remove_replica(node, victim)
+        self.world.drop_replica(node, victim)
     }
 
     /// True global state — only available when the run was configured with
     /// `allow_global_knowledge` (the instant global channel of §6.2.3).
-    /// Global-knowledge runs are always executed serially, so the full
-    /// world is guaranteed to be present here.
+    /// Global-knowledge runs never shard, so every contact of theirs holds
+    /// the whole fleet's lease.
     ///
     /// # Panics
-    /// If global knowledge is not enabled for this run.
+    /// If global knowledge is not enabled for this run, or the lease is
+    /// one shard's range rather than the whole fleet.
     pub fn global(&self) -> GlobalView<'_> {
         assert!(
             self.allow_global,
             "global knowledge is disabled for this run (see SimConfig::allow_global_knowledge)"
         );
-        match &self.world {
-            WorldMut::Full {
-                delivered_at,
-                holders,
-                buffers,
-                ..
-            } => GlobalView {
-                delivered_at,
-                holders,
-                buffers,
-            },
-            WorldMut::Pair { .. } => {
-                unreachable!("global-knowledge runs are never sharded")
-            }
+        let HolderSink::Apply(holders) = &self.world.holders else {
+            panic!("global knowledge needs the whole fleet's lease, not one shard's");
+        };
+        debug_assert_eq!(self.world.base, 0, "a whole-fleet lease starts at node 0");
+        GlobalView {
+            delivered_at: self.world.delivered_at,
+            holders,
+            buffers: &*self.world.buffers,
         }
     }
 
@@ -433,15 +415,6 @@ impl<'a> ContactDriver<'a> {
         match self.dir_from(from) {
             Dir::AtoB => self.cap_ab -= bytes,
             Dir::BtoA => self.cap_ba -= bytes,
-        }
-    }
-
-    fn remove_replica(&mut self, node: NodeId, id: PacketId) -> bool {
-        if self.world.buffer_mut(node).remove(id) {
-            self.world.remove_holder(node, id);
-            true
-        } else {
-            false
         }
     }
 }

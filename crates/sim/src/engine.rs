@@ -8,7 +8,8 @@
 //! node churn) in the documented tie-break order; at each driven contact the
 //! routing protocol moves packets through a [`ContactDriver`] that enforces
 //! the feasibility rules of §3.1. This module holds the serial entry
-//! points; [`crate::shard`] holds the sharded ones.
+//! points; [`crate::shard`] holds the sharded ones and the one executor
+//! both run through — a serial run is the one-shard partition.
 //!
 //! Contact windows ([`crate::contact::ContactWindow`]) are durative: the
 //! protocol is driven when a window *closes* (or is interrupted by churn),
@@ -21,13 +22,13 @@
 //! [`SimEvent`]: crate::event::SimEvent
 //! [`ContactDriver`]: crate::driver::ContactDriver
 
-use crate::checkpoint::{require_checkpointable, RunHooks};
+use crate::checkpoint::RunHooks;
 use crate::contact::Schedule;
 use crate::event::NodeEvent;
 use crate::noise::NoiseModel;
 use crate::report::SimReport;
 use crate::routing::{Routing, SimConfig};
-use crate::scan::{scan, Immediate};
+use crate::shard::{run_partitioned, Partition};
 use crate::source::{ContactSource, WorkloadSource};
 
 /// A fully specified simulation run: configuration, contact-window schedule,
@@ -134,7 +135,9 @@ impl Simulation {
 /// streaming sources — the scenario is never materialized, so peak memory
 /// is bounded by the open state (buffers, in-flight packets, open windows),
 /// not the contact-plan size. The drain order and the source contract are
-/// those of the event-merge scan (see `crate::scan::scan`).
+/// those of the event-merge scan (see `crate::scan::scan`); the executor
+/// is [`crate::shard`]'s over one shard, so every protocol runs here,
+/// `Serial` and global-knowledge ones included.
 pub fn run_streaming(
     config: &SimConfig,
     contacts: &mut dyn ContactSource,
@@ -168,12 +171,11 @@ pub fn run_streaming_hooked(
     routing: &mut dyn Routing,
     hooks: RunHooks<'_>,
 ) -> SimReport {
-    if hooks.checkpoint.is_some() || hooks.resume.is_some() {
-        require_checkpointable(routing);
-    }
-    routing.on_init(config);
-    let mut exec = Immediate { routing };
-    scan(config, contacts, workload, churn, noise, hooks, &mut exec)
+    let partition = Partition::even(config.nodes, 1);
+    run_partitioned(
+        config, &partition, contacts, workload, churn, noise, routing, hooks,
+    )
+    .0
 }
 
 #[cfg(test)]
@@ -417,6 +419,36 @@ mod tests {
             Workload::default(),
         );
         let _ = sim.run(&mut Peeker);
+    }
+
+    #[test]
+    #[should_panic(expected = "n2 is not part of this contact")]
+    fn a_third_nodes_buffer_is_out_of_reach() {
+        // Global knowledge on, so only the endpoints-only rule can refuse.
+        struct ThirdPeek;
+        impl Routing for ThirdPeek {
+            fn name(&self) -> String {
+                "third-peek".into()
+            }
+            fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
+                let _ = driver.buffer(NodeId(2));
+            }
+        }
+        let cfg = SimConfig {
+            allow_global_knowledge: true,
+            ..config(3)
+        };
+        let sim = Simulation::new(
+            cfg,
+            Schedule::new(vec![Contact::new(
+                Time::from_secs(1),
+                NodeId(0),
+                NodeId(1),
+                1,
+            )]),
+            Workload::default(),
+        );
+        let _ = sim.run(&mut ThirdPeek);
     }
 
     #[test]

@@ -3,21 +3,20 @@
 //! A [`FaultPlan`] is a list of faults the runtime deliberately inflicts
 //! on itself mid-run, so the checkpoint/resume machinery is exercised by
 //! the test suite and the bench harness instead of waiting for a real
-//! OOM-kill at hour six of a 12M-window run:
+//! OOM-kill at hour six of a 12M-window run. Its one kind,
+//! [`Fault::Crash`], panics the event loop (a distinctive, greppable
+//! panic) the first time simulated time reaches `at`; the bench runner's
+//! retry loop catches it and resumes from the last good checkpoint,
+//! exactly as it would for a genuine worker panic.
 //!
-//! * [`Fault::Crash`] — the event loop panics (a distinctive, greppable
-//!   panic) the first time simulated time reaches `at`. The bench
-//!   runner's retry loop catches it and resumes from the last good
-//!   checkpoint, exactly as it would for a genuine worker panic.
-//! * [`Fault::CorruptSnapshot`] — the checkpoint file with sequence
-//!   number `seq` is damaged right after it is written (truncated or
-//!   bit-flipped), so the resume path must detect the damage via the
-//!   `RSNP1` checksums and fall back to the previous snapshot.
+//! [`corrupt_file`] damages a file in place (truncated or bit-flipped),
+//! so tests can check that the resume path detects the damage via the
+//! `RSNP1` checksums and falls back to the previous snapshot.
 
 use crate::time::Time;
 use std::path::Path;
 
-/// How [`Fault::CorruptSnapshot`] damages the file.
+/// How [`corrupt_file`] damages a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptMode {
     /// Drop the second half of the file (a partial write / torn rename).
@@ -33,13 +32,6 @@ pub enum Fault {
     Crash {
         /// Simulated instant of the crash.
         at: Time,
-    },
-    /// Damage checkpoint file `seq` immediately after it is written.
-    CorruptSnapshot {
-        /// Sequence number of the snapshot to damage.
-        seq: u64,
-        /// How to damage it.
-        mode: CorruptMode,
     },
 }
 
@@ -66,11 +58,9 @@ impl FaultPlan {
     /// resume so the fault that killed the previous attempt does not kill
     /// this one at the same instant forever.
     pub fn ack_crashes_before(&mut self, now: Time) {
-        for f in &self.faults {
-            if let Fault::Crash { at } = f {
-                if *at <= now && !self.spent_crashes.contains(at) {
-                    self.spent_crashes.push(*at);
-                }
+        for Fault::Crash { at } in &self.faults {
+            if *at <= now && !self.spent_crashes.contains(at) {
+                self.spent_crashes.push(*at);
             }
         }
     }
@@ -78,9 +68,8 @@ impl FaultPlan {
     /// Panics with a distinctive message if an unspent crash fault is due
     /// at `now`. The scan calls this once per event.
     pub fn trip_crash(&mut self, now: Time) {
-        let due = self.faults.iter().find_map(|f| match f {
-            Fault::Crash { at } if *at <= now && !self.spent_crashes.contains(at) => Some(*at),
-            _ => None,
+        let due = self.faults.iter().find_map(|Fault::Crash { at }| {
+            (*at <= now && !self.spent_crashes.contains(at)).then_some(*at)
         });
         if let Some(at) = due {
             self.spent_crashes.push(at);
@@ -95,20 +84,10 @@ impl FaultPlan {
             );
         }
     }
-
-    /// How checkpoint `seq` should be damaged, if a corruption fault
-    /// targets it.
-    pub fn corruption_for(&self, seq: u64) -> Option<CorruptMode> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::CorruptSnapshot { seq: s, mode } if *s == seq => Some(*mode),
-            _ => None,
-        })
-    }
 }
 
-/// Damages `path` in place according to `mode` — the write half of
-/// [`Fault::CorruptSnapshot`], also handy for tests that corrupt plan
-/// files.
+/// Damages `path` in place according to `mode` (tests corrupt snapshots
+/// and plan files with it).
 pub fn corrupt_file(path: &Path, mode: CorruptMode) -> std::io::Result<()> {
     let bytes = std::fs::read(path)?;
     let damaged = corrupt_bytes(bytes, mode);

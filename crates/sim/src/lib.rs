@@ -36,10 +36,11 @@
 //!   merges a [`source::ContactSource`] and a [`source::WorkloadSource`]
 //!   against the event queue in the documented tie-break order, so a
 //!   run's memory is bounded by its open state, not its contact-plan
-//!   size. That merge is the one [`scan`] both runtimes share — the
-//!   serial engine and the sharded runtime ([`shard`], the one parallel
-//!   executor, on a [`par::ContactPool`]) differ only in the executor it
-//!   hands each action to.
+//!   size. That merge is the one [`scan`], and it hands every action to
+//!   the one executor, [`shard`]'s: actions queue to the shard owning
+//!   their nodes and drain at barriers, on a [`par::ContactPool`]. The
+//!   serial engine is its one-shard partition, so one drive body and one
+//!   creation body serve every run.
 //!   [`engine::Simulation`] is the materialized convenience wrapper
 //!   — including node churn ([`event::NodeEvent`]) that interrupts active
 //!   windows mid-accrual and per-packet TTL

@@ -186,10 +186,11 @@ pub trait Routing {
     /// [`Routing::on_creation_dropped`] and [`Routing::on_node_up`] /
     /// [`Routing::on_node_down`] may touch only the subject node's state.
     /// (Only [`Routing::on_packet_expired`] may read arbitrary nodes —
-    /// the runtimes always execute it as a serial barrier.) This is what
-    /// lets the sharded runtime ([`crate::shard`]) drain the shard queues
-    /// of the run's one instance in any shard order within an epoch:
-    /// every queued action touches only state owned by its shard.
+    /// the executor always runs it as a barrier.) This is what lets the
+    /// sharded runtime ([`crate::shard`]) drain the shard queues of the
+    /// run's one instance in any shard order within an epoch: every
+    /// queued action touches only state owned by its shard. A `Serial`
+    /// protocol runs on one shard only — the serial engine.
     fn contact_concurrency(&self) -> ContactConcurrency {
         ContactConcurrency::Serial
     }
@@ -210,11 +211,14 @@ pub trait Routing {
     /// Default: no-op (protocols that only care about transfers ignore it).
     fn on_contact_end(&mut self, _a: NodeId, _b: NodeId, _now: Time, _interrupted: bool) {}
 
-    /// Drains one sharded-runtime epoch against this instance.
+    /// Drains one epoch of a run over two or more shards against this
+    /// instance.
     ///
-    /// Only called by [`crate::shard`], which requires
-    /// [`ContactConcurrency::NodeDisjoint`]: a sharded run has exactly one
-    /// protocol instance, and the runtime asks it to split its per-node
+    /// Only called by [`crate::shard`] when `partition` has more than one
+    /// shard, which requires [`ContactConcurrency::NodeDisjoint`] (a
+    /// one-shard epoch — the serial engine — drains against the instance
+    /// directly, without this hook). A run has exactly one protocol
+    /// instance, and the runtime asks it to split its per-node
     /// state along `partition` and drain every shard's action queue (a
     /// protocol with no per-node state hands each shard a view built from
     /// its `Copy` configuration). The implementation must call

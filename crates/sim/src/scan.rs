@@ -1,47 +1,42 @@
-//! The one event-merge scan behind both runtimes.
+//! The one event-merge scan behind every run.
 //!
-//! `scan` owns everything the runtimes share: the three-way merge of the
-//! event queue (churn, window closes, TTL expiries) against the two
-//! pull-based sources on the `(time, rank)` key of the tie-break table
+//! `scan` owns the serial order: the three-way merge of the event queue
+//! (churn, window closes, TTL expiries) against the two pull-based
+//! sources on the `(time, rank)` key of the tie-break table
 //! ([`crate::event`]), the source pulls and their asserts, node
 //! availability and the open-window set, noise draws, contact sequence
 //! numbers, TTL scheduling, resume, quiescent-point snapshot capture, the
-//! report counters and the fault hooks. What differs between the two
-//! runtimes — *who executes a drive and when its effects commit* — sits
-//! behind the `Executor` trait:
+//! report counters and the fault hooks. It hands each ordered action to
+//! the one executor, `shard::Partitioned`, which queues it to the shard
+//! owning its nodes and drains the queues at the next barrier
+//! ([`crate::shard`]). The serial engine is the one-shard partition.
 //!
-//! * `Immediate`: every action executes at once against the full world.
-//!   The serial engine, and the coordinator inside the sharded runtime.
-//! * `shard::Partitioned` (`run_sharded*`): actions whose nodes lie in one
-//!   shard queue to it and free-run until the next cross-shard action
-//!   ([`crate::shard`]).
-//!
-//! Because the scan is shared, the serial-order facts — which windows are
-//! suppressed or fail, each drive's budget and sequence number, which
-//! expiries are scheduled — are identical under every executor by
-//! construction, and so is every [`Snapshot`].
+//! Between barriers the scan reads no world state, so the serial-order
+//! facts — which windows are suppressed or fail, each drive's budget and
+//! sequence number, which expiries are scheduled — are the same at every
+//! partition by construction, and so is every [`Snapshot`].
 //!
 //! Everything here is crate-internal; the public entry points are
 //! [`crate::engine::run_streaming`] and [`crate::shard::run_sharded`].
 
 use crate::checkpoint::{config_digest, Counters, OpenSnap, RoutingState, RunHooks, Snapshot};
 use crate::contact::ContactWindow;
-use crate::driver::{ContactDriver, DeliveredAt, HolderOp, WorldMut};
+use crate::driver::{DeliveredAt, HolderSink, WorldMut};
 use crate::event::{EventQueue, NodeEvent, SimEvent, WindowIdx};
 use crate::ids::IndexSet;
 use crate::noise::NoiseModel;
 use crate::report::SimReport;
-use crate::routing::{PacketStore, Routing, SimConfig};
+use crate::routing::{PacketStore, SimConfig};
+use crate::shard::Partitioned;
 use crate::source::{ContactSource, WorkloadSource};
 use crate::time::{Time, TimeDelta};
-use crate::types::{NodeId, Packet, PacketId};
 use crate::NodeBuffer;
 use dtn_stats::sample::Exponential;
 use dtn_stats::stream;
 use rand::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// One contact drive as the scan hands it to an executor.
+/// One contact drive as the scan hands it to the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingDrive {
     /// The window being driven.
@@ -57,8 +52,8 @@ pub(crate) struct PendingDrive {
     pub measured: bool,
 }
 
-/// The world state of a run, grouped so executors can borrow it whole.
-/// The sharded executor splits `buffers` into `&mut` leases and shares the
+/// The world state of a run, grouped so the executor can borrow it whole.
+/// A multi-shard epoch splits `buffers` into `&mut` leases and shares the
 /// two per-packet columns by `&` — their slots are relaxed atomics, so no
 /// split needs them (see [`crate::shard`]).
 pub(crate) struct World {
@@ -72,171 +67,26 @@ pub(crate) struct World {
     pub entered: Vec<AtomicBool>,
 }
 
-/// What the scan lends every [`Executor`] call: the configuration, the
+impl World {
+    /// The whole fleet as one lease: holder changes apply in place.
+    pub fn lease(&mut self) -> WorldMut<'_> {
+        WorldMut {
+            packets: &self.store,
+            base: 0,
+            buffers: &mut self.buffers,
+            delivered_at: &self.delivered_at,
+            entered: &self.entered,
+            holders: HolderSink::Apply(&mut self.holders),
+        }
+    }
+}
+
+/// What the scan lends every executor call: the configuration, the
 /// world, and the report counters accumulated so far.
 pub(crate) struct Run<'a> {
     pub config: &'a SimConfig,
     pub world: World,
     pub counters: Counters,
-}
-
-/// Who executes each ordered action of the [`scan`], and when its effects
-/// commit. Calls arrive in the total `(time, rank, seq)` order. An
-/// executor may defer an action as long as every later action that reads
-/// what the deferred one writes still sees the serial result, and
-/// [`Executor::quiesce`] leaves the exact serial-order prefix behind.
-pub(crate) trait Executor {
-    /// The instance holding the run's protocol state: saved into
-    /// snapshots, restored on resume.
-    fn routing(&mut self) -> &mut dyn Routing;
-
-    /// Drives one contact; `interrupted` when churn cut the window short.
-    fn drive(&mut self, run: &mut Run<'_>, drive: PendingDrive, interrupted: bool);
-
-    /// The source-buffer side of creating packet `id`, which the scan has
-    /// already appended to the arena with `entered = false`. `src_up` is
-    /// the scan's availability verdict at creation time.
-    fn create(&mut self, run: &mut Run<'_>, id: PacketId, src_up: bool);
-
-    /// Lifecycle hook: `node` came up (availability is already updated).
-    fn node_up(&mut self, run: &mut Run<'_>, node: NodeId, now: Time);
-
-    /// Lifecycle hook: `node` went down (its open windows have already
-    /// been interrupted and driven).
-    fn node_down(&mut self, run: &mut Run<'_>, node: NodeId, now: Time);
-
-    /// TTL expiry of `id`. Reads and writes arbitrary holders and
-    /// buffers, so every executor treats it as a barrier.
-    fn expire(&mut self, run: &mut Run<'_>, id: PacketId);
-
-    /// Commits everything deferred. Called before a snapshot and at end
-    /// of run; calling it early is byte-identical (see [`crate::shard`]).
-    fn quiesce(&mut self, run: &mut Run<'_>);
-}
-
-/// Executes every action at once against the full world.
-pub(crate) struct Immediate<'a> {
-    pub routing: &'a mut dyn Routing,
-}
-
-impl Executor for Immediate<'_> {
-    fn routing(&mut self) -> &mut dyn Routing {
-        self.routing
-    }
-
-    /// Hands one driven contact to the protocol and accounts its ledger.
-    fn drive(&mut self, run: &mut Run<'_>, drive: PendingDrive, interrupted: bool) {
-        let w = &drive.window;
-        let mut driver = ContactDriver::new(
-            WorldMut::Full {
-                packets: &run.world.store,
-                buffers: &mut run.world.buffers,
-                delivered_at: &run.world.delivered_at,
-                holders: &mut run.world.holders,
-            },
-            drive.now,
-            w.a,
-            w.b,
-            drive.budget,
-            run.config.allow_global_knowledge,
-            drive.seq,
-        );
-        self.routing.on_contact(&mut driver);
-        run.counters.add_drive(&drive, driver.ledger());
-        self.routing
-            .on_contact_end(w.a, w.b, drive.now, interrupted);
-    }
-
-    fn create(&mut self, run: &mut Run<'_>, id: PacketId, src_up: bool) {
-        let World {
-            buffers,
-            store,
-            holders,
-            entered,
-            ..
-        } = &mut run.world;
-        let packet = store.get(id);
-        let buf = &mut buffers[packet.src.index()];
-        if create_at_source(self.routing, &packet, src_up, buf, store, |op| {
-            op.apply(holders)
-        }) {
-            entered[id.index()].store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn node_up(&mut self, _run: &mut Run<'_>, node: NodeId, now: Time) {
-        self.routing.on_node_up(node, now);
-    }
-
-    fn node_down(&mut self, _run: &mut Run<'_>, node: NodeId, now: Time) {
-        self.routing.on_node_down(node, now);
-    }
-
-    fn expire(&mut self, run: &mut Run<'_>, id: PacketId) {
-        let world = &mut run.world;
-        // Skip packets that were delivered first, and packets that never
-        // entered the network: they carry no replicas, and their expiry
-        // was scheduled before the creation verdict was known (see the
-        // scheduling rule in `scan`).
-        if !world.entered[id.index()].load(Ordering::Relaxed)
-            || world.delivered_at.get(id).is_some()
-        {
-            return;
-        }
-        let holders = std::mem::take(&mut world.holders[id.index()]);
-        for h in holders.iter() {
-            world.buffers[h].remove(id);
-        }
-        run.counters.expired += 1;
-        self.routing.on_packet_expired(&world.store.get(id));
-    }
-
-    fn quiesce(&mut self, _run: &mut Run<'_>) {}
-}
-
-/// The source-buffer side of a packet creation, shared by every executor:
-/// a full buffer asks the protocol to make room, and the protocol hears
-/// the verdict. Holder-set changes go through `holder_op` — applied in
-/// place by [`Immediate`], logged for the epoch commit by a shard.
-/// Returns whether the packet entered the network.
-pub(crate) fn create_at_source(
-    routing: &mut dyn Routing,
-    packet: &Packet,
-    src_up: bool,
-    buf: &mut NodeBuffer,
-    store: &PacketStore,
-    mut holder_op: impl FnMut(HolderOp),
-) -> bool {
-    let src = packet.src;
-    if !src_up {
-        // A down node cannot originate traffic.
-        routing.on_creation_dropped(packet);
-        return false;
-    }
-    if buf.free_bytes() < packet.size_bytes {
-        let needed = packet.size_bytes - buf.free_bytes();
-        for v in routing.make_room(src, packet, needed, buf, store, packet.created_at) {
-            if buf.remove(v) {
-                holder_op(HolderOp {
-                    id: v,
-                    node: src,
-                    added: false,
-                });
-            }
-        }
-    }
-    if buf.insert(packet, packet.created_at) {
-        holder_op(HolderOp {
-            id: packet.id,
-            node: src,
-            added: true,
-        });
-        routing.on_packet_created(packet);
-        true
-    } else {
-        routing.on_creation_dropped(packet);
-        false
-    }
 }
 
 /// The entered flags in packet order.
@@ -299,14 +149,14 @@ fn close_window(
 /// Events scheduled past `config.horizon` still execute (the seed engine
 /// processed every contact it was given); generators are expected to clamp
 /// at the horizon.
-pub(crate) fn scan<E: Executor>(
+pub(crate) fn scan(
     config: &SimConfig,
     contacts: &mut dyn ContactSource,
     workload: &mut dyn WorkloadSource,
     churn: &[NodeEvent],
     noise: Option<NoiseModel>,
     mut hooks: RunHooks<'_>,
-    exec: &mut E,
+    exec: &mut Partitioned<'_>,
 ) -> SimReport {
     let n = config.nodes;
     let mut run = Run {
@@ -428,20 +278,17 @@ pub(crate) fn scan<E: Executor>(
             "workload source diverged from the snapshot [diag=resume-source-mismatch]"
         );
 
-        // Protocol state. A snapshot without the section restores as empty
-        // state, which a protocol that keeps beliefs rejects.
+        // Protocol state, under the name that wrote it.
         let routing = exec.routing();
-        if let Some(rs) = &snap.routing {
-            assert_eq!(
-                rs.name,
-                routing.name(),
-                "snapshot holds {} state but the run uses {} [diag=resume-proto-mismatch]",
-                rs.name,
-                routing.name()
-            );
-        }
+        assert_eq!(
+            snap.routing.name,
+            routing.name(),
+            "snapshot holds {} state but the run uses {} [diag=resume-proto-mismatch]",
+            snap.routing.name,
+            routing.name()
+        );
         routing
-            .load_state(snap.routing.as_ref().map_or(&[], |rs| &rs.bytes))
+            .load_state(&snap.routing.bytes)
             .unwrap_or_else(|e| panic!("protocol state restore failed: {e}"));
 
         if let Some(faults) = hooks.faults.as_deref_mut() {
@@ -475,7 +322,7 @@ pub(crate) fn scan<E: Executor>(
         }
         if hooks.checkpoint.as_ref().is_some_and(|c| c.due(best.0)) {
             // The snapshot must be the full serial-order prefix: commit
-            // whatever the executor still holds back first.
+            // whatever the shard queues still hold back first.
             exec.quiesce(&mut run);
             let routing = exec.routing();
             let snap = Snapshot {
@@ -494,16 +341,17 @@ pub(crate) fn scan<E: Executor>(
                 up: up.clone(),
                 open: open.clone(),
                 counters: run.counters,
-                routing: routing.save_state().map(|bytes| RoutingState {
+                routing: RoutingState {
                     name: routing.name(),
-                    bytes,
-                }),
+                    bytes: routing
+                        .save_state()
+                        .expect("checkpointed runs require save_state"),
+                },
             };
             let ckpt = hooks.checkpoint.as_deref_mut().expect("checked above");
-            ckpt.save(&snap, hooks.faults.as_deref())
-                .unwrap_or_else(|e| {
-                    panic!("checkpoint write failed: {e} [diag=ckpt-write-failed]")
-                });
+            ckpt.save(&snap).unwrap_or_else(|e| {
+                panic!("checkpoint write failed: {e} [diag=ckpt-write-failed]")
+            });
         }
 
         if window_key == Some(best) {
@@ -569,14 +417,14 @@ pub(crate) fn scan<E: Executor>(
                 .push(spec.src, spec.dst, spec.size_bytes, spec.time, deadline);
             run.world.delivered_at.push_undelivered();
             run.world.holders.push(IndexSet::new());
-            // The executor flips this when the source-buffer insert
-            // succeeds — possibly later, inside a shard's epoch.
+            // The creation body flips this when the source-buffer insert
+            // succeeds — later, when the shard's queue drains.
             run.world.entered.push(AtomicBool::new(false));
 
             let src_up = up[spec.src.index()];
             exec.create(&mut run, id, src_up);
             // The one expiry-scheduling rule: whether the insert succeeds
-            // may not be known yet (a deferring executor), so the expiry
+            // is not known yet (the creation is queued), so the expiry
             // is scheduled whenever it *could* succeed. The handler skips
             // packets that never entered, so the extra events are no-op
             // barriers, not report drift.
@@ -629,7 +477,7 @@ pub(crate) fn scan<E: Executor>(
     // Per-delivery processing latency (deployment emulation only): the
     // routing decisions above are unaffected; only the recorded delivery
     // timestamps shift, exactly like computation delay on a bus. The draw
-    // order over delivered slots is packet order under every executor.
+    // order over delivered slots is packet order at every partition.
     let jitter = noise
         .as_ref()
         .filter(|noise| noise.processing_delay_mean > TimeDelta::ZERO)

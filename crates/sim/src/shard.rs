@@ -1,19 +1,16 @@
-//! The sharded simulation runtime: partitioned execution under a
-//! conservative sync horizon — the engine's one parallel executor.
-//!
-//! The serial engine drives every action of the event-merge scan on one
-//! thread. This module partitions the *node space* instead:
+//! The one executor: partitioned execution under a conservative sync
+//! horizon. Every run goes through it — the serial engine is the
+//! one-shard partition.
 //!
 //! * A [`Partition`] maps contiguous `NodeId` ranges to shards —
 //!   `ScaleFleet`'s hub-gateway topology emits hub-local contacts, so
 //!   region boundaries are a natural seam with few cross-shard windows.
-//! * The event-merge scan ([`crate::scan`]) — the same one the serial
-//!   engine runs, so noise draws, suppression checks and contact sequence
-//!   numbers are the serial ones by construction — hands each ordered
-//!   action to this module's executor, which *routes* it: an action whose
-//!   node set lies inside one shard is appended to that shard's message
-//!   queue; anything cross-shard (a gateway contact, a TTL expiry
-//!   touching arbitrary holders) is a *barrier*.
+//! * The event-merge scan ([`crate::scan`]) owns the serial order — noise
+//!   draws, suppression checks, contact sequence numbers — and hands each
+//!   ordered action to this module's executor, which *routes* it: an
+//!   action whose node set lies inside one shard is appended to that
+//!   shard's message queue; anything cross-shard (a gateway contact, a TTL
+//!   expiry touching arbitrary holders) is a *barrier*.
 //! * Between barriers the shards free-run: at each epoch flush every
 //!   shard drains its queue serially — its node range of the protocol's
 //!   state, its own node-buffer range, the shared read-only packet arena
@@ -22,22 +19,33 @@
 //!   engine's total `(time, rank, seq)` order) *before* the barrier
 //!   action that forced the flush, so no shard ever sees state from its
 //!   future.
-//! * Cross-shard actions execute on the *coordinator* — the serial
-//!   engine's own executor over the run's one protocol instance and the
-//!   full world.
+//! * A cross-shard drive runs on the *coordinator* against the whole
+//!   fleet's lease, through the same `drive` body every drain runs; TTL
+//!   expiry is the one action only the coordinator executes.
+//!
+//! # One shard
+//!
+//! Over one shard nothing is cross-shard: the queue holds every action up
+//! to the next TTL expiry, checkpoint or end of run (or
+//! `EPOCH_ACTION_CAP` actions), and the epoch drains it in order against
+//! the protocol instance itself, on the whole fleet's lease, holder
+//! changes applied in place — without calling
+//! [`Routing::on_shard_epoch`]. Between barriers the scan reads no world
+//! state, so the deferral is invisible: a one-shard partition is exact
+//! for every protocol, `Serial` and global-knowledge ones included. That
+//! is how [`crate::engine::run_streaming`] runs.
 //!
 //! # Determinism
 //!
-//! `RAPID_SHARDS=N` is byte-identical to the serial engine for any `N`
+//! `RAPID_SHARDS=N` is byte-identical to the one-shard run for any `N`
 //! and any partition, because every ingredient of the report is either
 //! computed by the scan in serial order (noise draws, suppression,
 //! contact seq numbers, expiry accounting) or commutes across shards
 //! within an epoch:
 //!
 //! * **Buffers** — [`Partition::split_mut`] gives each shard a `&mut`
-//!   range, leased with its queue to one drain per epoch, and a drive
-//!   borrows its endpoints with `get_disjoint_mut`; the coordinator only
-//!   touches buffers between epochs.
+//!   range, leased with its queue to one drain per epoch; the coordinator
+//!   only touches buffers between epochs.
 //! * **`delivered_at`** — relaxed atomics every shard shares by `&`, so
 //!   shards cannot race on it. Slot `p` is only written by the contact
 //!   whose endpoint is `dst(p)`; within an epoch that is exactly one shard
@@ -47,41 +55,41 @@
 //! * **`entered`** — the same kind of column: slot `p` is written only by
 //!   `src(p)`'s shard, in the epoch that executes the creation; the
 //!   coordinator reads it (TTL expiry, snapshots) only between epochs.
-//! * **Holder sets** — shards never mutate the shared holder table;
-//!   drives and creations log `HolderOp`s, applied in shard order after
-//!   every epoch. All ops for a fixed `(packet, node)`
-//!   pair originate from `node`'s own shard (in queue order), so the
-//!   final state per pair — the only thing later barriers observe — is
-//!   exact.
+//! * **Holder sets** — a shard of a multi-shard epoch never mutates the
+//!   shared holder table; drives and creations log `HolderOp`s, applied
+//!   in shard order after every epoch. All ops for a fixed `(packet,
+//!   node)` pair originate from `node`'s own shard (in queue order), so
+//!   the final state per pair — the only thing later barriers observe —
+//!   is exact.
 //! * **Report sums** — one `Counters` per shard, folded in shard order;
 //!   integer addition is associative and commutative.
 //!
-//! A run has *one* protocol instance, and it must declare
-//! [`ContactConcurrency::NodeDisjoint`]: under that contract
+//! A run has *one* protocol instance. Over two or more shards it must
+//! declare [`ContactConcurrency::NodeDisjoint`]: under that contract
 //! ([`Routing::contact_concurrency`]) every queued epoch action touches
 //! only its own shard's nodes, so shard queues commute within an epoch.
-//! Each flush asks the instance to drain the epoch itself via
+//! Each multi-shard flush asks the instance to drain the epoch itself via
 //! [`Routing::on_shard_epoch`] (splitting its per-node state — or, for a
 //! protocol that keeps none, its `Copy` configuration — across the pool);
 //! a protocol without that override is drained serially in shard order —
 //! same bytes, no intra-epoch parallelism.
 //!
-//! `Serial` protocols cannot shard at all and are rejected loudly.
+//! `Serial` and global-knowledge protocols run on one shard only; over
+//! more they are rejected loudly.
 
 use crate::checkpoint::{require_checkpointable, Counters, RunHooks};
 use crate::contact::ContactWindow;
-use crate::driver::{ContactDriver, DeliveredAt, HolderOp, WorldMut};
+use crate::driver::{ContactDriver, HolderOp, HolderSink, WorldMut};
 use crate::event::NodeEvent;
 use crate::noise::NoiseModel;
 use crate::par::ContactPool;
 use crate::report::SimReport;
-use crate::routing::{ContactConcurrency, PacketStore, Routing, SimConfig};
-use crate::scan::{create_at_source, scan, Executor, Immediate, PendingDrive, Run, World};
+use crate::routing::{ContactConcurrency, Routing, SimConfig};
+use crate::scan::{scan, PendingDrive, Run, World};
 use crate::source::{ContactSource, WorkloadSource};
 use crate::time::Time;
 use crate::types::{NodeId, PacketId};
-use crate::NodeBuffer;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -217,9 +225,8 @@ pub struct ShardStats {
     pub creations: u64,
     /// Wall time spent draining this shard's queues (sum over epochs).
     pub busy: Duration,
-    /// The tier the protocol declared — `node_disjoint` on every row,
-    /// since the runtime rejects anything else and a harness that falls
-    /// back to the serial engine reports no shard rows at all.
+    /// The tier the protocol declared — `node_disjoint` on every row of a
+    /// multi-shard run, since the runtime rejects anything else there.
     pub concurrency: ContactConcurrency,
 }
 
@@ -242,12 +249,11 @@ enum ShardMsg {
     NodeDown(NodeId, Time),
 }
 
-/// One shard's action queue, holder-op log and report counters. Disjoint
-/// across shards; drained by one worker per epoch.
+/// One shard's action queue and report counters. Disjoint across shards;
+/// drained by one worker per epoch.
 #[derive(Default)]
 struct ShardState {
     msgs: Vec<ShardMsg>,
-    holder_log: Vec<HolderOp>,
     /// Report counters, folded in shard order at every quiesce.
     counters: Counters,
     // Telemetry.
@@ -273,11 +279,11 @@ pub fn run_sharded(
 /// (byte-identical to [`crate::engine::run_streaming`] with the same
 /// inputs) plus per-shard telemetry.
 ///
-/// `factory` is called exactly once, for the run's protocol instance,
-/// which must declare [`ContactConcurrency::NodeDisjoint`]; a `Serial`
-/// protocol is rejected loudly. Runs with global knowledge cannot shard
-/// (the instant global channel reads arbitrary remote state
-/// mid-contact).
+/// `factory` is called exactly once, for the run's protocol instance.
+/// Over one shard every protocol runs. Over two or more the instance must
+/// declare [`ContactConcurrency::NodeDisjoint`] — a `Serial` protocol is
+/// rejected loudly — and runs with global knowledge are rejected too
+/// (the instant global channel reads arbitrary remote state mid-contact).
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_with_stats(
     config: &SimConfig,
@@ -319,40 +325,65 @@ pub fn run_sharded_hooked(
     factory: &mut dyn FnMut() -> Box<dyn Routing + Send>,
     hooks: RunHooks<'_>,
 ) -> (SimReport, Vec<ShardStats>) {
+    let mut routing = factory();
+    run_partitioned(
+        config,
+        partition,
+        contacts,
+        workload,
+        churn,
+        noise,
+        routing.as_mut(),
+        hooks,
+    )
+}
+
+/// The one runner behind every public entry point (the serial ones in
+/// [`crate::engine`] pass a one-shard partition): checks `routing`
+/// against the partition, initializes it, and runs the scan with the
+/// partitioned executor.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_partitioned(
+    config: &SimConfig,
+    partition: &Partition,
+    contacts: &mut dyn ContactSource,
+    workload: &mut dyn WorkloadSource,
+    churn: &[NodeEvent],
+    noise: Option<NoiseModel>,
+    routing: &mut dyn Routing,
+    hooks: RunHooks<'_>,
+) -> (SimReport, Vec<ShardStats>) {
     assert_eq!(
         partition.nodes(),
         config.nodes,
         "partition must cover exactly the configured node space"
     );
-    assert!(
-        !config.allow_global_knowledge,
-        "global-knowledge runs cannot be sharded"
-    );
-
-    let mut routing = factory();
     let concurrency = routing.contact_concurrency();
-    assert!(
-        concurrency.is_node_disjoint(),
-        "sharded execution requires a NodeDisjoint protocol; {} declared Serial",
-        routing.name()
-    );
-    routing.on_init(config);
-    if hooks.checkpoint.is_some() || hooks.resume.is_some() {
-        require_checkpointable(routing.as_ref());
+    if partition.shards() > 1 {
+        assert!(
+            !config.allow_global_knowledge,
+            "global-knowledge runs cannot be sharded"
+        );
+        assert!(
+            concurrency.is_node_disjoint(),
+            "sharded execution requires a NodeDisjoint protocol; {} declared Serial",
+            routing.name()
+        );
     }
+    if hooks.checkpoint.is_some() || hooks.resume.is_some() {
+        require_checkpointable(routing);
+    }
+    routing.on_init(config);
 
-    let mut states: Vec<ShardState> = (0..partition.shards())
-        .map(|_| ShardState::default())
-        .collect();
-
+    let shards = partition.shards();
+    let mut states: Vec<ShardState> = (0..shards).map(|_| ShardState::default()).collect();
     let report = std::thread::scope(|scope| {
-        let pool = ContactPool::start(scope, partition.shards());
+        let pool = ContactPool::start(scope, shards);
         let mut exec = Partitioned {
             partition,
+            routing,
             states: &mut states,
-            coord: Immediate {
-                routing: routing.as_mut(),
-            },
+            logs: vec![Vec::new(); shards],
             pool: &pool,
             pending: 0,
         };
@@ -374,75 +405,114 @@ pub fn run_sharded_hooked(
     (report, stats)
 }
 
-/// The partitioned executor: routes each scan action to the shard owning
-/// its nodes, and executes barriers on the coordinator against the full
-/// world.
-struct Partitioned<'a> {
+/// The executor: routes each scan action to the shard owning its nodes,
+/// drains the shard queues at every barrier, and executes barriers on
+/// the coordinator against the whole fleet's lease.
+pub(crate) struct Partitioned<'a> {
     partition: &'a Partition,
+    /// The run's one protocol instance. It drains one-shard epochs
+    /// itself, splits multi-shard ones (`on_shard_epoch`), and executes
+    /// the barriers.
+    routing: &'a mut dyn Routing,
     states: &'a mut [ShardState],
-    /// The coordinator: the serial executor over the run's one protocol
-    /// instance and the full world; epochs drain shard views of the same
-    /// instance.
-    coord: Immediate<'a>,
+    /// Each shard's holder-set changes in a multi-shard epoch, applied in
+    /// shard order when it ends.
+    logs: Vec<Vec<HolderOp>>,
     pool: &'a ContactPool,
     /// Same-shard actions queued since the last epoch flush.
     pending: usize,
 }
 
-impl Executor for Partitioned<'_> {
-    fn routing(&mut self) -> &mut dyn Routing {
-        self.coord.routing
+impl Partitioned<'_> {
+    /// The instance holding the run's protocol state: saved into
+    /// snapshots, restored on resume.
+    pub(crate) fn routing(&mut self) -> &mut dyn Routing {
+        self.routing
     }
 
+    /// Drives one contact; `interrupted` when churn cut the window short.
     /// Same-shard endpoints queue to the owning shard; a cross-shard
-    /// (gateway) drive is a barrier executed by the coordinator.
-    fn drive(&mut self, run: &mut Run<'_>, drive: PendingDrive, interrupted: bool) {
+    /// (gateway) drive is a barrier the coordinator runs on the whole
+    /// fleet's lease.
+    pub(crate) fn drive(&mut self, run: &mut Run<'_>, pending: PendingDrive, interrupted: bool) {
         let (sa, sb) = (
-            self.partition.shard_of(drive.window.a),
-            self.partition.shard_of(drive.window.b),
+            self.partition.shard_of(pending.window.a),
+            self.partition.shard_of(pending.window.b),
         );
         if sa == sb {
-            self.enqueue(run, sa, ShardMsg::Drive { drive, interrupted });
+            let msg = ShardMsg::Drive {
+                drive: pending,
+                interrupted,
+            };
+            self.enqueue(run, sa, msg);
         } else {
             self.flush_epoch(run);
-            self.coord.drive(run, drive, interrupted);
+            drive(
+                self.routing,
+                run.world.lease(),
+                pending,
+                interrupted,
+                run.config.allow_global_knowledge,
+                &mut run.counters,
+            );
         }
     }
 
-    fn create(&mut self, run: &mut Run<'_>, id: PacketId, src_up: bool) {
+    /// The source-buffer side of creating packet `id`, which the scan has
+    /// already appended to the arena with `entered = false`. `src_up` is
+    /// the scan's availability verdict at creation time.
+    pub(crate) fn create(&mut self, run: &mut Run<'_>, id: PacketId, src_up: bool) {
         let s = self.partition.shard_of(run.world.store.src(id));
         self.enqueue(run, s, ShardMsg::Create { id, src_up });
     }
 
-    fn node_up(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
+    /// Lifecycle hook: `node` came up (availability is already updated).
+    pub(crate) fn node_up(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
         let s = self.partition.shard_of(node);
         self.enqueue(run, s, ShardMsg::NodeUp(node, now));
     }
 
-    fn node_down(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
+    /// Lifecycle hook: `node` went down (its open windows have already
+    /// been interrupted and driven).
+    pub(crate) fn node_down(&mut self, run: &mut Run<'_>, node: NodeId, now: Time) {
         let s = self.partition.shard_of(node);
         self.enqueue(run, s, ShardMsg::NodeDown(node, now));
     }
 
-    fn expire(&mut self, run: &mut Run<'_>, id: PacketId) {
+    /// TTL expiry of `id`. It reads and writes arbitrary holders and
+    /// buffers, so it is a barrier, executed by the coordinator alone.
+    pub(crate) fn expire(&mut self, run: &mut Run<'_>, id: PacketId) {
         self.flush_epoch(run);
-        self.coord.expire(run, id);
+        let world = &mut run.world;
+        // Skip packets that were delivered first, and packets that never
+        // entered the network: they carry no replicas, and their expiry
+        // was scheduled before the creation verdict was known (see the
+        // scheduling rule in `scan`).
+        if !world.entered[id.index()].load(Ordering::Relaxed)
+            || world.delivered_at.get(id).is_some()
+        {
+            return;
+        }
+        let holders = std::mem::take(&mut world.holders[id.index()]);
+        for h in holders.iter() {
+            world.buffers[h].remove(id);
+        }
+        run.counters.expired += 1;
+        self.routing.on_packet_expired(&world.store.get(id));
     }
 
-    /// Drains every shard queue and applies the holder logs, then folds
-    /// (and zeroes) the shard counters in shard order, so `run.counters`
-    /// is the full serial-order prefix. Folding early — at a checkpoint —
-    /// changes nothing: the end-of-run fold adds whatever accumulated
-    /// afterwards.
-    fn quiesce(&mut self, run: &mut Run<'_>) {
+    /// Drains every shard queue, then folds (and zeroes) the shard
+    /// counters in shard order, so `run.counters` is the full serial-order
+    /// prefix. Called before a snapshot and at end of run; folding early
+    /// changes nothing, because the end-of-run fold adds whatever
+    /// accumulated afterwards.
+    pub(crate) fn quiesce(&mut self, run: &mut Run<'_>) {
         self.flush_epoch(run);
         for s in self.states.iter_mut() {
             run.counters += std::mem::take(&mut s.counters);
         }
     }
-}
 
-impl Partitioned<'_> {
     /// Appends a routed action to shard `s`'s queue, flushing first if
     /// the pending-action cap is reached (bounds queue memory).
     fn enqueue(&mut self, run: &mut Run<'_>, s: usize, msg: ShardMsg) {
@@ -453,15 +523,23 @@ impl Partitioned<'_> {
         self.pending += 1;
     }
 
-    /// One epoch: every shard drains its queue on the pool (serially
-    /// within the shard, shards concurrently), then the holder-op logs
-    /// are applied in shard order. On return all queues are empty
-    /// and the full world is consistent — the barrier may proceed.
+    /// One epoch: every shard drains its queue, and on return all queues
+    /// are empty and the whole world is consistent — the barrier may
+    /// proceed.
     fn flush_epoch(&mut self, run: &mut Run<'_>) {
         if self.pending == 0 {
             return;
         }
         self.pending = 0;
+        let allow_global = run.config.allow_global_knowledge;
+        let partition = self.partition;
+        if partition.shards() == 1 {
+            // The one shard leases the whole fleet: drain it against the
+            // instance itself, holder changes applied in place.
+            let world = run.world.lease();
+            drain_shard(self.routing, &mut self.states[0], world, allow_global);
+            return;
+        }
         let World {
             buffers,
             store,
@@ -469,15 +547,26 @@ impl Partitioned<'_> {
             holders,
             entered,
         } = &mut run.world;
-        let partition = self.partition;
-        let (store, delivered_at, entered) = (&*store, &*delivered_at, entered.as_slice());
-        // One lease per shard — its queue and counters, and its range
-        // of the node buffers — which the drain takes exactly once.
+        // One lease per shard — its queue and counters, its range of the
+        // node buffers and its holder log — which the drain takes exactly
+        // once.
         let leases: Vec<Mutex<Option<_>>> = self
             .states
             .iter_mut()
             .zip(partition.split_mut(buffers))
-            .map(|lease| Mutex::new(Some(lease)))
+            .zip(&mut self.logs)
+            .enumerate()
+            .map(|(s, ((state, buffers), log))| {
+                let world = WorldMut {
+                    packets: store,
+                    base: partition.range(s).start,
+                    buffers,
+                    delivered_at,
+                    entered,
+                    holders: HolderSink::Log(log),
+                };
+                Mutex::new(Some((state, world)))
+            })
             .collect();
         // Shard queues drain against views of the instance's per-node
         // state. The protocol splits that state itself
@@ -485,23 +574,16 @@ impl Partitioned<'_> {
         // shard order — intra-epoch actions of distinct shards commute
         // under the NodeDisjoint contract, so any fixed order is exact.
         let drain = |s: usize, routing: &mut dyn Routing| {
-            let (state, buffers) = leases[s]
+            let (state, world) = leases[s]
                 .lock()
                 .expect("shard lease lock")
                 .take()
                 .expect("on_shard_epoch drains each shard once per epoch");
-            if state.msgs.is_empty() {
-                return;
-            }
-            let t0 = Instant::now();
-            let base = partition.range(s).start;
-            drain_shard(routing, state, base, buffers, delivered_at, entered, store);
-            state.busy += t0.elapsed();
+            drain_shard(routing, state, world, allow_global);
         };
-        let routing = &mut *self.coord.routing;
-        if !routing.on_shard_epoch(partition, self.pool, &drain) {
+        if !self.routing.on_shard_epoch(partition, self.pool, &drain) {
             for s in 0..partition.shards() {
-                drain(s, routing);
+                drain(s, self.routing);
             }
         }
         let undrained = leases
@@ -511,81 +593,109 @@ impl Partitioned<'_> {
         // Holder ops in shard order: all ops for a (packet, node) pair
         // come from node's own shard in queue order, so per-pair final
         // state is exact regardless of the cross-shard fold order.
-        for state in self.states.iter_mut() {
-            for op in state.holder_log.drain(..) {
+        for log in &mut self.logs {
+            for op in log.drain(..) {
                 op.apply(holders);
             }
         }
     }
 }
 
-/// Drains one shard's queue in order against its node range, through
-/// `routing` — a shard-range view of the run's instance, or the instance
-/// itself on the serial-drain fallback. Runs on a pool worker; everything
-/// it mutates is either leased to the shard (its queue, counters and
-/// holder log, `buffers` = nodes `base..`) or an atomic column shared by
-/// every shard (`delivered_at`, `entered` — see the module docs).
+/// Drains one shard's queue in order on `world`, the shard's lease,
+/// through `routing` — the run's instance, or a shard-range view of it
+/// inside `on_shard_epoch`. May run on a pool worker: everything it
+/// mutates is leased to the shard (its queue and counters, its buffers
+/// and holder sink) or an atomic column shared by every shard
+/// (`delivered_at`, `entered` — see the module docs).
 fn drain_shard(
     routing: &mut dyn Routing,
     state: &mut ShardState,
-    base: usize,
-    buffers: &mut [NodeBuffer],
-    delivered_at: &DeliveredAt,
-    entered: &[AtomicBool],
-    store: &PacketStore,
+    mut world: WorldMut<'_>,
+    allow_global: bool,
 ) {
-    let ShardState {
-        msgs,
-        holder_log,
-        counters,
-        drives,
-        creations,
-        ..
-    } = state;
-    for msg in msgs.drain(..) {
+    if state.msgs.is_empty() {
+        return;
+    }
+    let t0 = Instant::now();
+    for msg in state.msgs.drain(..) {
         match msg {
-            ShardMsg::Drive { drive, interrupted } => {
-                *drives += 1;
-                let (a, b) = (drive.window.a, drive.window.b);
-                let [buf_a, buf_b] = buffers
-                    .get_disjoint_mut([a.index() - base, b.index() - base])
-                    .expect("a shard's drive meets two of its own nodes");
-                let mut driver = ContactDriver::new(
-                    WorldMut::Pair {
-                        packets: store,
-                        a,
-                        buf_a,
-                        b,
-                        buf_b,
-                        delivered_at,
-                        holder_log: std::mem::take(holder_log),
-                    },
-                    drive.now,
-                    a,
-                    b,
-                    drive.budget,
-                    false,
-                    drive.seq,
+            ShardMsg::Drive {
+                drive: pending,
+                interrupted,
+            } => {
+                state.drives += 1;
+                let world = world.reborrow();
+                drive(
+                    routing,
+                    world,
+                    pending,
+                    interrupted,
+                    allow_global,
+                    &mut state.counters,
                 );
-                routing.on_contact(&mut driver);
-                let (ledger, log) = driver.into_commit();
-                *holder_log = log;
-                counters.add_drive(&drive, ledger);
-                routing.on_contact_end(a, b, drive.now, interrupted);
             }
             ShardMsg::Create { id, src_up } => {
-                *creations += 1;
-                let packet = store.get(id);
-                let buf = &mut buffers[packet.src.index() - base];
-                if create_at_source(routing, &packet, src_up, buf, store, |op| {
-                    holder_log.push(op)
-                }) {
-                    entered[id.index()].store(true, Ordering::Relaxed);
-                }
+                state.creations += 1;
+                create(routing, &mut world, id, src_up);
             }
             ShardMsg::NodeUp(node, t) => routing.on_node_up(node, t),
             ShardMsg::NodeDown(node, t) => routing.on_node_down(node, t),
         }
+    }
+    state.busy += t0.elapsed();
+}
+
+/// The one drive body, for every drain and the coordinator alike: hands
+/// the contact to the protocol on `world`, accounts its ledger, and
+/// closes it.
+fn drive(
+    routing: &mut dyn Routing,
+    world: WorldMut<'_>,
+    pending: PendingDrive,
+    interrupted: bool,
+    allow_global: bool,
+    counters: &mut Counters,
+) {
+    let ContactWindow { a, b, .. } = pending.window;
+    let mut driver = ContactDriver::new(
+        world,
+        pending.now,
+        a,
+        b,
+        pending.budget,
+        allow_global,
+        pending.seq,
+    );
+    routing.on_contact(&mut driver);
+    counters.add_drive(&pending, driver.ledger());
+    routing.on_contact_end(a, b, pending.now, interrupted);
+}
+
+/// The one creation body: stores packet `id` at its source on `world` —
+/// a full buffer asks the protocol to make room — and the protocol hears
+/// the verdict. `src_up` is the scan's availability verdict at creation
+/// time.
+fn create(routing: &mut dyn Routing, world: &mut WorldMut<'_>, id: PacketId, src_up: bool) {
+    let packet = world.packets.get(id);
+    let src = packet.src;
+    if !src_up {
+        // A down node cannot originate traffic.
+        routing.on_creation_dropped(&packet);
+        return;
+    }
+    let free = world.buffer(src).free_bytes();
+    if free < packet.size_bytes {
+        let needed = packet.size_bytes - free;
+        let buf = world.buffer(src);
+        for v in routing.make_room(src, &packet, needed, buf, world.packets, packet.created_at) {
+            world.drop_replica(src, v);
+        }
+    }
+    if world.store(src, &packet, packet.created_at) {
+        world.entered[id.index()].store(true, Ordering::Relaxed);
+        routing.on_packet_created(&packet);
+    } else {
+        routing.on_creation_dropped(&packet);
     }
 }
 
@@ -827,6 +937,27 @@ mod tests {
             &[],
             None,
             &mut || Box::new(SerialOnly),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "global-knowledge runs cannot be sharded")]
+    fn global_knowledge_runs_are_rejected_beyond_one_shard() {
+        let sim = scenario();
+        let config = SimConfig {
+            allow_global_knowledge: true,
+            ..sim.config().clone()
+        };
+        let mut contacts = sim.schedule().windows().iter().copied();
+        let mut workload = sim.workload().specs().iter().copied();
+        let _ = run_sharded(
+            &config,
+            &Partition::even(9, 2),
+            &mut contacts,
+            &mut workload,
+            &[],
+            None,
+            &mut || Box::new(ShardFlood),
         );
     }
 

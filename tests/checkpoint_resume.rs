@@ -211,9 +211,7 @@ fn serial_rapid_resume_from_each_checkpoint_is_identical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Epidemic saves empty state under its name and resumes exactly — also
-/// from a snapshot with no routing section at all, as older snapshots of
-/// state-free protocols are.
+/// Epidemic saves empty state under its name and resumes exactly.
 #[test]
 fn serial_epidemic_resume_is_identical() {
     let sc = scenario();
@@ -230,20 +228,13 @@ fn serial_epidemic_resume_is_identical() {
     );
     assert_eq!(checkpointed, reference);
 
-    for mut snap in snapshots_in(&dir) {
-        let section = snap
-            .routing
-            .as_ref()
-            .expect("every snapshot names its protocol");
+    for snap in snapshots_in(&dir) {
         assert_eq!(
-            (section.name.as_str(), section.bytes.len()),
+            (snap.routing.name.as_str(), snap.routing.bytes.len()),
             ("Epidemic", 0)
         );
-        let resumed = sc.run_serial(&mut Epidemic::new(), resume_hooks(snap.clone()));
-        assert_eq!(resumed, reference);
-        snap.routing = None;
         let resumed = sc.run_serial(&mut Epidemic::new(), resume_hooks(snap));
-        assert_eq!(resumed, reference, "section-less snapshot diverged");
+        assert_eq!(resumed, reference);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -277,16 +268,12 @@ fn resume_refusal(routing: &mut dyn Routing, snap: Snapshot) -> String {
 }
 
 /// RAPID must never start from an Epidemic snapshot on fresh beliefs:
-/// the name check refuses it, and a section-less (older) snapshot —
-/// which has no name to check — is refused by RAPID's own decoder.
+/// the name check refuses it.
 #[test]
 fn epidemic_snapshot_resumed_with_rapid_fails_loudly() {
-    let mut snap = epidemic_snapshot("epidemic-into-rapid");
-    let msg = resume_refusal(rapid().as_mut(), snap.clone());
-    assert!(msg.contains("resume-proto-mismatch"), "{msg}");
-    snap.routing = None;
+    let snap = epidemic_snapshot("epidemic-into-rapid");
     let msg = resume_refusal(rapid().as_mut(), snap);
-    assert!(msg.contains("protocol state restore failed"), "{msg}");
+    assert!(msg.contains("resume-proto-mismatch"), "{msg}");
 }
 
 /// Two protocols that both save empty state are still told apart.
@@ -462,7 +449,7 @@ fn corrupt_newest_then_fall_back(tag: &str, corrupt: impl FnOnce(&mut Vec<u8>), 
     let newest = load_latest(&dir).unwrap().expect("snapshots written");
 
     let mut bad = newest.snapshot.clone();
-    corrupt(&mut bad.routing.as_mut().expect("RAPID saves state").bytes);
+    corrupt(&mut bad.routing.bytes);
     std::fs::write(&newest.path, bad.encode()).unwrap();
 
     let loaded = load_latest(&dir).unwrap().unwrap();
