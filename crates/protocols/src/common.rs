@@ -43,13 +43,27 @@ pub fn deliver_destined(driver: &mut ContactDriver<'_>, from: NodeId) -> Vec<Pac
 /// The replication candidates from `from` towards its peer: buffered
 /// packets not destined to the peer and not already held by it.
 pub fn replication_candidates(driver: &ContactDriver<'_>, from: NodeId) -> Vec<PacketId> {
+    let mut candidates = Vec::new();
+    fill_replication_candidates(driver, from, &mut candidates);
+    candidates
+}
+
+/// [`replication_candidates`] into a reused list (cleared first), in the
+/// same buffer-id order.
+pub fn fill_replication_candidates(
+    driver: &ContactDriver<'_>,
+    from: NodeId,
+    out: &mut Vec<PacketId>,
+) {
     let to = driver.peer_of(from);
-    driver
-        .buffer(from)
-        .iter()
-        .map(|(id, _)| id)
-        .filter(|&id| driver.packets().get(id).dst != to && !driver.buffer(to).contains(id))
-        .collect()
+    out.clear();
+    out.extend(
+        driver
+            .buffer(from)
+            .iter()
+            .map(|(id, _)| id)
+            .filter(|&id| driver.packets().get(id).dst != to && !driver.buffer(to).contains(id)),
+    );
 }
 
 /// Evicts victims produced by `next_victim` until `needed` bytes are free

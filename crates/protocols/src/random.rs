@@ -17,7 +17,7 @@
 //! how many evictions happened before it.
 
 use crate::common::{
-    deliver_destined, evict_until, load_empty_state, replication_candidates, victims_until,
+    deliver_destined, evict_until, fill_replication_candidates, load_empty_state, victims_until,
 };
 use dtn_sim::{
     AckTable, ContactConcurrency, ContactDriver, ContactPool, NodeBuffer, NodeId, Packet, PacketId,
@@ -39,6 +39,18 @@ pub struct Random {
     acks: AckTable,
     /// Factory for the per-contact substreams.
     contacts: SeedStream,
+    /// Reusable per-contact lists, so a contact allocates nothing once
+    /// they have grown to the largest buffer seen.
+    lists: ContactLists,
+}
+
+/// The two lists a contact direction shuffles.
+#[derive(Default)]
+struct ContactLists {
+    /// Replication candidates from the sending side.
+    candidates: Vec<PacketId>,
+    /// The receiver's eviction pool.
+    pool: Vec<PacketId>,
 }
 
 impl Random {
@@ -49,6 +61,7 @@ impl Random {
             makeroom: SeedStream::new(0).derive("random-makeroom"),
             acks: AckTable::new(0),
             contacts: SeedStream::new(0).derive("random-contact"),
+            lists: ContactLists::default(),
         }
     }
 
@@ -61,7 +74,11 @@ impl Random {
     }
 
     /// The randomized replication half of a contact.
-    fn replicate_randomly(contacts: SeedStream, driver: &mut ContactDriver<'_>) {
+    fn replicate_randomly(
+        contacts: SeedStream,
+        driver: &mut ContactDriver<'_>,
+        ContactLists { candidates, pool }: &mut ContactLists,
+    ) {
         let (a, b) = driver.endpoints();
         // The substream is only materialized when a draw actually happens
         // (shuffles of 0/1 elements are no-ops) — most sparse-fleet
@@ -72,21 +89,24 @@ impl Random {
             rng: None,
         };
         for x in [a, b] {
-            let mut candidates = replication_candidates(driver, x);
+            // Both lists are filled in buffer-id order: the seeded
+            // shuffles, and so the results, depend on it.
+            let y = driver.peer_of(x);
+            fill_replication_candidates(driver, x, candidates);
             if candidates.len() > 1 {
                 candidates.shuffle(rng.get());
             }
-            for id in candidates {
+            for &id in candidates.iter() {
                 loop {
                     match driver.try_transfer(x, id) {
                         TransferOutcome::NeedsSpace(needed) => {
                             // Random eviction at the receiver.
-                            let y = driver.peer_of(x);
-                            let mut pool = driver.buffer(y).ids();
+                            pool.clear();
+                            pool.extend(driver.buffer(y).iter().map(|(id, _)| id));
                             if pool.len() > 1 {
                                 pool.shuffle(rng.get());
                             }
-                            if !evict_until(driver, y, needed, &mut pool) {
+                            if !evict_until(driver, y, needed, pool) {
                                 break;
                             }
                         }
@@ -183,7 +203,7 @@ impl Routing for Random {
                 }
             }
         }
-        Self::replicate_randomly(self.contacts, driver);
+        Self::replicate_randomly(self.contacts, driver, &mut self.lists);
     }
 
     fn contact_concurrency(&self) -> ContactConcurrency {
@@ -215,6 +235,7 @@ impl Routing for Random {
                 makeroom,
                 acks: AckTable::new(0),
                 contacts,
+                lists: ContactLists::default(),
             };
             drain(s, &mut view);
         });

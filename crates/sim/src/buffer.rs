@@ -10,8 +10,9 @@
 //! protocol sees a deterministic view.
 //!
 //! Internally every structure is sized by what the buffer *stores*, never
-//! by the global id space — a node that holds 50 packets costs 50 packets'
-//! worth of state even in a 100 000-node, million-packet streamed run.
+//! by the global id space or by history — a node that holds 50 packets
+//! costs 50 packets' worth of state even in a 100 000-node, million-packet
+//! streamed run, however many destinations it has carried before.
 //! Membership and metadata go through a sorted-by-id index (binary search;
 //! ascending-id iteration falls out for free), replica metadata lives in a
 //! swap-removed slab, and replicas are additionally threaded onto
@@ -21,6 +22,12 @@
 //! destination, the input to Estimate Delay's Eq. 5 — an O(log n) query
 //! ([`NodeBuffer::bytes_ahead`]) instead of a scan, and lets protocol-side
 //! queue snapshots be built in O(n) without re-sorting.
+//!
+//! The queues live in one table sorted by destination. A destination's
+//! queue is created by its first replica and removed when it drains, and
+//! a queue of one replica holds it inline, with no heap block — the
+//! common case in sparse streamed fleets, where a 16 KiB buffer holds a
+//! handful of replicas for as many destinations.
 
 use crate::time::Time;
 use crate::types::{NodeId, Packet, PacketId};
@@ -37,13 +44,28 @@ pub struct NodeBuffer {
     /// Replica slab; compacted by swap-remove (order is irrelevant, the
     /// index provides iteration order).
     slots: Vec<Slot>,
-    /// Destinations seen by this buffer, in first-seen order (their
-    /// position is the queue index — the stable interning order).
-    dsts: Vec<NodeId>,
-    /// Sorted-by-id lookup: `(dst, queue index)`.
-    dst_index: Vec<(NodeId, u32)>,
-    /// Per-destination delivery-order queues, parallel to `dsts`.
-    queues: Vec<Vec<QueueEntry>>,
+    /// The live per-destination delivery-order queues, sorted by
+    /// destination: one row per destination with at least one stored
+    /// replica, so a drained destination costs nothing.
+    queues: Vec<(NodeId, DstQueue)>,
+}
+
+/// One destination's delivery-order queue; never empty.
+#[derive(Debug, Clone)]
+enum DstQueue {
+    /// A single replica, stored inline.
+    One(QueueEntry),
+    /// Two or more replicas in `(created_at, id)` order.
+    Many(Vec<QueueEntry>),
+}
+
+impl DstQueue {
+    fn as_slice(&self) -> &[QueueEntry] {
+        match self {
+            Self::One(e) => std::slice::from_ref(e),
+            Self::Many(q) => q,
+        }
+    }
 }
 
 /// Per-replica bookkeeping.
@@ -132,8 +154,6 @@ impl NodeBuffer {
             used: 0,
             index: Vec::new(),
             slots: Vec::new(),
-            dsts: Vec::new(),
-            dst_index: Vec::new(),
             queues: Vec::new(),
         }
     }
@@ -190,26 +210,10 @@ impl NodeBuffer {
         self.index[pos].1 = slot;
     }
 
-    /// The queue index for `dst`, assigning the next one (first-seen
-    /// order) on first sight.
-    fn intern_dst(&mut self, dst: NodeId) -> usize {
-        match self.dst_index.binary_search_by_key(&dst, |e| e.0) {
-            Ok(pos) => self.dst_index[pos].1 as usize,
-            Err(pos) => {
-                let di = self.dsts.len();
-                self.dsts.push(dst);
-                self.queues.push(Vec::new());
-                self.dst_index.insert(pos, (dst, di as u32));
-                di
-            }
-        }
-    }
-
-    fn dst_queue(&self, dst: NodeId) -> Option<usize> {
-        self.dst_index
-            .binary_search_by_key(&dst, |e| e.0)
-            .ok()
-            .map(|pos| self.dst_index[pos].1 as usize)
+    /// The position of `dst`'s row in the queue table, or where it would
+    /// be inserted.
+    fn dst_row(&self, dst: NodeId) -> Result<usize, usize> {
+        self.queues.binary_search_by_key(&dst, |e| e.0)
     }
 
     /// Inserts a replica of `packet`. Returns `false` (and stores nothing)
@@ -235,26 +239,33 @@ impl NodeBuffer {
         self.index
             .insert(index_pos, (packet.id, self.slots.len() as u32 - 1));
 
-        let di = self.intern_dst(packet.dst);
-        let q = &mut self.queues[di];
-        let key = (packet.created_at, packet.id);
-        let pos = q.partition_point(|e| (e.created_at, e.id) < key);
-        let bytes_ahead = if pos == 0 {
-            0
-        } else {
-            q[pos - 1].bytes_ahead + q[pos - 1].size_bytes
+        let mut entry = QueueEntry {
+            created_at: packet.created_at,
+            id: packet.id,
+            size_bytes,
+            bytes_ahead: 0,
         };
-        q.insert(
-            pos,
-            QueueEntry {
-                created_at: packet.created_at,
-                id: packet.id,
-                size_bytes,
-                bytes_ahead,
-            },
-        );
-        for e in &mut q[pos + 1..] {
-            e.bytes_ahead += size_bytes;
+        match self.dst_row(packet.dst) {
+            Err(row) => self.queues.insert(row, (packet.dst, DstQueue::One(entry))),
+            Ok(row) => {
+                let queue = &mut self.queues[row].1;
+                if let DstQueue::One(head) = *queue {
+                    // Sized for two: `vec![head]` would grow straight to four.
+                    let mut q = Vec::with_capacity(2);
+                    q.push(head);
+                    *queue = DstQueue::Many(q);
+                }
+                let DstQueue::Many(q) = queue else {
+                    unreachable!("a queue of one was just promoted")
+                };
+                let key = (entry.created_at, entry.id);
+                let pos = q.partition_point(|e| (e.created_at, e.id) < key);
+                entry.bytes_ahead = queue_slice::ahead_of_slot(q, pos);
+                q.insert(pos, entry);
+                for e in &mut q[pos + 1..] {
+                    e.bytes_ahead += size_bytes;
+                }
+            }
         }
 
         self.used += size_bytes;
@@ -280,23 +291,26 @@ impl NodeBuffer {
             self.repoint(moved, slot as u32);
         }
 
-        let di = self.dst_queue(dst).expect("stored replica has a queue");
-        let q = &mut self.queues[di];
-        let key = (created_at, id);
-        let pos = q
-            .binary_search_by_key(&key, |e| (e.created_at, e.id))
-            .expect("stored replica is on its destination queue");
-        q.remove(pos);
-        for e in &mut q[pos..] {
-            e.bytes_ahead -= meta.size_bytes;
-        }
-        if q.is_empty() {
-            // Release the queue's heap allocation (the interned slot stays,
-            // so indices are stable). Buffers drain constantly in long
-            // streamed runs; without this, every (node, destination) pair
-            // ever seen keeps a queue allocation forever, and at 100k nodes
-            // that lingering capacity — not live replicas — dominates RSS.
-            q.shrink_to_fit();
+        let row = self.dst_row(dst).expect("stored replica has a queue");
+        let queue = &mut self.queues[row].1;
+        match queue {
+            // A queue of one holds exactly this replica: the row goes.
+            DstQueue::One(_) => {
+                self.queues.remove(row);
+            }
+            DstQueue::Many(q) => {
+                let pos = q
+                    .binary_search_by_key(&(created_at, id), |e| (e.created_at, e.id))
+                    .expect("stored replica is on its destination queue");
+                q.remove(pos);
+                for e in &mut q[pos..] {
+                    e.bytes_ahead -= meta.size_bytes;
+                }
+                if let [head] = q[..] {
+                    // Back to one replica: inline it and free the block.
+                    *queue = DstQueue::One(head);
+                }
+            }
         }
 
         self.used -= meta.size_bytes;
@@ -323,42 +337,17 @@ impl NodeBuffer {
     /// `(created_at, id)` with running prefix byte sums. Empty if this
     /// buffer holds nothing for `dst`.
     pub fn queue(&self, dst: NodeId) -> &[QueueEntry] {
-        match self.dst_queue(dst) {
-            Some(di) => &self.queues[di],
-            None => &[],
+        match self.dst_row(dst) {
+            Ok(row) => self.queues[row].1.as_slice(),
+            Err(_) => &[],
         }
     }
 
-    /// The destinations with non-empty queues, in first-seen order, with
-    /// their queues. Protocol-side snapshots are built from this in O(n).
+    /// The destinations with non-empty queues, in ascending destination
+    /// order, with their queues. Protocol-side snapshots are built from
+    /// this in O(n).
     pub fn queues(&self) -> impl Iterator<Item = (NodeId, &[QueueEntry])> + '_ {
-        self.dsts
-            .iter()
-            .zip(&self.queues)
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&dst, q)| (dst, q.as_slice()))
-    }
-
-    /// Every destination ever interned, in first-seen order — including
-    /// destinations whose queues have since drained. The intern order is
-    /// protocol-observable ([`NodeBuffer::queues`] iterates it), so a
-    /// checkpoint must capture and restore it exactly; rebuilding it from
-    /// live replicas alone would renumber the queues.
-    pub fn interned_dsts(&self) -> &[NodeId] {
-        &self.dsts
-    }
-
-    /// Re-interns destinations in the given first-seen order — the restore
-    /// path paired with [`NodeBuffer::interned_dsts`]. Must run on a fresh
-    /// buffer, before replicas are re-inserted.
-    pub fn restore_interned_dsts(&mut self, dsts: &[NodeId]) {
-        assert!(
-            self.slots.is_empty() && self.dsts.is_empty(),
-            "interned destinations must be restored into a fresh buffer"
-        );
-        for &dst in dsts {
-            self.intern_dst(dst);
-        }
+        self.queues.iter().map(|(dst, q)| (*dst, q.as_slice()))
     }
 
     /// Bytes queued ahead of a *stored* packet in the `dst` delivery queue
@@ -513,13 +502,27 @@ mod tests {
     #[test]
     fn queues_iterator_lists_nonempty_destinations() {
         let mut b = NodeBuffer::new(10_000);
-        b.insert(&pkt(0, 3, 10, 1), Time::ZERO);
-        b.insert(&pkt(1, 7, 10, 2), Time::ZERO);
-        b.insert(&pkt(2, 3, 10, 3), Time::ZERO);
+        b.insert(&pkt(0, 7, 10, 1), Time::ZERO);
+        b.insert(&pkt(1, 3, 10, 2), Time::ZERO);
+        b.insert(&pkt(2, 7, 10, 3), Time::ZERO);
         let listed: Vec<(u32, usize)> = b.queues().map(|(d, q)| (d.0, q.len())).collect();
-        assert_eq!(listed, vec![(3, 2), (7, 1)]);
+        assert_eq!(listed, vec![(3, 1), (7, 2)], "ascending destination order");
         b.remove(PacketId(1));
         let listed: Vec<(u32, usize)> = b.queues().map(|(d, q)| (d.0, q.len())).collect();
-        assert_eq!(listed, vec![(3, 2)], "emptied queues are skipped");
+        assert_eq!(listed, vec![(7, 2)], "a drained destination is gone");
+        b.remove(PacketId(0));
+        let q: Vec<(u32, u64)> = b
+            .queue(NodeId(7))
+            .iter()
+            .map(|e| (e.id.0, e.bytes_ahead))
+            .collect();
+        assert_eq!(q, vec![(2, 0)], "back to one replica, prefix sums re-knit");
+        b.insert(&pkt(1, 3, 10, 2), Time::ZERO);
+        let listed: Vec<(u32, usize)> = b.queues().map(|(d, q)| (d.0, q.len())).collect();
+        assert_eq!(
+            listed,
+            vec![(3, 1), (7, 1)],
+            "a drained destination comes back"
+        );
     }
 }

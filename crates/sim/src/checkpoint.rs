@@ -7,10 +7,10 @@
 //! Captured state:
 //!
 //! * the pending [`EventQueue`] in drain order,
-//! * the world: packet arena columns, per-node buffers (including each
-//!   buffer's destination intern order, which is protocol-observable),
-//!   delivery stamps and entered flags (holder sets are rebuilt from
-//!   buffer membership — they are exactly the replica locations),
+//! * the world: packet arena columns, per-node buffer contents, delivery
+//!   stamps and entered flags (holder sets are rebuilt from buffer
+//!   membership — they are exactly the replica locations, and a buffer's
+//!   destination queues are rebuilt by re-inserting its replicas),
 //! * the noise RNG cursor ([`rand::rngs::StdRng::state`]),
 //! * source positions by *count*: how many windows/packets were pulled,
 //!   plus the lookahead item each source has already yielded. Sources are
@@ -64,13 +64,17 @@ pub struct PacketRow {
     pub ttl_deadline: Time,
 }
 
-/// One node buffer's contents: the destination intern order (observable
-/// through [`NodeBuffer::queues`], so it must survive a round trip) and
-/// the stored replicas with their arrival stamps.
+/// One node buffer's contents: the stored replicas with their arrival
+/// stamps. Everything else a buffer holds — its destination queues and
+/// their prefix sums — is a function of the replica set, so a restore
+/// rebuilds it by re-inserting them.
+///
+/// On the wire each buffer still opens with a destination list, the
+/// layout `RSNP1` had when buffers kept every destination they had ever
+/// seen: the writer emits it empty, and the reader parses and discards
+/// whatever list an older snapshot carries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BufferSnap {
-    /// Destinations in first-seen order, including drained ones.
-    pub dsts: Vec<NodeId>,
     /// `(packet, stored_at)` in `PacketId` order.
     pub entries: Vec<(PacketId, Time)>,
 }
@@ -434,10 +438,8 @@ impl Snapshot {
         let mut buffers = Vec::new();
         write_varint(&mut buffers, self.buffers.len() as u64);
         for b in &self.buffers {
-            write_varint(&mut buffers, b.dsts.len() as u64);
-            for d in &b.dsts {
-                write_varint(&mut buffers, d.0 as u64);
-            }
+            // The legacy destination list, always empty (see `BufferSnap`).
+            write_varint(&mut buffers, 0);
             write_varint(&mut buffers, b.entries.len() as u64);
             for (id, stored_at) in &b.entries {
                 write_varint(&mut buffers, id.0 as u64);
@@ -587,10 +589,9 @@ impl Snapshot {
         let n_buffers = bufs.varint()? as usize;
         let mut buffers = Vec::with_capacity(n_buffers.min(1 << 20));
         for _ in 0..n_buffers {
-            let n_dsts = bufs.varint()? as usize;
-            let mut dsts = Vec::with_capacity(n_dsts.min(1 << 16));
-            for _ in 0..n_dsts {
-                dsts.push(bufs.node()?);
+            // A legacy destination list carries nothing a restore needs.
+            for _ in 0..bufs.varint()? {
+                bufs.node()?;
             }
             let n_entries = bufs.varint()? as usize;
             let mut entries = Vec::with_capacity(n_entries.min(1 << 16));
@@ -600,7 +601,7 @@ impl Snapshot {
                     .map_err(|_| format!("snapshot section `buffers`: packet id {id} overflows"))?;
                 entries.push((PacketId(id), bufs.time()?));
             }
-            buffers.push(BufferSnap { dsts, entries });
+            buffers.push(BufferSnap { entries });
         }
         bufs.done()?;
 
@@ -681,7 +682,6 @@ impl Snapshot {
             .enumerate()
             .map(|(node, snap)| {
                 let mut buf = NodeBuffer::new(capacity);
-                buf.restore_interned_dsts(&snap.dsts);
                 for &(id, stored_at) in &snap.entries {
                     let inserted = buf.insert(&store.get(id), stored_at);
                     assert!(inserted, "snapshot replica set exceeds buffer capacity");
@@ -698,7 +698,6 @@ impl Snapshot {
         buffers
             .iter()
             .map(|b| BufferSnap {
-                dsts: b.interned_dsts().to_vec(),
                 entries: b.iter().map(|(id, meta)| (id, meta.stored_at)).collect(),
             })
             .collect()
@@ -958,7 +957,6 @@ mod tests {
             entered: vec![true, true],
             buffers: vec![
                 BufferSnap {
-                    dsts: vec![NodeId(1), NodeId(0)],
                     entries: vec![(PacketId(1), Time::from_secs(21))],
                 },
                 BufferSnap::default(),

@@ -480,14 +480,20 @@ impl Partitioned<'_> {
     }
 
     /// TTL expiry of `id`. It reads and writes arbitrary holders and
-    /// buffers, so it is a barrier, executed by the coordinator alone.
+    /// buffers, so it is a barrier, executed by the coordinator alone —
+    /// unless the packet is already delivered: a delivered slot never
+    /// reverts, so that expiry is a no-op whatever the queues hold, and
+    /// it returns without forcing an epoch.
     pub(crate) fn expire(&mut self, run: &mut Run<'_>, id: PacketId) {
+        if run.world.delivered_at.get(id).is_some() {
+            return;
+        }
         self.flush_epoch(run);
         let world = &mut run.world;
-        // Skip packets that were delivered first, and packets that never
-        // entered the network: they carry no replicas, and their expiry
-        // was scheduled before the creation verdict was known (see the
-        // scheduling rule in `scan`).
+        // Skip packets that were delivered in the epoch just drained, and
+        // packets that never entered the network: they carry no replicas,
+        // and their expiry was scheduled before the creation verdict was
+        // known (see the scheduling rule in `scan`).
         if !world.entered[id.index()].load(Ordering::Relaxed)
             || world.delivered_at.get(id).is_some()
         {
@@ -1020,6 +1026,81 @@ mod tests {
     #[should_panic(expected = "on_shard_epoch left a shard undrained")]
     fn a_shard_left_undrained_panics() {
         run_mis_drained([1, 0, 1]);
+    }
+
+    /// `ShardFlood` counting the multi-shard epochs it is asked to drain.
+    struct EpochCounter(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Routing for EpochCounter {
+        fn name(&self) -> String {
+            "epoch-counter-test".into()
+        }
+
+        fn contact_concurrency(&self) -> ContactConcurrency {
+            ContactConcurrency::NodeDisjoint
+        }
+
+        fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
+            ShardFlood.on_contact(driver);
+        }
+
+        fn on_shard_epoch(
+            &mut self,
+            partition: &Partition,
+            _pool: &ContactPool,
+            drain: &(dyn Fn(usize, &mut dyn Routing) + Sync),
+        ) -> bool {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            for s in 0..partition.shards() {
+                drain(s, &mut ShardFlood);
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn a_delivered_packets_expiry_forces_no_epoch() {
+        let cfg = SimConfig {
+            nodes: 4,
+            buffer_capacity: 4096,
+            horizon: Time::from_secs(300),
+            ttl: Some(TimeDelta::from_secs(60)),
+            seed: 7,
+            ..SimConfig::default()
+        };
+        let sim = Simulation::new(
+            cfg,
+            Schedule::new(vec![
+                // Delivers p0 long before its expiry at t = 61.
+                ContactWindow::instant(Time::from_secs(10), NodeId(0), NodeId(1), 4096),
+                // A gateway contact: the barrier that drains the delivery.
+                ContactWindow::instant(Time::from_secs(30), NodeId(1), NodeId(2), 4096),
+                // Queued to shard 1 between the two expiries.
+                ContactWindow::instant(Time::from_secs(70), NodeId(2), NodeId(3), 4096),
+            ]),
+            // p1 (queued at t = 40) never meets node 0 and expires at
+            // t = 100.
+            Workload::new(vec![spec(1, 0, 1, 512), spec(40, 2, 0, 512)]),
+        );
+        let serial = sim.run(&mut ShardFlood);
+        assert_eq!((serial.delivered(), serial.expired), (1, 1));
+
+        let epochs = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut contacts = sim.schedule().windows().iter().copied();
+        let mut workload = sim.workload().specs().iter().copied();
+        let sharded = run_sharded(
+            sim.config(),
+            &Partition::even(4, 2),
+            &mut contacts,
+            &mut workload,
+            sim.churn(),
+            None,
+            &mut || Box::new(EpochCounter(epochs.clone())),
+        );
+        assert_eq!(sharded, serial);
+        // The gateway contact and p1's expiry are the two barriers. p0's
+        // expiry finds it delivered and leaves p1's creation queued.
+        assert_eq!(epochs.load(Ordering::Relaxed), 2);
     }
 
     /// Flooding with genuinely evolving per-node state: each node

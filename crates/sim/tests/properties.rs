@@ -17,6 +17,9 @@ enum BufOp {
     Remove(u32),
 }
 
+/// One delivery-queue entry by value: `(created_at, id, size, bytes_ahead)`.
+type QueueRow = (Time, u32, u64, u64);
+
 fn buf_ops() -> impl Strategy<Value = Vec<BufOp>> {
     prop::collection::vec(
         prop_oneof![
@@ -63,6 +66,40 @@ proptest! {
             let ids: Vec<u32> = buf.ids().iter().map(|p| p.0).collect();
             let expect: Vec<u32> = model.keys().copied().collect();
             prop_assert_eq!(ids, expect, "id-ordered iteration");
+            // The queue table: exactly the model's non-empty destinations,
+            // ascending, each queue in `(created_at, id)` order with exact
+            // prefix sums — through every one → many → one transition.
+            let mut expect_queues: std::collections::BTreeMap<u32, Vec<QueueRow>> =
+                Default::default();
+            for (&id, &(dst, size, created)) in &model {
+                expect_queues
+                    .entry(dst)
+                    .or_default()
+                    .push((Time::from_secs(created), id, size, 0));
+            }
+            let expect_queues: Vec<(u32, Vec<QueueRow>)> = expect_queues
+                .into_iter()
+                .map(|(dst, mut q)| {
+                    q.sort_unstable();
+                    let mut ahead = 0;
+                    for row in &mut q {
+                        row.3 = ahead;
+                        ahead += row.2;
+                    }
+                    (dst, q)
+                })
+                .collect();
+            let queues: Vec<(u32, Vec<QueueRow>)> = buf
+                .queues()
+                .map(|(dst, q)| {
+                    let q = q
+                        .iter()
+                        .map(|e| (e.created_at, e.id.0, e.size_bytes, e.bytes_ahead))
+                        .collect();
+                    (dst.0, q)
+                })
+                .collect();
+            prop_assert_eq!(queues, expect_queues, "live queue table");
             // Per-destination delivery queues: `bytes_ahead` must equal the
             // total size of same-destination packets strictly earlier in
             // `(created_at, id)` order, and the hypothetical-insert variant

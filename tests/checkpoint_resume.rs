@@ -16,7 +16,7 @@ use rapid_dtn::sim::{
     ContactWindow, NodeEvent, NodeId, Partition, Routing, RunHooks, SimConfig, SimEvent, SimReport,
     Snapshot, Time, TimeDelta,
 };
-use rapid_dtn::trace::ByteCursor;
+use rapid_dtn::trace::{write_varint, ByteCursor, SnapshotReader, SnapshotWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -236,6 +236,82 @@ fn serial_epidemic_resume_is_identical() {
         let resumed = sc.run_serial(&mut Epidemic::new(), resume_hooks(snap));
         assert_eq!(resumed, reference);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `bytes` with each buffer's destination list set to `legacy[node]`:
+/// the `RSNP1` buffers section as written while buffers kept every
+/// destination they had ever seen, drained ones included.
+fn with_legacy_dst_lists(bytes: &[u8], snap: &Snapshot, legacy: &[Vec<NodeId>]) -> Vec<u8> {
+    let mut buffers = Vec::new();
+    write_varint(&mut buffers, snap.buffers.len() as u64);
+    for (b, dsts) in snap.buffers.iter().zip(legacy) {
+        write_varint(&mut buffers, dsts.len() as u64);
+        for d in dsts {
+            write_varint(&mut buffers, u64::from(d.0));
+        }
+        write_varint(&mut buffers, b.entries.len() as u64);
+        for (id, stored_at) in &b.entries {
+            write_varint(&mut buffers, u64::from(id.0));
+            write_varint(&mut buffers, stored_at.0);
+        }
+    }
+    let reader = SnapshotReader::new(bytes).expect("frames");
+    let mut w = SnapshotWriter::new();
+    for name in reader.names() {
+        let payload = reader.section(name).expect("listed");
+        w.section(name, if name == "buffers" { &buffers } else { payload });
+    }
+    w.finish()
+}
+
+/// A snapshot whose buffers carry a legacy destination list — every
+/// destination seen so far, in first-seen order, drained ones included —
+/// decodes to the snapshot without it and resumes byte-identically.
+#[test]
+fn legacy_destination_lists_restore_and_resume_identically() {
+    let sc = scenario();
+    let reference = sc.run_serial(rapid().as_mut(), RunHooks::default());
+
+    let dir = temp_dir("legacy-dsts");
+    let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(20), 64).unwrap();
+    let _ = sc.run_serial(
+        rapid().as_mut(),
+        RunHooks {
+            checkpoint: Some(&mut ckpt),
+            ..RunHooks::default()
+        },
+    );
+    let mut seen: Vec<Vec<NodeId>> = vec![Vec::new(); sc.config.nodes];
+    let mut drained = 0;
+    for snap in snapshots_in(&dir) {
+        for (b, seen) in snap.buffers.iter().zip(&mut seen) {
+            let live: Vec<NodeId> = b
+                .entries
+                .iter()
+                .map(|(id, _)| snap.packets[id.index()].dst)
+                .collect();
+            for &dst in &live {
+                if !seen.contains(&dst) {
+                    seen.push(dst);
+                }
+            }
+            drained += seen.iter().filter(|d| !live.contains(d)).count();
+        }
+        let bytes = with_legacy_dst_lists(&snap.encode(), &snap, &seen);
+        let back = Snapshot::decode(&bytes).expect("a legacy list decodes");
+        assert_eq!(back, snap, "the legacy list is discarded");
+        let resumed = sc.run_serial(rapid().as_mut(), resume_hooks(back));
+        assert_eq!(
+            resumed, reference,
+            "legacy snapshot at {:?} diverged",
+            snap.now
+        );
+    }
+    assert!(
+        drained > 0,
+        "some legacy list must name a drained destination"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
