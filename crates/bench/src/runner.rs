@@ -11,9 +11,9 @@ use dtn_sim::checkpoint::routing_checkpointable;
 use dtn_sim::source::{ContactSource, ScheduleStream, WorkloadSource, WorkloadStream};
 use dtn_sim::workload::Workload;
 use dtn_sim::{
-    config_digest, diag, load_latest, run_sharded_hooked, run_streaming_hooked, Checkpointer,
-    CompiledPlan, Fault, FaultPlan, NodeEvent, NoiseModel, Partition, RunHooks, Schedule,
-    ShardStats, SimConfig, SimReport, Time, TimeDelta,
+    config_digest, diag, load_latest, run_sharded_hooked, Checkpointer, CompiledPlan, Fault,
+    FaultPlan, NodeEvent, NoiseModel, Partition, RunHooks, Schedule, ShardStats, SimConfig,
+    SimReport, Time, TimeDelta,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -230,9 +230,10 @@ fn spec_config(spec: &RunSpec, proto: Proto) -> SimConfig {
 }
 
 /// [`run_spec`] over an explicit node partition (one shard = the serial
-/// engine), returning the per-shard telemetry as well — empty whenever the
-/// serial engine ran. Every attempt [`run_with_recovery`] makes opens the
-/// scenario sources afresh, so retries replay the identical input streams.
+/// engine), returning the per-shard telemetry as well — one row on the
+/// serial engine, including a warned serial fallback. Every attempt
+/// [`run_with_recovery`] makes opens the scenario sources afresh, so
+/// retries replay the identical input streams.
 pub(crate) fn run_spec_on(
     spec: &RunSpec,
     proto: Proto,
@@ -243,10 +244,10 @@ pub(crate) fn run_spec_on(
     let probe = proto.build(spec.deadline, measured_len);
     let checkpointable = routing_checkpointable(probe.as_ref());
     let shards = partition.shards();
-    let sharded = shards > 1
-        && !config.allow_global_knowledge
-        && probe.contact_concurrency().is_node_disjoint();
-    if shards > 1 && !sharded {
+    let serial;
+    let partition = if shards > 1
+        && (config.allow_global_knowledge || !probe.contact_concurrency().is_node_disjoint())
+    {
         // Loud serial fallback: say once per process why RAPID_SHARDS had
         // no effect, instead of quietly timing the serial engine.
         let (reason, tag) = if config.allow_global_knowledge {
@@ -272,35 +273,27 @@ pub(crate) fn run_spec_on(
                 ("reason", tag.into()),
             ],
         );
-    }
+        serial = Partition::even(spec.nodes, 1);
+        &serial
+    } else {
+        partition
+    };
     let mut stats = Vec::new();
     let report = run_with_recovery(&config, &probe.name(), checkpointable, &mut |hooks| {
         let mut contacts = spec.contacts.source();
         let mut packets = spec.packets.source();
-        if sharded {
-            let (report, shard_stats) = run_sharded_hooked(
-                &config,
-                partition,
-                contacts.as_mut(),
-                packets.as_mut(),
-                &spec.churn,
-                spec.noise,
-                &mut || proto.build(spec.deadline, measured_len),
-                hooks,
-            );
-            stats = shard_stats;
-            report
-        } else {
-            run_streaming_hooked(
-                &config,
-                contacts.as_mut(),
-                packets.as_mut(),
-                &spec.churn,
-                spec.noise,
-                proto.build(spec.deadline, measured_len).as_mut(),
-                hooks,
-            )
-        }
+        let (report, shard_stats) = run_sharded_hooked(
+            &config,
+            partition,
+            contacts.as_mut(),
+            packets.as_mut(),
+            &spec.churn,
+            spec.noise,
+            &mut || proto.build(spec.deadline, measured_len),
+            hooks,
+        );
+        stats = shard_stats;
+        report
     });
     (report, stats)
 }

@@ -451,14 +451,12 @@ fn scale_sharded(lab: &ScaleLab, proto: Proto, shards: usize, max_rss_mb: u64) {
             s.concurrency.label().into(),
         ]);
     }
-    if !stats.is_empty() {
-        let busy: f64 = stats.iter().map(|s| s.busy.as_secs_f64()).sum();
-        shard_tsv.comment(&format!(
-            "mean busy per shard = {} s ({} shards)",
-            f(busy / stats.len() as f64),
-            stats.len(),
-        ));
-    }
+    let busy: f64 = stats.iter().map(|s| s.busy.as_secs_f64()).sum();
+    shard_tsv.comment(&format!(
+        "mean busy per shard = {} s ({} shards)",
+        f(busy / stats.len() as f64),
+        stats.len(),
+    ));
 }
 
 #[cfg(test)]
@@ -547,8 +545,8 @@ mod tests {
         };
         let plan = Arc::new(rf.periodic_plan(50, lab.seed, 0));
         let spec = lab.spec_regional(&rf, &plan, 0);
-        let (serial, no_stats) = run_spec_on(&spec, Proto::Random, &rf.partition(1));
-        assert!(no_stats.is_empty(), "serial path has no shard telemetry");
+        let (serial, serial_stats) = run_spec_on(&spec, Proto::Random, &rf.partition(1));
+        assert_eq!(serial_stats.len(), 1, "the serial engine is one shard");
         assert!(serial.contacts > 4_000, "plan drove {}", serial.contacts);
         assert!(
             serial.created() > 300,

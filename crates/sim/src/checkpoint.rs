@@ -8,9 +8,10 @@
 //!
 //! * the pending [`EventQueue`] in drain order,
 //! * the world: packet arena columns, per-node buffer contents, delivery
-//!   stamps and entered flags (holder sets are rebuilt from buffer
-//!   membership — they are exactly the replica locations, and a buffer's
-//!   destination queues are rebuilt by re-inserting its replicas),
+//!   stamps and entered flags (a resume re-stores every replica, which
+//!   rebuilds each buffer's destination queues and the holder tables of
+//!   the resuming run's own partition — holders are exactly the replica
+//!   locations, so they are never captured),
 //! * the noise RNG cursor ([`rand::rngs::StdRng::state`]),
 //! * source positions by *count*: how many windows/packets were pulled,
 //!   plus the lookahead item each source has already yielded. Sources are
@@ -35,10 +36,9 @@
 //! snapshot instead of a dead run.
 
 use crate::contact::ContactWindow;
-use crate::driver::ContactLedger;
+use crate::driver::{ContactLedger, WorldMut};
 use crate::event::{EventQueue, SimEvent};
 use crate::fault::FaultPlan;
-use crate::ids::IndexSet;
 use crate::report::SimReport;
 use crate::routing::{PacketStore, Routing, SimConfig};
 use crate::scan::PendingDrive;
@@ -75,7 +75,8 @@ pub struct PacketRow {
 /// whatever list an older snapshot carries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BufferSnap {
-    /// `(packet, stored_at)` in `PacketId` order.
+    /// `(packet, stored_at)` in strictly ascending `PacketId` order
+    /// ([`Snapshot::decode`] refuses anything else).
     pub entries: Vec<(PacketId, Time)>,
 }
 
@@ -567,6 +568,15 @@ impl Snapshot {
             });
         }
         pk.done()?;
+        if let Some(id) = events.iter().find_map(|&(_, e)| match e {
+            SimEvent::PacketExpired(id) if id.index() >= packets.len() => Some(id),
+            _ => None,
+        }) {
+            return Err(format!(
+                "snapshot section `queue`: expiry of {id} but {} packets",
+                packets.len()
+            ));
+        }
 
         let mut status = Section::new(&reader, "status")?;
         let entered = status.bits()?;
@@ -594,12 +604,19 @@ impl Snapshot {
                 bufs.node()?;
             }
             let n_entries = bufs.varint()? as usize;
-            let mut entries = Vec::with_capacity(n_entries.min(1 << 16));
+            let mut entries: Vec<(PacketId, Time)> = Vec::with_capacity(n_entries.min(1 << 16));
             for _ in 0..n_entries {
                 let id = bufs.varint()?;
-                let id = u32::try_from(id)
-                    .map_err(|_| format!("snapshot section `buffers`: packet id {id} overflows"))?;
-                entries.push((PacketId(id), bufs.time()?));
+                let prev = entries.last().map(|&(p, _)| p.0 as u64);
+                if id >= packets.len() as u64 || prev.is_some_and(|p| id <= p) {
+                    return Err(format!(
+                        "snapshot section `buffers`: buffer {} names packet {id} \
+                         (of {}) out of ascending order or range",
+                        buffers.len(),
+                        packets.len()
+                    ));
+                }
+                entries.push((PacketId(id as u32), bufs.time()?));
             }
             buffers.push(BufferSnap { entries });
         }
@@ -616,6 +633,13 @@ impl Snapshot {
             open.push(OpenSnap { idx, window, loss });
         }
         avail.done()?;
+        if up.len() != buffers.len() {
+            return Err(format!(
+                "snapshot section `avail`: {} availability flags for {} buffers",
+                up.len(),
+                buffers.len()
+            ));
+        }
 
         let mut rep = Section::new(&reader, "report")?;
         let counters = Counters {
@@ -667,30 +691,16 @@ impl Snapshot {
         store
     }
 
-    /// Rebuilds every node buffer and the holder table. Holder sets are
-    /// exactly the replica locations, so they are derived from buffer
-    /// membership rather than stored.
-    pub(crate) fn restore_buffers(
-        &self,
-        capacity: u64,
-        store: &PacketStore,
-    ) -> (Vec<NodeBuffer>, Vec<IndexSet>) {
-        let mut holders: Vec<IndexSet> = (0..store.len()).map(|_| IndexSet::new()).collect();
-        let buffers = self
-            .buffers
-            .iter()
-            .enumerate()
-            .map(|(node, snap)| {
-                let mut buf = NodeBuffer::new(capacity);
-                for &(id, stored_at) in &snap.entries {
-                    let inserted = buf.insert(&store.get(id), stored_at);
-                    assert!(inserted, "snapshot replica set exceeds buffer capacity");
-                    holders[id.index()].insert(node);
-                }
-                buf
-            })
-            .collect();
-        (buffers, holders)
+    /// Stores every captured replica into `world`'s empty buffers — and so
+    /// into its holder tables.
+    pub(crate) fn restore_buffers(buffers: &[BufferSnap], world: &mut WorldMut<'_>) {
+        for (node, snap) in buffers.iter().enumerate() {
+            for &(id, stored_at) in &snap.entries {
+                let packet = world.packets.get(id);
+                let stored = world.store(NodeId(node as u32), &packet, stored_at);
+                assert!(stored, "snapshot replica set exceeds buffer capacity");
+            }
+        }
     }
 
     /// Captures buffer contents (the inverse of [`Snapshot::restore_buffers`]).
@@ -960,6 +970,7 @@ mod tests {
                     entries: vec![(PacketId(1), Time::from_secs(21))],
                 },
                 BufferSnap::default(),
+                BufferSnap::default(),
             ],
             up: vec![true, false, true],
             open: vec![OpenSnap {
@@ -996,6 +1007,37 @@ mod tests {
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).expect("decodes");
         assert_eq!(back, snap);
+    }
+
+    /// CRC-valid snapshots whose sections disagree — a buffer naming a
+    /// packet the arena lacks or repeating one, a buffer count off the
+    /// node count, an expiry of an unknown packet — are refused naming the
+    /// section, so [`load_latest`] skips them instead of the resume
+    /// panicking on them.
+    #[test]
+    fn dangling_cross_section_references_are_refused() {
+        const AT: Time = Time(30);
+        type Mutation = fn(&mut Snapshot);
+        let cases: [(&str, Mutation); 5] = [
+            ("buffers", |s| s.buffers[1].entries.push((PacketId(2), AT))),
+            ("buffers", |s| {
+                s.buffers[0].entries.insert(0, (PacketId(1), AT))
+            }),
+            ("buffers", |s| s.buffers[0].entries.push((PacketId(0), AT))),
+            ("avail", |s| s.up.push(true)),
+            ("queue", |s| {
+                s.events.push((AT, SimEvent::PacketExpired(PacketId(2))));
+            }),
+        ];
+        for (i, (section, mutate)) in cases.into_iter().enumerate() {
+            let mut snap = sample_snapshot();
+            mutate(&mut snap);
+            let err = Snapshot::decode(&snap.encode()).unwrap_err();
+            assert!(
+                err.contains(&format!("section `{section}`")),
+                "case {i}: {err}"
+            );
+        }
     }
 
     /// `bytes` re-framed without its `routing` section: every other

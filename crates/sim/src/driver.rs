@@ -9,24 +9,26 @@
 //! # World leases
 //!
 //! Every driver, and every creation at a source, works on one kind of
-//! lease, a `WorldMut`: a run of node buffers with its `base` — the whole
-//! fleet on a one-shard run and at a cross-shard barrier, one shard's
-//! partition range inside a multi-shard epoch ([`crate::shard`]) — the
-//! run's `DeliveredAt` and `entered` columns by `&`, and a holder sink.
-//! The columns' slots are relaxed atomics, so concurrent shards can never
-//! race on them, and a packet's delivery slot is only ever written by
-//! contacts reaching its destination — all in one shard per epoch — so
-//! what each contact reads is the serial value. The holder sink applies a
-//! change in place when the lease is the whole fleet and logs it for the
-//! epoch commit otherwise. A protocol addresses only the contact's two
-//! endpoints ([`ContactDriver::buffer`] panics on any other node, under
-//! every lease), so every lease is observably the same; the global view
+//! lease, a `WorldMut`: the node buffers and replica-holder tables of a
+//! run of shards of the partition — the whole fleet on a one-shard run
+//! and at a cross-shard barrier, one shard inside a multi-shard epoch
+//! ([`crate::shard`]) — and the run's `DeliveredAt` and `entered` columns
+//! by `&`. The columns' slots are relaxed atomics, so concurrent shards
+//! can never race on them, and a packet's delivery slot is only ever
+//! written by contacts reaching its destination — all in one shard per
+//! epoch — so what each contact reads is the serial value. A holder
+//! change is written where the buffer changes, into the table of the
+//! shard owning the node, so no table is written by two shards in one
+//! epoch. A protocol addresses only the contact's two endpoints
+//! ([`ContactDriver::buffer`] panics on any other node, under every
+//! lease), so every lease is observably the same; the global view
 //! ([`ContactDriver::global`]) needs the whole fleet's lease, which is
 //! why global-knowledge runs never shard.
 
 use crate::buffer::NodeBuffer;
 use crate::ids::IndexSet;
 use crate::routing::{PacketStore, TransferOutcome};
+use crate::shard::Partition;
 use crate::time::Time;
 use crate::types::{NodeId, Packet, PacketId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,26 +51,6 @@ pub struct ContactLedger {
     pub replications: u64,
     /// Deliveries (first-time) performed in this contact.
     pub deliveries: u64,
-}
-
-/// One holder-set mutation: `added == true` inserts `node` into packet
-/// `id`'s holder set, `false` removes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HolderOp {
-    pub id: PacketId,
-    pub node: NodeId,
-    pub added: bool,
-}
-
-impl HolderOp {
-    /// Applies the mutation to the holder table (commit time).
-    pub(crate) fn apply(self, holders: &mut [IndexSet]) {
-        if self.added {
-            holders[self.id.index()].insert(self.node.index());
-        } else {
-            holders[self.id.index()].remove(self.node.index());
-        }
-    }
 }
 
 /// Each packet's first-delivery instant, one relaxed atomic per packet
@@ -114,25 +96,21 @@ impl DeliveredAt {
     }
 }
 
-/// Where a lease's holder-set changes go.
-pub(crate) enum HolderSink<'a> {
-    /// The whole fleet's lease: into the holder table at once.
-    Apply(&'a mut [IndexSet]),
-    /// One shard's lease: into its log, applied after the epoch.
-    Log(&'a mut Vec<HolderOp>),
-}
-
-/// A lease on the world (see the module docs): node buffers
-/// `base..base + buffers.len()`, the shared per-packet columns, and the
-/// sink for holder-set changes.
+/// A lease on the world (see the module docs): shards `first..first +
+/// holders.len()` of `partition` — their node buffers and their holder
+/// tables, in shard order — and the shared per-packet columns.
 pub(crate) struct WorldMut<'a> {
     pub packets: &'a PacketStore,
-    pub base: usize,
+    pub partition: &'a Partition,
+    /// The first leased shard.
+    pub first: usize,
     pub buffers: &'a mut [NodeBuffer],
+    /// Per shard, each packet's holders in the shard's range, as offsets
+    /// into it.
+    pub holders: &'a mut [Vec<IndexSet>],
     pub delivered_at: &'a DeliveredAt,
     /// Whether each packet entered the network (its source stored it).
     pub entered: &'a [AtomicBool],
-    pub holders: HolderSink<'a>,
 }
 
 impl WorldMut<'_> {
@@ -140,21 +118,19 @@ impl WorldMut<'_> {
     pub(crate) fn reborrow(&mut self) -> WorldMut<'_> {
         WorldMut {
             packets: self.packets,
-            base: self.base,
+            partition: self.partition,
+            first: self.first,
             buffers: self.buffers,
+            holders: self.holders,
             delivered_at: self.delivered_at,
             entered: self.entered,
-            holders: match &mut self.holders {
-                HolderSink::Apply(holders) => HolderSink::Apply(holders),
-                HolderSink::Log(log) => HolderSink::Log(log),
-            },
         }
     }
 
     /// `node`'s position in the leased run.
     fn local(&self, node: NodeId) -> usize {
         node.index()
-            .checked_sub(self.base)
+            .checked_sub(self.partition.range(self.first).start)
             .filter(|&i| i < self.buffers.len())
             .unwrap_or_else(|| panic!("{node} is outside this lease"))
     }
@@ -163,16 +139,25 @@ impl WorldMut<'_> {
         &self.buffers[self.local(node)]
     }
 
+    /// `node`'s holder bit for packet `id`, in its shard's table (grown to
+    /// `id` on demand).
+    fn holder_bit(&mut self, node: NodeId, id: PacketId) -> (&mut IndexSet, usize) {
+        let s = self.partition.shard_of(node);
+        let bit = node.index() - self.partition.range(s).start;
+        let table = &mut self.holders[s - self.first];
+        if table.len() <= id.index() {
+            table.resize_with(id.index() + 1, IndexSet::new);
+        }
+        (&mut table[id.index()], bit)
+    }
+
     /// Stores a replica of `packet` at `node`; false when it does not fit.
     pub(crate) fn store(&mut self, node: NodeId, packet: &Packet, at: Time) -> bool {
         let i = self.local(node);
         let stored = self.buffers[i].insert(packet, at);
         if stored {
-            self.holder(HolderOp {
-                id: packet.id,
-                node,
-                added: true,
-            });
+            let (set, bit) = self.holder_bit(node, packet.id);
+            set.insert(bit);
         }
         stored
     }
@@ -182,20 +167,10 @@ impl WorldMut<'_> {
         let i = self.local(node);
         let removed = self.buffers[i].remove(id);
         if removed {
-            self.holder(HolderOp {
-                id,
-                node,
-                added: false,
-            });
+            let (set, bit) = self.holder_bit(node, id);
+            set.remove(bit);
         }
         removed
-    }
-
-    fn holder(&mut self, op: HolderOp) {
-        match &mut self.holders {
-            HolderSink::Apply(holders) => op.apply(holders),
-            HolderSink::Log(log) => log.push(op),
-        }
     }
 }
 
@@ -400,15 +375,12 @@ impl<'a> ContactDriver<'a> {
             self.allow_global,
             "global knowledge is disabled for this run (see SimConfig::allow_global_knowledge)"
         );
-        let HolderSink::Apply(holders) = &self.world.holders else {
-            panic!("global knowledge needs the whole fleet's lease, not one shard's");
-        };
-        debug_assert_eq!(self.world.base, 0, "a whole-fleet lease starts at node 0");
-        GlobalView {
-            delivered_at: self.world.delivered_at,
-            holders,
-            buffers: &*self.world.buffers,
-        }
+        let world = &self.world;
+        assert!(
+            world.first == 0 && world.holders.len() == world.partition.shards(),
+            "global knowledge needs the whole fleet's lease, not one shard's"
+        );
+        GlobalView { world }
     }
 
     fn consume(&mut self, from: NodeId, bytes: u64) {
@@ -419,28 +391,34 @@ impl<'a> ContactDriver<'a> {
     }
 }
 
-/// Read-only true global state (instant global control channel, §6.2.3).
+/// Read-only true global state (instant global control channel, §6.2.3):
+/// the whole fleet's lease.
 pub struct GlobalView<'a> {
-    delivered_at: &'a DeliveredAt,
-    holders: &'a [IndexSet],
-    buffers: &'a [NodeBuffer],
+    world: &'a WorldMut<'a>,
 }
 
 impl GlobalView<'_> {
     /// Whether the packet has been delivered (anywhere, as of now).
     pub fn is_delivered(&self, id: PacketId) -> bool {
-        self.delivered_at.get(id).is_some()
+        self.world.delivered_at.get(id).is_some()
     }
 
     /// The nodes currently holding replicas of `id`, in ascending node-id
     /// order.
     pub fn holders(&self, id: PacketId) -> impl Iterator<Item = NodeId> + '_ {
-        self.holders[id.index()].iter().map(|i| NodeId(i as u32))
+        // Shard ranges are contiguous and ascending, so chaining the
+        // tables in shard order keeps node order.
+        let tables = self.world.holders.iter().enumerate();
+        tables.flat_map(move |(s, table)| {
+            let base = self.world.partition.range(s).start;
+            let set = table.get(id.index()).into_iter().flat_map(IndexSet::iter);
+            set.map(move |i| NodeId((base + i) as u32))
+        })
     }
 
     /// Read access to any node's buffer (remote queue state — what the
     /// instant channel would carry).
     pub fn buffer(&self, node: NodeId) -> &NodeBuffer {
-        &self.buffers[node.index()]
+        self.world.buffer(node)
     }
 }

@@ -21,13 +21,13 @@
 
 use crate::checkpoint::{config_digest, Counters, OpenSnap, RoutingState, RunHooks, Snapshot};
 use crate::contact::ContactWindow;
-use crate::driver::{DeliveredAt, HolderSink, WorldMut};
+use crate::driver::{DeliveredAt, WorldMut};
 use crate::event::{EventQueue, NodeEvent, SimEvent, WindowIdx};
 use crate::ids::IndexSet;
 use crate::noise::NoiseModel;
 use crate::report::SimReport;
 use crate::routing::{PacketStore, SimConfig};
-use crate::shard::Partitioned;
+use crate::shard::{Partition, Partitioned};
 use crate::source::{ContactSource, WorkloadSource};
 use crate::time::{Time, TimeDelta};
 use crate::NodeBuffer;
@@ -53,30 +53,35 @@ pub(crate) struct PendingDrive {
 }
 
 /// The world state of a run, grouped so the executor can borrow it whole.
-/// A multi-shard epoch splits `buffers` into `&mut` leases and shares the
-/// two per-packet columns by `&` — their slots are relaxed atomics, so no
-/// split needs them (see [`crate::shard`]).
+/// A multi-shard epoch splits `buffers` and `holders` into `&mut` leases
+/// and shares the two per-packet columns by `&` — their slots are relaxed
+/// atomics, so no split needs them (see [`crate::shard`]).
 pub(crate) struct World {
     pub buffers: Vec<NodeBuffer>,
     pub store: PacketStore,
     pub delivered_at: DeliveredAt,
-    /// Per-packet replica holder sets (ascending-order bitsets — O(1)
-    /// insert/remove keeps fleet-wide replica spread off the hot path).
-    pub holders: Vec<IndexSet>,
+    /// One replica-holder table per shard of the run's partition: entry
+    /// `p` is the set of packet `p`'s holders in the shard's node range,
+    /// as offsets into it (ascending-order bitsets — O(1) insert/remove
+    /// keeps fleet-wide replica spread off the hot path). A table grows to
+    /// `p` when a replica of `p` first enters the shard, and is written
+    /// only where a buffer changes, by the shard that owns the buffer.
+    pub holders: Vec<Vec<IndexSet>>,
     /// Whether each packet entered the network (its source stored it).
     pub entered: Vec<AtomicBool>,
 }
 
 impl World {
-    /// The whole fleet as one lease: holder changes apply in place.
-    pub fn lease(&mut self) -> WorldMut<'_> {
+    /// The whole fleet as one lease.
+    pub fn lease<'a>(&'a mut self, partition: &'a Partition) -> WorldMut<'a> {
         WorldMut {
             packets: &self.store,
-            base: 0,
+            partition,
+            first: 0,
             buffers: &mut self.buffers,
+            holders: &mut self.holders,
             delivered_at: &self.delivered_at,
             entered: &self.entered,
-            holders: HolderSink::Apply(&mut self.holders),
         }
     }
 }
@@ -167,7 +172,7 @@ pub(crate) fn scan(
                 .collect(),
             store: PacketStore::default(),
             delivered_at: DeliveredAt::default(),
-            holders: Vec::new(),
+            holders: vec![Vec::new(); exec.partition().shards()],
             entered: Vec::new(),
         },
         counters: Counters::default(),
@@ -240,9 +245,9 @@ pub(crate) fn scan(
         );
         // World state, verbatim from the snapshot.
         run.world.store = snap.restore_store();
-        let (buffers, holders) = snap.restore_buffers(config.buffer_capacity, &run.world.store);
-        run.world.buffers = buffers;
-        run.world.holders = holders;
+        // Replicas re-enter the fresh buffers through the one write path,
+        // so the holder tables are this run's partition's.
+        Snapshot::restore_buffers(&snap.buffers, &mut run.world.lease(exec.partition()));
         run.world.delivered_at = DeliveredAt::from_slots(&snap.delivered_at);
         run.world.entered = snap.entered.iter().map(|&e| AtomicBool::new(e)).collect();
         queue = snap.restore_queue();
@@ -416,7 +421,6 @@ pub(crate) fn scan(
                 .store
                 .push(spec.src, spec.dst, spec.size_bytes, spec.time, deadline);
             run.world.delivered_at.push_undelivered();
-            run.world.holders.push(IndexSet::new());
             // The creation body flips this when the source-buffer insert
             // succeeds — later, when the shard's queue drains.
             run.world.entered.push(AtomicBool::new(false));

@@ -28,12 +28,11 @@
 //! Over one shard nothing is cross-shard: the queue holds every action up
 //! to the next TTL expiry, checkpoint or end of run (or
 //! `EPOCH_ACTION_CAP` actions), and the epoch drains it in order against
-//! the protocol instance itself, on the whole fleet's lease, holder
-//! changes applied in place — without calling
-//! [`Routing::on_shard_epoch`]. Between barriers the scan reads no world
-//! state, so the deferral is invisible: a one-shard partition is exact
-//! for every protocol, `Serial` and global-knowledge ones included. That
-//! is how [`crate::engine::run_streaming`] runs.
+//! the protocol instance itself, on the whole fleet's lease — without
+//! calling [`Routing::on_shard_epoch`]. Between barriers the scan reads
+//! no world state, so the deferral is invisible: a one-shard partition is
+//! exact for every protocol, `Serial` and global-knowledge ones included.
+//! That is how [`crate::engine::run_streaming`] runs.
 //!
 //! # Determinism
 //!
@@ -55,12 +54,14 @@
 //! * **`entered`** — the same kind of column: slot `p` is written only by
 //!   `src(p)`'s shard, in the epoch that executes the creation; the
 //!   coordinator reads it (TTL expiry, snapshots) only between epochs.
-//! * **Holder sets** — a shard of a multi-shard epoch never mutates the
-//!   shared holder table; drives and creations log `HolderOp`s, applied
-//!   in shard order after every epoch. All ops for a fixed `(packet,
-//!   node)` pair originate from `node`'s own shard (in queue order), so
-//!   the final state per pair — the only thing later barriers observe —
-//!   is exact.
+//! * **Holder sets** — one table per shard, indexed by packet, its bits
+//!   offsets into the shard's node range; leased with the shard's buffers
+//!   and written where a buffer changes, into the table of the shard
+//!   owning the node. A cross-shard drive writes each endpoint's change
+//!   into that endpoint's table, so no table is written by two shards in
+//!   one epoch. TTL expiry takes the packet's entry from every table;
+//!   the global view chains the tables in shard order, which is
+//!   ascending node order.
 //! * **Report sums** — one `Counters` per shard, folded in shard order;
 //!   integer addition is associative and commutative.
 //!
@@ -79,8 +80,9 @@
 
 use crate::checkpoint::{require_checkpointable, Counters, RunHooks};
 use crate::contact::ContactWindow;
-use crate::driver::{ContactDriver, HolderOp, HolderSink, WorldMut};
+use crate::driver::{ContactDriver, WorldMut};
 use crate::event::NodeEvent;
+use crate::ids::IndexSet;
 use crate::noise::NoiseModel;
 use crate::par::ContactPool;
 use crate::report::SimReport;
@@ -383,7 +385,6 @@ pub(crate) fn run_partitioned(
             partition,
             routing,
             states: &mut states,
-            logs: vec![Vec::new(); shards],
             pool: &pool,
             pending: 0,
         };
@@ -415,9 +416,6 @@ pub(crate) struct Partitioned<'a> {
     /// the barriers.
     routing: &'a mut dyn Routing,
     states: &'a mut [ShardState],
-    /// Each shard's holder-set changes in a multi-shard epoch, applied in
-    /// shard order when it ends.
-    logs: Vec<Vec<HolderOp>>,
     pool: &'a ContactPool,
     /// Same-shard actions queued since the last epoch flush.
     pending: usize,
@@ -428,6 +426,11 @@ impl Partitioned<'_> {
     /// snapshots, restored on resume.
     pub(crate) fn routing(&mut self) -> &mut dyn Routing {
         self.routing
+    }
+
+    /// The run's partition: one holder table per shard.
+    pub(crate) fn partition(&self) -> &Partition {
+        self.partition
     }
 
     /// Drives one contact; `interrupted` when churn cut the window short.
@@ -449,7 +452,7 @@ impl Partitioned<'_> {
             self.flush_epoch(run);
             drive(
                 self.routing,
-                run.world.lease(),
+                run.world.lease(self.partition),
                 pending,
                 interrupted,
                 run.config.allow_global_knowledge,
@@ -499,9 +502,12 @@ impl Partitioned<'_> {
         {
             return;
         }
-        let holders = std::mem::take(&mut world.holders[id.index()]);
-        for h in holders.iter() {
-            world.buffers[h].remove(id);
+        for (s, table) in world.holders.iter_mut().enumerate() {
+            let base = self.partition.range(s).start;
+            let held = table.get_mut(id.index()).map(std::mem::take);
+            for h in held.iter().flat_map(IndexSet::iter) {
+                world.buffers[base + h].remove(id);
+            }
         }
         run.counters.expired += 1;
         self.routing.on_packet_expired(&world.store.get(id));
@@ -541,8 +547,8 @@ impl Partitioned<'_> {
         let partition = self.partition;
         if partition.shards() == 1 {
             // The one shard leases the whole fleet: drain it against the
-            // instance itself, holder changes applied in place.
-            let world = run.world.lease();
+            // instance itself.
+            let world = run.world.lease(partition);
             drain_shard(self.routing, &mut self.states[0], world, allow_global);
             return;
         }
@@ -554,22 +560,23 @@ impl Partitioned<'_> {
             entered,
         } = &mut run.world;
         // One lease per shard — its queue and counters, its range of the
-        // node buffers and its holder log — which the drain takes exactly
-        // once.
+        // node buffers and its holder table — which the drain takes
+        // exactly once.
         let leases: Vec<Mutex<Option<_>>> = self
             .states
             .iter_mut()
             .zip(partition.split_mut(buffers))
-            .zip(&mut self.logs)
+            .zip(holders.iter_mut())
             .enumerate()
-            .map(|(s, ((state, buffers), log))| {
+            .map(|(s, ((state, buffers), table))| {
                 let world = WorldMut {
                     packets: store,
-                    base: partition.range(s).start,
+                    partition,
+                    first: s,
                     buffers,
+                    holders: std::slice::from_mut(table),
                     delivered_at,
                     entered,
-                    holders: HolderSink::Log(log),
                 };
                 Mutex::new(Some((state, world)))
             })
@@ -596,14 +603,6 @@ impl Partitioned<'_> {
             .into_iter()
             .position(|lease| lease.into_inner().expect("shard lease lock").is_some());
         assert_eq!(undrained, None, "on_shard_epoch left a shard undrained");
-        // Holder ops in shard order: all ops for a (packet, node) pair
-        // come from node's own shard in queue order, so per-pair final
-        // state is exact regardless of the cross-shard fold order.
-        for log in &mut self.logs {
-            for op in log.drain(..) {
-                op.apply(holders);
-            }
-        }
     }
 }
 
@@ -611,7 +610,7 @@ impl Partitioned<'_> {
 /// through `routing` — the run's instance, or a shard-range view of it
 /// inside `on_shard_epoch`. May run on a pool worker: everything it
 /// mutates is leased to the shard (its queue and counters, its buffers
-/// and holder sink) or an atomic column shared by every shard
+/// and holder table) or an atomic column shared by every shard
 /// (`delivered_at`, `entered` — see the module docs).
 fn drain_shard(
     routing: &mut dyn Routing,
@@ -708,7 +707,11 @@ fn create(routing: &mut dyn Routing, world: &mut WorldMut<'_>, id: PacketId, src
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::NodeBuffer;
+    use crate::checkpoint::Snapshot;
+    use crate::driver::DeliveredAt;
     use crate::engine::Simulation;
+    use crate::routing::PacketStore;
     use crate::routing::TransferOutcome;
     use crate::time::TimeDelta;
     use crate::types::Packet;
@@ -1184,6 +1187,309 @@ mod tests {
                 .all(|s| s.concurrency == ContactConcurrency::NodeDisjoint));
         }
         assert!(serial.delivered() >= 1, "scenario must not be vacuous");
+    }
+
+    /// `ShardFlood` that records every replica the contact endpoints hold
+    /// and flags any endpoint still holding a packet past its TTL deadline.
+    struct ExpiryWitness(std::sync::Arc<Mutex<Witnessed>>);
+
+    #[derive(Default)]
+    struct Witnessed {
+        /// Nodes seen holding a replica before its deadline.
+        held: std::collections::BTreeSet<usize>,
+        /// Endpoints whose buffers were checked after a deadline.
+        checked_late: std::collections::BTreeSet<usize>,
+        violations: Vec<String>,
+    }
+
+    impl Routing for ExpiryWitness {
+        fn name(&self) -> String {
+            "expiry-witness-test".into()
+        }
+
+        fn contact_concurrency(&self) -> ContactConcurrency {
+            ContactConcurrency::NodeDisjoint
+        }
+
+        fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
+            ShardFlood.on_contact(driver);
+            let (a, b) = driver.endpoints();
+            let packets = driver.packets();
+            let late = |id| packets.ttl_deadline(id).is_some_and(|d| d < driver.now());
+            let any_late = packets.iter().any(|p| late(p.id));
+            let mut w = self.0.lock().unwrap();
+            for node in [a, b] {
+                if any_late {
+                    w.checked_late.insert(node.index());
+                }
+                for id in driver.buffer(node).ids() {
+                    if late(id) {
+                        w.violations
+                            .push(format!("{node} holds {id} past its deadline"));
+                    } else {
+                        w.held.insert(node.index());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expiry_clears_replicas_in_every_shard() {
+        let cfg = SimConfig {
+            nodes: 9,
+            buffer_capacity: 4096,
+            horizon: Time::from_secs(300),
+            ttl: Some(TimeDelta::from_secs(60)),
+            seed: 7,
+            ..SimConfig::default()
+        };
+        let at = |t, a, b| ContactWindow::instant(Time::from_secs(t), NodeId(a), NodeId(b), 4096);
+        // p0 (to node 8, never met) floods 0 → 1 → 4 → 7, expires at
+        // t = 61, and the two late contacts inspect every holder.
+        let sim = Simulation::new(
+            cfg,
+            Schedule::new(vec![
+                at(10, 0, 1),
+                at(20, 1, 4),
+                at(30, 4, 7),
+                at(100, 0, 1),
+                at(110, 4, 7),
+            ]),
+            Workload::new(vec![spec(1, 0, 8, 512)]),
+        );
+        for shards in [1, 2, 3, 4] {
+            let partition = Partition::even(9, shards);
+            let witnessed = std::sync::Arc::new(Mutex::new(Witnessed::default()));
+            let mut contacts = sim.schedule().windows().iter().copied();
+            let mut workload = sim.workload().specs().iter().copied();
+            let report = run_sharded(
+                sim.config(),
+                &partition,
+                &mut contacts,
+                &mut workload,
+                &[],
+                None,
+                &mut || Box::new(ExpiryWitness(witnessed.clone())),
+            );
+            assert_eq!(report.expired, 1, "{shards} shards");
+            let w = witnessed.lock().unwrap();
+            assert_eq!(w.violations, Vec::<String>::new(), "{shards} shards");
+            assert!(w.held.iter().eq(&[0, 1, 4, 7]), "{shards} shards");
+            assert!(w.checked_late.iter().eq(&[0, 1, 4, 7]), "{shards} shards");
+            let spread: std::collections::BTreeSet<usize> = w
+                .held
+                .iter()
+                .map(|&n| partition.shard_of(NodeId(n as u32)))
+                .collect();
+            assert_eq!(spread.len() > 1, shards > 1, "{shards} shards: {spread:?}");
+        }
+    }
+
+    /// Flooding that checks, at every contact, the global view's holder
+    /// lists against every buffer — packets no buffer holds included.
+    struct GlobalProbe(usize);
+
+    impl Routing for GlobalProbe {
+        fn name(&self) -> String {
+            "global-probe-test".into()
+        }
+
+        fn on_contact(&mut self, driver: &mut ContactDriver<'_>) {
+            ShardFlood.on_contact(driver);
+            let g = driver.global();
+            for p in driver.packets().iter() {
+                let listed: Vec<NodeId> = g.holders(p.id).collect();
+                let held: Vec<NodeId> = (0..9)
+                    .map(NodeId)
+                    .filter(|&n| g.buffer(n).contains(p.id))
+                    .collect();
+                assert_eq!(listed, held, "{}", p.id);
+                self.0 += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn global_view_lists_every_holder_in_node_order() {
+        let sim = scenario();
+        let config = SimConfig {
+            allow_global_knowledge: true,
+            ..sim.config().clone()
+        };
+        let sim = Simulation::new(config, sim.schedule().clone(), sim.workload().clone())
+            .with_churn(sim.churn().to_vec());
+        let mut probe = GlobalProbe(0);
+        let report = sim.run(&mut probe);
+        assert!(report.outcomes.iter().any(|o| !o.entered_network));
+        assert!(probe.0 > 10, "checked {} lists", probe.0);
+    }
+
+    /// One action of [`execute_checked`]'s scripted run.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Create(PacketSpec),
+        Drive(ContactWindow),
+        Expire(u32),
+    }
+
+    /// The union of the shard tables, as node ids, is each packet's buffer
+    /// membership.
+    fn assert_tables_index_buffers(world: &World, partition: &Partition, at: &str) {
+        assert_eq!(world.holders.len(), partition.shards(), "{at}");
+        for (i, _) in world.store.iter().enumerate() {
+            let indexed: Vec<usize> = (world.holders.iter().enumerate())
+                .flat_map(|(s, table)| {
+                    let base = partition.range(s).start;
+                    table
+                        .get(i)
+                        .into_iter()
+                        .flat_map(move |set| set.iter().map(move |b| base + b))
+                })
+                .collect();
+            let held: Vec<usize> = (0..world.buffers.len())
+                .filter(|&n| world.buffers[n].contains(PacketId(i as u32)))
+                .collect();
+            assert_eq!(indexed, held, "{at}: packet {i}");
+        }
+    }
+
+    /// An empty 9-node world with one holder table per shard.
+    fn fresh_world(partition: &Partition) -> World {
+        World {
+            buffers: (0..9).map(|_| NodeBuffer::new(2048)).collect(),
+            store: PacketStore::default(),
+            delivered_at: DeliveredAt::default(),
+            holders: vec![Vec::new(); partition.shards()],
+            entered: Vec::new(),
+        }
+    }
+
+    /// `world` as a resume under `partition` rebuilds it: its replicas
+    /// re-stored into empty buffers.
+    fn resumed_world(world: World, partition: &Partition) -> World {
+        let captured = Snapshot::capture_buffers(&world.buffers);
+        let fresh = fresh_world(partition);
+        let mut resumed = World {
+            buffers: fresh.buffers,
+            holders: fresh.holders,
+            ..world
+        };
+        Snapshot::restore_buffers(&captured, &mut resumed.lease(partition));
+        resumed
+    }
+
+    /// Runs `steps` through the executor over `partition`, checking the
+    /// shard tables against the buffers after every action — the tables
+    /// change only inside a drain, so that covers every barrier.
+    fn execute_checked(partition: &Partition, world: World, steps: &[Step]) -> World {
+        let config = SimConfig {
+            nodes: 9,
+            ..SimConfig::default()
+        };
+        let mut routing = ShardFlood;
+        let mut states: Vec<ShardState> = (0..partition.shards())
+            .map(|_| ShardState::default())
+            .collect();
+        assert_tables_index_buffers(&world, partition, "start");
+        std::thread::scope(|scope| {
+            let pool = ContactPool::start(scope, partition.shards());
+            let mut exec = Partitioned {
+                partition,
+                routing: &mut routing,
+                states: &mut states,
+                pool: &pool,
+                pending: 0,
+            };
+            let mut run = Run {
+                config: &config,
+                world,
+                counters: Counters::default(),
+            };
+            for (seq, step) in steps.iter().enumerate() {
+                match *step {
+                    Step::Create(spec) => {
+                        let world = &mut run.world;
+                        let (src, dst, size) = (spec.src, spec.dst, spec.size_bytes);
+                        let id = world
+                            .store
+                            .push(src, dst, size, spec.time, PacketStore::NO_TTL);
+                        world.delivered_at.push_undelivered();
+                        world
+                            .entered
+                            .push(std::sync::atomic::AtomicBool::new(false));
+                        exec.create(&mut run, id, true);
+                    }
+                    Step::Drive(window) => {
+                        let drive = PendingDrive {
+                            window,
+                            now: window.start,
+                            budget: window.lump_bytes,
+                            seq: seq as u64,
+                            measured: true,
+                        };
+                        exec.drive(&mut run, drive, false);
+                    }
+                    Step::Expire(id) => exec.expire(&mut run, PacketId(id)),
+                }
+                assert_tables_index_buffers(&run.world, partition, &format!("step {seq}"));
+            }
+            exec.quiesce(&mut run);
+            assert_tables_index_buffers(&run.world, partition, "quiesced");
+            run.world
+        })
+    }
+
+    #[test]
+    fn shard_tables_index_buffer_membership_at_every_barrier() {
+        let at = |t, a, b| Step::Drive(ContactWindow::instant(Time(t), NodeId(a), NodeId(b), 2048));
+        let create = |t, src, dst| Step::Create(spec(t, src, dst, 512));
+        // Intra- and cross-shard drives at every partition below,
+        // deliveries dropping the sender's copy, a creation into a full
+        // buffer, and expiries of held, delivered and spread packets.
+        let steps = [
+            create(1, 0, 8),
+            create(1, 4, 2),
+            create(1, 7, 0),
+            create(1, 5, 1),
+            at(10, 0, 1),
+            at(11, 1, 4),
+            at(12, 4, 7),
+            at(13, 6, 8),
+            at(14, 7, 8),
+            create(15, 4, 3),
+            create(15, 4, 6),
+            Step::Expire(1),
+            at(20, 2, 3),
+            at(21, 0, 7),
+            at(22, 5, 6),
+            at(23, 3, 5),
+            Step::Expire(0),
+            at(24, 1, 5),
+            at(25, 6, 7),
+            Step::Expire(3),
+            at(26, 8, 0),
+        ];
+        let membership = |world: &World| Snapshot::capture_buffers(&world.buffers);
+        let one = Partition::even(9, 1);
+        let serial = membership(&execute_checked(&one, fresh_world(&one), &steps));
+        assert!(serial.iter().filter(|b| !b.entries.is_empty()).count() > 3);
+        let partitions: Vec<Partition> = (1..=4)
+            .map(|n| Partition::even(9, n))
+            .chain([vec![0, 1, 9], vec![0, 8, 9], vec![0, 3, 3, 9]].map(Partition::from_bounds))
+            .collect();
+        for p in &partitions {
+            let world = execute_checked(p, fresh_world(p), &steps);
+            assert_eq!(membership(&world), serial, "{p:?}");
+        }
+        // A resume at another shard count re-stores the replicas into the
+        // holder tables of its own partition.
+        let (head, tail) = steps.split_at(12);
+        for (from, to) in partitions.iter().zip(partitions.iter().rev()) {
+            let world = execute_checked(from, fresh_world(from), head);
+            let world = execute_checked(to, resumed_world(world, to), tail);
+            assert_eq!(membership(&world), serial, "{from:?} then {to:?}");
+        }
     }
 
     #[test]

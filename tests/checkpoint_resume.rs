@@ -13,8 +13,8 @@ use rapid_dtn::sim::contact::Schedule;
 use rapid_dtn::sim::workload::{PacketSpec, Workload};
 use rapid_dtn::sim::{
     load_latest, run_sharded_hooked, run_streaming_hooked, Checkpointer, CompiledPlan,
-    ContactWindow, NodeEvent, NodeId, Partition, Routing, RunHooks, SimConfig, SimEvent, SimReport,
-    Snapshot, Time, TimeDelta,
+    ContactWindow, NodeEvent, NodeId, PacketId, Partition, Routing, RunHooks, SimConfig, SimEvent,
+    SimReport, Snapshot, Time, TimeDelta,
 };
 use rapid_dtn::trace::{write_varint, ByteCursor, SnapshotReader, SnapshotWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -576,6 +576,41 @@ fn repeated_last_met_peer_fails_loudly_and_previous_snapshot_resumes() {
         },
         "last-met peer 0 not strictly ascending",
     );
+}
+
+/// A newest checkpoint whose buffer names a packet the arena lacks passes
+/// every CRC, but decode refuses it, so `load_latest` skips it
+/// (`diag=snapshot-skipped`) and the previous checkpoint resumes — here at
+/// another shard count — instead of the restore panicking.
+#[test]
+fn dangling_buffer_id_is_skipped_and_previous_snapshot_resumes() {
+    let sc = scenario();
+    let reference = sc.run_serial(rapid().as_mut(), RunHooks::default());
+
+    let dir = temp_dir("dangling-id");
+    let mut ckpt = Checkpointer::new(&dir, TimeDelta::from_secs(40), 64).unwrap();
+    let _ = sc.run_serial(
+        rapid().as_mut(),
+        RunHooks {
+            checkpoint: Some(&mut ckpt),
+            ..RunHooks::default()
+        },
+    );
+    let newest = load_latest(&dir).unwrap().expect("snapshots written");
+    let mut bad = newest.snapshot.clone();
+    let dangling = PacketId(bad.packets.len() as u32);
+    bad.buffers[0].entries.push((dangling, bad.now));
+    std::fs::write(&newest.path, bad.encode()).unwrap();
+
+    let loaded = load_latest(&dir).unwrap().expect("an older snapshot");
+    assert_eq!(loaded.skipped.len(), 1);
+    let (path, err) = &loaded.skipped[0];
+    assert_eq!(path, &newest.path);
+    assert!(err.contains("section `buffers`"), "{err}");
+    assert!(loaded.snapshot.now < newest.snapshot.now);
+    let resumed = sc.run_sharded(3, &mut rapid, resume_hooks(loaded.snapshot));
+    assert_eq!(resumed, reference, "fallback resume diverged");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The compressed-plan streaming source supports resume too (the snapshot
